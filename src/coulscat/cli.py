@@ -28,6 +28,7 @@ import numpy as np
 from . import asymptotic, classical, currents, exact, multipole, specfun
 
 CHUNK_ROWS = 2048
+CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
 
 QUANTITIES = ("psi_exact", "psi_asymptotic", "currents", "cross_section",
               "cesaro", "reduced_series", "diverging_sum", "field_map",
@@ -397,10 +398,15 @@ def run_scan(spec):
 
 
 def write_csv(path, header, rows):
+    # one %-format per block of rows: the same bytes as formatting each
+    # value, without holding the whole file as Python objects
+    rows = np.asarray(rows)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 _DESCRIPTIONS = {

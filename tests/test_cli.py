@@ -10,6 +10,7 @@ import pytest
 from coulscat import FieldPoint, ScatteringParams, psi_exact
 from coulscat.cli import (
     CHUNK_ROWS,
+    CSV_BLOCK_ROWS,
     PRESETS,
     QUANTITIES,
     ScanSpec,
@@ -18,6 +19,7 @@ from coulscat.cli import (
     load_preset,
     main,
     run_scan,
+    write_csv,
 )
 
 
@@ -196,3 +198,22 @@ def test_preset_files_are_plain_json():
                 ).read_text()
         data = json.loads(text)
         assert data["quantity"] in QUANTITIES
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # block formatting writes the bytes of "%.17g" applied value by value,
+    # across block boundaries and for signed zeros, subnormals and non-finites
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(2 * CSV_BLOCK_ROWS + 3, 4))
+    rows *= 10.0 ** rng.integers(-300, 300, size=rows.shape)
+    rows[0] = [-0.0, 5e-324, np.inf, np.nan]
+    rows[-1] = [0.0, -2.2250738585072014e-308, -np.inf, 1.0 / 3.0]
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "w.csv"
+    write_csv(str(path), header, rows)
+    ref = "a,b,c,d\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                for row in rows)
+    assert path.read_bytes() == ref.encode()
+    write_csv(str(path), header, rows[:0])
+    assert path.read_bytes() == b"a,b,c,d\n"
+

@@ -30,6 +30,11 @@ FORWARD_TABLE = {
 
 PSI_FROZEN = complex(-0.73248239404777382, 0.68638210910700681)  # g=0.4 rho=12 th=2
 
+# g=10 rho=100 at rho*s = 120 (theta = arccos(-0.2)), 40-digit mpmath at the
+# same float theta: deep in the series branch, where |1F1| ~ 1e13
+PSI_FAR_THETA = 1.7721542475852274
+PSI_FAR_FROZEN = complex(-0.30605058013761754, 1.0601266864474468)
+
 
 def test_params_validation():
     p = ScatteringParams(gamma=0.5, k=2.0)
@@ -170,3 +175,11 @@ def test_schrodinger_residual_step_validation():
         schrodinger_residual(p, FieldPoint(rho=5.0, theta=1.0), h=0.0)
     with pytest.raises(ValueError):
         schrodinger_residual(p, FieldPoint(rho=5.0, theta=1.0), h=2.0)
+
+
+def test_psi_exact_large_gamma_far_from_axis():
+    p = ScatteringParams(gamma=10.0, k=1.0)
+    pt = FieldPoint(rho=100.0, theta=PSI_FAR_THETA)
+    assert abs(pt.rho * pt.s - 120.0) < 1e-12
+    got = psi_exact(p, pt)
+    assert abs(got - PSI_FAR_FROZEN) < 1e-12 * abs(PSI_FAR_FROZEN)

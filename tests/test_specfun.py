@@ -9,7 +9,8 @@ from mpmath import mp
 from mpmath import hyp1f1 as mp_hyp1f1
 from scipy.special import eval_legendre, loggamma as sc_loggamma, spherical_jn
 
-from coulscat import specfun
+from coulscat import FieldPoint, ScatteringParams, current_numeric, psi_exact, specfun
+from coulscat.cli import _spec_from_mapping, load_preset, run_scan
 
 mp.dps = 40
 
@@ -27,6 +28,30 @@ HYP1F1_LARGE = {
     (-1j, 1.0, 100j): complex(1.6280403125851088, -9.1378176046692978),
     (-0.4j, 1.0, 60j): complex(-0.56931305095820894, 2.0325741284985819),
     (-1j, 1.0, 200j): complex(7.0803964401692649, -5.8413066285257758),
+}
+
+# 40-digit mpmath 1F1(-i g, 1; i x) on the psi ray, out to where the series
+# branch ends (|z| <= 30 + 2 g^2, capped at 600); large |g| at large x is
+# where a Kummer sum summed term by term cancels away all its digits
+RAY_TABLE = {
+    (-20, 60): complex(-0.04992306377467701, -0.06987146837983153),
+    (-20, 120): complex(0.010535169390933513, -0.07827792236967242),
+    (-20, 500): complex(-0.07680750637277615, -0.039276204411963805),
+    (-10, 60): complex(-0.10780179445516166, 0.04841223658945574),
+    (-10, 120): complex(-0.12697015246184468, 0.028642286828961194),
+    (-10, 500): complex(-0.020313869757298365, 0.126956473255502),
+    (-4, 60): complex(-0.03057016599177067, -0.20702340784624967),
+    (-4, 120): complex(-0.0589004247529842, 0.18413578154408797),
+    (-4, 500): complex(-0.1650793822802403, 0.1122518459588713),
+    (4, 60): complex(22663.35979906761, 50220.928900617044),
+    (4, 120): complex(-29302.66402719588, -48751.21627527501),
+    (4, 500): complex(-49952.29279241888, -28666.900789088766),
+    (10, 60): complex(7212151552862.941, 147280538992.26193),
+    (10, 120): complex(-1187377978799.6338, 6013240920408.569),
+    (10, 500): complex(-3030717854448.9614, -4661589589605.026),
+    (20, 60): complex(-2.663251469366401e+24, -2.2497949185943984e+24),
+    (20, 120): complex(9.464311736530324e+25, 1.1181688867904993e+26),
+    (20, 500): complex(8.775047859545152e+25, 1.4849072940209081e+26),
 }
 
 GAMMA_1PI = complex(0.49801566811835607, -0.15494982830181067)
@@ -193,6 +218,46 @@ def test_hyp1f1_array_branch_partition():
     batch = specfun.hyp1f1(a, b, z)
     for i in range(4):
         assert batch[i] == specfun.hyp1f1(a[i], b[i], z[i])
+
+
+def test_hyp1f1_psi_ray_frozen_mpmath():
+    for (g, x), ref in RAY_TABLE.items():
+        got = specfun.hyp1f1(-1j * g, 1.0, 1j * x)
+        assert abs(got - ref) < 1e-12 * abs(ref), (g, x)
+
+
+def test_hyp1f1_series_batch_independent():
+    # an element's value is bit-identical alone, next to other (a, b) on
+    # either kernel, and in a batch whose larger |z| lengthens its chain
+    cases = [(-0.4j, 1.0, 7.3j), (-0.4j, 1.0, 0.6j), (-10j, 1.0, 55j),
+             (-0.4j, 1.0, 3.0 + 4.0j), (3 - 0.7j, 8.0, 38j),
+             (6 - 2j, 12.0, 9j), (2.5, 3.5, -12.0), (1 - 0.3j, 2 + 0.5j, 4j),
+             (1.0, 1.0, 0.5j * np.pi)]  # e^{i pi/2}: Re ~ 6e-17 shows stray terms
+    alone = [specfun.hyp1f1_series(a, b, z) for a, b, z in cases]
+    a, b, z = (np.array(col, dtype=complex) for col in zip(*cases))
+    together = specfun.hyp1f1_series(a, b, z)
+    longer = specfun.hyp1f1_series(np.tile(a, 2), np.tile(b, 2),
+                                   np.concatenate([z, 4.0 * z]))
+    for i in range(len(cases)):
+        assert together[i] == alone[i], cases[i]
+        assert longer[i] == alone[i], cases[i]
+
+
+def test_psi_ray_never_takes_double_double(monkeypatch, tmp_path):
+    # b = 1 (every exact-field evaluation) stays on the float64 kernel
+    def refuse(*args):
+        raise AssertionError("double-double fallback taken")
+
+    monkeypatch.setattr(specfun, "_maclaurin_dd", refuse)
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        data = dict(load_preset(name), out=str(tmp_path / (name + ".csv")))
+        run_scan(_spec_from_mapping(data))
+    for g in (-20.0, 0.4, 20.0):
+        p = ScatteringParams(gamma=g)
+        for rho, theta in ((0.5, 1.0), (15.0, 0.3), (40.0, 2.0)):
+            current_numeric(lambda q: psi_exact(p, q), p, FieldPoint(rho, theta))
+    with pytest.raises(AssertionError):
+        specfun.hyp1f1_series(2.0, 6.0, 2j)
 
 
 def test_legendre_p_values():
