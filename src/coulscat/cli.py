@@ -7,19 +7,15 @@ Usage:
 
 One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
-generated from the ScanSpec alone, rows are computed in fixed 2048-row chunks
-whose boundaries do not depend on the worker count, and floats are written
-with 17 significant digits. SCATTER_THREADS caps the number of worker
-threads (the default is the machine's CPU count).
+generated from the ScanSpec alone, rows are computed in order in fixed
+2048-row chunks, and floats are written with 17 significant digits.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments, 3 numerical failure.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -190,14 +186,9 @@ def _build_currents(spec):
 
     def compute(start, stop):
         r, t = rho[start:stop], th[start:stop]
-        jr_t, jt_t, jr_i, jt_i, jr_s, jt_s = \
-            currents.current_asymptotic_split_grid(
-                p, r, t, backreaction=spec.backreaction)
-        jr_x, jt_x = currents.current_exact_grid(p, r, t)
-        jr_o, jt_o = currents.current_outgoing_grid(
-            p, r, t, subtract_backreaction=False)
-        jr_g, jt_g = currents.current_outgoing_grid(
-            p, r, t, subtract_backreaction=True)
+        ((jr_t, jt_t), (jr_i, jt_i), (jr_s, jt_s), (jr_x, jt_x),
+         (jr_o, jt_o), (jr_g, jt_g)) = currents.current_scan_grid(
+            p, r, t, backreaction=spec.backreaction)
         return np.column_stack([r, t, jr_t, jt_t, jr_i, jt_i, jr_s, jt_s,
                                 jr_t - jr_i - jr_s, jt_t - jt_i - jt_s,
                                 jr_x, jt_x, jr_o, jt_o, jr_g, jt_g])
@@ -366,32 +357,14 @@ _BUILDERS = {
 }
 
 
-def _worker_count():
-    workers = os.cpu_count() or 1
-    cap = os.environ.get("SCATTER_THREADS")
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValueError("SCATTER_THREADS must be an integer")
-    return workers
-
-
 def run_scan(spec):
     """Compute the dataset for a validated spec and write it to spec.out.
-    Returns (header, rows). Chunks of fixed size may be computed on worker
-    threads; the output row order never depends on the worker count."""
+    Returns (header, rows). Rows are computed in fixed chunks of CHUNK_ROWS,
+    which bounds the size of the kernels' temporaries."""
     spec.validate()
     header, n_rows, compute = _BUILDERS[spec.quantity](spec)
-    bounds = [(i, min(i + CHUNK_ROWS, n_rows))
-              for i in range(0, n_rows, CHUNK_ROWS)]
-    workers = _worker_count()
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda se: compute(*se), bounds))
-    else:
-        parts = [compute(*se) for se in bounds]
-    rows = np.vstack(parts)
+    rows = np.vstack([compute(i, min(i + CHUNK_ROWS, n_rows))
+                      for i in range(0, n_rows, CHUNK_ROWS)])
     out = spec.out if spec.out is not None else spec.quantity + ".csv"
     write_csv(out, header, rows)
     return header, rows

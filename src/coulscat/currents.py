@@ -47,37 +47,58 @@ def _default_step(rho):
     return 1e-4 * max(1.0, rho)
 
 
-def _check_step(p, rho, h):
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if rho <= h:
-        raise ValueError("need rho > h")
-    if h * max(1.0, abs(p.gamma) / rho) >= 0.1:
-        raise ValueError("step h too coarse for this field point")
+def _stencil(p, fields, rho, theta, h=None):
+    """Currents of several fields from one five-point central-difference
+    stencil.
 
-
-def _stencil_current(grid_field, k, rho, theta, h):
-    """Current from central differences of a vectorized field.
-
-    grid_field(rho_array, theta_array) -> complex array. The polar step is
-    h/max(1, rho) so the arc displacement rho*dtheta matches h. Returns
-    (j_r, j_theta) arrays broadcast over rho, theta.
+    fields(rho_array, theta_array) -> sequence of complex arrays, every
+    field evaluated on the same stencil points. The radial step h defaults
+    to 1e-4 max(1, max rho); the polar step is h/max(1, rho) so the arc
+    displacement rho*dtheta matches h. Returns one (j_r, j_theta) pair of
+    arrays, broadcast over rho and theta, per field.
     """
     rho = np.asarray(rho, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    ht = h / np.maximum(1.0, rho)
-    rho_b, theta_b = np.broadcast_arrays(rho, theta)
-    ht_b = np.broadcast_to(ht, rho_b.shape)
+    if h is None:
+        h = _default_step(float(np.max(rho)))
+    rho_min = float(np.min(rho))
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    if rho_min <= h:
+        raise ValueError("need rho > h")
+    if h * max(1.0, abs(p.gamma) / rho_min) >= 0.1:
+        raise ValueError("step h too coarse for this field point")
+    # flat points even for one point: 0-d operands would take numpy's scalar
+    # arithmetic, which rounds complex products differently from the array
+    # loops, so a point's current would depend on how it was batched
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    rho_b, theta_b = (np.broadcast_to(v, shape).ravel() for v in (rho, theta))
+    ht = h / np.maximum(1.0, rho_b)
     pts_rho = np.stack([rho_b, rho_b + h, rho_b - h, rho_b, rho_b])
-    pts_theta = np.stack([theta_b, theta_b, theta_b,
-                          theta_b + ht_b, theta_b - ht_b])
-    vals = grid_field(pts_rho, pts_theta)
-    psi_c = vals[0]
-    d_rho = (vals[1] - vals[2]) / (2.0 * h)
-    d_theta = (vals[3] - vals[4]) / (2.0 * ht_b)
-    j_r = k * np.imag(np.conj(psi_c) * d_rho)
-    j_theta = (k / rho_b) * np.imag(np.conj(psi_c) * d_theta)
-    return j_r, j_theta
+    pts_theta = np.stack([theta_b, theta_b, theta_b, theta_b + ht, theta_b - ht])
+    out = []
+    for vals in fields(pts_rho, pts_theta):
+        psi_c = vals[0]
+        d_rho = (vals[1] - vals[2]) / (2.0 * h)
+        d_theta = (vals[3] - vals[4]) / (2.0 * ht)
+        j_r = p.k * np.imag(np.conj(psi_c) * d_rho)
+        j_theta = (p.k / rho_b) * np.imag(np.conj(psi_c) * d_theta)
+        out.append((j_r.reshape(shape), j_theta.reshape(shape)))
+    return out
+
+
+def _vector(pair):
+    return CurrentVector(float(pair[0]), float(pair[1]))
+
+
+def _pointwise(field):
+    """Stencil fields function for a scalar field of one FieldPoint."""
+    def values(rho_a, theta_a):
+        out = np.array([field(exact.FieldPoint(r, t))
+                        for r, t in zip(rho_a.ravel(), theta_a.ravel())],
+                       dtype=np.complex128)
+        return [out.reshape(rho_a.shape)]
+    return values
 
 
 def current_numeric(field, p, pt, h=None):
@@ -86,93 +107,35 @@ def current_numeric(field, p, pt, h=None):
     field maps a FieldPoint to a complex value. Both components use the
     same five-point cross stencil as the residual check.
     """
-    if h is None:
-        h = _default_step(pt.rho)
-    _check_step(p, pt.rho, h)
-
-    def grid(rho_a, theta_a):
-        flat_r = rho_a.ravel()
-        flat_t = theta_a.ravel()
-        out = np.array([field(exact.FieldPoint(r, t))
-                        for r, t in zip(flat_r, flat_t)], dtype=np.complex128)
-        return out.reshape(rho_a.shape)
-
-    j_r, j_theta = _stencil_current(grid, p.k, pt.rho, pt.theta, h)
-    return CurrentVector(float(j_r), float(j_theta))
+    return _vector(_stencil(p, _pointwise(field), pt.rho, pt.theta, h)[0])
 
 
 def current_exact_grid(p, rho, theta, h=None):
     """Vectorized numeric current of the exact solution over a grid.
-    Returns (j_r, j_theta) arrays. Used by scans and the acceptance suite,
-    where point-by-point stencils would be too slow."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if h is None:
-        h = _default_step(float(np.max(rho)))
-    _check_step(p, float(np.min(rho)), h)
-
-    def grid(rho_a, theta_a):
-        return exact.psi_exact_grid(p, rho_a, theta_a)
-
-    return _stencil_current(grid, p.k, rho, theta, h)
+    Returns (j_r, j_theta) arrays. Used by the acceptance suite, where
+    point-by-point stencils would be too slow."""
+    return _stencil(p, lambda r, t: [exact.psi_exact_grid(p, r, t)],
+                    rho, theta, h)[0]
 
 
-def current_asymptotic_grid(p, rho, theta, backreaction=False, h=None):
-    """Vectorized numeric current of the asymptotic total field."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if h is None:
-        h = _default_step(float(np.max(rho)))
-    _check_step(p, float(np.min(rho)), h)
+def current_scan_grid(p, rho, theta, backreaction=False, h=None):
+    """Every current of a `currents` scan, from one stencil pass over the
+    exact and asymptotic fields. Returns six (j_r, j_theta) pairs: the
+    asymptotic total, incoming and scattered currents (the incoming wave
+    with the gamma^2 correction when backreaction is set), the exact-field
+    current, and the outgoing remainders J[psi - psi_in] without and with
+    the gamma^2 correction in psi_in. The interference current is total
+    minus incoming minus scattered, taken by the caller."""
+    def fields(r, t):
+        psi = exact.psi_exact_grid(p, r, t)
+        pin_plain, pscat, _ = asymptotic.psi_asymptotic_grid(
+            p, r, t, backreaction=False)
+        pin_g2, _, _ = asymptotic.psi_asymptotic_grid(
+            p, r, t, backreaction=True)
+        pin = pin_g2 if backreaction else pin_plain
+        return pin + pscat, pin, pscat, psi, psi - pin_plain, psi - pin_g2
 
-    def grid(rho_a, theta_a):
-        pin, pscat, _ = asymptotic.psi_asymptotic_grid(
-            p, rho_a, theta_a, backreaction=backreaction)
-        return pin + pscat
-
-    return _stencil_current(grid, p.k, rho, theta, h)
-
-
-def current_asymptotic_split_grid(p, rho, theta, backreaction=False, h=None):
-    """Vectorized numeric currents of the asymptotic total field and of its
-    incoming and scattered pieces separately. Returns six arrays:
-    (j_r_total, j_theta_total, j_r_in, j_theta_in, j_r_scat, j_theta_scat).
-    The interference current is total minus the two, taken by the caller."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if h is None:
-        h = _default_step(float(np.max(rho)))
-    _check_step(p, float(np.min(rho)), h)
-
-    def grid_total(rho_a, theta_a):
-        pin, pscat, _ = asymptotic.psi_asymptotic_grid(
-            p, rho_a, theta_a, backreaction=backreaction)
-        return pin + pscat
-
-    def grid_in(rho_a, theta_a):
-        return asymptotic.psi_asymptotic_grid(
-            p, rho_a, theta_a, backreaction=backreaction)[0]
-
-    def grid_scat(rho_a, theta_a):
-        return asymptotic.psi_asymptotic_grid(
-            p, rho_a, theta_a, backreaction=backreaction)[1]
-
-    jr_t, jt_t = _stencil_current(grid_total, p.k, rho, theta, h)
-    jr_i, jt_i = _stencil_current(grid_in, p.k, rho, theta, h)
-    jr_s, jt_s = _stencil_current(grid_scat, p.k, rho, theta, h)
-    return jr_t, jt_t, jr_i, jt_i, jr_s, jt_s
-
-
-def current_outgoing_grid(p, rho, theta, subtract_backreaction=True, h=None):
-    """Vectorized numeric current of (exact minus distorted incoming)."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if h is None:
-        h = _default_step(float(np.max(rho)))
-    _check_step(p, float(np.min(rho)), h)
-
-    def grid(rho_a, theta_a):
-        pin, _, _ = asymptotic.psi_asymptotic_grid(
-            p, rho_a, theta_a, backreaction=subtract_backreaction)
-        return exact.psi_exact_grid(p, rho_a, theta_a) - pin
-
-    return _stencil_current(grid, p.k, rho, theta, h)
+    return _stencil(p, fields, rho, theta, h)
 
 
 def current_in_distorted(p, pt):
@@ -214,26 +177,13 @@ def current_decomposition_asymptotic(p, pt, h=None, backreaction=False):
     above belongs to the purely phase-distorted wave, and the decomposition
     is normally compared against it.
     """
-    if h is None:
-        h = _default_step(pt.rho)
-    _check_step(p, pt.rho, h)
+    def fields(r, t):
+        pin, pscat, _ = asymptotic.psi_asymptotic_grid(
+            p, r, t, backreaction=backreaction)
+        return pin + pscat, pin, pscat
 
-    def make(field):
-        return current_numeric(field, p, pt, h=h)
-
-    def f_total(q):
-        sp = asymptotic.psi_asymptotic(p, q, backreaction=backreaction)
-        return sp.total
-
-    def f_in(q):
-        return asymptotic.psi_asymptotic(p, q, backreaction=backreaction).psi_in
-
-    def f_scat(q):
-        return asymptotic.psi_asymptotic(p, q, backreaction=backreaction).psi_scat
-
-    total = make(f_total)
-    incoming = make(f_in)
-    scattered = make(f_scat)
+    total, incoming, scattered = map(
+        _vector, _stencil(p, fields, pt.rho, pt.theta, h))
     return CurrentDecomposition(total, incoming, scattered,
                                 total - incoming - scattered)
 
@@ -245,12 +195,12 @@ def current_outgoing_exact(p, pt, subtract_backreaction=True, h=None):
     removed, which suppresses the spurious oscillations left behind when
     only the phase-distorted wave is subtracted.
     """
-    def f_out(q):
+    def fields(r, t):
         pin, _, _ = asymptotic.psi_asymptotic_grid(
-            p, q.rho, q.theta, backreaction=subtract_backreaction)
-        return exact.psi_exact(p, q) - complex(pin)
+            p, r, t, backreaction=subtract_backreaction)
+        return [exact.psi_exact_grid(p, r, t) - pin]
 
-    return current_numeric(f_out, p, pt, h=h)
+    return _vector(_stencil(p, fields, pt.rho, pt.theta, h)[0])
 
 
 def interference_radial_leading(p, pt):
@@ -293,19 +243,14 @@ def divergence_numeric(field, p, pt, h=None):
     """
     if h is None:
         h = _default_step(pt.rho)
-    _check_step(p, pt.rho, h)
     # outer step for differentiating J itself; the inner stencil reuses h
     hd = 10.0 * h
     ht = hd / max(1.0, pt.rho)
     rho, theta = pt.rho, pt.theta
-
-    def jvec(r, t):
-        return current_numeric(field, p, exact.FieldPoint(r, t), h=h)
-
-    jr_p = jvec(rho + hd, theta).j_r
-    jr_m = jvec(rho - hd, theta).j_r
-    jt_p = jvec(rho, theta + ht).j_theta
-    jt_m = jvec(rho, theta - ht).j_theta
-    d_r = ((rho + hd) ** 2 * jr_p - (rho - hd) ** 2 * jr_m) / (2.0 * hd)
-    d_t = (np.sin(theta + ht) * jt_p - np.sin(theta - ht) * jt_m) / (2.0 * ht)
+    (j_r, j_theta), = _stencil(p, _pointwise(field),
+                               [rho + hd, rho - hd, rho, rho],
+                               [theta, theta, theta + ht, theta - ht], h)
+    d_r = ((rho + hd) ** 2 * j_r[0] - (rho - hd) ** 2 * j_r[1]) / (2.0 * hd)
+    d_t = (np.sin(theta + ht) * j_theta[2]
+           - np.sin(theta - ht) * j_theta[3]) / (2.0 * ht)
     return float(p.k * (d_r / rho ** 2 + d_t / (rho * np.sin(theta))))

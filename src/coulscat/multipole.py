@@ -9,26 +9,12 @@ as-is, the Cesaro mean is a separate operation, and the reduced series
 (which converges absolutely after multiplying by 1 - cos theta) is a third.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import asymptotic, specfun
-
-
-def _neumaier_sum(terms):
-    """Compensated sequential sum of a 1-d complex array, ascending order."""
-    s = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    for t in terms:
-        t = complex(t)
-        new = s + t
-        if abs(new.real) + abs(new.imag) >= abs(t.real) + abs(t.imag):
-            c += (s - new) + t
-        else:
-            c += (t - new) + s
-        s = new
-    return s + c
 
 
 @dataclass(frozen=True)
@@ -82,15 +68,16 @@ def phase_shift_recurrence_check(ell, gamma):
     return float(max(dev_up, dev_down))
 
 
-def coulomb_wave_regular(ell, gamma, rho, branch=None):
+def coulomb_wave_regular(ell, gamma, rho):
     """Regular radial partial wave, normalized so that gamma = 0 reduces to
     (2 ell + 1) i^ell rho j_ell(rho).
 
     Evaluated as exp of the summed logarithms of every rho- and ell-power
     and gamma factor, so large ell and rho cannot overflow on the way in.
-    Accepts scalar or array rho; rho = 0 returns 0 exactly.
+    ell (an int or an integer array) and rho broadcast against each other;
+    rho = 0 returns 0 exactly.
     """
-    if ell < 0:
+    if np.any(np.asarray(ell) < 0):
         raise ValueError("ell must be >= 0")
     rho_arr = np.asarray(rho, dtype=np.float64)
     if np.any(rho_arr < 0.0):
@@ -101,11 +88,11 @@ def coulomb_wave_regular(ell, gamma, rho, branch=None):
     nonzero = rho_arr > 0.0
     safe_rho = np.where(nonzero, rho_arr, 1.0)
     kummer = specfun.hyp1f1(ell + 1.0 - 1j * gamma, 2.0 * ell + 2.0,
-                            2j * safe_rho, branch=branch)
+                            2j * safe_rho)
     log_amp = const + (ell + 1.0) * np.log(safe_rho) - 1j * safe_rho
     val = (2.0 * ell + 1.0) * (1j ** ell) * np.exp(log_amp) * kummer
     val = np.where(nonzero, val, 0.0 + 0.0j)
-    return complex(val) if rho_arr.ndim == 0 else val
+    return complex(val) if val.ndim == 0 else val
 
 
 def coulomb_wave_asymptotic(ell, gamma, rho):
@@ -127,27 +114,15 @@ def coulomb_wave_asymptotic(ell, gamma, rho):
 
 def psi_multipole_sum(p, pt, ell_max):
     """Partial-wave reconstruction of the full field: sum over ell of
-    (radial wave / rho) P_ell(cos theta), ascending ell with compensated
-    accumulation so results do not depend on summation luck."""
+    (radial wave / rho) P_ell(cos theta), accumulated with math.fsum so
+    results do not depend on summation luck."""
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
     if pt.rho <= 0.0:
         raise ValueError("rho must be > 0")
-    g = p.gamma
-    ells = np.arange(ell_max + 1)
-    a = ells + 1.0 - 1j * g
-    b = 2.0 * ells + 2.0
-    kummer = specfun.hyp1f1(a, b, 2j * pt.rho)
-    log_gamma_num = np.array(
-        [specfun.log_gamma_complex(ell + 1.0 + 1j * g) for ell in ells])
-    log_gamma_den = np.array(
-        [specfun.log_gamma_complex(2.0 * ell + 2.0) for ell in ells])
-    log_amp = (log_gamma_num - log_gamma_den - 0.5 * np.pi * g
-               + ells * np.log(2.0) + (ells + 1.0) * np.log(pt.rho)
-               - 1j * pt.rho)
-    radial = (2.0 * ells + 1.0) * (1j ** ells) * np.exp(log_amp) * kummer
-    legendre = specfun.legendre_sweep(ell_max, np.cos(pt.theta))
-    return _neumaier_sum(radial / pt.rho * legendre)
+    radial = coulomb_wave_regular(np.arange(ell_max + 1), p.gamma, pt.rho)
+    terms = radial / pt.rho * specfun.legendre_sweep(ell_max, np.cos(pt.theta))
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def f_series_partial_sweep(p, theta, ell_max):
@@ -168,6 +143,28 @@ def f_series_partial_sweep(p, theta, ell_max):
 def f_series_partial_sum(p, theta, ell_max):
     """Single partial sum of the divergent amplitude series."""
     return complex(f_series_partial_sweep(p, theta, ell_max)[-1])
+
+
+def _legendre_phase_terms(x, gamma, ell_max):
+    """Yield (ell, P_ell(x), e^{2 i delta_ell}) for ell = 0 .. ell_max,
+    streamed: two Legendre rows by the Bonnet recurrence and one Python
+    complex factor propagated by the exact ratio
+    (ell + 1 + i gamma)/(ell + 1 - i gamma) from the ell = 0 seed."""
+    factor = phase_shift(0, gamma).factor
+    p_prev = np.ones_like(x)
+    p_curr = x.copy()
+    for ell in range(ell_max + 1):
+        if ell == 0:
+            p_ell = p_prev
+        elif ell == 1:
+            p_ell = p_curr
+        else:
+            p_next = ((2.0 * ell - 1.0) * x * p_curr
+                      - (ell - 1.0) * p_prev) / ell
+            p_prev, p_curr = p_curr, p_next
+            p_ell = p_curr
+        yield ell, p_ell, factor
+        factor = factor * (ell + 1 + 1j * gamma) / (ell + 1 - 1j * gamma)
 
 
 @dataclass
@@ -206,24 +203,11 @@ def f_series_cesaro(p, theta, n):
     if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
         raise ValueError("theta must lie in (0, pi]")
     x = np.cos(theta_arr)
-    factor = phase_shift(0, p.gamma).factor
-    p_prev = np.ones_like(x)
-    p_curr = x.copy()
     sigma = np.zeros_like(x, dtype=np.complex128)
     total = np.zeros_like(x, dtype=np.complex128)
-    for ell in range(n + 1):
-        if ell == 0:
-            p_ell = p_prev
-        elif ell == 1:
-            p_ell = p_curr
-        else:
-            p_next = ((2.0 * ell - 1.0) * x * p_curr
-                      - (ell - 1.0) * p_prev) / ell
-            p_prev, p_curr = p_curr, p_next
-            p_ell = p_curr
+    for ell, p_ell, factor in _legendre_phase_terms(x, p.gamma, n):
         sigma = sigma + (2.0 * ell + 1.0) / (2j * p.k) * (factor - 1.0) * p_ell
         total = total + sigma
-        factor = factor * (ell + 1 + 1j * p.gamma) / (ell + 1 - 1j * p.gamma)
     value = total / (n + 1)
     return complex(value) if theta_arr.ndim == 0 else value
 
@@ -249,23 +233,10 @@ def f_reduced_series(p, theta, ell_max):
         zero = np.zeros_like(theta_arr, dtype=np.complex128)
         return 0.0 + 0.0j if theta_arr.ndim == 0 else zero
     x = np.cos(theta_arr)
-    factor = phase_shift(0, g).factor
-    p_prev = np.ones_like(x)
-    p_curr = x.copy()
     acc = np.zeros_like(x, dtype=np.complex128)
-    for ell in range(ell_max + 1):
-        if ell == 0:
-            p_ell = p_prev
-        elif ell == 1:
-            p_ell = p_curr
-        else:
-            p_next = ((2.0 * ell - 1.0) * x * p_curr
-                      - (ell - 1.0) * p_prev) / ell
-            p_prev, p_curr = p_curr, p_next
-            p_ell = p_curr
+    for ell, p_ell, factor in _legendre_phase_terms(x, g, ell_max):
         bracket = (ell / (ell + 1j * g)) - (ell + 1.0) / (ell + 1.0 - 1j * g)
         acc = acc + factor * bracket * p_ell
-        factor = factor * (ell + 1 + 1j * g) / (ell + 1 - 1j * g)
     value = (g / p.k) * acc / (1.0 - x)
     return complex(value) if theta_arr.ndim == 0 else value
 

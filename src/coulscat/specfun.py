@@ -49,14 +49,14 @@ import numpy as np
 from . import _ddouble as dd
 
 # Switch radius between the convergent branch and the large-|z| expansion:
-# convergent while |z| <= SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * |a|^2,
-# capped at SERIES_MAX_ABS_Z. The convergent branch stays accurate past the
-# cap (to |z| = 1000 on the psi ray); the cap bounds the length of its
-# anchor chain. The base constant is a tunable; both branches are accurate
-# well past the boundary in either direction.
+# convergent while |z| <= SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * |a|^2
+# (series_radius). The expansion needs |z| >> |a|^2, so the radius grows
+# with |a|^2 without a cap: the convergent branch stays accurate at any
+# |z|, and its anchor chain costs about |z|/2 steps per distinct (a, b).
+# The base constant is a tunable; both branches are accurate well past the
+# boundary in either direction.
 SERIES_SWITCH_BASE = 30.0
 SERIES_SWITCH_SCALE = 2.0
-SERIES_MAX_ABS_Z = 600.0
 
 # Taylor-continuation step bounds (see the module docstring).
 CONT_MAX_STEP = 2.0
@@ -135,6 +135,15 @@ def pochhammer(x, k):
     for j in range(k):
         out = out * (xv + j)
     return complex(out[0]) if scalar else out
+
+
+def _broadcast(a, b, z):
+    """a, b, z as complex arrays of their common shape, at least 1-d, and
+    whether all three were scalars."""
+    a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
+    scalar = a.ndim == 0 and b.ndim == 0 and z.ndim == 0
+    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
+    return [np.atleast_1d(np.broadcast_to(v, shape)) for v in (a, b, z)], scalar
 
 
 def _raise_unconverged(max_terms, z):
@@ -348,17 +357,11 @@ def hyp1f1_series(a, b, z, tol=1e-17, max_terms=2500):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
+    (a, b, z), scalar = _broadcast(a, b, z)
     if np.any(_is_nonpositive_integer(b)):
         raise ValueError("hyp1f1 parameter b must not be a non-positive integer")
-    scalar = a.ndim == 0 and b.ndim == 0 and z.ndim == 0
-    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
     # + 0.0 turns -0.0 into +0.0, so equal parameters group together
-    a = np.atleast_1d(np.broadcast_to(a, shape)) + 0.0
-    b = np.atleast_1d(np.broadcast_to(b, shape)) + 0.0
-    z = np.atleast_1d(np.broadcast_to(z, shape)) + 0.0
+    a, b, z = a + 0.0, b + 0.0, z + 0.0
 
     out = np.empty(z.shape, dtype=np.complex128)
     fallback = (np.abs(b) >= DD_MIN_B) & (np.abs(z) <= DD_MAX_ABS_Z)
@@ -382,14 +385,7 @@ def hyp1f1_asymptotic(a, b, z, n_terms=24):
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = a.ndim == 0 and b.ndim == 0 and z.ndim == 0
-    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
-    a = np.atleast_1d(np.broadcast_to(a, shape)).astype(np.complex128)
-    b = np.atleast_1d(np.broadcast_to(b, shape)).astype(np.complex128)
-    z = np.atleast_1d(np.broadcast_to(z, shape)).astype(np.complex128)
+    (a, b, z), scalar = _broadcast(a, b, z)
 
     def inv_power_series(p1, p2, w):
         tot = np.ones_like(w)
@@ -415,39 +411,29 @@ def hyp1f1_asymptotic(a, b, z, n_terms=24):
 
 
 def series_radius(a):
-    """|z| up to which the convergent-series branch is used for this a."""
-    return float(min(
-        SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * abs(complex(a)) ** 2,
-        SERIES_MAX_ABS_Z))
+    """|z| up to which hyp1f1 uses the convergent-series branch for this a,
+    SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE |a|^2 (a scalar or array)."""
+    radius = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
+    return float(radius) if np.ndim(radius) == 0 else radius
 
 
 def hyp1f1(a, b, z, tol=1e-17, n_terms=24, branch=None):
     """1F1(a, b; z) choosing the convergent branch (hyp1f1_series) for
-    |z| <= SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2 (capped at
-    SERIES_MAX_ABS_Z) and the large-argument expansion beyond. Mixed arrays
-    are partitioned between the branches elementwise.
+    |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
+    and the large-argument expansion beyond. Mixed arrays are partitioned
+    between the branches elementwise.
 
     branch forces "series" or "asymptotic" for every element; callers doing
     finite differencing use it to keep a whole stencil on one branch.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = a.ndim == 0 and b.ndim == 0 and z.ndim == 0
-    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
-    a = np.atleast_1d(np.broadcast_to(a, shape)).astype(np.complex128)
-    b = np.atleast_1d(np.broadcast_to(b, shape)).astype(np.complex128)
-    z = np.atleast_1d(np.broadcast_to(z, shape)).astype(np.complex128)
+    (a, b, z), scalar = _broadcast(a, b, z)
 
     if branch == "series":
         use_series = np.ones(z.shape, dtype=bool)
     elif branch == "asymptotic":
         use_series = np.zeros(z.shape, dtype=bool)
     elif branch is None:
-        radius = np.minimum(
-            SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2,
-            SERIES_MAX_ABS_Z)
-        use_series = np.abs(z) <= radius
+        use_series = np.abs(z) <= series_radius(a)
     else:
         raise ValueError("branch must be None, 'series' or 'asymptotic'")
 

@@ -7,7 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from coulscat import FieldPoint, ScatteringParams, psi_exact
+from coulscat import (
+    FieldPoint,
+    ScatteringParams,
+    current_decomposition_asymptotic,
+    current_outgoing_exact,
+    psi_exact,
+)
 from coulscat.cli import (
     CHUNK_ROWS,
     CSV_BLOCK_ROWS,
@@ -21,6 +27,7 @@ from coulscat.cli import (
     run_scan,
     write_csv,
 )
+from coulscat.currents import current_exact_grid
 
 
 def small_spec(tmp_path, **overrides):
@@ -43,20 +50,43 @@ def test_scan_matches_direct_evaluation(tmp_path):
         assert abs(row[4] - abs(ref)) < 1e-14
 
 
-def test_scan_deterministic_across_thread_counts(tmp_path, monkeypatch):
-    # same bytes whatever the worker pool looks like
+def test_multi_chunk_scan_rerun_is_byte_identical(tmp_path):
+    # 5000 rows span three chunks; a rerun gives the same bytes
+    assert 5000 > 2 * CHUNK_ROWS
     spec1 = small_spec(tmp_path, theta_range=(0.01, 3.1, 5000),
                        out=str(tmp_path / "a.csv"))
-    monkeypatch.setenv("SCATTER_THREADS", "1")
     run_scan(spec1)
     spec2 = small_spec(tmp_path, theta_range=(0.01, 3.1, 5000),
                        out=str(tmp_path / "b.csv"))
-    monkeypatch.setenv("SCATTER_THREADS", "7")
     run_scan(spec2)
     a = (tmp_path / "a.csv").read_bytes()
     b = (tmp_path / "b.csv").read_bytes()
     assert a == b
     assert len(a.splitlines()) == 5001
+
+
+@pytest.mark.parametrize("backreaction", [False, True])
+def test_currents_scan_row_equals_pointwise_currents(tmp_path, backreaction):
+    spec = ScanSpec(quantity="currents", gamma=0.4, rho_values=[10.0, 100.0],
+                    theta_range=(0.05, 3.1, 30), backreaction=backreaction,
+                    out=str(tmp_path / "cur.csv"))
+    _, rows = run_scan(spec)
+    p = ScatteringParams(gamma=0.4, k=1.0)
+    h = 1e-4 * 100.0  # the scan's default step, from the largest rho
+    for row in rows[::7]:
+        pt = FieldPoint(rho=row[0], theta=row[1])
+        dec = current_decomposition_asymptotic(p, pt, h=h,
+                                               backreaction=backreaction)
+        plain = current_outgoing_exact(p, pt, subtract_backreaction=False, h=h)
+        g2 = current_outgoing_exact(p, pt, subtract_backreaction=True, h=h)
+        j_exact = current_exact_grid(p, row[0], row[1], h=h)
+        expected = [dec.total.j_r, dec.total.j_theta,
+                    dec.incoming.j_r, dec.incoming.j_theta,
+                    dec.scattered.j_r, dec.scattered.j_theta,
+                    dec.interference.j_r, dec.interference.j_theta,
+                    float(j_exact[0]), float(j_exact[1]),
+                    plain.j_r, plain.j_theta, g2.j_r, g2.j_theta]
+        assert list(row[2:]) == expected
 
 
 def test_scan_output_round_trips(tmp_path):
@@ -65,12 +95,6 @@ def test_scan_output_round_trips(tmp_path):
     loaded = np.loadtxt(spec.out, delimiter=",", skiprows=1)
     # %.17g preserves doubles exactly
     assert np.array_equal(loaded, rows)
-
-
-def test_invalid_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SCATTER_THREADS", "zero")
-    with pytest.raises(ValueError):
-        run_scan(small_spec(tmp_path))
 
 
 def test_spec_validation_errors(tmp_path):

@@ -102,6 +102,24 @@ def test_coulomb_wave_frozen_value():
     assert abs(got - COULOMB_WAVE_FROZEN) < 1e-12 * abs(COULOMB_WAVE_FROZEN)
 
 
+# 40-digit mpmath (2 ell + 1) i^ell e^{i sigma_ell} F_ell(gamma, rho) from
+# the Kummer form, sigma_ell = arg Gamma(ell + 1 + i gamma); the moduli
+# equal (2 ell + 1) |coulombf(ell, gamma, rho)|. Here |a|^2 >> |z|, where
+# the large-|z| expansion of 1F1 does not hold.
+COULOMB_WAVE_LARGE_ELL = [
+    (200, 1.0, 500.0, complex(-212.54515812645538092, 318.52238337668994649)),
+    (100, 1.0, 400.0, complex(-16.517429214517424406, -161.03873233482146953)),
+    (150, -5.0, 600.0, complex(252.1024131289058521, 15.649684538819052191)),
+    (300, 2.0, 1000.0, complex(-236.01590725345116776, 535.19427538335502856)),
+]
+
+
+def test_coulomb_wave_large_ell_far_out_frozen_mpmath():
+    for ell, g, rho, ref in COULOMB_WAVE_LARGE_ELL:
+        got = coulomb_wave_regular(ell, g, rho)
+        assert abs(got - ref) < 1e-11 * abs(ref), (ell, g, rho, got)
+
+
 def test_coulomb_wave_matches_mpmath():
     # mpmath's regular Coulomb function F_ell(eta, rho) carries a different
     # normalization; compare after stripping both prefactors via the ratio
