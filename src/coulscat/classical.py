@@ -161,10 +161,13 @@ def integrate_full_mode(bh, ell, r_end, r_start=None, rtol=1e-11, atol=1e-12,
             raise ValueError("r_eval must lie within [r_start, r_end]")
     p = coulomb_reduction(bh)
     rho0 = p.k * r_start
-    u0 = multipole.coulomb_wave_regular(ell, p.gamma, rho0)
-    h = 1e-6 * rho0
-    du0 = p.k * (multipole.coulomb_wave_regular(ell, p.gamma, rho0 + h)
-                 - multipole.coulomb_wave_regular(ell, p.gamma, rho0 - h)) / (2.0 * h)
+    u0, u1 = multipole.coulomb_wave_regular(np.array([ell, ell + 1]),
+                                            p.gamma, rho0)
+    # (l+1) F_l' = ((l+1)^2/rho + gamma) F_l - |l+1+i gamma| F_{l+1}, written
+    # for w_l = (2l+1) i^l e^{i sigma_l} F_l, the normalization of u0 and u1
+    du0 = p.k * (((ell + 1.0) ** 2 / rho0 + p.gamma) * u0
+                 + 1j * (ell + 1.0 - 1j * p.gamma) * (2.0 * ell + 1.0)
+                 / (2.0 * ell + 3.0) * u1) / (ell + 1.0)
     sol = solve_ivp(_full_mode_rhs(bh, ell), (r_start, r_end),
                     [u0.real, u0.imag, du0.real, du0.imag],
                     method="DOP853", rtol=rtol, atol=atol, t_eval=r_eval)

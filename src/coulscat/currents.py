@@ -44,7 +44,7 @@ class CurrentDecomposition:
 
 
 def _default_step(rho):
-    return 1e-4 * max(1.0, rho)
+    return 1e-4 * np.maximum(1.0, rho)
 
 
 def _stencil(p, fields, rho, theta, h=None):
@@ -53,26 +53,25 @@ def _stencil(p, fields, rho, theta, h=None):
 
     fields(rho_array, theta_array) -> sequence of complex arrays, every
     field evaluated on the same stencil points. The radial step h defaults
-    to 1e-4 max(1, max rho); the polar step is h/max(1, rho) so the arc
-    displacement rho*dtheta matches h. Returns one (j_r, j_theta) pair of
-    arrays, broadcast over rho and theta, per field.
+    to 1e-4 max(1, rho) at each point, so a point's current does not depend
+    on the points batched with it; the polar step is h/max(1, rho) so the
+    arc displacement rho*dtheta matches h. Returns one (j_r, j_theta) pair
+    of arrays, broadcast over rho and theta, per field.
     """
     rho = np.asarray(rho, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    if h is None:
-        h = _default_step(float(np.max(rho)))
-    rho_min = float(np.min(rho))
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if rho_min <= h:
-        raise ValueError("need rho > h")
-    if h * max(1.0, abs(p.gamma) / rho_min) >= 0.1:
-        raise ValueError("step h too coarse for this field point")
     # flat points even for one point: 0-d operands would take numpy's scalar
     # arithmetic, which rounds complex products differently from the array
     # loops, so a point's current would depend on how it was batched
     shape = np.broadcast_shapes(rho.shape, theta.shape)
     rho_b, theta_b = (np.broadcast_to(v, shape).ravel() for v in (rho, theta))
+    h = _default_step(rho_b) if h is None else float(h)
+    if np.any(h <= 0.0):
+        raise ValueError("step h must be positive")
+    if np.any(rho_b <= h):
+        raise ValueError("need rho > h")
+    if np.any(h * np.maximum(1.0, abs(p.gamma) / rho_b) >= 0.1):
+        raise ValueError("step h too coarse for this field point")
     ht = h / np.maximum(1.0, rho_b)
     pts_rho = np.stack([rho_b, rho_b + h, rho_b - h, rho_b, rho_b])
     pts_theta = np.stack([theta_b, theta_b, theta_b, theta_b + ht, theta_b - ht])

@@ -72,14 +72,12 @@ def test_currents_scan_row_equals_pointwise_currents(tmp_path, backreaction):
                     out=str(tmp_path / "cur.csv"))
     _, rows = run_scan(spec)
     p = ScatteringParams(gamma=0.4, k=1.0)
-    h = 1e-4 * 100.0  # the scan's default step, from the largest rho
     for row in rows[::7]:
         pt = FieldPoint(rho=row[0], theta=row[1])
-        dec = current_decomposition_asymptotic(p, pt, h=h,
-                                               backreaction=backreaction)
-        plain = current_outgoing_exact(p, pt, subtract_backreaction=False, h=h)
-        g2 = current_outgoing_exact(p, pt, subtract_backreaction=True, h=h)
-        j_exact = current_exact_grid(p, row[0], row[1], h=h)
+        dec = current_decomposition_asymptotic(p, pt, backreaction=backreaction)
+        plain = current_outgoing_exact(p, pt, subtract_backreaction=False)
+        g2 = current_outgoing_exact(p, pt, subtract_backreaction=True)
+        j_exact = current_exact_grid(p, row[0], row[1])
         expected = [dec.total.j_r, dec.total.j_theta,
                     dec.incoming.j_r, dec.incoming.j_theta,
                     dec.scattered.j_r, dec.scattered.j_theta,
@@ -87,6 +85,19 @@ def test_currents_scan_row_equals_pointwise_currents(tmp_path, backreaction):
                     float(j_exact[0]), float(j_exact[1]),
                     plain.j_r, plain.j_theta, g2.j_r, g2.j_theta]
         assert list(row[2:]) == expected
+
+
+def test_currents_scan_row_independent_of_other_rho(tmp_path):
+    # each row takes its own default step, so rho = 10 rows are the same
+    # scanned alone or in one chunk with rho = 100
+    def scan(rho_values, name):
+        spec = ScanSpec(quantity="currents", gamma=0.4, rho_values=rho_values,
+                        theta_range=(0.05, 3.1, 30), out=str(tmp_path / name))
+        return run_scan(spec)[1]
+
+    alone = scan([10.0], "alone.csv")
+    mixed = scan([10.0, 100.0], "mixed.csv")
+    assert np.array_equal(alone, mixed[mixed[:, 0] == 10.0])
 
 
 def test_scan_output_round_trips(tmp_path):

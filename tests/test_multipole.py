@@ -97,9 +97,25 @@ def test_recurrence_check_tight():
     assert phase_shift_recurrence_check(50, 10.0) < 1e-11
 
 
+# 40-digit mpmath partial waves at small rho (|z| = 2 rho <= 20 in the
+# Kummer factor), the same form as COULOMB_WAVE_LARGE_ELL below; gamma = -20
+# at rho = 10 is where M is small against its terms
+COULOMB_WAVE_SMALL_RHO = [
+    (0, -20.0, 10.0, complex(-0.0050528653108629354830, -0.00073695554730177014702)),
+    (0, 20.0, 10.0, complex(-7.9628019288904055401e-12, 1.1613670051614407725e-12)),
+    (2, -0.1, 1.0, complex(-0.34867949037081407568, 0.032276266490596182988)),
+    (30, -1.0, 8.0, complex(7.1212079804383953371e-13, -2.0196824353158339205e-13)),
+    (60, 0.5, 9.5, complex(-9.8798921005292871954e-41, 1.8952656925571932802e-40)),
+    (1, -5.0, 0.3, complex(-0.99720740567206703721, 0.51524719130536699098)),
+]
+
+
 def test_coulomb_wave_frozen_value():
     got = coulomb_wave_regular(2, 0.7, 19.0)
     assert abs(got - COULOMB_WAVE_FROZEN) < 1e-12 * abs(COULOMB_WAVE_FROZEN)
+    for ell, g, rho, ref in COULOMB_WAVE_SMALL_RHO:
+        got = coulomb_wave_regular(ell, g, rho)
+        assert abs(got - ref) < 2e-12 * abs(ref), (ell, g, rho, got)
 
 
 # 40-digit mpmath (2 ell + 1) i^ell e^{i sigma_ell} F_ell(gamma, rho) from

@@ -9,8 +9,7 @@ from mpmath import mp
 from mpmath import hyp1f1 as mp_hyp1f1
 from scipy.special import eval_legendre, loggamma as sc_loggamma, spherical_jn
 
-from coulscat import FieldPoint, ScatteringParams, current_numeric, psi_exact, specfun
-from coulscat.cli import _spec_from_mapping, load_preset, run_scan
+from coulscat import specfun
 
 mp.dps = 40
 
@@ -30,9 +29,9 @@ HYP1F1_LARGE = {
     (-1j, 1.0, 200j): complex(7.0803964401692649, -5.8413066285257758),
 }
 
-# 40-digit mpmath 1F1(-i g, 1; i x) on the psi ray, out to where the series
-# branch ends (|z| <= 30 + 2 g^2, capped at 600); large |g| at large x is
-# where a Kummer sum summed term by term cancels away all its digits
+# 40-digit mpmath 1F1(-i g, 1; i x) on the psi ray, inside the series
+# branch (|z| <= 30 + 2 g^2); large |g| at large x is where a Kummer sum
+# summed term by term cancels away all its digits
 RAY_TABLE = {
     (-20, 60): complex(-0.04992306377467701, -0.06987146837983153),
     (-20, 120): complex(0.010535169390933513, -0.07827792236967242),
@@ -227,8 +226,8 @@ def test_hyp1f1_psi_ray_frozen_mpmath():
 
 
 def test_hyp1f1_series_batch_independent():
-    # an element's value is bit-identical alone, next to other (a, b) on
-    # either kernel, and in a batch whose larger |z| lengthens its chain
+    # an element's value is bit-identical alone, next to other (a, b), and
+    # in a batch whose larger |z| lengthens its chain
     cases = [(-0.4j, 1.0, 7.3j), (-0.4j, 1.0, 0.6j), (-10j, 1.0, 55j),
              (-0.4j, 1.0, 3.0 + 4.0j), (3 - 0.7j, 8.0, 38j),
              (6 - 2j, 12.0, 9j), (2.5, 3.5, -12.0), (1 - 0.3j, 2 + 0.5j, 4j),
@@ -241,23 +240,6 @@ def test_hyp1f1_series_batch_independent():
     for i in range(len(cases)):
         assert together[i] == alone[i], cases[i]
         assert longer[i] == alone[i], cases[i]
-
-
-def test_psi_ray_never_takes_double_double(monkeypatch, tmp_path):
-    # b = 1 (every exact-field evaluation) stays on the float64 kernel
-    def refuse(*args):
-        raise AssertionError("double-double fallback taken")
-
-    monkeypatch.setattr(specfun, "_maclaurin_dd", refuse)
-    for name in ("fig1", "fig2", "fig3", "fig4"):
-        data = dict(load_preset(name), out=str(tmp_path / (name + ".csv")))
-        run_scan(_spec_from_mapping(data))
-    for g in (-20.0, 0.4, 20.0):
-        p = ScatteringParams(gamma=g)
-        for rho, theta in ((0.5, 1.0), (15.0, 0.3), (40.0, 2.0)):
-            current_numeric(lambda q: psi_exact(p, q), p, FieldPoint(rho, theta))
-    with pytest.raises(AssertionError):
-        specfun.hyp1f1_series(2.0, 6.0, 2j)
 
 
 def test_legendre_p_values():
