@@ -34,8 +34,7 @@ The continuation serves every (a, b). For the small-rho partial-wave factors
 (l < 80, |gamma| <= 20, rho <= 10, so |z| <= 20) it is within 1.0e-12 of
 mpmath, worst at gamma = -20, l = 0, rho = 10, where M is small against its
 terms; coulomb_wave_regular there is within 1.8e-13 on 150 random points.
-A sum over l pays one anchor chain per l. Inputs and outputs are ordinary
-complex128.
+Inputs and outputs are ordinary complex128.
 """
 
 import numpy as np
@@ -313,8 +312,9 @@ def hyp1f1_series(a, b, z, tol=1e-17, max_terms=2500):
 def hyp1f1_asymptotic(a, b, z, n_terms=24):
     """Large-|z| expansion of 1F1 as the sum of a growing e^z piece and an
     algebraic piece, each an inverse-power series truncated at n_terms.
-    For z on the positive imaginary axis the phase factor e^{+i pi a} is the
-    correct one, and that is the branch implemented here.
+    The algebraic piece carries (-z)^{-a} = z^{-a} e^{+i pi a} where
+    Im z >= 0 and z^{-a} e^{-i pi a} where Im z < 0 (mpmath's convention);
+    Im z = -0.0 counts as negative, matching the branch of log z there.
 
     Each inverse-power series also self-truncates at its smallest term, so a
     generous n_terms never degrades the result.
@@ -341,7 +341,8 @@ def hyp1f1_asymptotic(a, b, z, n_terms=24):
     sum1 = inv_power_series(b - a, 1.0 - a, z)
     sum2 = inv_power_series(a, a - b + 1.0, -z)
     pre1 = np.exp(z + (a - b) * logz + lg_b) * reciprocal_gamma(a)
-    pre2 = np.exp(1j * np.pi * a - a * logz + lg_b) * reciprocal_gamma(b - a)
+    turn = np.where(np.signbit(z.imag), -1j, 1j) * np.pi
+    pre2 = np.exp(turn * a - a * logz + lg_b) * reciprocal_gamma(b - a)
     out = pre1 * sum1 + pre2 * sum2
     return complex(out[0]) if scalar else out
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from mpmath import mp, coulombf
 from scipy.integrate import quad
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, spherical_jn
 
 from coulscat import (
-    CesaroState,
     FieldPoint,
     ScatteringParams,
     coulomb_wave_asymptotic,
@@ -18,18 +17,16 @@ from coulscat import (
     f_closed_form,
     f_reduced_series,
     f_series_cesaro,
-    f_series_partial_sum,
     f_series_partial_sweep,
     legendre_power_law_coeff,
     phase_shift,
-    phase_shift_recurrence_check,
     phase_shift_sweep,
     plane_wave_partial,
     psi_exact,
     psi_multipole_sum,
     rutherford_amplitude_phase_separated,
-    spherical_bessel_j,
 )
+from coulscat import multipole
 from coulscat.specfun import legendre_sweep
 
 mp.dps = 40
@@ -80,8 +77,6 @@ def test_phase_shift_errors():
         phase_shift(-1, 1.0)
     with pytest.raises(ValueError):
         phase_shift_sweep(-1, 1.0)
-    with pytest.raises(ValueError):
-        phase_shift_recurrence_check(0, 1.0)
 
 
 def test_sweep_matches_direct():
@@ -89,12 +84,6 @@ def test_sweep_matches_direct():
         sweep = phase_shift_sweep(120, g)
         for ell in (0, 1, 7, 63, 120):
             assert abs(sweep[ell] - phase_shift(ell, g).factor) < 1e-12
-
-
-def test_recurrence_check_tight():
-    assert phase_shift_recurrence_check(5, 0.8) < 1e-12
-    assert phase_shift_recurrence_check(200, 2.0) < 1e-12
-    assert phase_shift_recurrence_check(50, 10.0) < 1e-11
 
 
 # 40-digit mpmath partial waves at small rho (|z| = 2 rho <= 20 in the
@@ -147,6 +136,124 @@ def test_coulomb_wave_matches_mpmath():
         assert abs(ours - ref) < 1e-9 * abs(ref)
 
 
+# 40-digit mpmath (2 ell + 1) i^ell e^{i sigma_ell} coulombf(ell, gamma, rho)
+# at six ell of each sweep (ell_max, gamma, rho). Entries marked with |w| lie
+# below the float64 normal range; their float64 roundings are 0 or
+# subnormal, and they are checked against an absolute floor instead.
+COULOMB_WAVE_SWEEP = {
+    (1000, 1.0, 1200.0): [
+        (0, complex(-0.9070979792953109, 0.2822294259852971)),
+        (1, complex(0.6289157031603516, -1.1970304433112255)),
+        (250, complex(-346.008170983531, 328.68163742580566)),
+        (500, complex(-669.0261067549476, 45.279640942802914)),
+        (750, complex(-623.56141584693, -218.8625654730273)),
+        (1000, complex(1873.8546410235706, 1352.1565838280999)),
+    ],
+    (600, 1.0, 400.0): [
+        (0, complex(-0.29703209186462143, 0.09241691493050104)),
+        (1, complex(-0.6289528785076615, 1.197101200047378)),
+        (150, complex(-20.92687798679232, 67.2734423034686)),
+        (300, complex(-161.57709832715514, 105.33798360464819)),
+        (450, complex(-1.887922032709393e-05, 3.2957025010026776e-06)),
+        (600, complex(4.097051273272674e-55, 4.714966734731625e-56)),
+    ],
+    (300, -5.0, 700.0): [
+        (0, complex(0.32585884883092264, -0.2604546808972088)),
+        (1, complex(-1.5663060009937677, 0.8092947998043394)),
+        (75, complex(39.624589826037706, -103.13933488168244)),
+        (150, complex(-302.06593276924156, -18.751254694839364)),
+        (225, complex(193.38834715086898, -79.14914365565939)),
+        (300, complex(-111.329683886243, 28.79955170789437)),
+    ],
+    (260, -20.0, 10.0): [
+        (0, complex(-0.005052865310862935, -0.0007369555473017702)),
+        (1, complex(-0.2048071471898616, -0.040405941240780986)),
+        (65, complex(2.490917920324219e-33, -2.0618435042631338e-33)),
+        (130, complex(3.8990196251084328e-115, -4.538776080412661e-116)),
+        (195, complex(9.125326109448498e-213, -2.84933010007266e-213)),
+        (260, complex(-8.765e-321, 3.365e-320)),  # |w| = 3.5e-320
+    ],
+    (100, 20.0, 60.0): [
+        (0, complex(-0.44425809792580545, 0.0647946164320461)),
+        (1, complex(1.4264241549565302, -0.28141601199187716)),
+        (25, complex(14.520451748015141, -23.40411268882989)),
+        (50, complex(0.2385796523699668, 0.10082519426008137)),
+        (75, complex(-1.8000834862903906e-09, -5.92802196226254e-10)),
+        (100, complex(-1.2147083715619805e-21, -3.398447421208911e-21)),
+    ],
+    (60, 20.0, 1.0): [
+        (0, complex(-2.924700510428161e-23, 4.265647573709527e-24)),
+        (1, complex(6.29150060618198e-23, -1.241235998341718e-23)),
+        (15, complex(2.409580085247689e-34, 1.7511894705834242e-34)),
+        (30, complex(-2.706598542888751e-57, -1.5459397394865743e-57)),
+        (45, complex(-1.3891899837115785e-84, 6.435116462672375e-87)),
+        (60, complex(1.3092653397483477e-114, 1.1589649914917288e-114)),
+    ],
+    (150, 0.5, 0.1): [
+        (0, complex(0.038347674963759626, -0.009549427664452742)),
+        (1, complex(-0.0009396109566237684, 0.004209948428747433)),
+        (37, complex(-2.526495926928444e-92, -6.220360439318516e-93)),
+        (75, complex(6.203324454694955e-208, 4.164956487137555e-208)),
+        (112, complex(-0.0, 0.0)),  # |w| = 8.3e-329
+        (150, complex(0.0, -0.0)),  # |w| = 1.2e-458
+    ],
+    (150, 1.0, 0.1): [
+        (0, complex(0.01140466658853306, -0.0035483846048647246)),
+        (1, complex(-0.0007488020578153025, 0.0014252130368423547)),
+        (37, complex(5.461037616476708e-93, -1.0415907676463428e-92)),
+        (75, complex(-3.139620039821343e-208, 1.2840274139792564e-208)),
+        (112, complex(0.0, -0.0)),  # |w| = 3.8e-329
+        (150, complex(-0.0, 0.0)),  # |w| = 5.5e-459
+    ],
+    (40, 2.0, 0.001): [
+        (0, complex(6.577503549520434e-06, 8.575591641610097e-07)),
+        (1, complex(-1.3998569559496448e-08, 4.857528340312756e-09)),
+        (10, complex(-1.6686555599907762e-46, 5.463480993651224e-44)),
+        (20, complex(1.1910460593774467e-88, -2.9017587875664764e-89)),
+        (30, complex(-1.1783522007317918e-135, -7.286108038758673e-136)),
+        (40, complex(2.2451349933628255e-184, 4.6416811761812653e-184)),
+    ],
+}
+
+
+def test_coulomb_wave_sweep_frozen_mpmath():
+    for (ell_max, g, rho), rows in COULOMB_WAVE_SWEEP.items():
+        w = multipole._coulomb_wave_sweep(ell_max, g, rho)
+        assert w.shape == (ell_max + 1,)
+        for ell, ref in rows:
+            tol = 1e-11 * abs(ref) if abs(ref) > 1e-280 else 1e-280
+            assert abs(w[ell] - ref) < tol, (ell_max, g, rho, ell, w[ell])
+
+
+def test_coulomb_wave_sweep_matches_per_ell_path():
+    for ell_max, g, rho in [(60, 1.0, 10.0), (40, -1.0, 5.0), (60, 20.0, 1.0),
+                            (150, 0.5, 0.1), (80, -20.0, 10.0)]:
+        w = multipole._coulomb_wave_sweep(ell_max, g, rho)
+        direct = coulomb_wave_regular(np.arange(ell_max + 1), g, rho)
+        err = np.max(np.abs(w - direct)) / np.max(np.abs(w))
+        assert err < 1e-12, (ell_max, g, rho, err)
+
+
+def test_coulomb_wave_sweep_start_margin(monkeypatch):
+    # doubling the margin above ell_max and the turning point changes the
+    # waves only by rounding: the start rule is past the point that matters
+    configs = list(COULOMB_WAVE_SWEEP) + [(60, 1.0, 10.0), (40, -1.0, 5.0)]
+    base = [multipole._coulomb_wave_sweep(*c) for c in configs]
+    monkeypatch.setattr(multipole, "_SWEEP_MARGIN", 2 * multipole._SWEEP_MARGIN)
+    for c, w in zip(configs, base):
+        wide = multipole._coulomb_wave_sweep(*c)
+        err = np.max(np.abs(wide - w)) / np.max(np.abs(w))
+        assert err < 1e-14, (c, err)
+
+
+def test_multipole_sum_far_out():
+    # rho = 400 with 600 waves: one anchor chain for the whole sum
+    p = params(1.0)
+    pt = FieldPoint(rho=400.0, theta=1.0)
+    ref = psi_exact(p, pt)
+    assert abs(psi_multipole_sum(p, pt, 600) - ref) < 1e-12 * abs(ref)
+
+
 def test_coulomb_wave_at_origin_and_validation():
     assert coulomb_wave_regular(1, 0.6, 0.0) == 0.0
     arr = coulomb_wave_regular(1, 0.6, np.array([0.0, 2.0]))
@@ -161,8 +268,7 @@ def test_coulomb_wave_neutral_is_bessel():
     for ell in (0, 1, 5):
         for rho in (0.7, 4.0, 18.0):
             got = coulomb_wave_regular(ell, 0.0, rho)
-            ref = ((2 * ell + 1) * 1j ** ell * rho
-                   * spherical_bessel_j(ell, rho))
+            ref = (2 * ell + 1) * 1j ** ell * rho * spherical_jn(ell, rho)
             assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
 
 
@@ -212,14 +318,13 @@ def test_multipole_sum_truncation_decays():
 def test_partial_sum_neutral_is_zero():
     p = params(0.0)
     for L in (0, 5, 60):
-        assert abs(f_series_partial_sum(p, 2.0, L)) < 1e-12
+        assert abs(f_series_partial_sweep(p, 2.0, L)[-1]) < 1e-12
 
 
 def test_partial_sweep_consistency():
     p = params(3.0)
     sweep = f_series_partial_sweep(p, 1.7, 50)
     assert len(sweep) == 51
-    assert f_series_partial_sum(p, 1.7, 50) == complex(sweep[-1])
     # increments follow the term formula
     leg = legendre_sweep(50, np.cos(1.7))
     factors = phase_shift_sweep(50, p.gamma)
@@ -242,19 +347,6 @@ def test_partial_sum_suppressed_near_quiet_shifts():
     for ell in quiet:
         window = inc[ell - 25:ell + 25]
         assert inc[ell - 1] < 0.1 * window.max(), ell
-
-
-def test_cesaro_state_is_mean_of_partial_sums():
-    rng = np.random.default_rng(31)
-    terms = rng.normal(size=12) + 1j * rng.normal(size=12)
-    state = CesaroState()
-    with pytest.raises(ValueError):
-        state.value
-    partials = np.cumsum(terms)
-    for i, t in enumerate(terms):
-        state.add(t)
-        ref = np.mean(partials[: i + 1])
-        assert abs(state.value - ref) < 1e-13
 
 
 def test_cesaro_converges_to_closed_form():

@@ -29,6 +29,18 @@ HYP1F1_LARGE = {
     (-1j, 1.0, 200j): complex(7.0803964401692649, -5.8413066285257758),
 }
 
+# 40-digit mpmath 1F1 below the real axis and on the negative real axis
+# with either sign of zero, all past the switch radius: the algebraic piece
+# of the large-|z| expansion turns by e^{-i pi a} there, not e^{+i pi a}
+HYP1F1_LOWER = [
+    (-0.4j, 1.0, -50j, complex(-0.12232822521423042, 0.5873897712261512)),
+    (2 - 1j, 3.0, -80j, complex(0.005522084008289924, -0.004258629754754143)),
+    (1 + 0.5j, 2.0, -60 - 30j, complex(-0.021453107541477317, -0.007574408369806779)),
+    (0.3, 1.5, -70j, complex(0.2414874060838891, -0.12076201654892278)),
+    (0.3 + 0.2j, 1.5, complex(-70.0, -0.0), complex(0.1706067448280016, -0.21733807259855875)),
+    (0.3 + 0.2j, 1.5, complex(-70.0, 0.0), complex(0.1706067448280016, -0.21733807259855875)),
+]
+
 # 40-digit mpmath 1F1(-i g, 1; i x) on the psi ray, inside the series
 # branch (|z| <= 30 + 2 g^2); large |g| at large x is where a Kummer sum
 # summed term by term cancels away all its digits
@@ -167,6 +179,18 @@ def test_hyp1f1_asymptotic_frozen_table():
         got = specfun.hyp1f1_asymptotic(a, b, z)
         assert abs(got - ref) < 1e-9 * abs(ref), (a, b, z)
 
+
+
+def test_hyp1f1_lower_half_plane_frozen_mpmath():
+    for a, b, z, ref in HYP1F1_LOWER:
+        assert abs(z) > specfun.series_radius(a)
+        for got in (specfun.hyp1f1(a, b, z), specfun.hyp1f1_asymptotic(a, b, z)):
+            assert abs(got - ref) < 1e-12 * abs(ref), (a, b, z, got)
+    batch = specfun.hyp1f1_asymptotic(
+        [a for a, _, _, _ in HYP1F1_LOWER], [b for _, b, _, _ in HYP1F1_LOWER],
+        np.array([z for _, _, z, _ in HYP1F1_LOWER]))
+    refs = np.array([ref for _, _, _, ref in HYP1F1_LOWER])
+    assert np.all(np.abs(batch - refs) < 1e-12 * np.abs(refs))
 
 def test_hyp1f1_asymptotic_two_term_example():
     got = specfun.hyp1f1_asymptotic(-1j, 1.0, 100j, n_terms=2)
