@@ -6,18 +6,23 @@ short-range correction, the same equation as a Coulomb partial wave with
 coupling gamma = -2 M omega and wavenumber k = omega. The mapping is only
 controlled when the centrifugal term dominates that dropped correction,
 ell(ell+1) > 12 (M omega)^2, which any ell >= 1 satisfies in the
-long-wavelength regime M omega < 1. A direct integrator for the full
-(uncropped) radial equation is included so the approximation can be
-checked rather than trusted.
+long-wavelength regime M omega < 1. The full (uncropped) radial equation
+is itself a Coulomb equation, of non-integer order lambda with
+lambda(lambda+1) = ell(ell+1) - 12 (M omega)^2; integrate_full_mode solves
+it from the partial wave's initial data with the Kummer-ODE continuation of
+specfun, so the approximation can be checked rather than trusted.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import multipole
+from . import multipole, specfun
 from .exact import ScatteringParams
+
+# smallest magnitude float64 holds to full precision
+_TINY = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -126,26 +131,27 @@ def radial_mode_asymptotic(bh, ell, r):
     return multipole.coulomb_wave_asymptotic(ell, p.gamma, rho)
 
 
-def _full_mode_rhs(bh, ell):
-    m, w = bh.mass, bh.omega
-
-    def rhs(r, y):
-        coeff = (w ** 2 + 4.0 * m * w ** 2 / r + 12.0 * m ** 2 * w ** 2 / r ** 2
-                 - ell * (ell + 1.0) / r ** 2)
-        return [y[2], y[3], -coeff * y[0], -coeff * y[1]]
-
-    return rhs
-
-
-def integrate_full_mode(bh, ell, r_end, r_start=None, rtol=1e-11, atol=1e-12,
-                        r_eval=None):
-    """Integrate the full rescaled radial equation (short-range correction
-    kept) outward and return u(r_end), or u at every r in r_eval when that
+def integrate_full_mode(bh, ell, r_end, r_start=None, r_eval=None):
+    """The full rescaled radial mode (short-range correction kept), carried
+    outward from r_start: u(r_end), or u at every r in r_eval when that
     array is given.
+
+    In rho = omega r the full equation
+    u'' + (1 + 4 M omega/rho - (ell(ell+1) - 12 (M omega)^2)/rho^2) u = 0
+    is itself a Coulomb equation, with gamma = -2 M omega and an order
+    lambda = -1/2 + sqrt((ell+1/2)^2 - 12 (M omega)^2) (principal root;
+    complex when ell = 0 and 12 (M omega)^2 > 1/4). Writing
+    u = rho^{lambda+1} e^{-i rho} w(2 i rho), w solves the Kummer ODE with
+    a = lambda + 1 - i gamma, b = 2 lambda + 2, and specfun.kummer_ivp
+    continues it along the ray z = 2 i rho, so a value depends on its own r
+    only.
 
     Initial data is taken from the Coulomb partial wave at r_start (default
     ten Schwarzschild radii), where the two equations already agree well;
     the comparison downstream then isolates the effect of the dropped term.
+    Raises ArithmeticError where the ell wave at r_start, or w beyond it,
+    falls below float64's full-precision range (high ell at small r_start,
+    or (lambda+1) ln(r / ell) past ~700).
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
@@ -163,16 +169,31 @@ def integrate_full_mode(bh, ell, r_end, r_start=None, rtol=1e-11, atol=1e-12,
     rho0 = p.k * r_start
     u0, u1 = multipole.coulomb_wave_regular(np.array([ell, ell + 1]),
                                             p.gamma, rho0)
-    # (l+1) F_l' = ((l+1)^2/rho + gamma) F_l - |l+1+i gamma| F_{l+1}, written
-    # for w_l = (2l+1) i^l e^{i sigma_l} F_l, the normalization of u0 and u1
-    du0 = p.k * (((ell + 1.0) ** 2 / rho0 + p.gamma) * u0
-                 + 1j * (ell + 1.0 - 1j * p.gamma) * (2.0 * ell + 1.0)
-                 / (2.0 * ell + 3.0) * u1) / (ell + 1.0)
-    sol = solve_ivp(_full_mode_rhs(bh, ell), (r_start, r_end),
-                    [u0.real, u0.imag, du0.real, du0.imag],
-                    method="DOP853", rtol=rtol, atol=atol, t_eval=r_eval)
-    if not sol.success:
-        raise RuntimeError("radial integration failed: " + sol.message)
-    if r_eval is None:
-        return complex(sol.y[0, -1], sol.y[1, -1])
-    return sol.y[0] + 1j * sol.y[1]
+    # (l+1) dF_l/drho = ((l+1)^2/rho + gamma) F_l - |l+1+i gamma| F_{l+1},
+    # written for w_l = (2l+1) i^l e^{i sigma_l} F_l, the normalization of
+    # u0 and u1
+    du0 = (((ell + 1.0) ** 2 / rho0 + p.gamma) * u0
+           + 1j * (ell + 1.0 - 1j * p.gamma) * (2.0 * ell + 1.0)
+           / (2.0 * ell + 3.0) * u1) / (ell + 1.0)
+    if not min(abs(u0), abs(u1)) >= _TINY:
+        raise ArithmeticError("the ell wave underflows float64 at r_start = "
+                              "%g; raise r_start" % r_start)
+    disc = (ell + 0.5) ** 2 - 12.0 * (bh.mass * bh.omega) ** 2
+    lam1 = 0.5 + (math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc))
+    dw0 = complex((du0 / u0 - lam1 / rho0 + 1j) / 2j)
+    rho = p.k * (np.array([r_end], dtype=np.float64) if r_eval is None
+                 else r_eval)
+    # w in units of its value at r_start
+    w = specfun.kummer_ivp(lam1 - 1j * p.gamma, 2.0 * lam1, 1j, 2.0 * rho0,
+                           1.0 + 0.0j, dw0, 2.0 * rho)
+    if not np.all(np.abs(w) >= _TINY):
+        raise ArithmeticError("the full mode leaves float64 range before "
+                              "r = %g" % r_end)
+    # u = u0 e^{i rho0} (rho/rho0)^{lambda+1} w e^{-i rho}: the first four
+    # factors multiplied in logs, so that neither a high ell's small u0 nor
+    # rho^{lambda+1} leaves float64; e^{-i rho} apart, so that its phase
+    # keeps full precision at large rho
+    log_u = (np.log(u0 * np.exp(1j * rho0)) + lam1 * np.log(rho / rho0)
+             + np.log(w))
+    u = np.exp(log_u) * np.exp(-1j * rho)
+    return complex(u[0]) if r_eval is None else u

@@ -438,8 +438,11 @@ _DESCRIPTIONS = {
         "gamma = -2 M omega, k = omega: two-wave form "
         "((2 ell+1)/(2 i omega r)) [(-1)^{ell+1} e^{-i omega r_c} + "
         "e^{2 i delta_ell} e^{i omega r_c}], omega r_c = omega r - gamma "
-        "ln(2 omega r), next to the directly integrated full mode "
-        "(both in the u/(omega r) normalization)\n"
+        "ln(2 omega r), next to the full mode (short-range term kept: a "
+        "Coulomb wave of order lambda, lambda(lambda+1) = ell(ell+1) - "
+        "12 (M omega)^2, carried out from the ell wave's data at r_start "
+        "by the Kummer-ODE continuation; both in the u/(omega r) "
+        "normalization)\n"
         "validity: ell(ell+1) > 12 (M omega)^2 and omega r >> ell(ell+1) + "
         "gamma^2; never valid for ell = 0"),
 }

@@ -35,6 +35,10 @@ The continuation serves every (a, b). For the small-rho partial-wave factors
 mpmath, worst at gamma = -20, l = 0, rho = 10, where M is small against its
 terms; coulomb_wave_regular there is within 1.8e-13 on 150 random points.
 Inputs and outputs are ordinary complex128.
+
+kummer_ivp runs the same anchor chain from given initial data instead of
+the Maclaurin sum, for any solution of the Kummer ODE (the Schwarzschild
+full mode in classical is one).
 """
 
 import numpy as np
@@ -175,11 +179,9 @@ def _anchor_radii(r0, b, r_max):
 
 def _chain(a, b, u, radii, tol, max_terms):
     """M and M' at every anchor radii[k] * u of one (a, b, ray): the
-    Maclaurin sum at the first anchor, then one Taylor step of the Kummer ODE
-    per anchor. Python complex arithmetic, because one-element numpy steps
-    would cost ~10x more per chain. Each series stops after three
-    consecutive terms below tol relative to M (and, for the d_n n sums that
-    give h M', to |M| + |h M'|)."""
+    Maclaurin sum at the first anchor, then _anchor_steps. The sum stops
+    after three consecutive terms below tol relative to M (and, for the n t_n
+    sum that gives z M', to |M| + |z M'|)."""
     z = radii[0] * u
     t = m = 1.0 + 0.0j
     dm = 0.0j
@@ -195,7 +197,16 @@ def _chain(a, b, u, radii, tol, max_terms):
             break
     else:
         _raise_unconverged(max_terms, z)
-    dm = dm / z
+    return _anchor_steps(a, b, u, radii, m, dm / z, tol, max_terms)
+
+
+def _anchor_steps(a, b, u, radii, m, dm, tol, max_terms):
+    """A solution of the Kummer ODE and its derivative at every anchor
+    radii[k] * u, from the values m, dm at radii[0] * u: one Taylor step per
+    anchor. Python complex arithmetic, because one-element numpy steps would
+    cost ~10x more per chain. Each series stops after three consecutive
+    terms below tol relative to the value (and, for the d_n n sums that give
+    h times the derivative, to |value| + |h derivative|)."""
     ms, dms = [m], [dm]
     for k in range(1, len(radii)):
         z0 = radii[k - 1] * u
@@ -244,6 +255,12 @@ def _taylor_step(a, b, z0, h, m0, dm0, tol, max_terms):
     _raise_unconverged(max_terms, z0 + h)
 
 
+def _nearest_anchor(radii, ms, dms, u, r):
+    """z, value and derivative of the anchor at or below each radius r."""
+    k = np.searchsorted(radii, r, side="right") - 1
+    return np.asarray(radii)[k] * u, np.asarray(ms)[k], np.asarray(dms)[k]
+
+
 def _continuation(a, b, z, tol, max_terms):
     """Float64 analytic continuation of M(a, b, z) along the ray through
     each z (see the module docstring)."""
@@ -277,12 +294,29 @@ def _continuation(a, b, z, tol, max_terms):
         radii = _anchor_radii(float(r_start[i]), complex(b[i]), float(r[sel].max()))
         ms, dms = _chain(complex(a[i]), complex(b[i]), complex(u[i]), radii,
                          tol, max_terms)
-        k = np.searchsorted(radii, r[sel], side="right") - 1
-        z0[sel] = np.asarray(radii)[k] * u[i]
-        m0[sel] = np.asarray(ms)[k]
-        dm0[sel] = np.asarray(dms)[k]
+        z0[sel], m0[sel], dm0[sel] = _nearest_anchor(radii, ms, dms, u[i],
+                                                     r[sel])
     out[far] = _taylor_step(a, b, z0, z - z0, m0, dm0, tol, max_terms)
     return out
+
+
+def kummer_ivp(a, b, u, r0, m0, dm0, r):
+    """The solution of the Kummer ODE z w'' + (b - z) w' - a w = 0 with
+    w = m0 and w' = dm0 at z0 = r0 u, evaluated at z = r u for every radius
+    r >= r0 on the same ray (u a unit complex number; a, b, m0, dm0
+    scalars). The 1F1 continuation started from this initial data instead
+    of the Maclaurin sum: anchors on the _anchor_radii lattice from r0, then
+    one vectorized Taylor step per point, so a value depends on its own r
+    only. Returns an array of the shape of r (at least 1-d). Series
+    tolerances are hyp1f1_series' defaults."""
+    tol, max_terms = 1e-17, 2500
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    if np.any(r < r0):
+        raise ValueError("kummer_ivp radii must be >= r0")
+    radii = _anchor_radii(r0, b, float(r.max()))
+    ms, dms = _anchor_steps(a, b, u, radii, m0, dm0, tol, max_terms)
+    z0, w0, dw0 = _nearest_anchor(radii, ms, dms, u, r)
+    return _taylor_step(a, b, z0, r * u - z0, w0, dw0, tol, max_terms)
 
 
 def hyp1f1_series(a, b, z, tol=1e-17, max_terms=2500):

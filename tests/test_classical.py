@@ -1,6 +1,6 @@
 """Black-hole long-wavelength layer: parameter mapping, effective barrier,
-tortoise coordinate, validity gating, and the full-equation integrator used
-to audit the dropped short-range term."""
+tortoise coordinate, validity gating, and the full-equation mode used to
+audit the dropped short-range term."""
 
 import numpy as np
 import pytest
@@ -188,6 +188,69 @@ def test_integrator_free_limit_is_bessel():
     got = integrate_full_mode(bh, 2, r_end, r_start=5.0)
     ref = coulomb_wave_regular(2, 0.0, r_end)
     assert abs(got - ref) < 1e-6 * abs(ref)
+
+
+# 40-digit mpmath full mode alpha F_lambda + beta G_lambda (coulombf,
+# coulombg at order lambda, lambda(lambda+1) = ell(ell+1) - 12 (M omega)^2,
+# eta = -2 M omega), with alpha, beta matched to the mpmath Coulomb-wave
+# initial data u0 = (2 ell + 1) i^ell e^{i sigma_ell} F_ell and its
+# derivative at r_start. Rows: (mass, omega, ell, r_start, ((r, u(r)), ...)).
+# lambda = 1.99399 (the README case), -0.031, -0.5 + 0.911i and 0.830.
+FULL_MODE_MPMATH = [
+    (0.05, 1.0, 2, 1.0, (
+        (50.0, complex(0.8446311847631078498, -0.078185101098690706553)),
+        (120.0, complex(4.4170416951572808097, -0.40887295866285468858)),
+        (300.0, complex(-4.2183591368928627035, 0.39048148060156710638)),
+        (500.0, complex(-4.398240551238985511, 0.40713259036419279221)),
+    )),
+    (0.05, 1.0, 0, 1.0, (
+        (50.0, complex(0.26739345980021121363, 0.01534459007611035414)),
+        (500.0, complex(-0.94925084077938421857, -0.054473527669846334043)),
+    )),
+    (1.0, 0.3, 0, 20.0, (
+        (100.0, complex(0.94319292482429962646, 0.26382460627070961191)),
+        (1000.0, complex(0.49552236439488976823, 0.13860472151990091509)),
+    )),
+    (1.0, 0.2, 1, 20.0, (
+        (100.0, complex(0.42409015814805248721, 2.4218763266476527732)),
+        (1000.0, complex(-0.17411818864777355712, -0.99434686474755995606)),
+    )),
+]
+
+
+def test_full_mode_frozen_mpmath():
+    for mass, omega, ell, r_start, rows in FULL_MODE_MPMATH:
+        r = np.array([row[0] for row in rows])
+        ref = np.array([row[1] for row in rows])
+        got = integrate_full_mode(BlackHoleParams(mass=mass, omega=omega), ell,
+                                  r[-1], r_start=r_start, r_eval=r)
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert np.all(rel < 1e-10), (mass, omega, ell, rel)
+
+
+def test_full_mode_value_independent_of_batch():
+    bh = BlackHoleParams(mass=0.05, omega=1.0)
+    vals = integrate_full_mode(bh, 2, 300.0, r_eval=[50.0, 120.0, 300.0])
+    assert integrate_full_mode(bh, 2, 300.0) == vals[-1]
+
+
+def test_full_mode_massless_is_coulomb_wave():
+    # M = 0 gives lambda = ell and gamma = 0: the full equation is the free
+    # one. Measured against the wave's amplitude, since points near its
+    # nodes have no relative accuracy to offer.
+    bh = BlackHoleParams(mass=0.0, omega=1.0)
+    r = np.linspace(5.0, 1000.0, 80)
+    for ell in (0, 1, 2, 5, 10):
+        got = integrate_full_mode(bh, ell, r[-1], r_start=r[0], r_eval=r)
+        ref = coulomb_wave_regular(ell, 0.0, r)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref)), ell
+
+
+def test_full_mode_raises_outside_float64_range():
+    # F_200 at rho = 1 is ~1e-400: no float64 initial data to carry
+    bh = BlackHoleParams(mass=0.0, omega=1.0)
+    with pytest.raises(ArithmeticError, match="r_start"):
+        integrate_full_mode(bh, 200, 10.0, r_start=1.0)
 
 
 def test_flat_spacetime_mode_is_plane_wave_mode():

@@ -3,10 +3,13 @@ preset loading, and process exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coulscat
 from coulscat import (
     FieldPoint,
     ScatteringParams,
@@ -252,3 +255,16 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     write_csv(str(path), header, rows[:0])
     assert path.read_bytes() == b"a,b,c,d\n"
 
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coulscat.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, coulscat.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
