@@ -108,8 +108,7 @@ def _axis(rng, log=False):
 def _theta_axis(spec, default, log_default=False):
     rng = spec.theta_range if spec.theta_range is not None else default
     log = spec.theta_log or (log_default and spec.theta_range is None)
-    axis = _axis(rng, log=log)
-    return axis
+    return _axis(rng, log=log)
 
 
 def _product_rows(outer, inner):
@@ -508,36 +507,30 @@ def _build_parser():
                         "(bh_mode)")
     parser.add_argument("--ell-max", type=int)
     parser.add_argument("--cesaro-n", type=int)
-    parser.add_argument("--theta", type=float,
-                        help="fixed angle for diverging_sum")
+    parser.add_argument("--theta", type=float, dest="fixed_theta",
+                        metavar="THETA", help="fixed angle for diverging_sum")
     parser.add_argument("--rho", type=float, action="append",
+                        dest="rho_values", metavar="RHO",
                         help="rho value; repeat for several")
     parser.add_argument("--theta-range", type=_parse_range, metavar="A:B:N")
-    parser.add_argument("--theta-log", action="store_true",
+    parser.add_argument("--theta-log", action="store_true", default=None,
                         help="logarithmic theta grid")
     parser.add_argument("--kx", type=float, action="append",
+                        dest="kx_values", metavar="KX",
                         help="field-map slice at fixed k x; repeatable")
     parser.add_argument("--kx-range", type=_parse_range, metavar="A:B:N")
     parser.add_argument("--kz-range", type=_parse_range, metavar="A:B:N")
     parser.add_argument("--r-range", type=_parse_range, metavar="A:B:N")
-    parser.add_argument("--backreaction", action="store_true",
+    parser.add_argument("--backreaction", action="store_true", default=None,
                         help="keep the gamma^2 amplitude correction in the "
                              "incoming wave")
     parser.add_argument("--with-asymptotic", action="store_true",
+                        default=None,
                         help="add asymptotic columns to psi_exact scans")
-    parser.add_argument("--acknowledge-classical", action="store_true")
+    parser.add_argument("--acknowledge-classical", action="store_true",
+                        default=None)
     parser.add_argument("--out", type=str)
     return parser
-
-
-_ARG_TO_FIELD = {
-    "gamma": "gamma", "k": "k", "mass": "mass", "omega": "omega",
-    "mu": "mu", "ell": "ell", "ell_max": "ell_max",
-    "cesaro_n": "cesaro_n", "theta": "fixed_theta", "rho": "rho_values",
-    "theta_range": "theta_range", "kx": "kx_values",
-    "kx_range": "kx_range", "kz_range": "kz_range", "r_range": "r_range",
-    "out": "out",
-}
 
 
 def _spec_from_args(ns):
@@ -547,15 +540,11 @@ def _spec_from_args(ns):
         if data.get("quantity") != ns.quantity:
             raise ValueError("preset %s is a %s scan, not %s"
                              % (ns.preset, data.get("quantity"), ns.quantity))
-    data["quantity"] = ns.quantity
-    for arg, fname in _ARG_TO_FIELD.items():
-        val = getattr(ns, arg)
+    # argument dests are ScanSpec field names; None means "not given"
+    for f in fields(ScanSpec):
+        val = getattr(ns, f.name, None)
         if val is not None:
-            data[fname] = val
-    for flag in ("backreaction", "theta_log", "with_asymptotic",
-                 "acknowledge_classical"):
-        if getattr(ns, flag):
-            data[flag] = True
+            data[f.name] = val
     return _spec_from_mapping(data)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotic, exact, specfun
+from . import asymptotic, exact, multipole
 
 
 @dataclass(frozen=True)
@@ -170,36 +170,29 @@ def current_scattered_asymptotic(p, pt):
 
 def current_decomposition_asymptotic(p, pt, h=None, backreaction=False):
     """Split the current of the asymptotic field into incoming, scattered
-    and interference parts, all by the same numeric stencil.
+    and interference parts, all by the same numeric stencil: the first
+    three currents of current_scan_grid at one point.
 
     Backreaction defaults to off here: the closed-form incoming current
     above belongs to the purely phase-distorted wave, and the decomposition
     is normally compared against it.
     """
-    def fields(r, t):
-        pin, pscat, _ = asymptotic.psi_asymptotic_grid(
-            p, r, t, backreaction=backreaction)
-        return pin + pscat, pin, pscat
-
-    total, incoming, scattered = map(
-        _vector, _stencil(p, fields, pt.rho, pt.theta, h))
+    total, incoming, scattered = map(_vector, current_scan_grid(
+        p, pt.rho, pt.theta, backreaction=backreaction, h=h)[:3])
     return CurrentDecomposition(total, incoming, scattered,
                                 total - incoming - scattered)
 
 
 def current_outgoing_exact(p, pt, subtract_backreaction=True, h=None):
-    """Current of the exact field minus the distorted incoming wave.
+    """Current of the exact field minus the distorted incoming wave: one of
+    the two outgoing remainders of current_scan_grid at one point.
 
     With subtract_backreaction the amplitude-corrected incoming wave is
     removed, which suppresses the spurious oscillations left behind when
     only the phase-distorted wave is subtracted.
     """
-    def fields(r, t):
-        pin, _, _ = asymptotic.psi_asymptotic_grid(
-            p, r, t, backreaction=subtract_backreaction)
-        return [exact.psi_exact_grid(p, r, t) - pin]
-
-    return _vector(_stencil(p, fields, pt.rho, pt.theta, h)[0])
+    scan = current_scan_grid(p, pt.rho, pt.theta, h=h)
+    return _vector(scan[5 if subtract_backreaction else 4])
 
 
 def interference_radial_leading(p, pt):
@@ -211,8 +204,7 @@ def interference_radial_leading(p, pt):
         raise ValueError("theta must lie in (0, pi]")
     g, k = p.gamma, p.k
     rs = pt.rho * s
-    delta0 = specfun.log_gamma_complex(1.0 + 1j * g).imag
-    delta0 = (delta0 + np.pi) % (2.0 * np.pi) - np.pi
+    delta0 = multipole.phase_shift(0, g).delta
     phase = rs - 2.0 * g * np.log(rs) + 2.0 * delta0
     cot_half = np.cos(pt.theta / 2.0) / np.sin(pt.theta / 2.0)
     return float(-(g * k / pt.rho) * cot_half ** 2 * np.cos(phase))

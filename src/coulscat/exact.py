@@ -45,20 +45,23 @@ class FieldPoint:
         return 1.0 - np.cos(self.theta)
 
 
-def psi_exact_grid(p, rho, theta, branch=None):
-    """Exact wavefunction on broadcastable arrays of (rho, theta).
-
-    branch pins the hypergeometric evaluation branch for every point;
-    finite-difference stencils pass it so that all stencil points share the
-    branch of their center.
-    """
+def _field(p, rho, theta, kummer):
+    """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
+    M(-i gamma, 1, i rho s) on broadcastable arrays of (rho, theta), with
+    the Kummer function M evaluated by kummer(a, b, z): hyp1f1, one of its
+    two branches, or a truncation of its series."""
     rho = np.asarray(rho, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     s = 1.0 - np.cos(theta)
     g = p.gamma
     pref = np.exp(1j * rho * (1.0 - s) - 0.5 * np.pi * g
                   + specfun.log_gamma_complex(1.0 + 1j * g))
-    return pref * specfun.hyp1f1(-1j * g, 1.0, 1j * rho * s, branch=branch)
+    return pref * kummer(-1j * g, 1.0, 1j * rho * s)
+
+
+def psi_exact_grid(p, rho, theta):
+    """Exact wavefunction on broadcastable arrays of (rho, theta)."""
+    return _field(p, rho, theta, specfun.hyp1f1)
 
 
 def psi_exact(p, pt):
@@ -69,24 +72,21 @@ def psi_exact(p, pt):
 
 def psi_forward(p, rho):
     """The solution on the forward axis: a plane wave carrying the reduced
-    amplitude e^{-pi gamma/2} Gamma(1 + i gamma)."""
-    g = p.gamma
-    return complex(np.exp(1j * rho - 0.5 * np.pi * g
-                          + specfun.log_gamma_complex(1.0 + 1j * g)))
+    amplitude e^{-pi gamma/2} Gamma(1 + i gamma) (s = 0, where M = 1)."""
+    return complex(_field(p, rho, 0.0, lambda a, b, z: 1.0))
 
 
 def psi_small_rhos(p, pt):
     """First-order small-(rho s) form: the forward plane-wave amplitude
-    times (1 + gamma rho s). Warns when rho*s is not small."""
+    times (1 + gamma rho s), the Kummer series through its linear term.
+    Warns when rho*s is not small."""
     s = pt.s
     if pt.rho * s >= 1.0:
         warnings.warn("psi_small_rhos called with rho*s = %.3g >= 1, "
                       "outside its region of validity" % (pt.rho * s),
                       stacklevel=2)
-    g = p.gamma
-    pref = np.exp(1j * pt.rho * (1.0 - s) - 0.5 * np.pi * g
-                  + specfun.log_gamma_complex(1.0 + 1j * g))
-    return complex(pref * (1.0 + g * pt.rho * s))
+    return complex(_field(p, pt.rho, pt.theta,
+                          lambda a, b, z: 1.0 + a * z / b))
 
 
 def paraboloid_s(rho):
@@ -116,12 +116,15 @@ def schrodinger_residual(p, pt, h):
     if theta - ht < 0.0 or theta + ht > np.pi:
         raise ValueError("theta too close to the axis for the angular stencil")
 
-    # pin the hypergeometric branch of the whole stencil to the center's
-    radius = specfun.series_radius(-1j * p.gamma)
-    branch = "series" if rho * (1.0 - np.cos(theta)) <= radius else "asymptotic"
+    # the whole stencil on the center's 1F1 branch: a branch switch inside
+    # it would put the two branches' difference into the second differences
+    if rho * (1.0 - np.cos(theta)) <= specfun.series_radius(-1j * p.gamma):
+        kummer = specfun.hyp1f1_series
+    else:
+        kummer = specfun.hyp1f1_asymptotic
     rhos = np.array([rho, rho - h, rho + h, rho, rho])
     thetas = np.array([theta, theta, theta, theta - ht, theta + ht])
-    f = psi_exact_grid(p, rhos, thetas, branch=branch)
+    f = _field(p, rhos, thetas, kummer)
     c, rm, rp, tm, tp = f
 
     d2_rho = (rp - 2.0 * c + rm) / h ** 2

@@ -315,13 +315,10 @@ class PlaneWavePartial:
 
 def plane_wave_partial(ell, rho):
     """One partial wave of the free plane wave: the exact Bessel form
-    i^ell (2 ell + 1) j_ell(rho) next to its large-rho two-exponential
-    approximation. Useful for judging where 'asymptotic' starts."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    if rho <= 0.0:
-        raise ValueError("rho must be > 0")
-    ex = (1j ** ell) * (2.0 * ell + 1.0) * specfun.spherical_bessel_j(ell, rho)
-    asym = ((2.0 * ell + 1.0) / (2j * rho)
-            * (np.exp(1j * rho) + (-1.0) ** (ell + 1) * np.exp(-1j * rho)))
-    return PlaneWavePartial(complex(ex), complex(asym))
+    i^ell (2 ell + 1) j_ell(rho), which is coulomb_wave_regular(ell, 0, rho)
+    / rho (F_ell(0, rho) = rho j_ell(rho), DLMF 33.5.ii), next to its
+    large-rho two-exponential approximation coulomb_wave_asymptotic(ell, 0,
+    rho). Useful for judging where 'asymptotic' starts."""
+    # first: it raises for ell < 0 and rho <= 0
+    asym = coulomb_wave_asymptotic(ell, 0.0, rho)
+    return PlaneWavePartial(coulomb_wave_regular(ell, 0.0, rho) / rho, asym)

@@ -3,8 +3,7 @@
 Everything downstream (wavefunctions, phase shifts, Coulomb waves, series
 resummation) reduces to the functions in this module: complex log-gamma,
 the confluent hypergeometric function 1F1 in both its convergent and
-large-argument forms, Pochhammer symbols, Legendre polynomials and
-spherical Bessel functions.
+large-argument forms, and Legendre polynomials.
 
 The convergent branch of 1F1, M(a, b, z), does not sum the Kummer series
 out to z: on the imaginary axis its terms reach ~e^{|z|} while the sum stays
@@ -56,6 +55,11 @@ SERIES_SWITCH_SCALE = 2.0
 # Taylor-continuation step bounds (see the module docstring).
 CONT_MAX_STEP = 2.0
 CONT_B_STEP = 16.0
+
+# Convergent-branch series: relative tolerance of the last three terms, and
+# the term budget beyond which a series raises.
+SERIES_TOL = 1e-17
+SERIES_MAX_TERMS = 2500
 
 _LANCZOS_G = 7
 _LANCZOS_COEFFS = np.array([
@@ -111,20 +115,6 @@ def reciprocal_gamma(z):
     pole = _is_nonpositive_integer(z)
     safe = np.where(pole, 1.0, z)
     out = np.where(pole, 0.0, np.exp(-log_gamma_complex(safe)))
-    return complex(out[0]) if scalar else out
-
-
-def pochhammer(x, k):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1) by repeated
-    multiplication, stable where the gamma-ratio form would cancel."""
-    if k < 0:
-        raise ValueError("pochhammer order k must be >= 0")
-    x = np.asarray(x, dtype=np.complex128)
-    scalar = x.ndim == 0
-    out = np.ones(np.atleast_1d(x).shape, dtype=np.complex128)
-    xv = np.atleast_1d(x)
-    for j in range(k):
-        out = out * (xv + j)
     return complex(out[0]) if scalar else out
 
 
@@ -309,7 +299,7 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r):
     one vectorized Taylor step per point, so a value depends on its own r
     only. Returns an array of the shape of r (at least 1-d). Series
     tolerances are hyp1f1_series' defaults."""
-    tol, max_terms = 1e-17, 2500
+    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if np.any(r < r0):
         raise ValueError("kummer_ivp radii must be >= r0")
@@ -319,7 +309,7 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r):
     return _taylor_step(a, b, z0, r * u - z0, w0, dw0, tol, max_terms)
 
 
-def hyp1f1_series(a, b, z, tol=1e-17, max_terms=2500):
+def hyp1f1_series(a, b, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS):
     """Convergent evaluation of Kummer's 1F1(a, b; z) = M(a, b, z): float64
     analytic continuation of the Kummer ODE along the ray through z (see the
     module docstring).
@@ -388,33 +378,22 @@ def series_radius(a):
     return float(radius) if np.ndim(radius) == 0 else radius
 
 
-def hyp1f1(a, b, z, tol=1e-17, n_terms=24, branch=None):
+def hyp1f1(a, b, z):
     """1F1(a, b; z) choosing the convergent branch (hyp1f1_series) for
     |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
-    and the large-argument expansion beyond. Mixed arrays are partitioned
-    between the branches elementwise.
-
-    branch forces "series" or "asymptotic" for every element; callers doing
-    finite differencing use it to keep a whole stencil on one branch.
+    and the large-argument expansion (hyp1f1_asymptotic) beyond. Mixed
+    arrays are partitioned between the branches elementwise; a caller that
+    needs one branch for a whole stencil calls that branch directly.
     """
     (a, b, z), scalar = _broadcast(a, b, z)
-
-    if branch == "series":
-        use_series = np.ones(z.shape, dtype=bool)
-    elif branch == "asymptotic":
-        use_series = np.zeros(z.shape, dtype=bool)
-    elif branch is None:
-        use_series = np.abs(z) <= series_radius(a)
-    else:
-        raise ValueError("branch must be None, 'series' or 'asymptotic'")
-
+    use_series = np.abs(z) <= series_radius(a)
     out = np.empty(z.shape, dtype=np.complex128)
     if np.any(use_series):
         out[use_series] = hyp1f1_series(
-            a[use_series], b[use_series], z[use_series], tol=tol)
+            a[use_series], b[use_series], z[use_series])
     if np.any(~use_series):
         out[~use_series] = hyp1f1_asymptotic(
-            a[~use_series], b[~use_series], z[~use_series], n_terms=n_terms)
+            a[~use_series], b[~use_series], z[~use_series])
     return complex(out[0]) if scalar else out
 
 
@@ -442,39 +421,3 @@ def legendre_sweep(ell_max, x):
     for n in range(1, ell_max):
         out[n + 1] = ((2 * n + 1) * xv * out[n] - n * out[n - 1]) / (n + 1)
     return out.reshape((ell_max + 1,) + x.shape)
-
-
-def spherical_bessel_j(ell, x):
-    """Spherical Bessel j_ell(x) for x >= 0: downward (Miller) recurrence
-    normalized against j_0 when x < ell, plain upward recurrence otherwise.
-    """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    x = float(x)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 1.0 if ell == 0 else 0.0
-    if ell == 0:
-        return np.sin(x) / x
-    if x >= ell:
-        jm, j0 = np.sin(x) / x, np.sin(x) / x ** 2 - np.cos(x) / x
-        if ell == 1:
-            return j0
-        for n in range(1, ell):
-            jm, j0 = j0, (2 * n + 1) / x * j0 - jm
-        return j0
-    # Miller: start well above ell with arbitrary seed, recurse down,
-    # normalize by the known j_0
-    start = ell + 30 + int(x)
-    jp, jc = 0.0, 1e-300
-    target = 0.0
-    for n in range(start, 0, -1):
-        jp, jc = jc, (2 * n + 1) / x * jc - jp
-        if n - 1 == ell:
-            target = jc
-        if abs(jc) > 1e250:  # rescale to dodge overflow
-            jp *= 1e-250
-            jc *= 1e-250
-            target *= 1e-250
-    return float(target * (np.sin(x) / x) / jc)

@@ -15,6 +15,7 @@ from coulscat import (
     ScatteringParams,
     current_decomposition_asymptotic,
     current_outgoing_exact,
+    f_series_partial_sweep,
     psi_exact,
 )
 from coulscat.cli import (
@@ -197,6 +198,27 @@ def test_preset_with_overrides(tmp_path):
     assert code == 0
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape[0] == 30
+
+
+def test_flag_overrides_map_onto_spec_fields(tmp_path):
+    # absent flags leave the preset's values; given ones replace them
+    out = str(tmp_path / "f1.csv")
+    assert main(["psi_exact", "--preset", "fig1", "--rho", "10",
+                 "--theta-range", "0.05:3.1:6", "--out", out]) == 0
+    # fig1's with_asymptotic and backreaction survive: 9 columns
+    assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (6, 9)
+
+    out = str(tmp_path / "f5.csv")
+    assert main(["diverging_sum", "--preset", "fig5", "--theta", "1.0",
+                 "--ell-max", "10", "--out", out]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    ref = f_series_partial_sweep(ScatteringParams(gamma=10.0, k=1.0), 1.0, 10)
+    assert np.array_equal(data[:, 1] + 1j * data[:, 2], ref)
+
+    out = str(tmp_path / "fm.csv")
+    assert main(["field_map", "--kx", "0", "--kx", "10", "--out", out]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert sorted(set(data[:, 0])) == [0.0, 10.0]
 
 
 def test_bh_mode_scan(tmp_path):

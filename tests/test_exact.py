@@ -18,6 +18,7 @@ from coulscat import (
     psi_forward,
     psi_small_rhos,
     schrodinger_residual,
+    specfun,
 )
 
 # e^{-pi*g/2} |Gamma(1+ig)| and sqrt(pi*g / sinh(pi*g)), 40-digit evaluation
@@ -167,6 +168,18 @@ def test_schrodinger_residual_second_order_in_step():
     resid = np.array([abs(schrodinger_residual(p, pt, h=h)) for h in steps])
     slope = np.polyfit(np.log(steps), np.log(resid), 1)[0]
     assert 1.7 < slope < 2.3
+
+
+def test_schrodinger_residual_stencil_on_one_branch():
+    # centres within 3h of the 1F1 switch radius put some stencil points on
+    # the other side of it; the residual evaluates all five on the centre's
+    # branch, so the branches' difference stays out of the differences
+    p = ScatteringParams(gamma=0.4, k=1.0)
+    h = 1e-4
+    radius = specfun.series_radius(-0.4j)
+    worst = max(schrodinger_residual(p, FieldPoint(rho=r, theta=np.pi / 2), h)
+                for r in radius + np.linspace(-3.0 * h, 3.0 * h, 25))
+    assert worst < 2e-6
 
 
 def test_schrodinger_residual_step_validation():
