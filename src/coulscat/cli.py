@@ -8,7 +8,8 @@ Usage:
 One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
 generated from the ScanSpec alone, rows are computed in order in fixed
-2048-row chunks, and floats are written with 17 significant digits.
+2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once),
+and floats are written with 17 significant digits.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments, 3 numerical failure.
 """
@@ -303,14 +304,27 @@ def _build_field_map(spec):
     plateau = float(np.exp(-0.5 * np.pi * p.gamma
                            + specfun.log_gamma_complex(1.0 + 1j * p.gamma).real))
     header = ["kx", "kz", "re_psi", "im_psi", "abs_psi", "plateau"]
+    # psi depends on (|kx|, kz) alone, so the kx and -kx rows share one
+    # table entry; hypot and arctan2(|x|, z) ignore the sign of x, and each
+    # value depends on its own point only, so the bytes do not change
+    ax, ix = np.unique(np.abs(kx_axis), return_inverse=True)
+    nz = len(kz)
+    table = np.empty(len(ax) * nz, dtype=np.complex128)
+    done = np.zeros(len(table), dtype=bool)
 
     def compute(start, stop):
-        x, z = kx[start:stop], kzr[start:stop]
-        rho = np.hypot(x, z)
-        theta = np.arctan2(np.abs(x), z)
-        psi = exact.psi_exact_grid(p, rho, theta)
-        return np.column_stack([x, z, psi.real, psi.imag, np.abs(psi),
-                                np.full_like(x, plateau)])
+        r = np.arange(start, stop)
+        key = ix[r // nz] * nz + r % nz
+        new = np.unique(key[~done[key]])
+        if new.size:
+            x, z = ax[new // nz], kz[new % nz]
+            table[new] = exact.psi_exact_grid(p, np.hypot(x, z),
+                                              np.arctan2(x, z))
+            done[new] = True
+        psi = table[key]
+        return np.column_stack([kx[start:stop], kzr[start:stop], psi.real,
+                                psi.imag, np.abs(psi),
+                                np.full(stop - start, plateau)])
 
     return header, len(kx), compute
 
@@ -362,8 +376,9 @@ def run_scan(spec):
     which bounds the size of the kernels' temporaries."""
     spec.validate()
     header, n_rows, compute = _BUILDERS[spec.quantity](spec)
-    rows = np.vstack([compute(i, min(i + CHUNK_ROWS, n_rows))
-                      for i in range(0, n_rows, CHUNK_ROWS)])
+    rows = np.empty((n_rows, len(header)))
+    for i in range(0, n_rows, CHUNK_ROWS):
+        rows[i:i + CHUNK_ROWS] = compute(i, min(i + CHUNK_ROWS, n_rows))
     out = spec.out if spec.out is not None else spec.quantity + ".csv"
     write_csv(out, header, rows)
     return header, rows
@@ -371,14 +386,20 @@ def run_scan(spec):
 
 def write_csv(path, header, rows):
     # one %-format per block of rows: the same bytes as formatting each
-    # value, without holding the whole file as Python objects
-    rows = np.asarray(rows)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    # value, without holding the whole file as Python objects. A column
+    # whose bit patterns are all equal in a block (so 0.0 and -0.0 differ)
+    # is formatted once, into the block's line template
+    rows = np.asarray(rows, dtype=np.float64)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[start:start + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            bits = block.view(np.int64)
+            const = np.all(bits == bits[0], axis=0)
+            line = ",".join("%.17g" % v if c else "%.17g"
+                            for v, c in zip(block[0].tolist(), const)) + "\n"
+            fh.write((line * len(block))
+                     % tuple(block[:, ~const].ravel().tolist()))
 
 
 _DESCRIPTIONS = {

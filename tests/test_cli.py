@@ -15,6 +15,7 @@ from coulscat import (
     ScatteringParams,
     current_decomposition_asymptotic,
     current_outgoing_exact,
+    exact,
     f_series_partial_sweep,
     psi_exact,
 )
@@ -249,6 +250,45 @@ def test_chunking_is_invisible(tmp_path):
     assert np.all(np.diff(rows[:, 1]) > 0)
 
 
+def test_field_map_mirror_dedup_changes_no_value(tmp_path):
+    # rows at kx and -kx share one psi evaluation; every psi column equals
+    # the direct evaluation of its own row, across chunk boundaries, for an
+    # unsorted kx axis with repeats and both signed zeros
+    kx_values = [10.0, -0.0, -10.0, 3.0, 0.0, -7.0, 10.0]
+    out = tmp_path / "fm.csv"
+    spec = ScanSpec(quantity="field_map", gamma=1.0, kx_values=kx_values,
+                    kz_range=(-40.0, 80.0, 700), out=str(out))
+    _, rows = run_scan(spec)
+    assert rows.shape[0] == 7 * 700 > 2 * CHUNK_ROWS
+    x, z = rows[:, 0], rows[:, 1]
+    assert np.array_equal(np.signbit(x), np.repeat(np.signbit(kx_values), 700))
+    psi = exact.psi_exact_grid(ScatteringParams(gamma=1.0, k=1.0),
+                               np.hypot(x, z), np.arctan2(np.abs(x), z))
+    assert np.all(rows[:, 2] == psi.real)
+    assert np.all(rows[:, 3] == psi.imag)
+    assert np.all(rows[:, 4] == np.abs(psi))
+    lines = out.read_text().splitlines()
+    assert lines[701].startswith("-0,") and lines[2801].startswith("0,")
+
+
+def test_field_map_evaluates_each_mirrored_point_once(tmp_path, monkeypatch):
+    # kx in {-4, ..., 4} has 5 distinct |kx|, so 9 x 500 rows need 5 x 500
+    # field points
+    counted = []
+    grid = exact.psi_exact_grid
+
+    def counting(p, rho, theta):
+        counted.append(np.size(rho))
+        return grid(p, rho, theta)
+
+    monkeypatch.setattr(exact, "psi_exact_grid", counting)
+    spec = ScanSpec(quantity="field_map", gamma=1.0, kx_range=(-4.0, 4.0, 9),
+                    kz_range=(-4.0, 8.0, 500), out=str(tmp_path / "fm.csv"))
+    _, rows = run_scan(spec)
+    assert rows.shape[0] == 9 * 500
+    assert sum(counted) == 5 * 500
+
+
 def test_preset_files_are_plain_json():
     # the shipped presets stay readable as data, not code
     from importlib import resources
@@ -276,6 +316,21 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     assert path.read_bytes() == ref.encode()
     write_csv(str(path), header, rows[:0])
     assert path.read_bytes() == b"a,b,c,d\n"
+    # columns that are constant within a block are formatted once: constant
+    # in the first block only, 0.0 mixed with -0.0, all NaN, +inf then -inf;
+    # and blocks of a single row
+    n = len(rows)
+    first = np.where(np.arange(n) < CSV_BLOCK_ROWS, 2.5, rows[:, 0])
+    zeros = np.where(rng.random(n) < 0.999, 0.0, -0.0)
+    zeros[CSV_BLOCK_ROWS] = -0.0
+    infs = np.where(np.arange(n) < CSV_BLOCK_ROWS, np.inf, -np.inf)
+    wide = np.column_stack([rows, first, zeros, np.full(n, np.nan), infs])
+    header = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    for part in (wide, wide[:CSV_BLOCK_ROWS + 1], wide[-1:]):
+        write_csv(str(path), header, part)
+        ref = ",".join(header) + "\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in part)
+        assert path.read_bytes() == ref.encode()
 
 
 def test_cli_import_loads_no_scipy():
