@@ -78,9 +78,9 @@ def tortoise_coordinate(bh, r):
     return float(out) if r_arr.ndim == 0 else out
 
 
-def radius_from_tortoise(bh, r_star, tol=1e-12):
+def radius_from_tortoise(bh, r_star):
     """Invert the tortoise map by bisection; monotonicity makes this safe
-    for any input. Relative accuracy tol on r."""
+    for any input. Relative accuracy 1e-12 on r."""
     if bh.r_s == 0.0:
         return float(r_star)
     lo = bh.r_s * (1.0 + 1e-15)
@@ -97,7 +97,7 @@ def radius_from_tortoise(bh, r_star, tol=1e-12):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= 1e-12 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -131,10 +131,10 @@ def radial_mode_asymptotic(bh, ell, r):
     return multipole.coulomb_wave_asymptotic(ell, p.gamma, rho)
 
 
-def integrate_full_mode(bh, ell, r_end, r_start=None, r_eval=None):
+def integrate_full_mode(bh, ell, r, r_start=None):
     """The full rescaled radial mode (short-range correction kept), carried
-    outward from r_start: u(r_end), or u at every r in r_eval when that
-    array is given.
+    outward from r_start to r >= r_start (a scalar, or an array of radii,
+    which gives an array).
 
     In rho = omega r the full equation
     u'' + (1 + 4 M omega/rho - (ell(ell+1) - 12 (M omega)^2)/rho^2) u = 0
@@ -159,12 +159,9 @@ def integrate_full_mode(bh, ell, r_end, r_start=None, r_eval=None):
         r_start = 10.0 * bh.r_s
     if r_start <= bh.r_s:
         raise ValueError("r_start must lie outside the horizon")
-    if r_end <= r_start:
-        raise ValueError("r_end must exceed r_start")
-    if r_eval is not None:
-        r_eval = np.asarray(r_eval, dtype=np.float64)
-        if np.any(r_eval < r_start) or np.any(r_eval > r_end):
-            raise ValueError("r_eval must lie within [r_start, r_end]")
+    r_arr = np.asarray(r, dtype=np.float64)
+    if np.any(r_arr < r_start):
+        raise ValueError("r must not lie below r_start = %g" % r_start)
     p = coulomb_reduction(bh)
     rho0 = p.k * r_start
     u0, u1 = multipole.coulomb_wave_regular(np.array([ell, ell + 1]),
@@ -181,14 +178,13 @@ def integrate_full_mode(bh, ell, r_end, r_start=None, r_eval=None):
     disc = (ell + 0.5) ** 2 - 12.0 * (bh.mass * bh.omega) ** 2
     lam1 = 0.5 + (math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc))
     dw0 = complex((du0 / u0 - lam1 / rho0 + 1j) / 2j)
-    rho = p.k * (np.array([r_end], dtype=np.float64) if r_eval is None
-                 else r_eval)
+    rho = p.k * np.atleast_1d(r_arr)
     # w in units of its value at r_start
     w = specfun.kummer_ivp(lam1 - 1j * p.gamma, 2.0 * lam1, 1j, 2.0 * rho0,
                            1.0 + 0.0j, dw0, 2.0 * rho)
     if not np.all(np.abs(w) >= _TINY):
         raise ArithmeticError("the full mode leaves float64 range before "
-                              "r = %g" % r_end)
+                              "r = %g" % r_arr.max())
     # u = u0 e^{i rho0} (rho/rho0)^{lambda+1} w e^{-i rho}: the first four
     # factors multiplied in logs, so that neither a high ell's small u0 nor
     # rho^{lambda+1} leaves float64; e^{-i rho} apart, so that its phase
@@ -196,4 +192,4 @@ def integrate_full_mode(bh, ell, r_end, r_start=None, r_eval=None):
     log_u = (np.log(u0 * np.exp(1j * rho0)) + lam1 * np.log(rho / rho0)
              + np.log(w))
     u = np.exp(log_u) * np.exp(-1j * rho)
-    return complex(u[0]) if r_eval is None else u
+    return complex(u[0]) if r_arr.ndim == 0 else u

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import asymptotic, classical, currents, exact, multipole, specfun
+from . import asymptotic, classical, currents, exact, multipole
 
 CHUNK_ROWS = 2048
 CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
@@ -301,8 +301,7 @@ def _build_field_map(spec):
         kx_axis = _axis(spec.kx_range if spec.kx_range is not None
                         else (-40.0, 40.0, 161))
     kx, kzr = _product_rows(kx_axis, kz)
-    plateau = float(np.exp(-0.5 * np.pi * p.gamma
-                           + specfun.log_gamma_complex(1.0 + 1j * p.gamma).real))
+    plateau = abs(exact.psi_forward(p, 0.0))
     header = ["kx", "kz", "re_psi", "im_psi", "abs_psi", "plateau"]
     # psi depends on (|kx|, kz) alone, so the kx and -kx rows share one
     # table entry; hypot and arctan2(|x|, z) ignore the sign of x, and each
@@ -333,18 +332,13 @@ def _build_bh_mode(spec):
     if spec.mass is None or spec.omega is None:
         raise ValueError("bh_mode requires --mass and --omega")
     bh = classical.BlackHoleParams(spec.mass, spec.omega)
-    if spec.r_range is not None:
-        rng = spec.r_range
-    else:
-        rng = (50.0, 500.0, 200)
-    r = _axis(rng)
+    r = _axis(spec.r_range if spec.r_range is not None
+              else (50.0, 500.0, 200))
     if r[0] <= bh.r_s:
         raise ValueError("r range must lie outside the horizon")
     u_asym = classical.radial_mode_asymptotic(bh, spec.ell, r)
-    u_full = classical.integrate_full_mode(bh, spec.ell, float(r[-1]),
-                                           r_start=min(10.0 * bh.r_s,
-                                                       float(r[0])),
-                                           r_eval=r)
+    u_full = classical.integrate_full_mode(
+        bh, spec.ell, r, r_start=min(10.0 * bh.r_s, float(r[0])))
     u_full = u_full / (bh.omega * r)
     header = ["r", "re_mode_asym", "im_mode_asym", "abs_mode_asym",
               "re_mode_full", "im_mode_full", "abs_mode_full"]
@@ -421,7 +415,9 @@ _DESCRIPTIONS = {
         "scat) next to the exact-field current and the outgoing remainders "
         "J[psi - psi_in] without/with the gamma^2 amplitude correction\n"
         "validity: decomposition meaningful for rho s >> 1; all columns "
-        "finite away from theta = 0"),
+        "finite away from theta = 0; the five-point stencil (radial step "
+        "1e-4 max(1, rho)) needs 1e-4 < rho < 1000 and |gamma| < "
+        "1000 min(1, rho), and raises outside"),
     "cross_section": (
         "dsigma/dOmega = gamma^2 / (4 k^2 sin^4(theta/2)), checked against "
         "|f_closed|^2 and the mu -> 0 screened Born amplitude "

@@ -3,9 +3,10 @@
 All currents are computed from fields via J = Im[psi* grad psi] with the
 gradient taken in physical units, grad = (k d/d_rho, (k/rho) d/d_theta), so
 the numbers carry one power of k relative to the dimensionless field. The
-numeric routines use central differences with an angular step shrunk by
-1/max(1, rho) so that the physical arc length stays comparable to the
-radial step.
+numeric routines use central differences with radial step
+h = 1e-4 max(1, rho) and an angular step shrunk by 1/max(1, rho) so that
+the physical arc length stays comparable to the radial step. They raise
+outside their domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho).
 """
 
 from dataclasses import dataclass
@@ -47,6 +48,17 @@ def _default_step(rho):
     return 1e-4 * np.maximum(1.0, rho)
 
 
+def _check_domain(p, rho, h):
+    """Raise unless the stencil of radial step h keeps rho > h and
+    h max(1, |gamma| / rho) < 0.1 at each rho: the currents' domain for the
+    default step."""
+    bad = (rho <= h) | (h * np.maximum(1.0, abs(p.gamma) / rho) >= 0.1)
+    if np.any(bad):
+        raise ValueError("rho = %g, gamma = %g lies outside the currents' "
+                         "domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho)"
+                         % (rho[bad][0], p.gamma))
+
+
 def _stencil(p, fields, rho, theta, h=None):
     """Currents of several fields from one five-point central-difference
     stencil.
@@ -65,13 +77,8 @@ def _stencil(p, fields, rho, theta, h=None):
     # loops, so a point's current would depend on how it was batched
     shape = np.broadcast_shapes(rho.shape, theta.shape)
     rho_b, theta_b = (np.broadcast_to(v, shape).ravel() for v in (rho, theta))
-    h = _default_step(rho_b) if h is None else float(h)
-    if np.any(h <= 0.0):
-        raise ValueError("step h must be positive")
-    if np.any(rho_b <= h):
-        raise ValueError("need rho > h")
-    if np.any(h * np.maximum(1.0, abs(p.gamma) / rho_b) >= 0.1):
-        raise ValueError("step h too coarse for this field point")
+    h = _default_step(rho_b) if h is None else h
+    _check_domain(p, rho_b, h)
     ht = h / np.maximum(1.0, rho_b)
     pts_rho = np.stack([rho_b, rho_b + h, rho_b - h, rho_b, rho_b])
     pts_theta = np.stack([theta_b, theta_b, theta_b, theta_b + ht, theta_b - ht])
@@ -100,24 +107,26 @@ def _pointwise(field):
     return values
 
 
-def current_numeric(field, p, pt, h=None):
+def current_numeric(field, p, pt):
     """Numerical current of an arbitrary scalar field at one point.
 
     field maps a FieldPoint to a complex value. Both components use the
     same five-point cross stencil as the residual check.
     """
-    return _vector(_stencil(p, _pointwise(field), pt.rho, pt.theta, h)[0])
+    return _vector(_stencil(p, _pointwise(field), pt.rho, pt.theta)[0])
 
 
-def current_exact_grid(p, rho, theta, h=None):
-    """Vectorized numeric current of the exact solution over a grid.
-    Returns (j_r, j_theta) arrays. Used by the acceptance suite, where
-    point-by-point stencils would be too slow."""
-    return _stencil(p, lambda r, t: [exact.psi_exact_grid(p, r, t)],
-                    rho, theta, h)[0]
+def _asymptotic_fields(p, r, t, backreaction):
+    """The asymptotic total, incoming and scattered fields, then the
+    incoming wave without and with the gamma^2 correction."""
+    pin_plain, pscat, _ = asymptotic.psi_asymptotic_grid(
+        p, r, t, backreaction=False)
+    pin_g2, _, _ = asymptotic.psi_asymptotic_grid(p, r, t, backreaction=True)
+    pin = pin_g2 if backreaction else pin_plain
+    return [pin + pscat, pin, pscat], pin_plain, pin_g2
 
 
-def current_scan_grid(p, rho, theta, backreaction=False, h=None):
+def current_scan_grid(p, rho, theta, backreaction=False):
     """Every current of a `currents` scan, from one stencil pass over the
     exact and asymptotic fields. Returns six (j_r, j_theta) pairs: the
     asymptotic total, incoming and scattered currents (the incoming wave
@@ -126,35 +135,24 @@ def current_scan_grid(p, rho, theta, backreaction=False, h=None):
     the gamma^2 correction in psi_in. The interference current is total
     minus incoming minus scattered, taken by the caller."""
     def fields(r, t):
+        split, pin_plain, pin_g2 = _asymptotic_fields(p, r, t, backreaction)
         psi = exact.psi_exact_grid(p, r, t)
-        pin_plain, pscat, _ = asymptotic.psi_asymptotic_grid(
-            p, r, t, backreaction=False)
-        pin_g2, _, _ = asymptotic.psi_asymptotic_grid(
-            p, r, t, backreaction=True)
-        pin = pin_g2 if backreaction else pin_plain
-        return pin + pscat, pin, pscat, psi, psi - pin_plain, psi - pin_g2
+        return split + [psi, psi - pin_plain, psi - pin_g2]
 
-    return _stencil(p, fields, rho, theta, h)
+    return _stencil(p, fields, rho, theta)
 
 
 def current_in_distorted(p, pt):
     """Closed-form current of the phase-distorted incoming wave (no
     backreaction): radially k(cos theta + gamma/rho), polar component
     -k(sin theta - (gamma/rho) sin theta/(1 - cos theta))."""
-    jr, jt = current_in_distorted_grid(p, pt.rho, pt.theta)
-    return CurrentVector(float(jr), float(jt))
-
-
-def current_in_distorted_grid(p, rho, theta):
-    rho = np.asarray(rho, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    s = 1.0 - np.cos(theta)
-    if np.any(s <= 0.0) or np.any(theta > np.pi):
+    s = pt.s
+    if s <= 0.0:
         raise ValueError("theta must lie in (0, pi]")
-    g, k = p.gamma, p.k
+    g, k, rho, theta = p.gamma, p.k, pt.rho, pt.theta
     j_r = k * (np.cos(theta) + g / rho)
     j_theta = -k * (np.sin(theta) - (g / rho) * np.sin(theta) / s)
-    return j_r, j_theta
+    return CurrentVector(float(j_r), float(j_theta))
 
 
 def current_scattered_asymptotic(p, pt):
@@ -168,22 +166,24 @@ def current_scattered_asymptotic(p, pt):
     return CurrentVector(float(j_r), 0.0)
 
 
-def current_decomposition_asymptotic(p, pt, h=None, backreaction=False):
+def current_decomposition_asymptotic(p, pt, backreaction=False):
     """Split the current of the asymptotic field into incoming, scattered
     and interference parts, all by the same numeric stencil: the first
-    three currents of current_scan_grid at one point.
+    three currents of current_scan_grid at one point, from the asymptotic
+    fields alone.
 
     Backreaction defaults to off here: the closed-form incoming current
     above belongs to the purely phase-distorted wave, and the decomposition
     is normally compared against it.
     """
-    total, incoming, scattered = map(_vector, current_scan_grid(
-        p, pt.rho, pt.theta, backreaction=backreaction, h=h)[:3])
+    total, incoming, scattered = map(_vector, _stencil(
+        p, lambda r, t: _asymptotic_fields(p, r, t, backreaction)[0],
+        pt.rho, pt.theta))
     return CurrentDecomposition(total, incoming, scattered,
                                 total - incoming - scattered)
 
 
-def current_outgoing_exact(p, pt, subtract_backreaction=True, h=None):
+def current_outgoing_exact(p, pt, subtract_backreaction=True):
     """Current of the exact field minus the distorted incoming wave: one of
     the two outgoing remainders of current_scan_grid at one point.
 
@@ -191,7 +191,7 @@ def current_outgoing_exact(p, pt, subtract_backreaction=True, h=None):
     removed, which suppresses the spurious oscillations left behind when
     only the phase-distorted wave is subtracted.
     """
-    scan = current_scan_grid(p, pt.rho, pt.theta, h=h)
+    scan = current_scan_grid(p, pt.rho, pt.theta)
     return _vector(scan[5 if subtract_backreaction else 4])
 
 
@@ -224,20 +224,20 @@ def oscillation_length(p, pt):
     return float(2.0 * np.pi / (p.k * np.sin(pt.theta) * factor))
 
 
-def divergence_numeric(field, p, pt, h=None):
+def divergence_numeric(field, p, pt):
     """Numeric divergence of the current of a field, in spherical
     coordinates: k [ rho^-2 d(rho^2 J_r)/d_rho
     + (rho sin theta)^-1 d(sin theta J_theta)/d_theta ].
 
     Stationary solutions should give values near zero; the scale to compare
-    against is |J| / rho.
+    against is |J| / rho. J is taken at rho -+ 10 h with the step h of rho,
+    which must pass the domain check there too.
     """
-    if h is None:
-        h = _default_step(pt.rho)
+    rho, theta = pt.rho, pt.theta
+    h = _default_step(rho)
     # outer step for differentiating J itself; the inner stencil reuses h
     hd = 10.0 * h
-    ht = hd / max(1.0, pt.rho)
-    rho, theta = pt.rho, pt.theta
+    ht = hd / max(1.0, rho)
     (j_r, j_theta), = _stencil(p, _pointwise(field),
                                [rho + hd, rho - hd, rho, rho],
                                [theta, theta, theta + ht, theta - ht], h)

@@ -27,7 +27,9 @@ Against 40-digit mpmath this is within 2e-14 relative on the psi ray
 (a, b) = (-i gamma, 1), |gamma| <= 20, |z| <= 1000, and within 4e-12 for the
 partial-wave factor M(l+1-i gamma, 2l+2, 2i rho), l <= 300, |gamma| <= 20,
 10 < rho <= 300, where rounding accumulates over the ~|z|/2 steps of the
-chain.
+chain. For the free wave (gamma = 0), l < 200, 300 < rho <= 1100, it is
+within 4.3e-13 of its envelope 2l+1 on 2,000 seeded points (up to 2.1e-11
+relative near its nodes).
 
 The continuation serves every (a, b). For the small-rho partial-wave factors
 (l < 80, |gamma| <= 20, rho <= 10, so |z| <= 20) it is within 1.0e-12 of
@@ -57,9 +59,11 @@ CONT_MAX_STEP = 2.0
 CONT_B_STEP = 16.0
 
 # Convergent-branch series: relative tolerance of the last three terms, and
-# the term budget beyond which a series raises.
+# the term budget beyond which a series raises (read once per call). Terms
+# of each large-|z| inverse-power series.
 SERIES_TOL = 1e-17
 SERIES_MAX_TERMS = 2500
+ASYMPTOTIC_TERMS = 24
 
 _LANCZOS_G = 7
 _LANCZOS_COEFFS = np.array([
@@ -129,8 +133,8 @@ def _broadcast(a, b, z):
 
 def _raise_unconverged(max_terms, z):
     raise RuntimeError(
-        "hyp1f1_series did not converge within %d terms (|z| up to %.3g)"
-        % (max_terms, float(np.max(np.abs(z)))))
+        "hyp1f1_series did not converge within SERIES_MAX_TERMS = %d terms "
+        "(|z| up to %.3g)" % (max_terms, float(np.max(np.abs(z)))))
 
 
 def _converged(consec, active, small):
@@ -139,9 +143,10 @@ def _converged(consec, active, small):
     return np.where(active, np.where(small, consec + 1, 0), consec)
 
 
-def _maclaurin(a, b, z, tol, max_terms):
+def _maclaurin(a, b, z):
     """Plain float64 Kummer series for M, elementwise, each element frozen
-    once its last three terms are below tol*|sum|."""
+    once its last three terms are below SERIES_TOL*|sum|."""
+    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     term = np.ones(z.shape, dtype=np.complex128)
     m = term.copy()
     consec = np.zeros(z.shape, dtype=np.int64)
@@ -167,11 +172,12 @@ def _anchor_radii(r0, b, r_max):
     return radii
 
 
-def _chain(a, b, u, radii, tol, max_terms):
+def _chain(a, b, u, radii):
     """M and M' at every anchor radii[k] * u of one (a, b, ray): the
     Maclaurin sum at the first anchor, then _anchor_steps. The sum stops
-    after three consecutive terms below tol relative to M (and, for the n t_n
-    sum that gives z M', to |M| + |z M'|)."""
+    after three consecutive terms below SERIES_TOL relative to M (and, for
+    the n t_n sum that gives z M', to |M| + |z M'|)."""
+    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     z = radii[0] * u
     t = m = 1.0 + 0.0j
     dm = 0.0j
@@ -187,16 +193,17 @@ def _chain(a, b, u, radii, tol, max_terms):
             break
     else:
         _raise_unconverged(max_terms, z)
-    return _anchor_steps(a, b, u, radii, m, dm / z, tol, max_terms)
+    return _anchor_steps(a, b, u, radii, m, dm / z)
 
 
-def _anchor_steps(a, b, u, radii, m, dm, tol, max_terms):
+def _anchor_steps(a, b, u, radii, m, dm):
     """A solution of the Kummer ODE and its derivative at every anchor
     radii[k] * u, from the values m, dm at radii[0] * u: one Taylor step per
     anchor. Python complex arithmetic, because one-element numpy steps would
     cost ~10x more per chain. Each series stops after three consecutive
-    terms below tol relative to the value (and, for the d_n n sums that give
-    h times the derivative, to |value| + |h derivative|)."""
+    terms below SERIES_TOL relative to the value (and, for the d_n n sums
+    that give h times the derivative, to |value| + |h derivative|)."""
+    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     ms, dms = [m], [dm]
     for k in range(1, len(radii)):
         z0 = radii[k - 1] * u
@@ -224,11 +231,12 @@ def _anchor_steps(a, b, u, radii, m, dm, tol, max_terms):
     return ms, dms
 
 
-def _taylor_step(a, b, z0, h, m0, dm0, tol, max_terms):
+def _taylor_step(a, b, z0, h, m0, dm0):
     """M(z0 + h) from M, M' at z0, elementwise: the Taylor series of the
     Kummer ODE about z0 in d_n = M^(n)(z0) h^n / n!,
     d_{n+2} = [(n+a) h^2 d_n - (n+1)(n+b-z0) h d_{n+1}] / (z0 (n+1)(n+2)),
-    each element frozen after three terms below tol*|sum|."""
+    each element frozen after three terms below SERIES_TOL*|sum|."""
+    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     d0, d1 = m0, h * dm0
     m = d0 + d1
     p, q = h * h / z0, h / z0
@@ -251,7 +259,7 @@ def _nearest_anchor(radii, ms, dms, u, r):
     return np.asarray(radii)[k] * u, np.asarray(ms)[k], np.asarray(dms)[k]
 
 
-def _continuation(a, b, z, tol, max_terms):
+def _continuation(a, b, z):
     """Float64 analytic continuation of M(a, b, z) along the ray through
     each z (see the module docstring)."""
     out = np.empty(z.shape, dtype=np.complex128)
@@ -260,7 +268,7 @@ def _continuation(a, b, z, tol, max_terms):
     r_start = 1.0 / np.maximum(1.0, np.abs(a) / np.abs(b))
     near = r <= r_start
     if near.any():
-        out[near] = _maclaurin(a[near], b[near], z[near], tol, max_terms)
+        out[near] = _maclaurin(a[near], b[near], z[near])
     far = ~near
     if not far.any():
         return out
@@ -282,11 +290,10 @@ def _continuation(a, b, z, tol, max_terms):
     for g, i in enumerate(first):
         sel = inverse == g
         radii = _anchor_radii(float(r_start[i]), complex(b[i]), float(r[sel].max()))
-        ms, dms = _chain(complex(a[i]), complex(b[i]), complex(u[i]), radii,
-                         tol, max_terms)
+        ms, dms = _chain(complex(a[i]), complex(b[i]), complex(u[i]), radii)
         z0[sel], m0[sel], dm0[sel] = _nearest_anchor(radii, ms, dms, u[i],
                                                      r[sel])
-    out[far] = _taylor_step(a, b, z0, z - z0, m0, dm0, tol, max_terms)
+    out[far] = _taylor_step(a, b, z0, z - z0, m0, dm0)
     return out
 
 
@@ -297,61 +304,57 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r):
     scalars). The 1F1 continuation started from this initial data instead
     of the Maclaurin sum: anchors on the _anchor_radii lattice from r0, then
     one vectorized Taylor step per point, so a value depends on its own r
-    only. Returns an array of the shape of r (at least 1-d). Series
-    tolerances are hyp1f1_series' defaults."""
-    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
+    only. Returns an array of the shape of r (at least 1-d)."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if np.any(r < r0):
         raise ValueError("kummer_ivp radii must be >= r0")
     radii = _anchor_radii(r0, b, float(r.max()))
-    ms, dms = _anchor_steps(a, b, u, radii, m0, dm0, tol, max_terms)
+    ms, dms = _anchor_steps(a, b, u, radii, m0, dm0)
     z0, w0, dw0 = _nearest_anchor(radii, ms, dms, u, r)
-    return _taylor_step(a, b, z0, r * u - z0, w0, dw0, tol, max_terms)
+    return _taylor_step(a, b, z0, r * u - z0, w0, dw0)
 
 
-def hyp1f1_series(a, b, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS):
+def hyp1f1_series(a, b, z):
     """Convergent evaluation of Kummer's 1F1(a, b; z) = M(a, b, z): float64
     analytic continuation of the Kummer ODE along the ray through z (see the
     module docstring).
 
     Every series involved (the Maclaurin sum, each Taylor step) is summed
-    until its last three consecutive terms are all below tol*|sum| (three,
-    because complex oscillatory terms dip below tolerance spuriously).
+    until its last three consecutive terms are all below SERIES_TOL*|sum|
+    (three, because complex oscillatory terms dip below tolerance
+    spuriously).
 
     a, b, z may be scalars or broadcastable arrays. b must not be a
     non-positive integer. An element's value depends on its own (a, b, z)
     only, never on the rest of the batch. Raises RuntimeError if any series
-    needs more than max_terms terms.
+    needs more than SERIES_MAX_TERMS terms.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     (a, b, z), scalar = _broadcast(a, b, z)
     if np.any(_is_nonpositive_integer(b)):
         raise ValueError("hyp1f1 parameter b must not be a non-positive integer")
     # + 0.0 turns -0.0 into +0.0, so equal parameters group together
-    out = _continuation(a + 0.0, b + 0.0, z + 0.0, tol, max_terms)
+    out = _continuation(a + 0.0, b + 0.0, z + 0.0)
     return complex(out[0]) if scalar else out
 
 
-def hyp1f1_asymptotic(a, b, z, n_terms=24):
+def hyp1f1_asymptotic(a, b, z):
     """Large-|z| expansion of 1F1 as the sum of a growing e^z piece and an
-    algebraic piece, each an inverse-power series truncated at n_terms.
+    algebraic piece, each an inverse-power series truncated at
+    ASYMPTOTIC_TERMS.
     The algebraic piece carries (-z)^{-a} = z^{-a} e^{+i pi a} where
     Im z >= 0 and z^{-a} e^{-i pi a} where Im z < 0 (mpmath's convention);
     Im z = -0.0 counts as negative, matching the branch of log z there.
 
     Each inverse-power series also self-truncates at its smallest term, so a
-    generous n_terms never degrades the result.
+    generous ASYMPTOTIC_TERMS never degrades the result.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     (a, b, z), scalar = _broadcast(a, b, z)
 
     def inv_power_series(p1, p2, w):
         tot = np.ones_like(w)
         trm = np.ones_like(w)
         last = np.full(w.shape, np.inf)
-        for k in range(n_terms):
+        for k in range(ASYMPTOTIC_TERMS):
             trm = trm * (p1 + k) * (p2 + k) / ((k + 1.0) * w)
             mag = np.abs(trm)
             grew = mag > last  # passed the smallest term: stop adding

@@ -154,8 +154,7 @@ def test_integrator_validation():
     with pytest.raises(ValueError):
         integrate_full_mode(bh, 2, 100.0, r_start=0.05)
     with pytest.raises(ValueError):
-        integrate_full_mode(bh, 2, 100.0, r_start=1.0,
-                            r_eval=np.array([0.5, 50.0]))
+        integrate_full_mode(bh, 2, np.array([0.5, 50.0]), r_start=1.0)
 
 
 def test_integrator_tracks_coulomb_mode():
@@ -172,7 +171,7 @@ def test_integrator_tracks_coulomb_mode():
 def test_integrator_r_eval_array():
     bh = BlackHoleParams(mass=0.05, omega=1.0)
     rs = np.array([50.0, 120.0, 300.0])
-    vals = integrate_full_mode(bh, 2, 300.0, r_eval=rs)
+    vals = integrate_full_mode(bh, 2, rs)
     assert vals.shape == (3,)
     assert np.iscomplexobj(vals)
     # endpoint value consistent with the scalar call
@@ -223,14 +222,14 @@ def test_full_mode_frozen_mpmath():
         r = np.array([row[0] for row in rows])
         ref = np.array([row[1] for row in rows])
         got = integrate_full_mode(BlackHoleParams(mass=mass, omega=omega), ell,
-                                  r[-1], r_start=r_start, r_eval=r)
+                                  r, r_start=r_start)
         rel = np.abs(got - ref) / np.abs(ref)
         assert np.all(rel < 1e-10), (mass, omega, ell, rel)
 
 
 def test_full_mode_value_independent_of_batch():
     bh = BlackHoleParams(mass=0.05, omega=1.0)
-    vals = integrate_full_mode(bh, 2, 300.0, r_eval=[50.0, 120.0, 300.0])
+    vals = integrate_full_mode(bh, 2, [50.0, 120.0, 300.0])
     assert integrate_full_mode(bh, 2, 300.0) == vals[-1]
 
 
@@ -241,7 +240,7 @@ def test_full_mode_massless_is_coulomb_wave():
     bh = BlackHoleParams(mass=0.0, omega=1.0)
     r = np.linspace(5.0, 1000.0, 80)
     for ell in (0, 1, 2, 5, 10):
-        got = integrate_full_mode(bh, ell, r[-1], r_start=r[0], r_eval=r)
+        got = integrate_full_mode(bh, ell, r, r_start=r[0])
         ref = coulomb_wave_regular(ell, 0.0, r)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref)), ell
 

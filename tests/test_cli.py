@@ -32,7 +32,7 @@ from coulscat.cli import (
     run_scan,
     write_csv,
 )
-from coulscat.currents import current_exact_grid
+from coulscat.currents import current_scan_grid
 
 
 def small_spec(tmp_path, **overrides):
@@ -82,7 +82,7 @@ def test_currents_scan_row_equals_pointwise_currents(tmp_path, backreaction):
         dec = current_decomposition_asymptotic(p, pt, backreaction=backreaction)
         plain = current_outgoing_exact(p, pt, subtract_backreaction=False)
         g2 = current_outgoing_exact(p, pt, subtract_backreaction=True)
-        j_exact = current_exact_grid(p, row[0], row[1])
+        j_exact = current_scan_grid(p, row[0], row[1])[3]
         expected = [dec.total.j_r, dec.total.j_theta,
                     dec.incoming.j_r, dec.incoming.j_theta,
                     dec.scattered.j_r, dec.scattered.j_theta,

@@ -19,7 +19,7 @@ from coulscat import (
     oscillation_length,
     psi_exact,
 )
-from coulscat.currents import current_exact_grid
+from coulscat.currents import current_scan_grid
 
 
 def params(g, k=1.0):
@@ -179,23 +179,28 @@ def test_exact_flow_is_divergence_free():
 
 
 def test_step_validation():
+    # the stencil's domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho):
+    # each error names the parameter and its bound
+    for g, rho, match in [(0.5, 1000.0, "rho = 1000, .*rho < 1000"),
+                          (0.5, 5e-5, "rho = 5e-05, .*1e-4 < rho"),
+                          (2000.0, 10.0, r"gamma = 2000 .*\|gamma\| < 1000")]:
+        p = params(g)
+        pt = FieldPoint(rho=rho, theta=1.0)
+        with pytest.raises(ValueError, match=match):
+            current_numeric(lambda q: psi_exact(p, q), p, pt)
     p = params(0.5)
-    pt = FieldPoint(rho=10.0, theta=1.0)
-    with pytest.raises(ValueError):
-        current_numeric(lambda q: psi_exact(p, q), p, pt, h=0.0)
-    with pytest.raises(ValueError):
-        current_numeric(lambda q: psi_exact(p, q), p, pt, h=5.0)
+    pt = FieldPoint(rho=999.0, theta=1.0)
+    assert np.isfinite(current_numeric(lambda q: psi_exact(p, q), p, pt).j_r)
 
 
 def test_grid_current_matches_pointwise():
     p = params(0.7)
     rho = np.array([15.0, 15.0, 40.0])
     theta = np.array([0.8, 2.0, 1.1])
-    h = 1e-4 * 40.0
-    jr, jt = current_exact_grid(p, rho, theta, h=h)
+    jr, jt = current_scan_grid(p, rho, theta)[3]
     for i in range(3):
         j = current_numeric(lambda q: psi_exact(p, q), p,
-                            FieldPoint(rho=rho[i], theta=theta[i]), h=h)
+                            FieldPoint(rho=rho[i], theta=theta[i]))
         assert abs(jr[i] - j.j_r) < 1e-12
         assert abs(jt[i] - j.j_theta) < 1e-12
 

@@ -1,7 +1,15 @@
 """The package's public names: every export resolves, listed once, in
-order."""
+order, and no numerical entry point takes a method option."""
+
+import inspect
 
 import coulscat
+
+# step, tolerance and term-budget names: each evaluator takes its physical
+# inputs only. schrodinger_residual's h stays: the step is what that
+# diagnostic studies.
+METHOD_OPTIONS = {"h", "tol", "max_terms", "n_terms", "r_end", "r_eval"}
+ALLOWED = {("schrodinger_residual", "h")}
 
 
 def test_all_exports_resolve_sorted_unique():
@@ -10,3 +18,12 @@ def test_all_exports_resolve_sorted_unique():
     assert missing == []
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+
+
+def test_no_method_options_in_public_signatures():
+    found = [(name, param)
+             for name in coulscat.__all__
+             if callable(getattr(coulscat, name))
+             for param in inspect.signature(getattr(coulscat, name)).parameters
+             if param in METHOD_OPTIONS and (name, param) not in ALLOWED]
+    assert found == []

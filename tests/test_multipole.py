@@ -110,12 +110,17 @@ def test_coulomb_wave_frozen_value():
 # 40-digit mpmath (2 ell + 1) i^ell e^{i sigma_ell} F_ell(gamma, rho) from
 # the Kummer form, sigma_ell = arg Gamma(ell + 1 + i gamma); the moduli
 # equal (2 ell + 1) |coulombf(ell, gamma, rho)|. Here |a|^2 >> |z|, where
-# the large-|z| expansion of 1F1 does not hold.
+# the large-|z| expansion of 1F1 does not hold. The gamma = 0 rows are free
+# partial waves (plane_wave_partial) past rho = 300.
 COULOMB_WAVE_LARGE_ELL = [
     (200, 1.0, 500.0, complex(-212.54515812645538092, 318.52238337668994649)),
     (100, 1.0, 400.0, complex(-16.517429214517424406, -161.03873233482146953)),
     (150, -5.0, 600.0, complex(252.1024131289058521, 15.649684538819052191)),
     (300, 2.0, 1000.0, complex(-236.01590725345116776, 535.19427538335502856)),
+    (152, 0.0, 576.6, complex(-4.9828084281703251362, 0.0)),
+    (83, 0.0, 548.1, complex(0.0, -3.1199349993079733968)),
+    (81, 0.0, 1041.0, complex(0.0, -61.72231236453209327)),
+    (190, 0.0, 1100.0, complex(-366.86235731832638592, 0.0)),
 ]
 
 
