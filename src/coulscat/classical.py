@@ -10,7 +10,9 @@ long-wavelength regime M omega < 1. The full (uncropped) radial equation
 is itself a Coulomb equation, of non-integer order lambda with
 lambda(lambda+1) = ell(ell+1) - 12 (M omega)^2; integrate_full_mode solves
 it from the partial wave's initial data with the Kummer-ODE continuation of
-specfun, so the approximation can be checked rather than trusted.
+specfun, matched to the two large-distance solutions past a matching
+radius, so the approximation can be checked rather than trusted;
+full_mode_phase_error gives the map's phase-shift error from that match.
 """
 
 import math
@@ -131,37 +133,19 @@ def radial_mode_asymptotic(bh, ell, r):
     return multipole.coulomb_wave_asymptotic(ell, p.gamma, rho)
 
 
-def integrate_full_mode(bh, ell, r, r_start=None):
-    """The full rescaled radial mode (short-range correction kept), carried
-    outward from r_start to r >= r_start (a scalar, or an array of radii,
-    which gives an array).
-
-    In rho = omega r the full equation
-    u'' + (1 + 4 M omega/rho - (ell(ell+1) - 12 (M omega)^2)/rho^2) u = 0
-    is itself a Coulomb equation, with gamma = -2 M omega and an order
-    lambda = -1/2 + sqrt((ell+1/2)^2 - 12 (M omega)^2) (principal root;
-    complex when ell = 0 and 12 (M omega)^2 > 1/4). Writing
-    u = rho^{lambda+1} e^{-i rho} w(2 i rho), w solves the Kummer ODE with
-    a = lambda + 1 - i gamma, b = 2 lambda + 2, and specfun.kummer_ivp
-    continues it along the ray z = 2 i rho, so a value depends on its own r
-    only.
-
-    Initial data is taken from the Coulomb partial wave at r_start (default
-    ten Schwarzschild radii), where the two equations already agree well;
-    the comparison downstream then isolates the effect of the dropped term.
-    Raises ArithmeticError where the ell wave at r_start, or w beyond it,
-    falls below float64's full-precision range (high ell at small r_start,
-    or (lambda+1) ln(r / ell) past ~700).
-    """
+def _full_mode_start(bh, ell, r_start):
+    """The full mode's data at r_start (default ten Schwarzschild radii):
+    r_start, the Coulomb reduction, rho0 = omega r_start, log(u0 e^{i rho0}),
+    the Kummer parameters a, b, the matching radius |z| beyond which w is
+    taken from the asymptotic pair (hyp1f1's switch radius for this a, or
+    z0 = 2 i rho0 if that lies farther), and w'/w at z0 (see
+    integrate_full_mode)."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if r_start is None:
         r_start = 10.0 * bh.r_s
     if r_start <= bh.r_s:
         raise ValueError("r_start must lie outside the horizon")
-    r_arr = np.asarray(r, dtype=np.float64)
-    if np.any(r_arr < r_start):
-        raise ValueError("r must not lie below r_start = %g" % r_start)
     p = coulomb_reduction(bh)
     rho0 = p.k * r_start
     u0, u1 = multipole.coulomb_wave_regular(np.array([ell, ell + 1]),
@@ -178,18 +162,106 @@ def integrate_full_mode(bh, ell, r, r_start=None):
     disc = (ell + 0.5) ** 2 - 12.0 * (bh.mass * bh.omega) ** 2
     lam1 = 0.5 + (math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc))
     dw0 = complex((du0 / u0 - lam1 / rho0 + 1j) / 2j)
+    a = lam1 - 1j * p.gamma
+    z_match = max(specfun.series_radius(a), 2.0 * rho0)
+    return (r_start, p, rho0, np.log(u0 * np.exp(1j * rho0)), a, 2.0 * lam1,
+            z_match, dw0)
+
+
+def _far_amplitudes(a, b, rho0, log_u0, z_match, end):
+    """c_out and c_in of the full mode beyond the matching radius,
+    u = e^{c_out} S1 e^{i theta} + e^{c_in} S2 e^{-i theta},
+    theta = rho - gamma ln(2 rho), with S1 and S2 the series of
+    specfun._kummer_pair at z = 2 i rho. w = c1 y1 + c2 y2 there, with c1
+    and c2 taken from end = (log w, w'/w) at z_match by the Wronskian; the
+    powers of rho and z are combined by hand, so nothing of order
+    lambda ln(rho) is formed."""
+    log_w, dlog_w = end
+    (log1, s1, ds1), (log2, s2, ds2) = specfun._kummer_pair(
+        a, b, np.complex128(1j * z_match), deriv=True)
+    # the Wronskian y1 y2' - y1' y2 is -e^{log1 + log2}
+    log_c1 = log_w - log1 + np.log(dlog_w * s2 - ds2)
+    log_c2 = log_w - log2 + np.log(ds1 - dlog_w * s1)
+    # u0 e^{i rho0} (rho/rho0)^{lambda+1} e^{-i rho} y_j(2 i rho)
+    # = e^{base + log c_j + ...}: principal log z = ln(2 rho) + i pi/2
+    base = log_u0 - 0.5 * b * math.log(2.0 * rho0)
+    return (complex(base + log_c1 + 0.5j * np.pi * (a - b)),
+            complex(base + log_c2 - 0.5j * np.pi * a))
+
+
+def integrate_full_mode(bh, ell, r, r_start=None):
+    """The full rescaled radial mode (short-range correction kept), carried
+    outward from r_start to r >= r_start (a scalar, or an array of radii,
+    which gives an array).
+
+    In rho = omega r the full equation
+    u'' + (1 + 4 M omega/rho - (ell(ell+1) - 12 (M omega)^2)/rho^2) u = 0
+    is itself a Coulomb equation, with gamma = -2 M omega and an order
+    lambda = -1/2 + sqrt((ell+1/2)^2 - 12 (M omega)^2) (principal root;
+    complex when ell = 0 and 12 (M omega)^2 > 1/4). Writing
+    u = rho^{lambda+1} e^{-i rho} w(2 i rho), w solves the Kummer ODE with
+    a = lambda + 1 - i gamma, b = 2 lambda + 2. Up to the matching radius
+    |z| = specfun.series_radius(a) (48 for M omega = 0.05, ell = 2)
+    specfun.kummer_ivp continues w along the ray z = 2 i rho. Beyond it w is
+    c1 y1 + c2 y2, the two large-|z| solutions of specfun._kummer_pair, with
+    c1, c2 from w and w' at the matching radius; every farther radius is
+    one vectorized evaluation of
+    u = e^{c_out} S1 e^{i theta} + e^{c_in} S2 e^{-i theta},
+    theta = rho - gamma ln(2 rho), whatever its distance. A value depends on
+    its own r only.
+
+    Initial data is taken from the Coulomb partial wave at r_start (default
+    ten Schwarzschild radii), where the two equations already agree well;
+    the comparison downstream then isolates the effect of the dropped term.
+    u is assembled in logs, so it never leaves float64's range; only the
+    initial data can: raises ArithmeticError where the ell wave at r_start
+    falls below float64's full-precision range (high ell at small r_start).
+    """
+    r_start, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(
+        bh, ell, r_start)
+    r_arr = np.asarray(r, dtype=np.float64)
+    if np.any(r_arr < r_start):
+        raise ValueError("r must not lie below r_start = %g" % r_start)
     rho = p.k * np.atleast_1d(r_arr)
-    # w in units of its value at r_start
-    w = specfun.kummer_ivp(lam1 - 1j * p.gamma, 2.0 * lam1, 1j, 2.0 * rho0,
-                           1.0 + 0.0j, dw0, 2.0 * rho)
-    if not np.all(np.abs(w) >= _TINY):
-        raise ArithmeticError("the full mode leaves float64 range before "
-                              "r = %g" % r_arr.max())
-    # u = u0 e^{i rho0} (rho/rho0)^{lambda+1} w e^{-i rho}: the first four
-    # factors multiplied in logs, so that neither a high ell's small u0 nor
-    # rho^{lambda+1} leaves float64; e^{-i rho} apart, so that its phase
-    # keeps full precision at large rho
-    log_u = (np.log(u0 * np.exp(1j * rho0)) + lam1 * np.log(rho / rho0)
-             + np.log(w))
-    u = np.exp(log_u) * np.exp(-1j * rho)
+    near = 2.0 * rho <= z_match
+    far = ~near
+    z_end = z_match if far.any() else 2.0 * rho.max()
+    log_w, end = specfun.kummer_ivp(a, b, 1j, 2.0 * rho0, 1.0 + 0.0j, dw0,
+                                    z_end, 2.0 * rho[near])
+    u = np.empty(rho.shape, dtype=np.complex128)
+    # u = u0 e^{i rho0} (rho/rho0)^{lambda+1} w e^{-i rho}, w in units of its
+    # r_start value: e^{-i rho} apart, so that its phase keeps full
+    # precision at large rho
+    rho_n = rho[near]
+    u[near] = (np.exp(log_u0 + 0.5 * b * np.log(rho_n / rho0) + log_w)
+               * np.exp(-1j * rho_n))
+    if far.any():
+        c_out, c_in = _far_amplitudes(a, b, rho0, log_u0, z_match, end)
+        rho_f = rho[far]
+        (_, s1, _), (_, s2, _) = specfun._kummer_pair(a, b, 2j * rho_f)
+        log_phase = 1j * p.gamma * np.log(2.0 * rho_f)
+        u[far] = (np.exp(c_out - log_phase) * s1 * np.exp(1j * rho_f)
+                  + np.exp(c_in + log_phase) * s2 * np.exp(-1j * rho_f))
     return complex(u[0]) if r_arr.ndim == 0 else u
+
+
+def full_mode_phase_error(bh, ell, r_start=None):
+    """Phase-shift error of the long-wavelength Coulomb map for one partial
+    wave: delta_full - delta_ell in (-pi/2, pi/2], half the phase of the
+    full mode's outgoing/incoming amplitude ratio e^{c_out - c_in} (see
+    integrate_full_mode) against the map's e^{2 i delta_ell}/(-1)^{ell+1}.
+    With the default r_start = 10 r_s it depends on M omega and ell alone.
+
+    No integration past the matching radius: the ratio is the full mode's
+    S-matrix element at ell. Were the full mode the regular Coulomb wave
+    F_lambda, this would be sigma_lambda - sigma_ell + (ell - lambda) pi/2.
+    Raises as integrate_full_mode does.
+    """
+    _, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(bh, ell,
+                                                              r_start)
+    _, end = specfun.kummer_ivp(a, b, 1j, 2.0 * rho0, 1.0 + 0.0j, dw0,
+                                z_match, [])
+    c_out, c_in = _far_amplitudes(a, b, rho0, log_u0, z_match, end)
+    ratio = (np.exp(c_out - c_in) * (-1.0) ** (ell + 1)
+             / multipole.phase_shift(ell, p.gamma).factor)
+    return 0.5 * float(np.angle(ratio))

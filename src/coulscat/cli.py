@@ -210,7 +210,8 @@ def _build_cross_section(spec):
     def compute(start, stop):
         t = theta[start:stop]
         ruth = asymptotic.differential_cross_section(p, t)
-        closed = np.abs(multipole.f_closed_form(p, t)) ** 2
+        closed = np.abs(
+            asymptotic.rutherford_amplitude_phase_separated(p, t)) ** 2
         born = np.abs(asymptotic.born_amplitude_yukawa(p, t, spec.mu)) ** 2
         return np.column_stack([t, ruth, closed, born])
 
@@ -235,7 +236,7 @@ def _build_cesaro(spec):
             mask = n_c == n
             f[mask] = multipole.f_series_cesaro(p, t[mask], int(n))
         s = 1.0 - np.cos(t)
-        fc = multipole.f_closed_form(p, t)
+        fc = asymptotic.rutherford_amplitude_phase_separated(p, t)
         return np.column_stack([n_c, t, f.real, f.imag, np.abs(f),
                                 (s * f).real, (s * f).imag, np.abs(s * f),
                                 (s * fc).real, (s * fc).imag,
@@ -263,7 +264,7 @@ def _build_reduced_series(spec):
             mask = l_c == lmax
             f[mask] = multipole.f_reduced_series(p, t[mask], int(lmax))
         s = 1.0 - np.cos(t)
-        fc = multipole.f_closed_form(p, t)
+        fc = asymptotic.rutherford_amplitude_phase_separated(p, t)
         return np.column_stack([l_c, t, f.real, f.imag, (s * f).real,
                                 (s * f).imag, np.abs(s * f),
                                 (s * fc).real, (s * fc).imag,
@@ -457,8 +458,10 @@ _DESCRIPTIONS = {
         "ln(2 omega r), next to the full mode (short-range term kept: a "
         "Coulomb wave of order lambda, lambda(lambda+1) = ell(ell+1) - "
         "12 (M omega)^2, carried out from the ell wave's data at r_start "
-        "by the Kummer-ODE continuation; both in the u/(omega r) "
-        "normalization)\n"
+        "by the Kummer-ODE continuation up to the matching radius "
+        "2 omega r = 30 + 2 |lambda + 1 - i gamma|^2, and beyond it by the "
+        "two large-distance Kummer solutions matched there; both in the "
+        "u/(omega r) normalization)\n"
         "validity: ell(ell+1) > 12 (M omega)^2 and omega r >> ell(ell+1) + "
         "gamma^2; never valid for ell = 0"),
 }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotic, specfun
+from . import specfun
 
 
 @dataclass(frozen=True)
@@ -208,22 +208,11 @@ def f_series_partial_sweep(p, theta, ell_max):
 
 def _legendre_phase_terms(x, gamma, ell_max):
     """Yield (ell, P_ell(x), e^{2 i delta_ell}) for ell = 0 .. ell_max,
-    streamed: two Legendre rows by the Bonnet recurrence and one Python
-    complex factor propagated by the exact ratio
-    (ell + 1 + i gamma)/(ell + 1 - i gamma) from the ell = 0 seed."""
+    streamed: the Legendre rows of specfun and one Python complex factor
+    propagated by the exact ratio (ell + 1 + i gamma)/(ell + 1 - i gamma)
+    from the ell = 0 seed."""
     factor = phase_shift(0, gamma).factor
-    p_prev = np.ones_like(x)
-    p_curr = x.copy()
-    for ell in range(ell_max + 1):
-        if ell == 0:
-            p_ell = p_prev
-        elif ell == 1:
-            p_ell = p_curr
-        else:
-            p_next = ((2.0 * ell - 1.0) * x * p_curr
-                      - (ell - 1.0) * p_prev) / ell
-            p_prev, p_curr = p_curr, p_next
-            p_ell = p_curr
+    for ell, p_ell in enumerate(specfun._legendre_rows(x, ell_max)):
         yield ell, p_ell, factor
         factor = factor * (ell + 1 + 1j * gamma) / (ell + 1 - 1j * gamma)
 
@@ -279,13 +268,6 @@ def f_reduced_series(p, theta, ell_max):
         acc = acc + factor * bracket * p_ell
     value = (g / p.k) * acc / (1.0 - x)
     return complex(value) if theta_arr.ndim == 0 else value
-
-
-def f_closed_form(p, theta):
-    """Closed form of the scattering amplitude (the value the regularized
-    series converge to): -(gamma/(k (1 - cos theta))) times the Gamma phase
-    ratio times e^{-i gamma ln((1 - cos theta)/2)}."""
-    return asymptotic.rutherford_amplitude_phase_separated(p, theta)
 
 
 def legendre_power_law_coeff(a, ell):

@@ -39,8 +39,15 @@ Inputs and outputs are ordinary complex128.
 
 kummer_ivp runs the same anchor chain from given initial data instead of
 the Maclaurin sum, for any solution of the Kummer ODE (the Schwarzschild
-full mode in classical is one).
+full mode in classical is one), up to a given end radius, and returns logs
+(the chain carries a power-of-two scale, so the solution may fall far below
+float64's range). Past that radius a caller matches the solution to the
+two large-|z| solutions of _kummer_pair, which hyp1f1_asymptotic also
+sums.
 """
+
+import bisect
+import math
 
 import numpy as np
 
@@ -57,6 +64,9 @@ SERIES_SWITCH_SCALE = 2.0
 # Taylor-continuation step bounds (see the module docstring).
 CONT_MAX_STEP = 2.0
 CONT_B_STEP = 16.0
+# An anchor chain rescales its value and derivative by an exact power of
+# two once |value| leaves [2^-500, 2^500] (_anchor_steps).
+_RESCALE_LO, _RESCALE_HI = 2.0 ** -500, 2.0 ** 500
 
 # Convergent-branch series: relative tolerance of the last three terms, and
 # the term budget beyond which a series raises (read once per call). Terms
@@ -105,9 +115,16 @@ def log_gamma_complex(z):
     t = zz + (_LANCZOS_G + 0.5)
     out = _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(acc)
     if np.any(refl):
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
+        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z), up to the
+        # 2 pi i k that puts it on the principal branch; k is nonzero only
+        # for Re z < -1/2, and only there is it added, so every other value
+        # keeps its bits
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(refl, np.log(np.pi) - np.log(np.sin(np.pi * z)) - out, out)
+        turns = np.floor(0.5 * z.real + 0.25)
+        wrap = refl & (turns != 0.0)
+        if wrap.any():
+            out[wrap] += 1j * np.copysign(2.0 * np.pi, z.imag[wrap]) * turns[wrap]
     return complex(out[0]) if scalar else out
 
 
@@ -193,7 +210,13 @@ def _chain(a, b, u, radii):
             break
     else:
         _raise_unconverged(max_terms, z)
-    return _anchor_steps(a, b, u, radii, m, dm / z)
+    ms, dms, exps = _anchor_steps(a, b, u, radii, m, dm / z)
+    if any(exps):
+        # M's own scale: inf or 0 only where float64 cannot hold M
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp2(exps)
+            return np.asarray(ms) * scale, np.asarray(dms) * scale
+    return ms, dms
 
 
 def _anchor_steps(a, b, u, radii, m, dm):
@@ -202,9 +225,17 @@ def _anchor_steps(a, b, u, radii, m, dm):
     anchor. Python complex arithmetic, because one-element numpy steps would
     cost ~10x more per chain. Each series stops after three consecutive
     terms below SERIES_TOL relative to the value (and, for the d_n n sums
-    that give h times the derivative, to |value| + |h derivative|)."""
+    that give h times the derivative, to |value| + |h derivative|).
+
+    Returns the values, the derivatives and, per anchor, the exponent e_k
+    such that the solution there is 2^e_k times the stored pair: where
+    |value| leaves [2^-500, 2^500] the pair is rescaled by
+    an exact power of two, which leaves every later step's bits unchanged
+    but its scale, so a solution that falls like |z|^{-Re a} over a long
+    chain stays in float64's range."""
     tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    ms, dms = [m], [dm]
+    ms, dms, exps = [m], [dm], [0]
+    exp = 0
     for k in range(1, len(radii)):
         z0 = radii[k - 1] * u
         h = (radii[k] - radii[k - 1]) * u
@@ -226,9 +257,15 @@ def _anchor_steps(a, b, u, radii, m, dm):
         else:
             _raise_unconverged(max_terms, z0 + h)
         dm = dm / h
+        if not _RESCALE_LO <= abs(m) <= _RESCALE_HI:
+            shift = math.frexp(abs(m))[1]
+            scale = 2.0 ** -shift
+            m, dm = m * scale, dm * scale
+            exp += shift
         ms.append(m)
         dms.append(dm)
-    return ms, dms
+        exps.append(exp)
+    return ms, dms, exps
 
 
 def _taylor_step(a, b, z0, h, m0, dm0):
@@ -253,10 +290,12 @@ def _taylor_step(a, b, z0, h, m0, dm0):
     _raise_unconverged(max_terms, z0 + h)
 
 
-def _nearest_anchor(radii, ms, dms, u, r):
-    """z, value and derivative of the anchor at or below each radius r."""
+def _nearest_anchor(radii, u, r, *per_anchor):
+    """z of the anchor at or below each radius r, and each per-anchor list
+    (values, derivatives, ...) there."""
     k = np.searchsorted(radii, r, side="right") - 1
-    return np.asarray(radii)[k] * u, np.asarray(ms)[k], np.asarray(dms)[k]
+    return (np.asarray(radii)[k] * u,) + tuple(np.asarray(v)[k]
+                                               for v in per_anchor)
 
 
 def _continuation(a, b, z):
@@ -291,27 +330,41 @@ def _continuation(a, b, z):
         sel = inverse == g
         radii = _anchor_radii(float(r_start[i]), complex(b[i]), float(r[sel].max()))
         ms, dms = _chain(complex(a[i]), complex(b[i]), complex(u[i]), radii)
-        z0[sel], m0[sel], dm0[sel] = _nearest_anchor(radii, ms, dms, u[i],
-                                                     r[sel])
+        z0[sel], m0[sel], dm0[sel] = _nearest_anchor(radii, u[i], r[sel],
+                                                     ms, dms)
     out[far] = _taylor_step(a, b, z0, z - z0, m0, dm0)
     return out
 
 
-def kummer_ivp(a, b, u, r0, m0, dm0, r):
-    """The solution of the Kummer ODE z w'' + (b - z) w' - a w = 0 with
-    w = m0 and w' = dm0 at z0 = r0 u, evaluated at z = r u for every radius
-    r >= r0 on the same ray (u a unit complex number; a, b, m0, dm0
-    scalars). The 1F1 continuation started from this initial data instead
-    of the Maclaurin sum: anchors on the _anchor_radii lattice from r0, then
-    one vectorized Taylor step per point, so a value depends on its own r
-    only. Returns an array of the shape of r (at least 1-d)."""
+def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
+    """The solution w of the Kummer ODE z w'' + (b - z) w' - a w = 0 with
+    w = m0 and w' = dm0 at z0 = r0 u, carried along the ray to z = r_end u
+    (u a unit complex number; a, b, m0, dm0 scalars): the 1F1 continuation
+    started from this initial data instead of the Maclaurin sum. Anchors on
+    the _anchor_radii lattice from r0, then one vectorized Taylor step per
+    radius r, r0 <= r <= r_end, so a value depends on its own r only.
+
+    Returns log w at every r (an array of the shape of r, at least 1-d),
+    and log w and w'/w at r_end: logs, because over a long chain w can leave
+    float64's range (the chain itself stays inside by its power-of-two
+    scale)."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if np.any(r < r0):
-        raise ValueError("kummer_ivp radii must be >= r0")
-    radii = _anchor_radii(r0, b, float(r.max()))
-    ms, dms = _anchor_steps(a, b, u, radii, m0, dm0)
-    z0, w0, dw0 = _nearest_anchor(radii, ms, dms, u, r)
-    return _taylor_step(a, b, z0, r * u - z0, w0, dw0)
+    if np.any(r < r0) or np.any(r > r_end):
+        raise ValueError("kummer_ivp radii must lie in [r0, r_end]")
+    radii = _anchor_radii(r0, b, r_end)
+    ms, dms, exps = _anchor_steps(a, b, u, radii, m0, dm0)
+    z0, w0, dw0, e0 = _nearest_anchor(radii, u, r, ms, dms, exps)
+    with np.errstate(divide="ignore"):
+        log_w = (np.log(_taylor_step(a, b, z0, r * u - z0, w0, dw0))
+                 + e0 * math.log(2.0))
+    # r_end: one more step from the last anchor below it
+    k = bisect.bisect_left(radii, r_end) - 1
+    if k < 0:
+        w_end, dw_end, e_end = m0, dm0, 0
+    else:
+        end = _anchor_steps(a, b, u, [radii[k], r_end], ms[k], dms[k])
+        w_end, dw_end, e_end = end[0][1], end[1][1], exps[k] + end[2][1]
+    return log_w, (np.log(w_end) + e_end * math.log(2.0), dw_end / w_end)
 
 
 def hyp1f1_series(a, b, z):
@@ -337,40 +390,64 @@ def hyp1f1_series(a, b, z):
     return complex(out[0]) if scalar else out
 
 
+def _inv_power_series(p1, p2, w, deriv):
+    """sum_k (p1)_k (p2)_k / (k! w^k) over ASYMPTOTIC_TERMS terms, and with
+    deriv also sum_k k (p1)_k (p2)_k / (k! w^k). Each element stops adding
+    at its smallest term, so a generous ASYMPTOTIC_TERMS never degrades the
+    result."""
+    tot = np.ones_like(w)
+    ktot = np.zeros_like(w) if deriv else None
+    trm = np.ones_like(w)
+    last = np.full(w.shape, np.inf)
+    for k in range(ASYMPTOTIC_TERMS):
+        trm = trm * (p1 + k) * (p2 + k) / ((k + 1.0) * w)
+        mag = np.abs(trm)
+        grew = mag > last  # passed the smallest term: stop adding
+        trm = np.where(grew, 0.0, trm)
+        last = np.where(grew, last, mag)
+        tot = tot + trm
+        if deriv:
+            ktot = ktot + (k + 1.0) * trm
+    return tot, ktot
+
+
+def _kummer_pair(a, b, z, deriv=False):
+    """The two formal solutions of the Kummer ODE at large |z| (DLMF 13.7.2,
+    13.7.3), y1 = e^z z^{a-b} S1(z) and y2 = z^{-a} S2(-z), with
+    S1(z) = sum_k (b-a)_k (1-a)_k / (k! z^k) and
+    S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs.
+
+    Returns (log1, s1, ds1), (log2, s2, ds2) with y_j = e^{log_j} s_j, so
+    that callers can keep the prefactors in logs; with deriv,
+    y_j' = e^{log_j} ds_j, else ds_j is None. Their Wronskian is
+    y1 y2' - y1' y2 = -e^z z^{-b}."""
+    logz = np.log(z)
+    s1, k1 = _inv_power_series(b - a, 1.0 - a, z, deriv)
+    s2, k2 = _inv_power_series(a, a - b + 1.0, -z, deriv)
+    ds1 = ds2 = None
+    if deriv:
+        # z d/dz of z^{-k} is -k z^{-k}
+        ds1 = s1 + ((a - b) * s1 - k1) / z
+        ds2 = -(a * s2 + k2) / z
+    return (z + (a - b) * logz, s1, ds1), (-(a * logz), s2, ds2)
+
+
 def hyp1f1_asymptotic(a, b, z):
-    """Large-|z| expansion of 1F1 as the sum of a growing e^z piece and an
-    algebraic piece, each an inverse-power series truncated at
-    ASYMPTOTIC_TERMS.
-    The algebraic piece carries (-z)^{-a} = z^{-a} e^{+i pi a} where
+    """Large-|z| expansion of 1F1,
+    Gamma(b)/Gamma(a) y1 + Gamma(b)/Gamma(b-a) e^{+-i pi a} y2, with y1 the
+    growing e^z solution and y2 the algebraic one (_kummer_pair), each an
+    inverse-power series truncated at ASYMPTOTIC_TERMS and at its smallest
+    term. The algebraic piece carries (-z)^{-a} = z^{-a} e^{+i pi a} where
     Im z >= 0 and z^{-a} e^{-i pi a} where Im z < 0 (mpmath's convention);
     Im z = -0.0 counts as negative, matching the branch of log z there.
-
-    Each inverse-power series also self-truncates at its smallest term, so a
-    generous ASYMPTOTIC_TERMS never degrades the result.
     """
     (a, b, z), scalar = _broadcast(a, b, z)
-
-    def inv_power_series(p1, p2, w):
-        tot = np.ones_like(w)
-        trm = np.ones_like(w)
-        last = np.full(w.shape, np.inf)
-        for k in range(ASYMPTOTIC_TERMS):
-            trm = trm * (p1 + k) * (p2 + k) / ((k + 1.0) * w)
-            mag = np.abs(trm)
-            grew = mag > last  # passed the smallest term: stop adding
-            trm = np.where(grew, 0.0, trm)
-            last = np.where(grew, last, mag)
-            tot = tot + trm
-        return tot
-
-    logz = np.log(z)
+    (log1, s1, _), (log2, s2, _) = _kummer_pair(a, b, z)
     lg_b = log_gamma_complex(b)
-    sum1 = inv_power_series(b - a, 1.0 - a, z)
-    sum2 = inv_power_series(a, a - b + 1.0, -z)
-    pre1 = np.exp(z + (a - b) * logz + lg_b) * reciprocal_gamma(a)
+    pre1 = np.exp(log1 + lg_b) * reciprocal_gamma(a)
     turn = np.where(np.signbit(z.imag), -1j, 1j) * np.pi
-    pre2 = np.exp(turn * a - a * logz + lg_b) * reciprocal_gamma(b - a)
-    out = pre1 * sum1 + pre2 * sum2
+    pre2 = np.exp(turn * a + log2 + lg_b) * reciprocal_gamma(b - a)
+    out = pre1 * s1 + pre2 * s2
     return complex(out[0]) if scalar else out
 
 
@@ -400,6 +477,20 @@ def hyp1f1(a, b, z):
     return complex(out[0]) if scalar else out
 
 
+def _legendre_rows(x, ell_max):
+    """Yield P_0(x), ..., P_{ell_max}(x) by the upward Bonnet recurrence
+    (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}. x is a Python float or a
+    float64 array: the same operations in the same order, so the same
+    bits."""
+    p_prev, p = 1.0, x
+    yield p_prev
+    if ell_max >= 1:
+        yield p
+    for n in range(1, ell_max):
+        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        yield p
+
+
 def legendre_p(ell, x):
     """Legendre polynomial P_ell(x) on [-1, 1] by the upward Bonnet
     recurrence. x may be an array."""
@@ -409,7 +500,9 @@ def legendre_p(ell, x):
 
 
 def legendre_sweep(ell_max, x):
-    """All of P_0(x) .. P_{ell_max}(x), shape (ell_max+1,) + x.shape."""
+    """All of P_0(x) .. P_{ell_max}(x), shape (ell_max+1,) + x.shape. A
+    scalar x runs the recurrence on Python floats, which for a long sweep
+    costs a fraction of one numpy call per ell."""
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
     x = np.asarray(x, dtype=np.float64)
@@ -417,10 +510,9 @@ def legendre_sweep(ell_max, x):
     if np.any(np.abs(xv) > 1.0 + 8.0 * np.finfo(float).eps):
         raise ValueError("legendre argument outside [-1, 1]")
     xv = np.clip(xv, -1.0, 1.0)
+    if x.ndim == 0:
+        return np.array(list(_legendre_rows(float(xv[0]), ell_max)))
     out = np.empty((ell_max + 1,) + xv.shape)
-    out[0] = 1.0
-    if ell_max >= 1:
-        out[1] = xv
-    for n in range(1, ell_max):
-        out[n + 1] = ((2 * n + 1) * xv * out[n] - n * out[n - 1]) / (n + 1)
+    for n, row in enumerate(_legendre_rows(xv, ell_max)):
+        out[n] = row
     return out.reshape((ell_max + 1,) + x.shape)

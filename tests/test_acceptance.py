@@ -38,7 +38,6 @@ from coulscat import (
     current_numeric,
     current_outgoing_exact,
     current_scattered_asymptotic,
-    f_closed_form,
     f_reduced_series,
     f_series_cesaro,
     f_series_partial_sweep,
@@ -50,6 +49,7 @@ from coulscat import (
     psi_exact,
     psi_multipole_sum,
     rutherford_amplitude,
+    rutherford_amplitude_phase_separated,
     schrodinger_residual,
 )
 from coulscat.cli import _spec_from_mapping, load_preset, run_scan
@@ -141,7 +141,8 @@ def test_criterion_05_cesaro_two_percent_band():
     p = ScatteringParams(gamma=0.5, k=1.0)
     theta = np.linspace(0.2, math.pi, 800)
     s = 1.0 - np.cos(theta)
-    closed = s * np.array([f_closed_form(p, float(t)) for t in theta])
+    closed = s * np.array([rutherford_amplitude_phase_separated(p, float(t))
+                           for t in theta])
 
     def rel_profile(n):
         ces = s * f_series_cesaro(p, theta, n)
@@ -183,7 +184,7 @@ def test_criterion_05_cesaro_two_percent_band():
         f"to {worst_1000:.4f} (n=1000)"
     )
 
-    f_pi = abs(f_closed_form(p, math.pi))
+    f_pi = abs(rutherford_amplitude_phase_separated(p, math.pi))
     for n in (1000, 10000):
         step = abs(f_series_cesaro(p, math.pi, n + 1)
                    - f_series_cesaro(p, math.pi, n)) / f_pi
@@ -196,7 +197,8 @@ def test_criterion_06_reduced_series_five_percent():
     p = ScatteringParams(gamma=0.5, k=1.0)
     theta = np.linspace(0.1, math.pi - 1e-9, 60)
     approx = f_reduced_series(p, theta, 1000)
-    closed = np.array([f_closed_form(p, float(t)) for t in theta])
+    closed = np.array([rutherford_amplitude_phase_separated(p, float(t))
+                       for t in theta])
     rel = np.abs(approx - closed) / np.abs(closed)
     worst = float(np.max(rel))
     assert worst < 0.05, f"worst relative error {worst:.3e}"
@@ -208,7 +210,9 @@ def test_criterion_07_cross_section_routes_agree():
     p = ScatteringParams(gamma=1.0, k=1.0)
     theta = np.linspace(0.05, math.pi, 50)
     routes = {
-        "closed": np.array([abs(f_closed_form(p, float(t))) ** 2 for t in theta]),
+        "closed": np.array([
+            abs(rutherford_amplitude_phase_separated(p, float(t))) ** 2
+            for t in theta]),
         "asymptotic": np.array(
             [abs(rutherford_amplitude(p, float(t))) ** 2 for t in theta]
         ),

@@ -4,7 +4,10 @@ audit the dropped short-range term."""
 
 import numpy as np
 import pytest
+from mpmath import hyp1f1 as mp_hyp1f1, im as mp_im, loggamma as mp_loggamma
+from mpmath import mp, mpf, pi as mp_pi, sqrt as mp_sqrt
 
+from coulscat import classical
 from coulscat import (
     BlackHoleParams,
     ScatteringParams,
@@ -12,6 +15,7 @@ from coulscat import (
     coulomb_wave_regular,
     effective_potential,
     differential_cross_section,
+    full_mode_phase_error,
     integrate_full_mode,
     long_wavelength_valid,
     plane_wave_partial,
@@ -194,13 +198,17 @@ def test_integrator_free_limit_is_bessel():
 # eta = -2 M omega), with alpha, beta matched to the mpmath Coulomb-wave
 # initial data u0 = (2 ell + 1) i^ell e^{i sigma_ell} F_ell and its
 # derivative at r_start. Rows: (mass, omega, ell, r_start, ((r, u(r)), ...)).
-# lambda = 1.99399 (the README case), -0.031, -0.5 + 0.911i and 0.830.
+# lambda = 1.99399 (the README case), -0.031, -0.5 + 0.911i, 0.830 and
+# 199.97. The rows at omega r >= 1e4 lie far past the matching radius (for
+# ell = 200 the anchor chain carries w down by 10^-366 before r = 1e4).
 FULL_MODE_MPMATH = [
     (0.05, 1.0, 2, 1.0, (
         (50.0, complex(0.8446311847631078498, -0.078185101098690706553)),
         (120.0, complex(4.4170416951572808097, -0.40887295866285468858)),
         (300.0, complex(-4.2183591368928627035, 0.39048148060156710638)),
         (500.0, complex(-4.398240551238985511, 0.40713259036419279221)),
+        (1e4, complex(-4.6305485168160582845, 0.42863667652905390204)),
+        (1e5, complex(-4.4016807815508777082, 0.40745104267756967819)),
     )),
     (0.05, 1.0, 0, 1.0, (
         (50.0, complex(0.26739345980021121363, 0.01534459007611035414)),
@@ -209,10 +217,15 @@ FULL_MODE_MPMATH = [
     (1.0, 0.3, 0, 20.0, (
         (100.0, complex(0.94319292482429962646, 0.26382460627070961191)),
         (1000.0, complex(0.49552236439488976823, 0.13860472151990091509)),
+        (4e4, complex(-0.66432681216754378737, -0.18582174976325956859)),
     )),
     (1.0, 0.2, 1, 20.0, (
         (100.0, complex(0.42409015814805248721, 2.4218763266476527732)),
         (1000.0, complex(-0.17411818864777355712, -0.99434686474755995606)),
+        (5e4, complex(-0.27058141476656753138, -1.5452250194054376446)),
+    )),
+    (0.05, 1.0, 200, 150.0, (
+        (1e4, complex(-122.06425324360617757, 71.532892021776877806)),
     )),
 ]
 
@@ -225,6 +238,59 @@ def test_full_mode_frozen_mpmath():
                                   r, r_start=r_start)
         rel = np.abs(got - ref) / np.abs(ref)
         assert np.all(rel < 1e-10), (mass, omega, ell, rel)
+
+
+# 40-digit mpmath delta_full - delta_ell at the default r_start = 10 r_s:
+# the full mode w = A M(a, b, z) + B z^{1-b} M(a-b+1, 2-b, z) matched to the
+# ell wave's data, c1 and c2 from Kummer's connection formulas (DLMF
+# 13.2.41 with 13.7.2), checked against the F_lambda, G_lambda form where
+# lambda is real. Rows: (mass, omega, ell, phase error); lambda = 1.99399,
+# -0.031, -0.5 + 0.911i, 0.830, 2.842 and 19.9993.
+PHASE_ERROR_MPMATH = [
+    (0.05, 1.0, 2, 0.0096418103674351977848),
+    (0.05, 1.0, 0, 0.019048792728868884174),
+    (1.0, 0.3, 0, 0.087236504995571384793),
+    (1.0, 0.2, 1, 0.059445246526005940398),
+    (0.3, 1.0, 3, 0.086800687329453516974),
+    (0.05, 1.0, 20, 0.0011529523746883899514),
+]
+
+
+def test_full_mode_phase_error_frozen_mpmath():
+    for mass, omega, ell, ref in PHASE_ERROR_MPMATH:
+        got = full_mode_phase_error(BlackHoleParams(mass=mass, omega=omega),
+                                    ell)
+        assert abs(got - ref) < 1e-12, (mass, omega, ell, got - ref)
+    # no mass: the full mode is the ell wave itself
+    flat = BlackHoleParams(mass=0.0, omega=1.0)
+    assert abs(full_mode_phase_error(flat, 3, r_start=2.0)) < 1e-13
+
+
+def test_full_mode_phase_error_of_pure_regular_wave(monkeypatch):
+    # started as the regular Coulomb wave F_lambda itself (w = M(a, b, z)),
+    # the mode's S-matrix element is e^{2 i (sigma_lambda - lambda pi/2)},
+    # so the error is sigma_lambda - sigma_ell + (ell - lambda) pi/2
+    real_start = classical._full_mode_start
+
+    def regular_start(bh, ell, r_start):
+        start = real_start(bh, ell, r_start)
+        rho0, a, b = start[2], start[4], start[5]
+        z0 = 2j * rho0
+        dw0 = complex(a / b * mp_hyp1f1(a + 1, b + 1, z0)
+                      / mp_hyp1f1(a, b, z0))
+        return start[:-1] + (dw0,)
+
+    monkeypatch.setattr(classical, "_full_mode_start", regular_start)
+    for mass, omega, ell in ((0.05, 1.0, 2), (0.05, 1.0, 0), (1.0, 0.2, 1)):
+        bh = BlackHoleParams(mass=mass, omega=omega)
+        with mp.workdps(30):
+            lam = -0.5 + mp_sqrt((ell + 0.5) ** 2
+                                 - 12 * (mpf(mass) * omega) ** 2)
+            sigmas = [mp_im(mp_loggamma(order + 1 + 1j * mpf(bh.gamma)))
+                      for order in (lam, ell)]
+            ref = float(sigmas[0] - sigmas[1] + (ell - lam) * mp_pi / 2)
+            got = full_mode_phase_error(bh, ell)
+        assert abs(got - ref) < 1e-12, (mass, omega, ell, got - ref)
 
 
 def test_full_mode_value_independent_of_batch():

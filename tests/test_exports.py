@@ -27,3 +27,12 @@ def test_no_method_options_in_public_signatures():
              for param in inspect.signature(getattr(coulscat, name)).parameters
              if param in METHOD_OPTIONS and (name, param) not in ALLOWED]
     assert found == []
+
+
+def test_full_mode_entry_points_take_physical_inputs_only():
+    # the matching radius comes from (a, b), and no step or tolerance is
+    # settable: only the black hole, the partial wave and the radii
+    params = {name: list(inspect.signature(getattr(coulscat, name)).parameters)
+              for name in ("integrate_full_mode", "full_mode_phase_error")}
+    assert params == {"integrate_full_mode": ["bh", "ell", "r", "r_start"],
+                      "full_mode_phase_error": ["bh", "ell", "r_start"]}

@@ -14,7 +14,6 @@ from coulscat import (
     coulomb_wave_asymptotic,
     coulomb_wave_regular,
     differential_cross_section,
-    f_closed_form,
     f_reduced_series,
     f_series_cesaro,
     f_series_partial_sweep,
@@ -357,7 +356,7 @@ def test_partial_sum_suppressed_near_quiet_shifts():
 def test_cesaro_converges_to_closed_form():
     p = params(0.5)
     theta = 1.0
-    ref = f_closed_form(p, theta)
+    ref = rutherford_amplitude_phase_separated(p, theta)
     errs = [abs(f_series_cesaro(p, theta, n) - ref) for n in (100, 300, 1000)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.02 * abs(ref)
@@ -382,7 +381,7 @@ def test_cesaro_validation():
 
 def test_reduced_series_recovers_amplitude():
     p = params(0.5)
-    ref = f_closed_form(p, 2.0)
+    ref = rutherford_amplitude_phase_separated(p, 2.0)
     assert abs(ref - F_CLOSED_FROZEN) < 1e-14
     got = f_reduced_series(p, 2.0, 400)
     assert abs(got - ref) < 1e-4 * abs(ref)
@@ -421,8 +420,7 @@ def test_reduced_series_term_decay():
 def test_closed_form_properties():
     p = params(0.7, k=1.4)
     for theta in (0.5, 1.8, 3.0):
-        f = f_closed_form(p, theta)
-        assert f == rutherford_amplitude_phase_separated(p, theta)
+        f = rutherford_amplitude_phase_separated(p, theta)
         assert abs(abs(f) ** 2
                    - differential_cross_section(p, theta)) < 1e-12
 

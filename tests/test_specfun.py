@@ -90,14 +90,52 @@ def test_log_gamma_matches_scipy_both_half_planes():
             continue  # too near the pole line for a fair comparison
         got = specfun.log_gamma_complex(z)
         ref = complex(sc_loggamma(z))
-        if re >= 0.5:
-            assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
-        else:
-            # reflection can land on another 2*pi*i branch of log(gamma);
-            # the exponentiated values must still agree
-            diff = got - ref
-            assert abs(diff.real) <= 1e-10 * max(1.0, abs(ref))
-            assert abs(np.exp(1j * diff.imag) - 1.0) <= 1e-10
+        assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+# 40-digit mpmath loggamma (principal branch, as scipy's) left of
+# Re z = 1/2, where the reflection formula alone lands 2 pi i k off the
+# branch (+4 pi i at -4.5 + 3i); real-axis points carry Im z = +0.0
+LOG_GAMMA_LEFT = [
+    (complex(-4.5, 3.0), complex(-10.694354276574460638, -10.712660703414735498)),
+    (complex(-0.75, 0.5), complex(0.44407010279754203821, -3.7487730599298159884)),
+    (complex(-1.5, -2.0), complex(-3.862406087395576015, 4.6226094074869763684)),
+    (complex(-19.3, 17.1), complex(-85.453069896455804321, -9.378149885418160037)),
+    (complex(-7.2, -0.01), complex(-7.2562258955591480197, 25.069122814607116662)),
+    (complex(0.3, -12.0), complex(-18.427550051957290387, -17.506526607888508717)),
+    (complex(-0.5, 1.0), complex(-0.76436241986147779316, -2.989451660138271845)),
+    (complex(-2.5, 0.0), complex(-0.056243716497674050673, -9.4247779607693797154)),
+    (complex(-10.25, 0.0), complex(-14.203997900931090652, -34.557519189487725623)),
+    (complex(-0.3, 0.0), complex(1.4648400508576025305, -3.1415926535897932385)),
+    (complex(-6.145, -16.851), complex(-44.482641850866065438, -19.029146198844237129)),
+    (complex(-15.606, -12.767), complex(-63.212958247249556631, 13.974608434272922332)),
+    (complex(-13.656, -5.614), complex(-38.98906363854819532, 29.452807979948721267)),
+    (complex(-3.611, -13.215), complex(-30.514645803520158085, -13.813402345998281678)),
+    (complex(0.414, 3.55), complex(-4.7660660410182259272, 0.82331970668804411859)),
+    (complex(-17.084, 4.672), complex(-45.971948665363526848, -41.792760018285771748)),
+]
+
+
+def test_log_gamma_principal_branch_frozen_mpmath():
+    z = np.array([row[0] for row in LOG_GAMMA_LEFT])
+    ref = np.array([row[1] for row in LOG_GAMMA_LEFT])
+    assert np.max(np.abs(specfun.log_gamma_complex(z) - ref)) < 2e-13
+    # Im z = -0.0 is the conjugate side of the cut
+    real_axis = z.imag == 0.0
+    below = specfun.log_gamma_complex(np.conj(z[real_axis]))
+    assert np.max(np.abs(below - np.conj(ref[real_axis]))) < 2e-13
+    for zi, ri in zip(z, ref):
+        assert abs(specfun.log_gamma_complex(zi) - ri) < 2e-13
+
+
+def test_log_gamma_branch_fix_leaves_other_values_alone():
+    # only where the 2 pi i k is nonzero (Re z < -1/2) does a value move;
+    # Gamma(-i gamma) of the psi ray keeps the bits of the bare reflection
+    g = np.linspace(-20.0, 20.0, 80)
+    z = -1j * g
+    refl = (np.log(np.pi) - np.log(np.sin(np.pi * z))
+            - specfun.log_gamma_complex(1.0 - z))
+    assert np.array_equal(specfun.log_gamma_complex(z), refl)
 
 
 def test_log_gamma_functional_equation():
@@ -279,6 +317,18 @@ def test_legendre_explicit_polynomials():
     sweep = specfun.legendre_sweep(5, x)
     for ell in range(6):
         assert np.max(np.abs(sweep[ell] - explicit[ell])) < 1e-13
+
+
+def test_legendre_scalar_sweep_equals_array_sweep():
+    # a 0-d x runs the recurrence on Python floats, an array x in numpy:
+    # the same operations, so the same bits
+    x = np.random.default_rng(17).uniform(-1.0, 1.0, 200)
+    x[:5] = (-1.0, 1.0, 0.0, -0.5, 0.5)
+    arrays = specfun.legendre_sweep(2000, x)
+    for i, xi in enumerate(x):
+        assert np.array_equal(specfun.legendre_sweep(2000, xi), arrays[:, i])
+    assert np.array_equal(specfun.legendre_sweep(0, x[7]), [1.0])
+    assert np.array_equal(specfun.legendre_sweep(1, x[7]), [1.0, x[7]])
 
 
 def spherical_bessel_j(ell, x):
