@@ -245,20 +245,20 @@ def integrate_full_mode(bh, ell, r, r_start=None):
     return complex(u[0]) if r_arr.ndim == 0 else u
 
 
-def full_mode_phase_error(bh, ell, r_start=None):
+def full_mode_phase_error(bh, ell):
     """Phase-shift error of the long-wavelength Coulomb map for one partial
     wave: delta_full - delta_ell in (-pi/2, pi/2], half the phase of the
     full mode's outgoing/incoming amplitude ratio e^{c_out - c_in} (see
-    integrate_full_mode) against the map's e^{2 i delta_ell}/(-1)^{ell+1}.
-    With the default r_start = 10 r_s it depends on M omega and ell alone.
+    integrate_full_mode, started at its default r_start = 10 r_s) against
+    the map's e^{2 i delta_ell}/(-1)^{ell+1}: a function of M omega and ell
+    alone.
 
     No integration past the matching radius: the ratio is the full mode's
     S-matrix element at ell. Were the full mode the regular Coulomb wave
     F_lambda, this would be sigma_lambda - sigma_ell + (ell - lambda) pi/2.
     Raises as integrate_full_mode does.
     """
-    _, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(bh, ell,
-                                                              r_start)
+    _, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(bh, ell, None)
     _, end = specfun.kummer_ivp(a, b, 1j, 2.0 * rho0, 1.0 + 0.0j, dw0,
                                 z_match, [])
     c_out, c_in = _far_amplitudes(a, b, rho0, log_u0, z_match, end)

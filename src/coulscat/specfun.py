@@ -46,7 +46,6 @@ two large-|z| solutions of _kummer_pair, which hyp1f1_asymptotic also
 sums.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -341,8 +340,9 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
     w = m0 and w' = dm0 at z0 = r0 u, carried along the ray to z = r_end u
     (u a unit complex number; a, b, m0, dm0 scalars): the 1F1 continuation
     started from this initial data instead of the Maclaurin sum. Anchors on
-    the _anchor_radii lattice from r0, then one vectorized Taylor step per
-    radius r, r0 <= r <= r_end, so a value depends on its own r only.
+    the _anchor_radii lattice from r0, its last radius moved to r_end, then
+    one vectorized Taylor step per radius r, r0 <= r <= r_end, so a value
+    depends on its own r only.
 
     Returns log w at every r (an array of the shape of r, at least 1-d),
     and log w and w'/w at r_end: logs, because over a long chain w can leave
@@ -352,19 +352,13 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
     if np.any(r < r0) or np.any(r > r_end):
         raise ValueError("kummer_ivp radii must lie in [r0, r_end]")
     radii = _anchor_radii(r0, b, r_end)
+    radii[-1] = r_end
     ms, dms, exps = _anchor_steps(a, b, u, radii, m0, dm0)
     z0, w0, dw0, e0 = _nearest_anchor(radii, u, r, ms, dms, exps)
     with np.errstate(divide="ignore"):
         log_w = (np.log(_taylor_step(a, b, z0, r * u - z0, w0, dw0))
                  + e0 * math.log(2.0))
-    # r_end: one more step from the last anchor below it
-    k = bisect.bisect_left(radii, r_end) - 1
-    if k < 0:
-        w_end, dw_end, e_end = m0, dm0, 0
-    else:
-        end = _anchor_steps(a, b, u, [radii[k], r_end], ms[k], dms[k])
-        w_end, dw_end, e_end = end[0][1], end[1][1], exps[k] + end[2][1]
-    return log_w, (np.log(w_end) + e_end * math.log(2.0), dw_end / w_end)
+    return log_w, (np.log(ms[-1]) + exps[-1] * math.log(2.0), dms[-1] / ms[-1])
 
 
 def hyp1f1_series(a, b, z):

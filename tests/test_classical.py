@@ -261,9 +261,6 @@ def test_full_mode_phase_error_frozen_mpmath():
         got = full_mode_phase_error(BlackHoleParams(mass=mass, omega=omega),
                                     ell)
         assert abs(got - ref) < 1e-12, (mass, omega, ell, got - ref)
-    # no mass: the full mode is the ell wave itself
-    flat = BlackHoleParams(mass=0.0, omega=1.0)
-    assert abs(full_mode_phase_error(flat, 3, r_start=2.0)) < 1e-13
 
 
 def test_full_mode_phase_error_of_pure_regular_wave(monkeypatch):

@@ -35,4 +35,4 @@ def test_full_mode_entry_points_take_physical_inputs_only():
     params = {name: list(inspect.signature(getattr(coulscat, name)).parameters)
               for name in ("integrate_full_mode", "full_mode_phase_error")}
     assert params == {"integrate_full_mode": ["bh", "ell", "r", "r_start"],
-                      "full_mode_phase_error": ["bh", "ell", "r_start"]}
+                      "full_mode_phase_error": ["bh", "ell"]}
