@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import multipole
 
 # rho*s above which the split is flagged as trustworthy; the literature
 # only requires rho*s >> 1, the constant is a library default.
@@ -32,12 +32,6 @@ class AsymptoticSplit:
         return self.psi_in + self.psi_scat
 
 
-def _gamma_phase_ratio(g):
-    """Gamma(1+i g)/Gamma(1-i g), the unit-modulus phase of the amplitude."""
-    return np.exp(specfun.log_gamma_complex(1.0 + 1j * g)
-                  - specfun.log_gamma_complex(1.0 - 1j * g))
-
-
 def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     """Asymptotic split on broadcastable arrays; see psi_asymptotic."""
     rho = np.asarray(rho, dtype=np.float64)
@@ -53,7 +47,8 @@ def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     psi_in = np.exp(1j * (rho * (1.0 - s) + g * log_rs))
     if backreaction:
         psi_in = psi_in * (1.0 - 1j * g ** 2 / rs)
-    psi_scat = (-g / rs) * _gamma_phase_ratio(g) * np.exp(1j * (rho - g * log_rs))
+    psi_scat = ((-g / rs) * multipole.phase_shift(0, g).factor
+                * np.exp(1j * (rho - g * log_rs)))
     valid = rs > VALIDITY_RHO_S
     return psi_in, psi_scat, valid
 
@@ -76,7 +71,8 @@ def rutherford_amplitude(p, theta):
     if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
         raise ValueError("theta must lie in (0, pi]")
     g, k = p.gamma, p.k
-    out = -g / (2.0 * k * np.sin(theta_arr / 2.0) ** 2) * _gamma_phase_ratio(g)
+    out = (-g / (2.0 * k * np.sin(theta_arr / 2.0) ** 2)
+           * multipole.phase_shift(0, g).factor)
     return complex(out) if theta_arr.ndim == 0 else out
 
 

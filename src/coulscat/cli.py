@@ -127,8 +127,6 @@ def _build_psi_exact(spec):
     rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
     lo = 0.01 if spec.with_asymptotic else 0.0
     theta = _theta_axis(spec, (lo, np.pi, 400))
-    if spec.with_asymptotic and theta[0] <= 0.0:
-        raise ValueError("theta = 0 requested for an asymptotic quantity")
     rho, th = _product_rows(rho_values, theta)
     header = ["rho", "theta", "re_psi", "im_psi", "abs_psi"]
     if spec.with_asymptotic:
@@ -153,8 +151,6 @@ def _build_psi_asymptotic(spec):
     p = _params(spec)
     rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
     theta = _theta_axis(spec, (0.01, np.pi, 400))
-    if theta[0] <= 0.0:
-        raise ValueError("theta = 0 requested for an asymptotic quantity")
     rho, th = _product_rows(rho_values, theta)
     header = ["rho", "theta", "re_psi_in", "im_psi_in", "re_psi_scat",
               "im_psi_scat", "re_psi", "im_psi", "abs_psi", "valid"]
@@ -175,8 +171,6 @@ def _build_currents(spec):
     p = _params(spec)
     rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
     theta = _theta_axis(spec, (0.05, 3.1, 400))
-    if theta[0] <= 0.0:
-        raise ValueError("theta = 0 requested for an asymptotic quantity")
     rho, th = _product_rows(rho_values, theta)
     header = ["rho", "theta",
               "j_r_total", "j_theta_total", "j_r_in", "j_theta_in",
@@ -203,8 +197,6 @@ def _build_cross_section(spec):
             "observable; pass --acknowledge-classical to emit it anyway")
     p = _params(spec)
     theta = _theta_axis(spec, (0.1, np.pi, 180))
-    if theta[0] <= 0.0:
-        raise ValueError("the cross-section diverges at theta = 0")
     header = ["theta", "rutherford", "closed_form_sq", "born_sq"]
 
     def compute(start, stop):
@@ -223,8 +215,6 @@ def _build_cesaro(spec):
     n_values = (spec.cesaro_n_values if spec.cesaro_n_values is not None
                 else [spec.cesaro_n])
     theta = _theta_axis(spec, (0.01, np.pi, 200), log_default=True)
-    if theta[0] <= 0.0:
-        raise ValueError("the series is not summable at theta = 0")
     nn, th = _product_rows(n_values, theta)
     header = ["n", "theta", "re_f", "im_f", "abs_f", "re_sf", "im_sf",
               "abs_sf", "re_sf_closed", "im_sf_closed", "abs_sf_closed"]
@@ -250,9 +240,6 @@ def _build_reduced_series(spec):
     lm_values = (spec.ell_max_values if spec.ell_max_values is not None
                  else [spec.ell_max])
     theta = _theta_axis(spec, (0.01, 3.13, 200), log_default=True)
-    if theta[0] <= 0.0 or theta[-1] >= np.pi:
-        raise ValueError("the reduced series needs theta strictly inside "
-                         "(0, pi)")
     lm, th = _product_rows(lm_values, theta)
     header = ["ell_max", "theta", "re_f", "im_f", "re_sf", "im_sf", "abs_sf",
               "re_sf_closed", "im_sf_closed", "abs_sf_closed"]
@@ -275,10 +262,6 @@ def _build_reduced_series(spec):
 
 def _build_diverging_sum(spec):
     p = _params(spec)
-    if not 0.0 < spec.fixed_theta <= np.pi:
-        raise ValueError("the series is not summable at theta = 0")
-    if spec.ell_max < 0:
-        raise ValueError("ell_max must be >= 0")
     sweep = multipole.f_series_partial_sweep(p, spec.fixed_theta,
                                              spec.ell_max)
     ells = np.arange(spec.ell_max + 1, dtype=np.float64)
@@ -485,6 +468,9 @@ def load_preset(name):
 
 
 _TUPLE_FIELDS = ("theta_range", "kx_range", "kz_range", "r_range")
+# ScanSpec fields that set the same axis
+_AXIS_PAIRS = (("cesaro_n", "cesaro_n_values"), ("ell_max", "ell_max_values"),
+               ("kx_values", "kx_range"))
 
 
 def _spec_from_mapping(data):
@@ -561,10 +547,14 @@ def _spec_from_args(ns):
             raise ValueError("preset %s is a %s scan, not %s"
                              % (ns.preset, data.get("quantity"), ns.quantity))
     # argument dests are ScanSpec field names; None means "not given"
-    for f in fields(ScanSpec):
-        val = getattr(ns, f.name, None)
-        if val is not None:
-            data[f.name] = val
+    given = {f.name: getattr(ns, f.name) for f in fields(ScanSpec)
+             if getattr(ns, f.name, None) is not None}
+    # a given flag replaces the preset's whole axis, paired field included
+    for pair in _AXIS_PAIRS:
+        if any(name in given for name in pair):
+            for name in pair:
+                data.pop(name, None)
+    data.update(given)
     return _spec_from_mapping(data)
 
 

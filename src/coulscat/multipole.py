@@ -7,6 +7,8 @@ long-range 1/r potential; its partial sums oscillate with a growing
 envelope. Everything here treats that honestly: partial sums are exposed
 as-is, the Cesaro mean is a separate operation, and the reduced series
 (which converges absolutely after multiplying by 1 - cos theta) is a third.
+Each is a coefficient vector on phase_shift_sweep's factors
+e^{2 i delta_ell} times one Legendre sum.
 """
 
 import math
@@ -44,15 +46,19 @@ def phase_shift(ell, gamma):
 
 def phase_shift_sweep(ell_max, gamma):
     """All factors e^{2 i delta_ell} for ell = 0..ell_max in one pass,
-    propagated by the exact ratio (ell+i gamma)/(ell-i gamma) from the
-    directly evaluated ell = 0 seed."""
+    propagated in Python complex by the exact ratio
+    (ell + i gamma)/(ell - i gamma) from the directly evaluated ell = 0
+    seed: the one recurrence behind every amplitude series. Within 5e-13
+    of mpmath for ell <= 2000, |gamma| <= 50, the log-gamma seed's error."""
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
-    out = np.empty(ell_max + 1, dtype=np.complex128)
-    out[0] = phase_shift(0, gamma).factor
+    g = float(gamma)
+    factor = phase_shift(0, g).factor
+    out = [factor]
     for ell in range(1, ell_max + 1):
-        out[ell] = out[ell - 1] * (ell + 1j * gamma) / (ell - 1j * gamma)
-    return out
+        factor = factor * (ell + 1j * g) / (ell - 1j * g)
+        out.append(factor)
+    return np.array(out)
 
 
 def coulomb_wave_regular(ell, gamma, rho):
@@ -121,7 +127,11 @@ def _coulomb_wave_sweep(ell_max, gamma, rho):
     ell = 0..ell_max, at one rho > 0, by Miller's downward recurrence (see
     psi_multipole_sum). The running pair is multiplied by 2^-830 (about
     1e-250, exact in binary) whenever a value passes 1e250; each stored
-    value keeps the rescale count at its step, so the whole sweep is O(L)."""
+    value keeps the rescale count at its step, so the whole sweep is O(L).
+    The phases e^{i (sigma_ell - sigma_0)} keep their own cumprod, apart
+    from phase_shift_sweep: the normalization at ell* absorbs sigma_0, and
+    their squares, as e^{2 i delta_ell}, are 4.7e-14 from mpmath against
+    about 1e-14 for that recurrence."""
     g2 = gamma * gamma
     top = ell_max + _SWEEP_MARGIN + int(rho + 4.0 * math.sqrt(rho) + abs(gamma))
     vals = [0.0] * (ell_max + 1)
@@ -191,6 +201,21 @@ def psi_multipole_sum(p, pt, ell_max):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+def _amplitude_terms(p, ell_max):
+    """Terms t_ell = ((2 ell + 1)/(2 i k)) (e^{2 i delta_ell} - 1)."""
+    ells = np.arange(ell_max + 1)
+    return ((2.0 * ells + 1.0) / (2j * p.k)
+            * (phase_shift_sweep(ell_max, p.gamma) - 1.0))
+
+
+def _legendre_sum(coeffs, x):
+    """sum of coeffs[ell] P_ell(x), streamed over specfun's Legendre rows."""
+    acc = np.zeros_like(x, dtype=np.complex128)
+    for c, p_ell in zip(coeffs, specfun._legendre_rows(x, len(coeffs) - 1)):
+        acc = acc + c * p_ell
+    return acc
+
+
 def f_series_partial_sweep(p, theta, ell_max):
     """All partial sums of the divergent amplitude series up to ell_max at
     one angle: entry L holds sum over ell <= L of
@@ -199,45 +224,29 @@ def f_series_partial_sweep(p, theta, ell_max):
         raise ValueError("ell_max must be >= 0")
     if not 0.0 < theta <= np.pi:
         raise ValueError("theta must lie in (0, pi]")
-    factors = phase_shift_sweep(ell_max, p.gamma)
     legendre = specfun.legendre_sweep(ell_max, np.cos(theta))
-    ells = np.arange(ell_max + 1)
-    terms = (2.0 * ells + 1.0) / (2j * p.k) * (factors - 1.0) * legendre
-    return np.cumsum(terms)
-
-
-def _legendre_phase_terms(x, gamma, ell_max):
-    """Yield (ell, P_ell(x), e^{2 i delta_ell}) for ell = 0 .. ell_max,
-    streamed: the Legendre rows of specfun and one Python complex factor
-    propagated by the exact ratio (ell + 1 + i gamma)/(ell + 1 - i gamma)
-    from the ell = 0 seed."""
-    factor = phase_shift(0, gamma).factor
-    for ell, p_ell in enumerate(specfun._legendre_rows(x, ell_max)):
-        yield ell, p_ell, factor
-        factor = factor * (ell + 1 + 1j * gamma) / (ell + 1 - 1j * gamma)
+    return np.cumsum(_amplitude_terms(p, ell_max) * legendre)
 
 
 def f_series_cesaro(p, theta, n):
-    """Cesaro (C, 1) mean of the amplitude series through term n.
+    """Cesaro (C, 1) mean of the amplitude series through term n, the mean
+    of its partial sums S_0 .. S_n, as the one weighted sum over ell <= n
+    of (1 - ell/(n + 1)) t_ell P_ell(cos theta), t_ell the terms of
+    f_series_partial_sweep.
 
     For 0 < theta < pi the mean converges (slowly, and non-uniformly as
     theta approaches pi) toward the closed-form amplitude. At theta = pi
     the terms grow linearly in ell, the series is not (C, 1)-summable, and
     the mean oscillates at O(1) for every n; it is still returned there.
-    theta may be a scalar or an array in (0, pi]; the sweep is a single
-    incremental pass sharing one Legendre recurrence."""
+    theta may be a scalar or an array in (0, pi]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     theta_arr = np.asarray(theta, dtype=np.float64)
     if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
         raise ValueError("theta must lie in (0, pi]")
-    x = np.cos(theta_arr)
-    sigma = np.zeros_like(x, dtype=np.complex128)
-    total = np.zeros_like(x, dtype=np.complex128)
-    for ell, p_ell, factor in _legendre_phase_terms(x, p.gamma, n):
-        sigma = sigma + (2.0 * ell + 1.0) / (2j * p.k) * (factor - 1.0) * p_ell
-        total = total + sigma
-    value = total / (n + 1)
+    weights = (n + 1.0 - np.arange(n + 1)) / (n + 1.0)
+    value = _legendre_sum((weights * _amplitude_terms(p, n)).tolist(),
+                          np.cos(theta_arr))
     return complex(value) if theta_arr.ndim == 0 else value
 
 
@@ -262,11 +271,9 @@ def f_reduced_series(p, theta, ell_max):
         zero = np.zeros_like(theta_arr, dtype=np.complex128)
         return 0.0 + 0.0j if theta_arr.ndim == 0 else zero
     x = np.cos(theta_arr)
-    acc = np.zeros_like(x, dtype=np.complex128)
-    for ell, p_ell, factor in _legendre_phase_terms(x, g, ell_max):
-        bracket = (ell / (ell + 1j * g)) - (ell + 1.0) / (ell + 1.0 - 1j * g)
-        acc = acc + factor * bracket * p_ell
-    value = (g / p.k) * acc / (1.0 - x)
+    coeffs = [f * (ell / (ell + 1j * g) - (ell + 1.0) / (ell + 1.0 - 1j * g))
+              for ell, f in enumerate(phase_shift_sweep(ell_max, g).tolist())]
+    value = (g / p.k) * _legendre_sum(coeffs, x) / (1.0 - x)
     return complex(value) if theta_arr.ndim == 0 else value
 
 

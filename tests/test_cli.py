@@ -164,11 +164,19 @@ def test_main_runs_scan(tmp_path, capsys):
 
 
 def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
-    out = str(tmp_path / "x.csv")
-    code = main(["psi_asymptotic", "--theta-range", "0.0:3.0:10",
-                 "--out", out])
-    assert code == 2
-    assert not os.path.exists(out)
+    # each library call raises before write_csv, so no file is written
+    zero = ["--theta-range", "0.0:3.0:10"]
+    for args in (["psi_asymptotic"] + zero,
+                 ["psi_exact", "--with-asymptotic"] + zero,
+                 ["currents"] + zero,
+                 ["cross_section"] + zero,
+                 ["cesaro"] + zero,
+                 ["reduced_series", "--theta-range", "0.1:%r:10" % np.pi],
+                 ["diverging_sum", "--theta", "0"],
+                 ["diverging_sum", "--ell-max", "-1"]):
+        out = str(tmp_path / "x.csv")
+        assert main(args + ["--out", out]) == 2, args
+        assert not os.path.exists(out), args
 
 
 def test_main_classical_guard(tmp_path):
@@ -221,6 +229,24 @@ def test_flag_overrides_map_onto_spec_fields(tmp_path):
     assert main(["field_map", "--kx", "0", "--kx", "10", "--out", out]) == 0
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert sorted(set(data[:, 0])) == [0.0, 10.0]
+
+
+def test_flag_replaces_whole_preset_axis(tmp_path):
+    # a flag for an axis the preset sets through its paired field (a list
+    # against a single value, or values against a range) replaces it
+    out = str(tmp_path / "c.csv")
+    assert main(["cesaro", "--preset", "fig6", "--cesaro-n", "50",
+                 "--out", out]) == 0
+    assert set(np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]) == {50.0}
+    out = str(tmp_path / "r.csv")
+    assert main(["reduced_series", "--preset", "fig7", "--ell-max", "20",
+                 "--out", out]) == 0
+    assert set(np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]) == {20.0}
+    out = str(tmp_path / "m.csv")
+    assert main(["field_map", "--preset", "fig2", "--kx-range=-1:1:3",
+                 "--out", out]) == 0
+    kx = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert sorted(set(kx)) == [-1.0, 0.0, 1.0]
 
 
 def test_bh_mode_scan(tmp_path):
@@ -356,8 +382,8 @@ PRESET_SHA256 = {
     "fig1": "7d647da604181dfff3000421eff5e50fd479c6b8850d87128c7310231b9460d9",
     "fig2": "90c31d1c46aae910550131b318e6a04c08c3931fc44d3d382c38f09b3dc1cd65",
     "fig4": "5c4bebcc9398201c4ae60ffd4e5952c2afaa04e9a1cf412d27ecf24ead7d5d8c",
-    "fig5": "2019b4789c002d768f5f2f4adb15b01e5ec5e97d3d7bbed6a2ca610187b8e8ea",
-    "fig6": "d7f9fcbc4e0cac1676229cb1fbe510ca8ad7030bfb971b8914a5aa91879ff1f3",
+    "fig5": "c02be81460857384a5a95a69ee00f00a6ecf6f0fceee86a5dff892f5992118e1",
+    "fig6": "4f946c3c0ed8e55638a2d16fee2357579ebd47d4f2848b85597f5971c4454b3d",
     "fig7": "c915b9e0c9930a57e64c474ee2f7744bfbcb664dbe45cbecd03239c0ab3efc31",
 }
 README_BH_MODE = ("bh_mode", "--mass", "0.05", "--omega", "1.0", "--ell", "2",

@@ -85,6 +85,47 @@ def test_sweep_matches_direct():
             assert abs(sweep[ell] - phase_shift(ell, g).factor) < 1e-12
 
 
+# e^{2 i delta_ell} = exp(2 i Im log Gamma(ell + 1 + i gamma)) in 40-digit
+# mpmath, keyed by gamma, at ell = PHASE_SWEEP_ELLS
+PHASE_SWEEP_ELLS = (0, 1, 100, 1000, 2000)
+PHASE_SWEEP_FROZEN = {
+    -50.0: [complex(-0.8244046950562033, 0.5660007939652456),
+            complex(0.8463764143710423, -0.5325851717767007),
+            complex(0.9960408850856028, 0.08889631734717039),
+            complex(0.9601465196231098, 0.2794971571512475),
+            complex(0.9902482336738662, 0.1393141618996007)],
+    -10.0: [complex(-0.7847473452131738, -0.6198157824554614),
+            complex(0.646471995316782, 0.762937716508457),
+            complex(-0.42670122049565173, 0.9043926516881488),
+            complex(0.9979115719136068, 0.06459484995658912),
+            complex(0.33736052435527464, -0.9413755236921842)],
+    0.5: [complex(0.8832176710073695, -0.4689632668134232),
+          complex(0.9051012160551603, 0.42519617671784166),
+          complex(-0.10204506486575214, -0.9947797770042093),
+          complex(0.8109222016149198, 0.5851539822371641),
+          complex(0.25014419780073166, 0.968208593386068)],
+    10.0: [complex(-0.7847473452131738, 0.6198157824554614),
+           complex(0.646471995316782, -0.762937716508457),
+           complex(-0.42670122049565173, -0.9043926516881488),
+           complex(0.9979115719136068, -0.06459484995658912),
+           complex(0.33736052435527464, 0.9413755236921842)],
+    50.0: [complex(-0.8244046950562033, -0.5660007939652456),
+           complex(0.8463764143710423, 0.5325851717767007),
+           complex(0.9960408850856028, -0.08889631734717039),
+           complex(0.9601465196231098, -0.2794971571512475),
+           complex(0.9902482336738662, -0.1393141618996007)],
+}
+
+
+def test_phase_shift_sweep_frozen_mpmath():
+    # the sweep feeds the partial sums, the Cesaro mean and the reduced
+    # series; its error is the log-gamma seed's (3.8e-13 at gamma = 50)
+    for g, refs in PHASE_SWEEP_FROZEN.items():
+        sweep = phase_shift_sweep(2000, g)
+        for ell, ref in zip(PHASE_SWEEP_ELLS, refs):
+            assert abs(sweep[ell] - ref) < 5e-13, (g, ell)
+
+
 # 40-digit mpmath partial waves at small rho (|z| = 2 rho <= 20 in the
 # Kummer factor), the same form as COULOMB_WAVE_LARGE_ELL below; gamma = -20
 # at rho = 10 is where M is small against its terms
@@ -360,6 +401,17 @@ def test_cesaro_converges_to_closed_form():
     errs = [abs(f_series_cesaro(p, theta, n) - ref) for n in (100, 300, 1000)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.02 * abs(ref)
+
+
+def test_cesaro_is_mean_of_partial_sums():
+    # the weighted single sum against the definition: the mean of S_0..S_n
+    for g in (0.5, 3.0, -2.0):
+        p = params(g)
+        for theta in (0.25, 1.0, 2.0, 3.1):
+            for n in (100, 1000):
+                mean = np.mean(f_series_partial_sweep(p, theta, n))
+                got = f_series_cesaro(p, theta, n)
+                assert abs(got - mean) < 1e-12 * abs(mean), (g, theta, n)
 
 
 def test_cesaro_array_matches_scalar():
