@@ -5,7 +5,8 @@ cross-sections.
 The split into incoming plus scattered exists only away from the forward
 axis; requesting it at theta = 0 raises, because there the decomposition
 genuinely does not exist (the exact solution stays finite while this
-approximate form diverges).
+approximate form diverges). Scalar calls evaluate 1-element arrays: numpy's
+0-d arithmetic rounds complex products differently from its array loops.
 """
 
 from dataclasses import dataclass
@@ -59,9 +60,9 @@ def psi_asymptotic(p, pt, backreaction=True):
     With backreaction on, the incoming wave carries the (1 - i gamma^2/rho s)
     amplitude correction; off, it is the phase-distorted wave alone.
     """
-    pin, pscat, valid = psi_asymptotic_grid(p, pt.rho, pt.theta,
+    pin, pscat, valid = psi_asymptotic_grid(p, [pt.rho], [pt.theta],
                                             backreaction=backreaction)
-    return AsymptoticSplit(complex(pin), complex(pscat), bool(valid))
+    return AsymptoticSplit(complex(pin[0]), complex(pscat[0]), bool(valid[0]))
 
 
 def rutherford_amplitude(p, theta):
@@ -71,20 +72,21 @@ def rutherford_amplitude(p, theta):
     if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
         raise ValueError("theta must lie in (0, pi]")
     g, k = p.gamma, p.k
-    out = (-g / (2.0 * k * np.sin(theta_arr / 2.0) ** 2)
+    out = (-g / (2.0 * k * np.sin(np.atleast_1d(theta_arr) / 2.0) ** 2)
            * multipole.phase_shift(0, g).factor)
-    return complex(out) if theta_arr.ndim == 0 else out
+    return complex(out[0]) if theta_arr.ndim == 0 else out
 
 
 def rutherford_amplitude_phase_separated(p, theta):
     """The amplitude with the angle-dependent logarithmic phase factored in
     explicitly: f = f_R * e^{-i gamma ln(s/2)}. Same modulus as f_R."""
     theta_arr = np.asarray(theta, dtype=np.float64)
-    s = 1.0 - np.cos(theta_arr)
+    theta_v = np.atleast_1d(theta_arr)
+    s = 1.0 - np.cos(theta_v)
     if np.any(s <= 0.0):
         raise ValueError("theta must lie in (0, pi]")
-    out = rutherford_amplitude(p, theta) * np.exp(-1j * p.gamma * np.log(s / 2.0))
-    return complex(out) if theta_arr.ndim == 0 else out
+    out = rutherford_amplitude(p, theta_v) * np.exp(-1j * p.gamma * np.log(s / 2.0))
+    return complex(out[0]) if theta_arr.ndim == 0 else out
 
 
 def differential_cross_section(p, theta):

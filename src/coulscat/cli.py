@@ -84,6 +84,9 @@ class ScanSpec:
             raise ValueError("theta must lie within [0, pi]")
         if self.rho_values is not None and min(self.rho_values) <= 0.0:
             raise ValueError("rho values must be positive")
+        if self.kx_values is not None and self.kx_range is not None:
+            raise ValueError("kx_values (--kx) and kx_range (--kx-range) "
+                             "set the same axis; give one of them")
 
 
 def _params(spec):

@@ -66,8 +66,9 @@ def psi_exact_grid(p, rho, theta):
 
 def psi_exact(p, pt):
     """Exact solution at one field point, finite everywhere including the
-    forward axis (theta = 0 enters through s = 0 with no limit-taking)."""
-    return complex(psi_exact_grid(p, pt.rho, pt.theta))
+    forward axis (theta = 0 enters through s = 0 with no limit-taking).
+    Scalar numpy arithmetic rounds differently, so it is a 1-element grid."""
+    return complex(psi_exact_grid(p, [pt.rho], [pt.theta])[0])
 
 
 def psi_forward(p, rho):

@@ -88,14 +88,16 @@ def coulomb_wave_regular(ell, gamma, rho):
     const = (specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
              - specfun.log_gamma_complex(2.0 * ell + 2.0)
              - 0.5 * np.pi * gamma + ell * np.log(2.0))
-    nonzero = rho_arr > 0.0
-    safe_rho = np.where(nonzero, rho_arr, 1.0)
+    # a scalar rho as 1 element: numpy's 0-d arithmetic rounds differently
+    rho_v = np.atleast_1d(rho_arr)
+    nonzero = rho_v > 0.0
+    safe_rho = np.where(nonzero, rho_v, 1.0)
     kummer = specfun.hyp1f1(ell + 1.0 - 1j * gamma, 2.0 * ell + 2.0,
                             2j * safe_rho)
     log_amp = const + (ell + 1.0) * np.log(safe_rho) - 1j * safe_rho
     val = (2.0 * ell + 1.0) * (1j ** ell) * np.exp(log_amp) * kummer
     val = np.where(nonzero, val, 0.0 + 0.0j)
-    return complex(val) if val.ndim == 0 else val
+    return complex(val[0]) if np.ndim(ell) == rho_arr.ndim == 0 else val
 
 
 def coulomb_wave_asymptotic(ell, gamma, rho):
@@ -107,12 +109,13 @@ def coulomb_wave_asymptotic(ell, gamma, rho):
     rho_arr = np.asarray(rho, dtype=np.float64)
     if np.any(rho_arr <= 0.0):
         raise ValueError("rho must be > 0")
-    rho_c = rho_arr - gamma * np.log(2.0 * rho_arr)
+    rho_v = np.atleast_1d(rho_arr)
+    rho_c = rho_v - gamma * np.log(2.0 * rho_v)
     factor = phase_shift(ell, gamma).factor
-    val = ((2.0 * ell + 1.0) / (2j * rho_arr)
+    val = ((2.0 * ell + 1.0) / (2j * rho_v)
            * ((-1.0) ** (ell + 1) * np.exp(-1j * rho_c)
               + factor * np.exp(1j * rho_c)))
-    return complex(val) if rho_arr.ndim == 0 else val
+    return complex(val[0]) if rho_arr.ndim == 0 else val
 
 
 # Extra ell above ell_max + rho + 4 sqrt(rho) + |gamma| where the downward

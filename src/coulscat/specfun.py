@@ -20,8 +20,10 @@ Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
   radius of convergence |z0|; CONT_MAX_STEP bounds the e^{|h|} cancellation
   of the e^z component; CONT_B_STEP r_k/|b| keeps the coefficient
   recurrence stable near the origin when |b| is large.
-* Each element then takes one vectorized Taylor step from the nearest
-  anchor below it. Its value depends on its own (a, b, z) only.
+* An element z with r_k < |z| <= r_{k+1} is the Horner sum sum_n d_n t^n
+  of that step's Taylor coefficients d_n = M^(n)(z_k) H^n / n!, H the step,
+  at t = (z - z_k) / H; inside r_0 the Maclaurin terms at t = z / z_0. Its
+  value depends on its own (a, b, z) only.
 
 Against 40-digit mpmath this is within 2e-14 relative on the psi ray
 (a, b) = (-i gamma, 1), |gamma| <= 20, |z| <= 1000, and within 4e-12 for the
@@ -37,13 +39,13 @@ mpmath, worst at gamma = -20, l = 0, rho = 10, where M is small against its
 terms; coulomb_wave_regular there is within 1.8e-13 on 150 random points.
 Inputs and outputs are ordinary complex128.
 
-kummer_ivp runs the same anchor chain from given initial data instead of
-the Maclaurin sum, for any solution of the Kummer ODE (the Schwarzschild
-full mode in classical is one), up to a given end radius, and returns logs
-(the chain carries a power-of-two scale, so the solution may fall far below
-float64's range). Past that radius a caller matches the solution to the
-two large-|z| solutions of _kummer_pair, which hyp1f1_asymptotic also
-sums.
+kummer_ivp runs the same chain and Horner sums (_ray_values) from given
+initial data instead of the Maclaurin sum, for any solution of the Kummer
+ODE (the Schwarzschild full mode in classical is one), up to a given end
+radius, and returns logs (the chain carries a power-of-two scale, so the
+solution may fall far below float64's range). Past that radius a caller
+matches the solution to the two large-|z| solutions of _kummer_pair, which
+hyp1f1_asymptotic also sums.
 """
 
 import math
@@ -153,29 +155,6 @@ def _raise_unconverged(max_terms, z):
         "(|z| up to %.3g)" % (max_terms, float(np.max(np.abs(z)))))
 
 
-def _converged(consec, active, small):
-    """Per-element run length of terms below tolerance; an element whose
-    run has reached 3 is frozen and keeps its count."""
-    return np.where(active, np.where(small, consec + 1, 0), consec)
-
-
-def _maclaurin(a, b, z):
-    """Plain float64 Kummer series for M, elementwise, each element frozen
-    once its last three terms are below SERIES_TOL*|sum|."""
-    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    term = np.ones(z.shape, dtype=np.complex128)
-    m = term.copy()
-    consec = np.zeros(z.shape, dtype=np.int64)
-    for n in range(max_terms):
-        active = consec < 3
-        if not active.any():
-            return m
-        term = term * (a + n) * z / ((b + n) * (n + 1))
-        m = np.where(active, m + term, m)
-        consec = _converged(consec, active, np.abs(term) <= tol * np.abs(m))
-    _raise_unconverged(max_terms, z)
-
-
 def _anchor_radii(r0, b, r_max):
     """The anchor lattice of one (a, b): radii r_0 = r0,
     r_{k+1} = r_k + min(r_k / 2, CONT_MAX_STEP, CONT_B_STEP * r_k / |b|),
@@ -188,63 +167,59 @@ def _anchor_radii(r0, b, r_max):
     return radii
 
 
-def _chain(a, b, u, radii):
-    """M and M' at every anchor radii[k] * u of one (a, b, ray): the
-    Maclaurin sum at the first anchor, then _anchor_steps. The sum stops
-    after three consecutive terms below SERIES_TOL relative to M (and, for
-    the n t_n sum that gives z M', to |M| + |z M'|)."""
+def _maclaurin_row(a, b, z0):
+    """The Maclaurin terms (a)_n z0^n / ((b)_n n!) of M(a, b, z0), and M and
+    M' at z0. The sum stops after three consecutive terms below SERIES_TOL
+    relative to M (and, for the n t_n sum that gives z0 M', to
+    |M| + |z0 M'|)."""
     tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    z = radii[0] * u
     t = m = 1.0 + 0.0j
     dm = 0.0j
+    row = [t]
     consec = 0
     for n in range(max_terms):
-        t = t * (a + n) * z / ((b + n) * (n + 1))
+        t = t * (a + n) * z0 / ((b + n) * (n + 1))
+        row.append(t)
         m += t
         dm += (n + 1) * t
         at = abs(t)
         consec = consec + 1 if (at <= tol * abs(m)
                                 and (n + 1) * at <= tol * (abs(m) + abs(dm))) else 0
         if consec == 3:
-            break
-    else:
-        _raise_unconverged(max_terms, z)
-    ms, dms, exps = _anchor_steps(a, b, u, radii, m, dm / z)
-    if any(exps):
-        # M's own scale: inf or 0 only where float64 cannot hold M
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.exp2(exps)
-            return np.asarray(ms) * scale, np.asarray(dms) * scale
-    return ms, dms
+            return row, m, dm / z0
+    _raise_unconverged(max_terms, z0)
 
 
-def _anchor_steps(a, b, u, radii, m, dm):
-    """A solution of the Kummer ODE and its derivative at every anchor
-    radii[k] * u, from the values m, dm at radii[0] * u: one Taylor step per
-    anchor. Python complex arithmetic, because one-element numpy steps would
-    cost ~10x more per chain. Each series stops after three consecutive
-    terms below SERIES_TOL relative to the value (and, for the d_n n sums
-    that give h times the derivative, to |value| + |h derivative|).
+def _anchor_steps(a, b, u, radii, m, dm, keep):
+    """Carry a solution w of the Kummer ODE from w = m, w' = dm at radii[0] u
+    to radii[-1] u. Step j runs from z0 = radii[j-1] u by
+    H = (radii[j] - radii[j-1]) u, and w(z0 + t H) = 2^e_j sum_n d_n t^n with
+    d_n = w^(n)(z0) H^n / (2^e_j n!),
+    d_{n+2} = [(n+a) H^2 d_n - (n+1)(n+b-z0) H d_{n+1}] / (z0 (n+1)(n+2)).
+    Python complex arithmetic: one-element numpy steps would cost ~10x more
+    per chain. Each series stops after three consecutive terms below
+    SERIES_TOL relative to the value (and, for the n d_n sum that gives H w',
+    to |value| + |H w'|). Where |value| leaves [2^-500, 2^500] the pair is
+    rescaled by an exact power of two, which leaves every later step's bits
+    unchanged but its scale, so a solution that falls like |z|^{-Re a} over
+    a long chain stays in float64's range.
 
-    Returns the values, the derivatives and, per anchor, the exponent e_k
-    such that the solution there is 2^e_k times the stored pair: where
-    |value| leaves [2^-500, 2^500] the pair is rescaled by
-    an exact power of two, which leaves every later step's bits unchanged
-    but its scale, so a solution that falls like |z|^{-Re a} over a long
-    chain stays in float64's range."""
+    Returns {j: (e_j, [d_0, d_1, ...])} for the steps j in keep, and the
+    value, derivative and exponent at the last anchor."""
     tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    ms, dms, exps = [m], [dm], [0]
-    exp = 0
-    for k in range(1, len(radii)):
-        z0 = radii[k - 1] * u
-        h = (radii[k] - radii[k - 1]) * u
+    rows, exp = {}, 0
+    for j in range(1, len(radii)):
+        z0 = radii[j - 1] * u
+        h = (radii[j] - radii[j - 1]) * u
         d0, d1 = m, h * dm
+        row = [d0, d1]
         m, dm = d0 + d1, d1
         p, q = h * h / z0, h / z0
         bz = b - z0
         consec = 0
         for n in range(max_terms):
             d2 = ((n + a) * p * d0 - (n + 1) * (n + bz) * q * d1) / ((n + 1) * (n + 2))
+            row.append(d2)
             m += d2
             dm += (n + 2) * d2
             ad = abs(d2)
@@ -255,46 +230,41 @@ def _anchor_steps(a, b, u, radii, m, dm):
             d0, d1 = d1, d2
         else:
             _raise_unconverged(max_terms, z0 + h)
+        if j in keep:
+            rows[j] = exp, row
         dm = dm / h
         if not _RESCALE_LO <= abs(m) <= _RESCALE_HI:
             shift = math.frexp(abs(m))[1]
             scale = 2.0 ** -shift
             m, dm = m * scale, dm * scale
             exp += shift
-        ms.append(m)
-        dms.append(dm)
-        exps.append(exp)
-    return ms, dms, exps
+    return rows, (m, dm, exp)
 
 
-def _taylor_step(a, b, z0, h, m0, dm0):
-    """M(z0 + h) from M, M' at z0, elementwise: the Taylor series of the
-    Kummer ODE about z0 in d_n = M^(n)(z0) h^n / n!,
-    d_{n+2} = [(n+a) h^2 d_n - (n+1)(n+b-z0) h d_{n+1}] / (z0 (n+1)(n+2)),
-    each element frozen after three terms below SERIES_TOL*|sum|."""
-    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    d0, d1 = m0, h * dm0
-    m = d0 + d1
-    p, q = h * h / z0, h / z0
-    bz = b - z0
-    consec = np.zeros(m.shape, dtype=np.int64)
-    for n in range(max_terms):
-        active = consec < 3
-        if not active.any():
-            return m
-        d2 = ((n + a) * p * d0 - (n + 1) * (n + bz) * q * d1) / ((n + 1) * (n + 2))
-        m = np.where(active, m + d2, m)
-        consec = _converged(consec, active, np.abs(d2) <= tol * np.abs(m))
-        d0, d1 = d1, d2
-    _raise_unconverged(max_terms, z0 + h)
+def _ray_values(a, b, u, radii, row0, m, dm, r, z):
+    """The solution w of _anchor_steps at the points z (radii r <= radii[-1])
+    of the ray u: a point of step j, radii[j-1] < r <= radii[j], is the
+    Horner sum of that step's coefficients; step 0 runs from the origin to
+    radii[0] u on row0 (the Maclaurin terms, or [w] when only r = radii[0]
+    is asked). Rows are kept only for the steps that hold a point, and each
+    Horner step gathers one coefficient column.
 
-
-def _nearest_anchor(radii, u, r, *per_anchor):
-    """z of the anchor at or below each radius r, and each per-anchor list
-    (values, derivatives, ...) there."""
-    k = np.searchsorted(radii, r, side="right") - 1
-    return (np.asarray(radii)[k] * u,) + tuple(np.asarray(v)[k]
-                                               for v in per_anchor)
+    Returns the sums, their exponents e (w = 2^e sum) and the end data of
+    _anchor_steps."""
+    used, slot = np.unique(np.searchsorted(radii, r), return_inverse=True)
+    rows, end = _anchor_steps(a, b, u, radii, m, dm, set(used.tolist()))
+    rows[0] = 0, row0
+    kept = [rows[j] for j in used]
+    table = np.zeros((max((len(row) for _, row in kept), default=1),
+                      used.size), dtype=np.complex128)
+    for s, (_, row) in enumerate(kept):
+        table[:len(row), s] = row
+    lo = np.concatenate(([0.0], radii))[used]
+    t = (z - lo[slot] * u) / ((np.asarray(radii)[used] - lo)[slot] * u)
+    w = table[-1][slot]
+    for column in table[-2::-1]:
+        w = w * t + column[slot]
+    return w, np.array([e for e, _ in kept], dtype=np.int64)[slot], end
 
 
 def _continuation(a, b, z):
@@ -304,17 +274,11 @@ def _continuation(a, b, z):
     r = np.abs(z)
     # first anchor radius: |a r_start / b| <= 1 keeps the Maclaurin terms O(1)
     r_start = 1.0 / np.maximum(1.0, np.abs(a) / np.abs(b))
-    near = r <= r_start
-    if near.any():
-        out[near] = _maclaurin(a[near], b[near], z[near])
-    far = ~near
-    if not far.any():
-        return out
-    a, b, z, r, r_start = a[far], b[far], z[far], r[far], r_start[far]
     # ray direction by real division: z / r in complex arithmetic rounds
-    # i x / x to two different values
+    # i x / x to two different values; z = 0 takes the positive real ray
+    safe = np.where(r > 0.0, r, 1.0)
     u = np.empty_like(z)
-    u.real, u.imag = z.real / r, z.imag / r
+    u.real, u.imag = np.where(r > 0.0, z.real / safe, 1.0), z.imag / safe
     keys = np.stack([a, b, u], axis=1).view(np.float64)
     if (keys == keys[0]).all():
         first, inverse = [0], np.zeros(z.shape, dtype=np.intp)
@@ -322,16 +286,17 @@ def _continuation(a, b, z):
         _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                       return_inverse=True)
         inverse = inverse.reshape(-1)
-    z0 = np.empty(z.shape, dtype=np.complex128)
-    m0 = np.empty(z.shape, dtype=np.complex128)
-    dm0 = np.empty(z.shape, dtype=np.complex128)
     for g, i in enumerate(first):
         sel = inverse == g
-        radii = _anchor_radii(float(r_start[i]), complex(b[i]), float(r[sel].max()))
-        ms, dms = _chain(complex(a[i]), complex(b[i]), complex(u[i]), radii)
-        z0[sel], m0[sel], dm0[sel] = _nearest_anchor(radii, u[i], r[sel],
-                                                     ms, dms)
-    out[far] = _taylor_step(a, b, z0, z - z0, m0, dm0)
+        ai, bi, ui = complex(a[i]), complex(b[i]), complex(u[i])
+        radii = _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
+        row0, m, dm = _maclaurin_row(ai, bi, radii[0] * ui)
+        w, e, _ = _ray_values(ai, bi, ui, radii, row0, m, dm, r[sel], z[sel])
+        if e.any():
+            # M's own scale: inf or 0 only where float64 cannot hold M
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = w * np.exp2(e)
+        out[sel] = w
     return out
 
 
@@ -340,9 +305,10 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
     w = m0 and w' = dm0 at z0 = r0 u, carried along the ray to z = r_end u
     (u a unit complex number; a, b, m0, dm0 scalars): the 1F1 continuation
     started from this initial data instead of the Maclaurin sum. Anchors on
-    the _anchor_radii lattice from r0, its last radius moved to r_end, then
-    one vectorized Taylor step per radius r, r0 <= r <= r_end, so a value
-    depends on its own r only.
+    the _anchor_radii lattice from r0, its last radius moved to r_end; each
+    radius r, r0 <= r <= r_end, is the Horner sum of its step's Taylor
+    coefficients (r = r0 gives m0 itself), so a value depends on its own r
+    only.
 
     Returns log w at every r (an array of the shape of r, at least 1-d),
     and log w and w'/w at r_end: logs, because over a long chain w can leave
@@ -353,12 +319,11 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
         raise ValueError("kummer_ivp radii must lie in [r0, r_end]")
     radii = _anchor_radii(r0, b, r_end)
     radii[-1] = r_end
-    ms, dms, exps = _anchor_steps(a, b, u, radii, m0, dm0)
-    z0, w0, dw0, e0 = _nearest_anchor(radii, u, r, ms, dms, exps)
+    w, e, (m, dm, exp) = _ray_values(a, b, u, radii, [m0], m0, dm0, r, r * u)
+    log2 = math.log(2.0)
     with np.errstate(divide="ignore"):
-        log_w = (np.log(_taylor_step(a, b, z0, r * u - z0, w0, dw0))
-                 + e0 * math.log(2.0))
-    return log_w, (np.log(ms[-1]) + exps[-1] * math.log(2.0), dms[-1] / ms[-1])
+        log_w = np.log(w) + e * log2
+    return log_w, (np.log(m) + exp * log2, dm / m)
 
 
 def hyp1f1_series(a, b, z):
@@ -366,10 +331,10 @@ def hyp1f1_series(a, b, z):
     analytic continuation of the Kummer ODE along the ray through z (see the
     module docstring).
 
-    Every series involved (the Maclaurin sum, each Taylor step) is summed
-    until its last three consecutive terms are all below SERIES_TOL*|sum|
+    The chain's series (the Maclaurin sum, each Taylor step) are summed until
+    three consecutive terms are all below SERIES_TOL relative to the sum
     (three, because complex oscillatory terms dip below tolerance
-    spuriously).
+    spuriously); each z is the Horner sum of the series whose step holds it.
 
     a, b, z may be scalars or broadcastable arrays. b must not be a
     non-positive integer. An element's value depends on its own (a, b, z)

@@ -164,7 +164,8 @@ def test_main_runs_scan(tmp_path, capsys):
 
 
 def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
-    # each library call raises before write_csv, so no file is written
+    # each library call (or spec check) raises before write_csv, so no file
+    # is written
     zero = ["--theta-range", "0.0:3.0:10"]
     for args in (["psi_asymptotic"] + zero,
                  ["psi_exact", "--with-asymptotic"] + zero,
@@ -173,7 +174,9 @@ def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
                  ["cesaro"] + zero,
                  ["reduced_series", "--theta-range", "0.1:%r:10" % np.pi],
                  ["diverging_sum", "--theta", "0"],
-                 ["diverging_sum", "--ell-max", "-1"]):
+                 ["diverging_sum", "--ell-max", "-1"],
+                 ["field_map", "--kx", "0", "--kx-range=-1:1:3",
+                  "--kz-range=0:1:2"]):
         out = str(tmp_path / "x.csv")
         assert main(args + ["--out", out]) == 2, args
         assert not os.path.exists(out), args
@@ -379,9 +382,9 @@ def test_cli_import_loads_no_scipy():
 # in these scans shows here. CSV bytes are those of this platform's float64
 # arithmetic (x86-64, numpy 2.4).
 PRESET_SHA256 = {
-    "fig1": "7d647da604181dfff3000421eff5e50fd479c6b8850d87128c7310231b9460d9",
-    "fig2": "90c31d1c46aae910550131b318e6a04c08c3931fc44d3d382c38f09b3dc1cd65",
-    "fig4": "5c4bebcc9398201c4ae60ffd4e5952c2afaa04e9a1cf412d27ecf24ead7d5d8c",
+    "fig1": "1b56d624c27f93d0948bba80c7bc6706f771ec90c0c47e027e5c03234509782f",
+    "fig2": "cd6534b136cf221fbb7a1eb1bfe0bb9df7300f34997e31da18d14aaaa9d3b735",
+    "fig4": "f85a87b4367953ec5c9b551a62923c214114c8ab7a267833c7f6d5d46349b19d",
     "fig5": "c02be81460857384a5a95a69ee00f00a6ecf6f0fceee86a5dff892f5992118e1",
     "fig6": "4f946c3c0ed8e55638a2d16fee2357579ebd47d4f2848b85597f5971c4454b3d",
     "fig7": "c915b9e0c9930a57e64c474ee2f7744bfbcb664dbe45cbecd03239c0ab3efc31",
@@ -389,7 +392,7 @@ PRESET_SHA256 = {
 README_BH_MODE = ("bh_mode", "--mass", "0.05", "--omega", "1.0", "--ell", "2",
                   "--r-range", "50:500:40")
 README_BH_MODE_SHA256 = (
-    "3e8e9597a4e4c8765aca3101ffd6e7cf7bf77e85c88fd306ba32161b2a2607bc")
+    "9a8b071c4622e85aa5649afb48376159069548a1dd1fc7474a1eb3834aadff73")
 
 
 def test_preset_bytes_pinned(tmp_path):

@@ -102,12 +102,18 @@ def test_psi_exact_neutral_limit_is_plane_wave():
 
 
 def test_psi_exact_grid_matches_scalar():
-    p = ScatteringParams(gamma=1.0, k=1.0)
-    rho = np.array([2.0, 8.0, 40.0])
-    theta = np.array([0.3, 1.7, 3.0])
+    # bit for bit, on both 1F1 branches and on the forward axis: a scalar
+    # call is a 1-element grid, never numpy's 0-d arithmetic
+    p = ScatteringParams(gamma=0.7, k=1.3)
+    rng = np.random.default_rng(41)
+    rho = rng.uniform(0.5, 120.0, 600)
+    theta = rng.uniform(0.0, np.pi, 600)
+    theta[:10] = 0.0
+    series = rho * (1.0 - np.cos(theta)) <= specfun.series_radius(-0.7j)
+    assert 100 < series.sum() < 500
     grid = psi_exact_grid(p, rho, theta)
     for i, (r, t) in enumerate(zip(rho, theta)):
-        assert grid[i] == psi_exact(p, FieldPoint(rho=r, theta=t))
+        assert grid[i] == psi_exact(p, FieldPoint(rho=r, theta=t)), (r, t)
 
 
 def test_small_rhos_expansion():

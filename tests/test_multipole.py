@@ -21,8 +21,11 @@ from coulscat import (
     phase_shift,
     phase_shift_sweep,
     plane_wave_partial,
+    psi_asymptotic,
+    psi_asymptotic_grid,
     psi_exact,
     psi_multipole_sum,
+    rutherford_amplitude,
     rutherford_amplitude_phase_separated,
 )
 from coulscat import multipole
@@ -549,3 +552,42 @@ def test_legendre_recurrence_identity():
         resid = (ell * leg[ell] - (2 * ell - 1) * x * leg[ell - 1]
                  + (ell - 1) * leg[ell - 2])
         assert abs(resid) < 1e-12
+
+
+def _asymptotic_split(p, rho, theta):
+    """(psi_in, psi_scat) from the grid for arrays, from psi_asymptotic for
+    one point."""
+    if np.ndim(rho):
+        pin, pscat, _ = psi_asymptotic_grid(p, rho, theta)
+        return np.stack([pin, pscat], axis=-1)
+    split = psi_asymptotic(p, FieldPoint(rho, theta))
+    return np.array([split.psi_in, split.psi_scat])
+
+
+# each scalar entry point against its own array evaluation, bit for bit, on
+# n seeded points: 0-d operands would take numpy's scalar arithmetic, which
+# rounds complex products differently from the array loops
+SCALAR_WRAPPERS = {
+    "psi_asymptotic": (_asymptotic_split, 1000),
+    "rutherford_amplitude":
+        (lambda p, rho, theta: rutherford_amplitude(p, theta), 1000),
+    "rutherford_amplitude_phase_separated":
+        (lambda p, rho, theta: rutherford_amplitude_phase_separated(p, theta),
+         1000),
+    "coulomb_wave_regular":
+        (lambda p, rho, theta: coulomb_wave_regular(3, p.gamma, rho), 250),
+    "coulomb_wave_asymptotic":
+        (lambda p, rho, theta: coulomb_wave_asymptotic(3, p.gamma, rho), 1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_WRAPPERS))
+def test_scalar_call_matches_array_call(name):
+    f, n = SCALAR_WRAPPERS[name]
+    p = params(0.7, k=1.3)
+    rng = np.random.default_rng(13)
+    rho = rng.uniform(0.5, 80.0, n)
+    theta = rng.uniform(0.05, np.pi, n)
+    batch = f(p, rho, theta)
+    for i in range(len(rho)):
+        assert np.array_equal(f(p, rho[i], theta[i]), batch[i]), (rho[i], theta[i])

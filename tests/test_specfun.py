@@ -291,6 +291,42 @@ def test_hyp1f1_series_batch_independent():
         assert longer[i] == alone[i], cases[i]
 
 
+@pytest.mark.parametrize("a, b", [(-4j, 1.0), (31 - 2j, 62.0)])
+def test_hyp1f1_series_at_anchor_radii(a, b):
+    # the psi ray and the l = 30 partial-wave factor on z = i r, exactly at
+    # anchor radii r_k and one ulp either side: r_k closes step k (t = 1),
+    # the next float above opens step k + 1 (t ~ 0); k = 0 is the edge of
+    # the Maclaurin row
+    radii = specfun._anchor_radii(1.0 / max(1.0, abs(a / b)), b, 60.0)
+    picks = [radii[k] for k in (0, 1, 2, len(radii) // 2, len(radii) - 2)]
+    r = np.array([np.nextafter(rk, to) for rk in picks
+                  for to in (0.0, rk, np.inf)])
+    got = specfun.hyp1f1_series(a, b, 1j * r)
+    for ri, gi in zip(r, got):
+        ref = complex(mp_hyp1f1(a, b, 1j * ri))
+        assert abs(gi - ref) < 2e-14 * abs(ref), (ri, gi, ref)
+
+
+def test_hyp1f1_series_at_zero_is_one():
+    # z = 0 in any sign of zero, batched with points on other rays and
+    # other (a, b), is exactly 1
+    z = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0),
+                  7j, 0.3, -2.0 + 1j, 0.0])
+    a = np.array([-4j, -4j, -4j, 1.5, -4j, -4j, 2 - 1j, 31 - 2j])
+    b = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 62.0])
+    got = specfun.hyp1f1_series(a, b, z)
+    assert np.all(got[z == 0.0] == 1.0)
+    assert specfun.hyp1f1_series(-4j, 1.0, -0.0) == 1.0
+
+
+def test_kummer_ivp_at_start_radius_is_initial_value():
+    # r = r0 is the initial data itself, whatever else the batch holds
+    a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
+    for r in ([2.0], [2.0, 2.0, 7.5, 30.0]):
+        log_w, _ = specfun.kummer_ivp(a, b, 1j, 2.0, m0, dm0, 30.0, r)
+        assert log_w[0] == np.log(m0)
+
+
 def test_legendre_p_values():
     assert specfun.legendre_p(0, -0.73) == 1.0
     assert abs(specfun.legendre_p(2, 1.0) - 1.0) < 1e-14
