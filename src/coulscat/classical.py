@@ -161,7 +161,11 @@ def _full_mode_start(bh, ell, r_start):
                               "%g; raise r_start" % r_start)
     disc = (ell + 0.5) ** 2 - 12.0 * (bh.mass * bh.omega) ** 2
     lam1 = 0.5 + (math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc))
-    dw0 = complex((du0 / u0 - lam1 / rho0 + 1j) / 2j)
+    # w'/w = (u0'/u0 - lam1/rho0 + i) / 2i; for real gamma and lambda
+    # u0'/u0 = F'/F is real and Re(w'/w) exactly 1/2, so only the real part
+    # is kept (rounding in its imaginary part grows ~100x along the mode)
+    x = du0 / u0 - lam1 / rho0
+    dw0 = complex(0.5, -0.5 * x.real) if disc >= 0.0 else complex((x + 1j) / 2j)
     a = lam1 - 1j * p.gamma
     z_match = max(specfun.series_radius(a), 2.0 * rho0)
     return (r_start, p, rho0, np.log(u0 * np.exp(1j * rho0)), a, 2.0 * lam1,

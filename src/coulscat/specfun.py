@@ -46,6 +46,12 @@ radius, and returns logs (the chain carries a power-of-two scale, so the
 solution may fall far below float64's range). Past that radius a caller
 matches the solution to the two large-|z| solutions of _kummer_pair, which
 hyp1f1_asymptotic also sums.
+
+Each of their inverse-power series is one (ASYMPTOTIC_TERMS + 1, N) block of
+terms (_inv_power_series), and the Lanczos sum of log_gamma_complex one
+(8, N) block; a block's rows are added in row order whatever N. So a call
+costs a fixed number of numpy operations on either branch, and every value,
+like the convergent branch's, is the same alone as in any batch.
 """
 
 import math
@@ -88,12 +94,19 @@ _LANCZOS_COEFFS = np.array([
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 ])
+_LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS_COEFFS))
 _HALF_LOG_TWO_PI = 0.91893853320467274178
 
 
 def _is_nonpositive_integer(z):
     z = np.asarray(z, dtype=np.complex128)
     return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
+
+
+def _sum_rows(block):
+    """Sum of a (K, ...) complex block's rows, in row order whatever the
+    batch: over a float64 view axis 0 is never numpy's (pairwise) inner loop."""
+    return np.add.reduce(block.view(np.float64), axis=0).view(np.complex128)
 
 
 def log_gamma_complex(z):
@@ -110,9 +123,11 @@ def log_gamma_complex(z):
         raise ValueError("log_gamma_complex pole: z is a non-positive integer")
     refl = z.real < 0.5
     zz = np.where(refl, 1.0 - z, z) - 1.0
-    acc = np.full(zz.shape, _LANCZOS_COEFFS[0], dtype=np.complex128)
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc = acc + _LANCZOS_COEFFS[i] / (zz + i)
+    # c_0 + sum_i c_i / (zz + i), one division over an (8,) + zz.shape block
+    col = (-1,) + (1,) * zz.ndim
+    terms = _LANCZOS_COEFFS[1:].reshape(col) / (zz + _LANCZOS_SHIFTS.reshape(col))
+    terms[0] += _LANCZOS_COEFFS[0]
+    acc = _sum_rows(terms)
     t = zz + (_LANCZOS_G + 0.5)
     out = _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(acc)
     if np.any(refl):
@@ -131,22 +146,20 @@ def log_gamma_complex(z):
 
 def reciprocal_gamma(z):
     """1/Gamma(z), entire: returns exactly 0 at the poles of Gamma."""
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     pole = _is_nonpositive_integer(z)
-    safe = np.where(pole, 1.0, z)
-    out = np.where(pole, 0.0, np.exp(-log_gamma_complex(safe)))
-    return complex(out[0]) if scalar else out
+    out = np.where(pole, 0.0, np.exp(-log_gamma_complex(np.where(pole, 1.0, z))))
+    return complex(out) if out.ndim == 0 else out
 
 
-def _broadcast(a, b, z):
-    """a, b, z as complex arrays of their common shape, at least 1-d, and
-    whether all three were scalars."""
+def _entry(body, a, b, z):
+    """body(a, b, z) on a, b, z broadcast once and flattened, returned in
+    their common shape (a Python complex when all three are scalars)."""
     a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
-    scalar = a.ndim == 0 and b.ndim == 0 and z.ndim == 0
     shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
-    return [np.atleast_1d(np.broadcast_to(v, shape)) for v in (a, b, z)], scalar
+    size = math.prod(shape)
+    out = body(*[(v if v.size == size else np.broadcast_to(v, shape)).reshape(-1)
+                 for v in (a, b, z)])
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def _raise_unconverged(max_terms, z):
@@ -270,6 +283,10 @@ def _ray_values(a, b, u, radii, row0, m, dm, r, z):
 def _continuation(a, b, z):
     """Float64 analytic continuation of M(a, b, z) along the ray through
     each z (see the module docstring)."""
+    if np.any(_is_nonpositive_integer(b)):
+        raise ValueError("hyp1f1 parameter b must not be a non-positive integer")
+    # + 0.0 turns -0.0 into +0.0, so equal parameters group together
+    a, b, z = a + 0.0, b + 0.0, z + 0.0
     out = np.empty(z.shape, dtype=np.complex128)
     r = np.abs(z)
     # first anchor radius: |a r_start / b| <= 1 keeps the Maclaurin terms O(1)
@@ -280,14 +297,12 @@ def _continuation(a, b, z):
     u = np.empty_like(z)
     u.real, u.imag = np.where(r > 0.0, z.real / safe, 1.0), z.imag / safe
     keys = np.stack([a, b, u], axis=1).view(np.float64)
-    if (keys == keys[0]).all():
-        first, inverse = [0], np.zeros(z.shape, dtype=np.intp)
-    else:
+    groups = [(0, slice(None))]  # one (a, b, ray): no masked copies
+    if not (keys == keys[0]).all():
         _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                       return_inverse=True)
-        inverse = inverse.reshape(-1)
-    for g, i in enumerate(first):
-        sel = inverse == g
+        groups = [(i, inverse.reshape(-1) == g) for g, i in enumerate(first)]
+    for i, sel in groups:
         ai, bi, ui = complex(a[i]), complex(b[i]), complex(u[i])
         radii = _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
         row0, m, dm = _maclaurin_row(ai, bi, radii[0] * ui)
@@ -341,33 +356,32 @@ def hyp1f1_series(a, b, z):
     only, never on the rest of the batch. Raises RuntimeError if any series
     needs more than SERIES_MAX_TERMS terms.
     """
-    (a, b, z), scalar = _broadcast(a, b, z)
-    if np.any(_is_nonpositive_integer(b)):
-        raise ValueError("hyp1f1 parameter b must not be a non-positive integer")
-    # + 0.0 turns -0.0 into +0.0, so equal parameters group together
-    out = _continuation(a + 0.0, b + 0.0, z + 0.0)
-    return complex(out[0]) if scalar else out
+    return _entry(_continuation, a, b, z)
 
 
 def _inv_power_series(p1, p2, w, deriv):
-    """sum_k (p1)_k (p2)_k / (k! w^k) over ASYMPTOTIC_TERMS terms, and with
-    deriv also sum_k k (p1)_k (p2)_k / (k! w^k). Each element stops adding
-    at its smallest term, so a generous ASYMPTOTIC_TERMS never degrades the
-    result."""
-    tot = np.ones_like(w)
-    ktot = np.zeros_like(w) if deriv else None
-    trm = np.ones_like(w)
-    last = np.full(w.shape, np.inf)
-    for k in range(ASYMPTOTIC_TERMS):
-        trm = trm * (p1 + k) * (p2 + k) / ((k + 1.0) * w)
-        mag = np.abs(trm)
-        grew = mag > last  # passed the smallest term: stop adding
-        trm = np.where(grew, 0.0, trm)
-        last = np.where(grew, last, mag)
-        tot = tot + trm
-        if deriv:
-            ktot = ktot + (k + 1.0) * trm
-    return tot, ktot
+    """sum_k (p1)_k (p2)_k / (k! w^k), k = 0 .. ASYMPTOTIC_TERMS, and with
+    deriv also sum_k k (p1)_k (p2)_k / (k! w^k), as terms C_k w^-k:
+    C_k = prod_{j <= k} c_j, c_j = (p1 + j - 1)(p2 + j - 1) / j (a column
+    for scalar p1, p2), and the powers of 1/w by doubling. Each element
+    stops adding at its smallest term: the terms after the first that grows
+    (|c_j| > |w|) are dropped, so a generous ASYMPTOTIC_TERMS never degrades
+    the result."""
+    shape, w = np.shape(w), np.reshape(w, -1)
+    k = np.arange(float(ASYMPTOTIC_TERMS + 1)).reshape(-1, 1)
+    c = (p1 + k[:-1]) * (p2 + k[:-1]) / k[1:]
+    drop = np.maximum.accumulate(np.abs(c[1:]), axis=0) > np.abs(w)
+    trm = np.ones((k.size, w.size), dtype=np.complex128)
+    trm[1] = 1.0 / w
+    s = 1
+    while s < ASYMPTOTIC_TERMS:  # rows s+1 .. 2s are rows 1 .. s times row s
+        top = trm[s + 1:2 * s + 1]
+        np.multiply(trm[1:1 + len(top)], trm[s], out=top)
+        s *= 2
+    trm[1:] *= np.multiply.accumulate(c, axis=0)
+    np.copyto(trm[2:], 0.0, where=drop)
+    tot = _sum_rows(trm).reshape(shape)
+    return tot, (_sum_rows(k * trm).reshape(shape) if deriv else None)
 
 
 def _kummer_pair(a, b, z, deriv=False):
@@ -400,14 +414,20 @@ def hyp1f1_asymptotic(a, b, z):
     Im z >= 0 and z^{-a} e^{-i pi a} where Im z < 0 (mpmath's convention);
     Im z = -0.0 counts as negative, matching the branch of log z there.
     """
-    (a, b, z), scalar = _broadcast(a, b, z)
+    return _entry(_asymptotic, a, b, z)
+
+
+def _asymptotic(a, b, z):
+    if a.size > 1 and (a == a[0]).all() and (b == b[0]).all():
+        # one (a, b) for the batch: Gamma constants and term ratios once
+        a, b = a[:1], b[:1]
     (log1, s1, _), (log2, s2, _) = _kummer_pair(a, b, z)
-    lg_b = log_gamma_complex(b)
-    pre1 = np.exp(log1 + lg_b) * reciprocal_gamma(a)
+    lg_b, n = log_gamma_complex(b), b.size
+    rg = reciprocal_gamma(np.concatenate((a, b - a)))
+    pre1 = np.exp(log1 + lg_b) * rg[:n]
     turn = np.where(np.signbit(z.imag), -1j, 1j) * np.pi
-    pre2 = np.exp(turn * a + log2 + lg_b) * reciprocal_gamma(b - a)
-    out = pre1 * s1 + pre2 * s2
-    return complex(out[0]) if scalar else out
+    pre2 = np.exp(turn * a + log2 + lg_b) * rg[n:]
+    return pre1 * s1 + pre2 * s2
 
 
 def series_radius(a):
@@ -424,16 +444,18 @@ def hyp1f1(a, b, z):
     arrays are partitioned between the branches elementwise; a caller that
     needs one branch for a whole stencil calls that branch directly.
     """
-    (a, b, z), scalar = _broadcast(a, b, z)
-    use_series = np.abs(z) <= series_radius(a)
+    return _entry(_dispatch, a, b, z)
+
+
+def _dispatch(a, b, z):
+    near = np.abs(z) <= series_radius(a)
     out = np.empty(z.shape, dtype=np.complex128)
-    if np.any(use_series):
-        out[use_series] = hyp1f1_series(
-            a[use_series], b[use_series], z[use_series])
-    if np.any(~use_series):
-        out[~use_series] = hyp1f1_asymptotic(
-            a[~use_series], b[~use_series], z[~use_series])
-    return complex(out[0]) if scalar else out
+    for sel, body in ((near, _continuation), (~near, _asymptotic)):
+        if sel.all():  # the whole batch on one branch: no masked copies
+            return body(a, b, z)
+        if sel.any():
+            out[sel] = body(a[sel], b[sel], z[sel])
+    return out
 
 
 def _legendre_rows(x, ell_max):

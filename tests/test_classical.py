@@ -290,6 +290,31 @@ def test_full_mode_phase_error_of_pure_regular_wave(monkeypatch):
         assert abs(got - ref) < 1e-12, (mass, omega, ell, got - ref)
 
 
+# The README bh_mode scan (M = 0.05, omega = 1, ell = 2, r = 50..500 in 40
+# steps, r_start = 10 r_s): its full-mode column u(r) / (omega r) at five of
+# the 40 radii, 40-digit mpmath alpha F_lambda + beta G_lambda as in
+# FULL_MODE_MPMATH. max |u / (omega r)| over the scan is 0.0649.
+README_FULL_MODE = [
+    (0, complex(0.016892623695262156, -0.0015637020219738138)),
+    (3, complex(-0.014879887510811691, 0.0013773887708115463)),
+    (6, complex(0.013797422789527437, -0.0012771880971966924)),
+    (12, complex(0.012372052210038394, -0.0011452456057627464)),
+    (39, complex(-0.00879648110247797, 0.0008142651807283855)),
+]
+
+
+def test_readme_full_mode_frozen_mpmath():
+    # for real gamma and lambda w'/w at the start has real part exactly 1/2;
+    # a rounding-size error there grows ~100x along the mode (to 9.4e-15 of
+    # the scan's max |mode| at r = 50); 2e-16 is 3e-15 of it
+    bh = BlackHoleParams(mass=0.05, omega=1.0)
+    rows = [row[0] for row in README_FULL_MODE]
+    r = np.linspace(50.0, 500.0, 40)[rows]
+    got = integrate_full_mode(bh, 2, r) / (bh.omega * r)
+    ref = np.array([row[1] for row in README_FULL_MODE])
+    assert np.max(np.abs(got - ref)) < 2e-16
+
+
 def test_full_mode_value_independent_of_batch():
     bh = BlackHoleParams(mass=0.05, omega=1.0)
     vals = integrate_full_mode(bh, 2, [50.0, 120.0, 300.0])

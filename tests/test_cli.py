@@ -383,7 +383,7 @@ def test_cli_import_loads_no_scipy():
 # arithmetic (x86-64, numpy 2.4).
 PRESET_SHA256 = {
     "fig1": "1b56d624c27f93d0948bba80c7bc6706f771ec90c0c47e027e5c03234509782f",
-    "fig2": "cd6534b136cf221fbb7a1eb1bfe0bb9df7300f34997e31da18d14aaaa9d3b735",
+    "fig2": "df2b55b59bba46ac72d1dcd0ef8131a5d53ca3c389ce9fb9799c801d77ced4bc",
     "fig4": "f85a87b4367953ec5c9b551a62923c214114c8ab7a267833c7f6d5d46349b19d",
     "fig5": "c02be81460857384a5a95a69ee00f00a6ecf6f0fceee86a5dff892f5992118e1",
     "fig6": "4f946c3c0ed8e55638a2d16fee2357579ebd47d4f2848b85597f5971c4454b3d",
@@ -392,7 +392,7 @@ PRESET_SHA256 = {
 README_BH_MODE = ("bh_mode", "--mass", "0.05", "--omega", "1.0", "--ell", "2",
                   "--r-range", "50:500:40")
 README_BH_MODE_SHA256 = (
-    "9a8b071c4622e85aa5649afb48376159069548a1dd1fc7474a1eb3834aadff73")
+    "3e8e9597a4e4c8765aca3101ffd6e7cf7bf77e85c88fd306ba32161b2a2607bc")
 
 
 def test_preset_bytes_pinned(tmp_path):

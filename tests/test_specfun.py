@@ -138,6 +138,48 @@ def test_log_gamma_branch_fix_leaves_other_values_alone():
     assert np.array_equal(specfun.log_gamma_complex(z), refl)
 
 
+# log_gamma_complex's own bits (real and imaginary part as float.hex), so
+# that a rewrite of its arithmetic cannot drift unseen: Re z >= 1/2, the
+# reflection strip -1/2 <= Re z < 1/2, Re z < -1/2 where the 2 pi i k is
+# added, and points on or next to the real axis (signed zeros included)
+LOG_GAMMA_BITS = [
+    (0.5 + 0j, "0x1.250d048e7a1c0p-1", "0x0.0p+0"),
+    (1 + 10j, "-0x1.b4684d55841adp+3", "0x1.b9b1768cbb3f5p+3"),
+    (1 + 50j, "-0x1.2ea8d2b65c949p+6", "0x1.24c50f385f0c7p+7"),
+    (3.7 - 2.2j, "0x1.73f0d42106524p-1", "-0x1.5be987de3ae45p+1"),
+    (25 + 0.5j, "0x1.b63cadd315874p+5", "0x1.9972ab049636dp+0"),
+    (0.75 - 0.001j, "0x1.a05118dd3ef40p-3", "0x1.1ca6d4af058fep-10"),
+    (140.25 + 60j, "0x1.0d804eeef266ep+9", "0x1.2a2410c7bf10fp+8"),
+    (2 + 0j, "0x1.0000000000000p-50", "0x0.0p+0"),
+    (0.3 + 1j, "-0x1.498272a9d5e1ap-1", "-0x1.4a589f0363efcp+0"),
+    (-0.2 - 3j, "-0x1.2432cdab48578p+2", "0x1.be2b62d424520p-1"),
+    (2j, "-0x1.48dc65802140ap+1", "-0x1.70ef3503a9e16p+0"),
+    (-0.5 + 0.1j, "0x1.38bc4d38eccc9p+0", "-0x1.91a39ef00a303p+1"),
+    (0.1 - 20j, "-0x1.fb1fcf24e13b7p+4", "-0x1.3a4678c173281p+5"),
+    (complex(0.49, -0.0), "0x1.2f3b57ea204dcp-1", "0x0.0p+0"),
+    (-4.5 + 3j, "-0x1.56382675b7339p+3", "-0x1.56ce1dd1c9f0cp+3"),
+    (-10.3 - 7j, "-0x1.0eb22bcc85a33p+5", "0x1.0d511b6f089fcp+4"),
+    (-20.7 + 0.001j, "-0x1.58d75402a14a8p+5", "-0x1.07e404af48c21p+6"),
+    (-1.5 + 1e-8j, "0x1.b858151820f76p-1", "-0x1.921fb53cb5ff0p+2"),
+    (-7.25 - 15j, "-0x1.5f98918b160e9p+5", "-0x1.70e4bdabac094p+3"),
+    (2.5 + 1e-12j, "0x1.2383e809a6800p-2", "0x1.8bd78d2ffb0a3p-41"),
+    (-3.5 - 1e-10j, "-0x1.4f1b0fe64a5dbp+0", "0x1.921fb5442fbaep+3"),
+    (-2.5 + 0j, "-0x1.ccbf9f5ed0fa0p-5", "-0x1.2d97c7f3321d2p+3"),
+    (0.25 + 0j, "0x1.49bbd81c16ef9p+0", "0x0.0p+0"),
+    (complex(-13.75, -0.0), "-0x1.70893507e7aacp+4", "0x1.5fdbbe9bba775p+5"),
+]
+
+
+def test_log_gamma_bits_pinned_scalar_and_array():
+    z = np.array([row[0] for row in LOG_GAMMA_BITS])
+    batch = specfun.log_gamma_complex(z)
+    pairs = specfun.log_gamma_complex(z.reshape(12, 2)).ravel()
+    for (zi, re, im), got, got2 in zip(LOG_GAMMA_BITS, batch, pairs):
+        scalar = specfun.log_gamma_complex(zi)
+        for v in (scalar, got, got2):
+            assert (v.real.hex(), v.imag.hex()) == (re, im), zi
+
+
 def test_log_gamma_functional_equation():
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -224,6 +266,87 @@ def test_hyp1f1_lower_half_plane_frozen_mpmath():
         np.array([z for _, _, z, _ in HYP1F1_LOWER]))
     refs = np.array([ref for _, _, _, ref in HYP1F1_LOWER])
     assert np.all(np.abs(batch - refs) < 1e-12 * np.abs(refs))
+
+
+# large-|z| points in both half-planes and on the negative real axis with
+# either sign of zero, for psi-ray and partial-wave (a, b)
+ASYM_CASES = [(-0.4j, 1.0, 50j), (-0.4j, 1.0, 800j), (-0.4j, 1.0, -60j),
+              (-3j, 1.0, 45 - 30j), (2 - 1j, 3.0, -80j),
+              (1 + 0.5j, 2.0, -60 - 30j), (0.3 + 0.2j, 1.5, complex(-70, -0.0)),
+              (0.3 + 0.2j, 1.5, complex(-70, 0.0)), (4 - 0.7j, 8.0, 300j)]
+
+
+def test_hyp1f1_asymptotic_batch_independent():
+    # each element's bits alone, in a batch of its own (a, b), and next to
+    # other (a, b): the term block, the Gamma constants and the row sums
+    # must not depend on the rest of the batch
+    a, b, z = (np.array(col, dtype=complex) for col in zip(*ASYM_CASES))
+    mixed = specfun.hyp1f1_asymptotic(a, b, z)
+    pair = specfun._kummer_pair(a, b, z, deriv=True)
+    for i, (ai, bi, zi) in enumerate(ASYM_CASES):
+        alone = specfun.hyp1f1_asymptotic(ai, bi, zi)
+        one_pair = specfun.hyp1f1_asymptotic(ai, bi, np.array([zi, 2 * zi, zi]))
+        assert mixed[i] == alone == one_pair[0] == one_pair[2], ASYM_CASES[i]
+        single = specfun._kummer_pair(np.array([ai]), np.array([bi]),
+                                      np.array([zi]), deriv=True)
+        for got, ref in zip((x for y in pair for x in y),
+                            (x for y in single for x in y)):
+            assert got[i] == ref[0], ASYM_CASES[i]
+
+
+def _inv_power_series_loop(p1, p2, w):
+    # term by term, each element stopping at its first growing term; also
+    # the sums of |t_k| and k |t_k|, the scale of their rounding
+    trm, last = np.ones_like(w), np.full(w.shape, np.inf)
+    tot, ktot, size, ksize = np.ones_like(w), 0.0, 1.0, 0.0
+    for k in range(specfun.ASYMPTOTIC_TERMS):
+        trm = trm * (p1 + k) * (p2 + k) / ((k + 1.0) * w)
+        grew = np.abs(trm) > last
+        trm = np.where(grew, 0.0, trm)
+        last = np.where(grew, last, np.abs(trm))
+        tot, ktot = tot + trm, ktot + (k + 1.0) * trm
+        size, ksize = size + np.abs(trm), ksize + (k + 1.0) * np.abs(trm)
+    return tot, ktot, size, ksize
+
+
+def test_inv_power_series_matches_term_loop():
+    # the block form keeps the loop's truncation (the same terms summed):
+    # only the rounding of products and sums differs, by a few ulp of the
+    # terms' magnitudes
+    rng = np.random.default_rng(41)
+    n = 400
+    p1, p2 = (rng.uniform(-4, 4, n) + 1j * rng.uniform(-4, 4, n)
+              for _ in range(2))
+    w = (8.0 + 60.0 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    tot, ktot = specfun._inv_power_series(p1, p2, w, True)
+    ref_tot, ref_ktot, size, ksize = _inv_power_series_loop(p1, p2, w)
+    assert np.max(np.abs(tot - ref_tot) / size) < 1e-15
+    assert np.max(np.abs(ktot - ref_ktot) / ksize) < 1e-15
+
+
+def test_hyp1f1_asymptotic_truncates_at_smallest_term():
+    # at |z| = 9 each inverse-power series has its smallest term near
+    # k = 9 < ASYMPTOTIC_TERMS: the sum stops there, and the expansion
+    # then agrees with 1F1 to within that term (times its prefactor)
+    a, b, z = 0.5 + 0.3j, 2.0, 9j
+    got = specfun.hyp1f1_asymptotic(a, b, z)
+    ref = mp_hyp1f1(a, b, z)
+    ma, mb, mz = mp.mpc(a), mp.mpf(b), mp.mpc(z)
+    bound = 0
+    for p1, p2, w, pre in (
+            (mb - ma, 1 - ma, mz,
+             mp.gamma(mb) / mp.gamma(ma) * mp.exp(mz) * mz ** (ma - mb)),
+            (ma, ma - mb + 1, -mz,
+             mp.gamma(mb) / mp.gamma(mb - ma) * mp.exp(1j * mp.pi * ma)
+             * mz ** -ma)):
+        terms = [abs(mp.rf(p1, k) * mp.rf(p2, k) / (mp.factorial(k) * w ** k))
+                 for k in range(specfun.ASYMPTOTIC_TERMS + 1)]
+        k_min = terms.index(min(terms))
+        assert 2 <= k_min < specfun.ASYMPTOTIC_TERMS
+        bound += abs(pre) * terms[k_min]
+    assert abs(got - ref) < bound
+    assert abs(got - ref) > 1e-6 * abs(ref)  # truncation, not rounding
+
 
 def test_hyp1f1_asymptotic_exponential_limit():
     got = specfun.hyp1f1_asymptotic(1.0, 1.0, 50j)
