@@ -97,8 +97,9 @@ def differential_cross_section(p, theta):
     if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
         raise ValueError("theta must lie in (0, pi]: the cross-section "
                          "diverges on the forward axis")
-    out = p.gamma ** 2 / (4.0 * p.k ** 2 * np.sin(theta_arr / 2.0) ** 4)
-    return float(out) if theta_arr.ndim == 0 else out
+    out = (p.gamma ** 2
+           / (4.0 * p.k ** 2 * np.sin(np.atleast_1d(theta_arr) / 2.0) ** 4))
+    return float(out[0]) if theta_arr.ndim == 0 else out
 
 
 def born_amplitude_yukawa(p, theta, mu):

@@ -9,7 +9,10 @@ One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
 generated from the ScanSpec alone, rows are computed in order in fixed
 2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once),
-and floats are written with 17 significant digits.
+and floats are written with 17 significant digits. The axis-value flags
+--rho, --kx and --cesaro-n repeat. Each quantity's builder hands _scan its
+header, its full-length per-row input columns and one function from a
+slice of them to the output columns.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments, 3 numerical failure.
 """
@@ -27,18 +30,19 @@ from . import asymptotic, classical, currents, exact, multipole
 CHUNK_ROWS = 2048
 CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
 
-QUANTITIES = ("psi_exact", "psi_asymptotic", "currents", "cross_section",
-              "cesaro", "reduced_series", "diverging_sum", "field_map",
-              "bh_mode")
-
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+
+# ScanSpec fields holding a (start, stop, count) range
+_TUPLE_FIELDS = ("theta_range", "kx_range", "kz_range", "r_range")
 
 
 @dataclass
 class ScanSpec:
     """Everything a scan needs: the quantity, physical parameters, grid
-    ranges (each a (start, stop, count) triple), and option flags. Unused
-    fields stay None and are ignored by the builder for that quantity."""
+    ranges (each a (start, stop, count) triple) and axis value lists, and
+    option flags. Unused fields stay None and are ignored by the builder for
+    that quantity; an axis list left None takes its builder's default (for
+    example n = 1000 for cesaro)."""
     quantity: str
     gamma: float = 1.0
     k: float = 1.0
@@ -48,7 +52,6 @@ class ScanSpec:
     ell: int = 2
     ell_max: int = 1000
     ell_max_values: list = None
-    cesaro_n: int = 1000
     cesaro_n_values: list = None
     fixed_theta: float = 2.0
     rho_values: list = None
@@ -67,7 +70,7 @@ class ScanSpec:
         if self.quantity not in QUANTITIES:
             raise ValueError("unknown quantity %r; valid names: %s"
                              % (self.quantity, ", ".join(QUANTITIES)))
-        for name in ("theta_range", "kx_range", "kz_range", "r_range"):
+        for name in _TUPLE_FIELDS:
             rng = getattr(self, name)
             if rng is None:
                 continue
@@ -122,75 +125,76 @@ def _product_rows(outer, inner):
     return o, i
 
 
-# each builder returns (header, n_rows, compute_chunk) where
-# compute_chunk(start, stop) -> float array of shape (stop-start, n_cols)
+def _rho_theta_rows(spec, theta_default):
+    """(rho, theta) row coordinates of a rho x theta scan."""
+    rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
+    return _product_rows(rho_values, _theta_axis(spec, theta_default))
+
+
+def _parts(z):
+    """The real, imaginary and modulus columns of a complex array."""
+    return [z.real, z.imag, np.abs(z)]
+
+
+def _scan(header, columns, values):
+    """A builder's (header, n_rows, compute) triple. columns are full-length
+    per-row inputs; compute(start, stop) stacks the output columns that
+    values returns for their rows start:stop."""
+    def compute(start, stop):
+        return np.column_stack(values(*(c[start:stop] for c in columns)))
+
+    return header, len(columns[0]), compute
+
 
 def _build_psi_exact(spec):
     p = _params(spec)
-    rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
     lo = 0.01 if spec.with_asymptotic else 0.0
-    theta = _theta_axis(spec, (lo, np.pi, 400))
-    rho, th = _product_rows(rho_values, theta)
     header = ["rho", "theta", "re_psi", "im_psi", "abs_psi"]
     if spec.with_asymptotic:
         header += ["re_psi_asym", "im_psi_asym", "abs_psi_asym", "asym_valid"]
 
-    def compute(start, stop):
-        r, t = rho[start:stop], th[start:stop]
-        psi = exact.psi_exact_grid(p, r, t)
-        cols = [r, t, psi.real, psi.imag, np.abs(psi)]
+    def values(r, t):
+        cols = [r, t] + _parts(exact.psi_exact_grid(p, r, t))
         if spec.with_asymptotic:
             pin, pscat, valid = asymptotic.psi_asymptotic_grid(
                 p, r, t, backreaction=spec.backreaction)
-            tot = pin + pscat
-            cols += [tot.real, tot.imag, np.abs(tot),
-                     valid.astype(np.float64)]
-        return np.column_stack(cols)
+            cols += _parts(pin + pscat) + [valid.astype(np.float64)]
+        return cols
 
-    return header, len(rho), compute
+    return _scan(header, _rho_theta_rows(spec, (lo, np.pi, 400)), values)
 
 
 def _build_psi_asymptotic(spec):
     p = _params(spec)
-    rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
-    theta = _theta_axis(spec, (0.01, np.pi, 400))
-    rho, th = _product_rows(rho_values, theta)
     header = ["rho", "theta", "re_psi_in", "im_psi_in", "re_psi_scat",
               "im_psi_scat", "re_psi", "im_psi", "abs_psi", "valid"]
 
-    def compute(start, stop):
-        r, t = rho[start:stop], th[start:stop]
+    def values(r, t):
         pin, pscat, valid = asymptotic.psi_asymptotic_grid(
             p, r, t, backreaction=spec.backreaction)
-        tot = pin + pscat
-        return np.column_stack([r, t, pin.real, pin.imag, pscat.real,
-                                pscat.imag, tot.real, tot.imag, np.abs(tot),
-                                valid.astype(np.float64)])
+        return ([r, t, pin.real, pin.imag, pscat.real, pscat.imag]
+                + _parts(pin + pscat) + [valid.astype(np.float64)])
 
-    return header, len(rho), compute
+    return _scan(header, _rho_theta_rows(spec, (0.01, np.pi, 400)), values)
 
 
 def _build_currents(spec):
     p = _params(spec)
-    rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
-    theta = _theta_axis(spec, (0.05, 3.1, 400))
-    rho, th = _product_rows(rho_values, theta)
     header = ["rho", "theta",
               "j_r_total", "j_theta_total", "j_r_in", "j_theta_in",
               "j_r_scat", "j_theta_scat", "j_r_interf", "j_theta_interf",
               "j_r_exact", "j_theta_exact", "j_r_out", "j_theta_out",
               "j_r_g2out", "j_theta_g2out"]
 
-    def compute(start, stop):
-        r, t = rho[start:stop], th[start:stop]
+    def values(r, t):
         ((jr_t, jt_t), (jr_i, jt_i), (jr_s, jt_s), (jr_x, jt_x),
          (jr_o, jt_o), (jr_g, jt_g)) = currents.current_scan_grid(
             p, r, t, backreaction=spec.backreaction)
-        return np.column_stack([r, t, jr_t, jt_t, jr_i, jt_i, jr_s, jt_s,
-                                jr_t - jr_i - jr_s, jt_t - jt_i - jt_s,
-                                jr_x, jt_x, jr_o, jt_o, jr_g, jt_g])
+        return [r, t, jr_t, jt_t, jr_i, jt_i, jr_s, jt_s,
+                jr_t - jr_i - jr_s, jt_t - jt_i - jt_s,
+                jr_x, jt_x, jr_o, jt_o, jr_g, jt_g]
 
-    return header, len(rho), compute
+    return _scan(header, _rho_theta_rows(spec, (0.05, 3.1, 400)), values)
 
 
 def _build_cross_section(spec):
@@ -199,83 +203,61 @@ def _build_cross_section(spec):
             "a cross-section for the black-hole analogue is not a physical "
             "observable; pass --acknowledge-classical to emit it anyway")
     p = _params(spec)
-    theta = _theta_axis(spec, (0.1, np.pi, 180))
     header = ["theta", "rutherford", "closed_form_sq", "born_sq"]
 
-    def compute(start, stop):
-        t = theta[start:stop]
+    def values(t):
         ruth = asymptotic.differential_cross_section(p, t)
         closed = np.abs(
             asymptotic.rutherford_amplitude_phase_separated(p, t)) ** 2
         born = np.abs(asymptotic.born_amplitude_yukawa(p, t, spec.mu)) ** 2
-        return np.column_stack([t, ruth, closed, born])
+        return [t, ruth, closed, born]
 
-    return header, len(theta), compute
+    return _scan(header, (_theta_axis(spec, (0.1, np.pi, 180)),), values)
 
 
-def _build_cesaro(spec):
+def _series_scan(spec, order, orders, theta_default, f_series, abs_f):
+    """f_series(p, theta, n) for each n in orders (the outer axis, in the
+    column named order) over a theta axis, with (1 - cos theta) f beside the
+    closed form's; abs_f adds the |f| column."""
     p = _params(spec)
-    n_values = (spec.cesaro_n_values if spec.cesaro_n_values is not None
-                else [spec.cesaro_n])
-    theta = _theta_axis(spec, (0.01, np.pi, 200), log_default=True)
-    nn, th = _product_rows(n_values, theta)
-    header = ["n", "theta", "re_f", "im_f", "abs_f", "re_sf", "im_sf",
-              "abs_sf", "re_sf_closed", "im_sf_closed", "abs_sf_closed"]
+    theta = _theta_axis(spec, theta_default, log_default=True)
+    header = [order, "theta", "re_f", "im_f"] + ["abs_f"] * abs_f + [
+        "re_sf", "im_sf", "abs_sf", "re_sf_closed", "im_sf_closed",
+        "abs_sf_closed"]
 
-    def compute(start, stop):
-        n_c, t = nn[start:stop], th[start:stop]
+    def values(n_c, t):
         f = np.empty_like(t, dtype=np.complex128)
         for n in np.unique(n_c):
             mask = n_c == n
-            f[mask] = multipole.f_series_cesaro(p, t[mask], int(n))
+            f[mask] = f_series(p, t[mask], int(n))
         s = 1.0 - np.cos(t)
         fc = asymptotic.rutherford_amplitude_phase_separated(p, t)
-        return np.column_stack([n_c, t, f.real, f.imag, np.abs(f),
-                                (s * f).real, (s * f).imag, np.abs(s * f),
-                                (s * fc).real, (s * fc).imag,
-                                np.abs(s * fc)])
+        return ([n_c, t, f.real, f.imag] + [np.abs(f)] * abs_f
+                + _parts(s * f) + _parts(s * fc))
 
-    return header, len(nn), compute
+    return _scan(header, _product_rows(orders, theta), values)
+
+
+def _build_cesaro(spec):
+    n_values = (spec.cesaro_n_values if spec.cesaro_n_values is not None
+                else [1000])
+    return _series_scan(spec, "n", n_values, (0.01, np.pi, 200),
+                        multipole.f_series_cesaro, abs_f=True)
 
 
 def _build_reduced_series(spec):
-    p = _params(spec)
     lm_values = (spec.ell_max_values if spec.ell_max_values is not None
                  else [spec.ell_max])
-    theta = _theta_axis(spec, (0.01, 3.13, 200), log_default=True)
-    lm, th = _product_rows(lm_values, theta)
-    header = ["ell_max", "theta", "re_f", "im_f", "re_sf", "im_sf", "abs_sf",
-              "re_sf_closed", "im_sf_closed", "abs_sf_closed"]
-
-    def compute(start, stop):
-        l_c, t = lm[start:stop], th[start:stop]
-        f = np.empty_like(t, dtype=np.complex128)
-        for lmax in np.unique(l_c):
-            mask = l_c == lmax
-            f[mask] = multipole.f_reduced_series(p, t[mask], int(lmax))
-        s = 1.0 - np.cos(t)
-        fc = asymptotic.rutherford_amplitude_phase_separated(p, t)
-        return np.column_stack([l_c, t, f.real, f.imag, (s * f).real,
-                                (s * f).imag, np.abs(s * f),
-                                (s * fc).real, (s * fc).imag,
-                                np.abs(s * fc)])
-
-    return header, len(lm), compute
+    return _series_scan(spec, "ell_max", lm_values, (0.01, 3.13, 200),
+                        multipole.f_reduced_series, abs_f=False)
 
 
 def _build_diverging_sum(spec):
-    p = _params(spec)
-    sweep = multipole.f_series_partial_sweep(p, spec.fixed_theta,
+    sweep = multipole.f_series_partial_sweep(_params(spec), spec.fixed_theta,
                                              spec.ell_max)
     ells = np.arange(spec.ell_max + 1, dtype=np.float64)
-    header = ["ell", "re_partial", "im_partial", "abs_partial"]
-
-    def compute(start, stop):
-        sl = sweep[start:stop]
-        return np.column_stack([ells[start:stop], sl.real, sl.imag,
-                                np.abs(sl)])
-
-    return header, len(ells), compute
+    return _scan(["ell", "re_partial", "im_partial", "abs_partial"],
+                 (ells, sweep), lambda ell, s: [ell] + _parts(s))
 
 
 def _build_field_map(spec):
@@ -307,10 +289,9 @@ def _build_field_map(spec):
             table[new] = exact.psi_exact_grid(p, np.hypot(x, z),
                                               np.arctan2(x, z))
             done[new] = True
-        psi = table[key]
-        return np.column_stack([kx[start:stop], kzr[start:stop], psi.real,
-                                psi.imag, np.abs(psi),
-                                np.full(stop - start, plateau)])
+        return np.column_stack([kx[start:stop], kzr[start:stop]]
+                               + _parts(table[key])
+                               + [np.full(stop - start, plateau)])
 
     return header, len(kx), compute
 
@@ -329,13 +310,8 @@ def _build_bh_mode(spec):
     u_full = u_full / (bh.omega * r)
     header = ["r", "re_mode_asym", "im_mode_asym", "abs_mode_asym",
               "re_mode_full", "im_mode_full", "abs_mode_full"]
-
-    def compute(start, stop):
-        ua, uf = u_asym[start:stop], u_full[start:stop]
-        return np.column_stack([r[start:stop], ua.real, ua.imag, np.abs(ua),
-                                uf.real, uf.imag, np.abs(uf)])
-
-    return header, len(r), compute
+    return _scan(header, (r, u_asym, u_full),
+                 lambda x, ua, uf: [x] + _parts(ua) + _parts(uf))
 
 
 _BUILDERS = {
@@ -349,6 +325,7 @@ _BUILDERS = {
     "field_map": _build_field_map,
     "bh_mode": _build_bh_mode,
 }
+QUANTITIES = tuple(_BUILDERS)
 
 
 def run_scan(spec):
@@ -470,10 +447,8 @@ def load_preset(name):
     return json.loads(path.read_text())
 
 
-_TUPLE_FIELDS = ("theta_range", "kx_range", "kz_range", "r_range")
 # ScanSpec fields that set the same axis
-_AXIS_PAIRS = (("cesaro_n", "cesaro_n_values"), ("ell_max", "ell_max_values"),
-               ("kx_values", "kx_range"))
+_AXIS_PAIRS = (("ell_max", "ell_max_values"), ("kx_values", "kx_range"))
 
 
 def _spec_from_mapping(data):
@@ -515,7 +490,9 @@ def _build_parser():
     parser.add_argument("--ell", type=int, help="partial-wave index "
                         "(bh_mode)")
     parser.add_argument("--ell-max", type=int)
-    parser.add_argument("--cesaro-n", type=int)
+    parser.add_argument("--cesaro-n", type=int, action="append",
+                        dest="cesaro_n_values", metavar="N",
+                        help="Cesaro order n; repeat for several")
     parser.add_argument("--theta", type=float, dest="fixed_theta",
                         metavar="THETA", help="fixed angle for diverging_sum")
     parser.add_argument("--rho", type=float, action="append",

@@ -252,6 +252,18 @@ def test_flag_replaces_whole_preset_axis(tmp_path):
     assert sorted(set(kx)) == [-1.0, 0.0, 1.0]
 
 
+def test_cesaro_n_repeats_and_defaults_to_1000(tmp_path):
+    out = str(tmp_path / "c.csv")
+    assert main(["cesaro", "--gamma", "0.5", "--cesaro-n", "20",
+                 "--cesaro-n", "40", "--theta-range", "0.1:3:5",
+                 "--out", out]) == 0
+    n = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert list(n) == [20.0] * 5 + [40.0] * 5
+    assert main(["cesaro", "--gamma", "0.5", "--theta-range", "0.1:3:5",
+                 "--out", out]) == 0
+    assert set(np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]) == {1000.0}
+
+
 def test_bh_mode_scan(tmp_path):
     out = str(tmp_path / "bh.csv")
     code = main(["bh_mode", "--mass", "0.05", "--omega", "1.0",
@@ -377,13 +389,13 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-# SHA-256 of the shipped presets' CSVs (fig3's 154,401 rows left out for
-# the suite's time) and of the README bh_mode scan: a byte moved anywhere
-# in these scans shows here. CSV bytes are those of this platform's float64
-# arithmetic (x86-64, numpy 2.4).
+# SHA-256 of the shipped presets' CSVs and of the README bh_mode scan: a
+# byte moved anywhere in these scans shows here. CSV bytes are those of
+# this platform's float64 arithmetic (x86-64, numpy 2.4).
 PRESET_SHA256 = {
     "fig1": "1b56d624c27f93d0948bba80c7bc6706f771ec90c0c47e027e5c03234509782f",
     "fig2": "df2b55b59bba46ac72d1dcd0ef8131a5d53ca3c389ce9fb9799c801d77ced4bc",
+    "fig3": "82553bbf2b94933a96f0b8a9c3133f1606e99c4ea64c7bdc32c971ea97c806ed",
     "fig4": "f85a87b4367953ec5c9b551a62923c214114c8ab7a267833c7f6d5d46349b19d",
     "fig5": "c02be81460857384a5a95a69ee00f00a6ecf6f0fceee86a5dff892f5992118e1",
     "fig6": "4f946c3c0ed8e55638a2d16fee2357579ebd47d4f2848b85597f5971c4454b3d",

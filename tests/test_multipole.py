@@ -578,6 +578,8 @@ SCALAR_WRAPPERS = {
         (lambda p, rho, theta: coulomb_wave_regular(3, p.gamma, rho), 250),
     "coulomb_wave_asymptotic":
         (lambda p, rho, theta: coulomb_wave_asymptotic(3, p.gamma, rho), 1000),
+    "differential_cross_section":
+        (lambda p, rho, theta: differential_cross_section(p, theta), 1000),
 }
 
 
