@@ -54,56 +54,6 @@ def coulomb_reduction(bh):
     return ScatteringParams(gamma=bh.gamma, k=bh.omega)
 
 
-def effective_potential(bh, ell, r):
-    """Radial barrier seen by the rescaled mode,
-    (1/r^2)(1 - r_s/r)(r_s/r + ell(ell+1)), defined outside the horizon."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    r_arr = np.asarray(r, dtype=np.float64)
-    if np.any(r_arr <= bh.r_s):
-        raise ValueError("r must lie outside the horizon r > r_s")
-    x = bh.r_s / r_arr
-    out = (1.0 - x) * (x + ell * (ell + 1.0)) / r_arr ** 2
-    return float(out) if r_arr.ndim == 0 else out
-
-
-def tortoise_coordinate(bh, r):
-    """r_* = r + r_s ln(r/r_s - 1), the coordinate in which the horizon is
-    pushed to minus infinity. Flat space (mass = 0) gives r back."""
-    r_arr = np.asarray(r, dtype=np.float64)
-    if bh.r_s == 0.0:
-        out = r_arr.copy()
-        return float(out) if r_arr.ndim == 0 else out
-    if np.any(r_arr <= bh.r_s):
-        raise ValueError("r must lie outside the horizon r > r_s")
-    out = r_arr + bh.r_s * np.log(r_arr / bh.r_s - 1.0)
-    return float(out) if r_arr.ndim == 0 else out
-
-
-def radius_from_tortoise(bh, r_star):
-    """Invert the tortoise map by bisection; monotonicity makes this safe
-    for any input. Relative accuracy 1e-12 on r."""
-    if bh.r_s == 0.0:
-        return float(r_star)
-    lo = bh.r_s * (1.0 + 1e-15)
-    hi = max(2.0 * bh.r_s, r_star + bh.r_s + 1.0)
-    while tortoise_coordinate(bh, hi) < r_star:
-        hi *= 2.0
-    while tortoise_coordinate(bh, lo) > r_star:
-        lo = bh.r_s + 0.5 * (lo - bh.r_s)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if tortoise_coordinate(bh, mid) < r_star:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def long_wavelength_valid(bh, ell):
     """Whether dropping the short-range correction is justified for this
     partial wave: requires ell(ell+1) > 12 (M omega)^2. The ell = 0 wave

@@ -44,14 +44,10 @@ class CurrentDecomposition:
     interference: CurrentVector
 
 
-def _default_step(rho):
-    return 1e-4 * np.maximum(1.0, rho)
-
-
 def _check_domain(p, rho, h):
     """Raise unless the stencil of radial step h keeps rho > h and
     h max(1, |gamma| / rho) < 0.1 at each rho: the currents' domain for the
-    default step."""
+    stencil's step."""
     bad = (rho <= h) | (h * np.maximum(1.0, abs(p.gamma) / rho) >= 0.1)
     if np.any(bad):
         raise ValueError("rho = %g, gamma = %g lies outside the currents' "
@@ -59,13 +55,13 @@ def _check_domain(p, rho, h):
                          % (rho[bad][0], p.gamma))
 
 
-def _stencil(p, fields, rho, theta, h=None):
+def _stencil(p, fields, rho, theta):
     """Currents of several fields from one five-point central-difference
     stencil.
 
     fields(rho_array, theta_array) -> sequence of complex arrays, every
-    field evaluated on the same stencil points. The radial step h defaults
-    to 1e-4 max(1, rho) at each point, so a point's current does not depend
+    field evaluated on the same stencil points. The radial step is
+    h = 1e-4 max(1, rho) at each point, so a point's current does not depend
     on the points batched with it; the polar step is h/max(1, rho) so the
     arc displacement rho*dtheta matches h. Returns one (j_r, j_theta) pair
     of arrays, broadcast over rho and theta, per field.
@@ -77,7 +73,7 @@ def _stencil(p, fields, rho, theta, h=None):
     # loops, so a point's current would depend on how it was batched
     shape = np.broadcast_shapes(rho.shape, theta.shape)
     rho_b, theta_b = (np.broadcast_to(v, shape).ravel() for v in (rho, theta))
-    h = _default_step(rho_b) if h is None else h
+    h = 1e-4 * np.maximum(1.0, rho_b)
     _check_domain(p, rho_b, h)
     ht = h / np.maximum(1.0, rho_b)
     pts_rho = np.stack([rho_b, rho_b + h, rho_b - h, rho_b, rho_b])
@@ -110,8 +106,10 @@ def _pointwise(field):
 def current_numeric(field, p, pt):
     """Numerical current of an arbitrary scalar field at one point.
 
-    field maps a FieldPoint to a complex value. Both components use the
-    same five-point cross stencil as the residual check.
+    field maps a FieldPoint to a complex value. Both components come from
+    one five-point cross stencil: radial step h = 1e-4 max(1, rho) and
+    polar step h / max(1, rho). schrodinger_residual's stencil is not this
+    one: its polar step is h / max(1, rho |sin theta|), with h the caller's.
     """
     return _vector(_stencil(p, _pointwise(field), pt.rho, pt.theta)[0])
 
@@ -222,26 +220,3 @@ def oscillation_length(p, pt):
         raise ValueError("fringe spacing is singular where rho s equals "
                          "2 gamma")
     return float(2.0 * np.pi / (p.k * np.sin(pt.theta) * factor))
-
-
-def divergence_numeric(field, p, pt):
-    """Numeric divergence of the current of a field, in spherical
-    coordinates: k [ rho^-2 d(rho^2 J_r)/d_rho
-    + (rho sin theta)^-1 d(sin theta J_theta)/d_theta ].
-
-    Stationary solutions should give values near zero; the scale to compare
-    against is |J| / rho. J is taken at rho -+ 10 h with the step h of rho,
-    which must pass the domain check there too.
-    """
-    rho, theta = pt.rho, pt.theta
-    h = _default_step(rho)
-    # outer step for differentiating J itself; the inner stencil reuses h
-    hd = 10.0 * h
-    ht = hd / max(1.0, rho)
-    (j_r, j_theta), = _stencil(p, _pointwise(field),
-                               [rho + hd, rho - hd, rho, rho],
-                               [theta, theta, theta + ht, theta - ht], h)
-    d_r = ((rho + hd) ** 2 * j_r[0] - (rho - hd) ** 2 * j_r[1]) / (2.0 * hd)
-    d_t = (np.sin(theta + ht) * j_theta[2]
-           - np.sin(theta - ht) * j_theta[3]) / (2.0 * ht)
-    return float(p.k * (d_r / rho ** 2 + d_t / (rho * np.sin(theta))))

@@ -1,11 +1,10 @@
-"""The exact Rutherford scattering wavefunction and its validity geometry.
+"""The exact Rutherford scattering wavefunction and its residual check.
 
 Natural units hbar = m = 1 throughout: the interaction strength gamma and
 the wavenumber k are the only physical parameters, and field positions are
 the dimensionless (rho = k r, theta).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +47,8 @@ class FieldPoint:
 def _field(p, rho, theta, kummer):
     """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
     M(-i gamma, 1, i rho s) on broadcastable arrays of (rho, theta), with
-    the Kummer function M evaluated by kummer(a, b, z): hyp1f1, one of its
-    two branches, or a truncation of its series."""
+    the Kummer function M evaluated by kummer(a, b, z): hyp1f1 or one of
+    its two branches."""
     rho = np.asarray(rho, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     s = 1.0 - np.cos(theta)
@@ -75,27 +74,6 @@ def psi_forward(p, rho):
     """The solution on the forward axis: a plane wave carrying the reduced
     amplitude e^{-pi gamma/2} Gamma(1 + i gamma) (s = 0, where M = 1)."""
     return complex(_field(p, rho, 0.0, lambda a, b, z: 1.0))
-
-
-def psi_small_rhos(p, pt):
-    """First-order small-(rho s) form: the forward plane-wave amplitude
-    times (1 + gamma rho s), the Kummer series through its linear term.
-    Warns when rho*s is not small."""
-    s = pt.s
-    if pt.rho * s >= 1.0:
-        warnings.warn("psi_small_rhos called with rho*s = %.3g >= 1, "
-                      "outside its region of validity" % (pt.rho * s),
-                      stacklevel=2)
-    return complex(_field(p, pt.rho, pt.theta,
-                          lambda a, b, z: 1.0 + a * z / b))
-
-
-def paraboloid_s(rho):
-    """Angular scale s* = 1/rho of the paraboloid rho*s = 1 separating the
-    damped interior from the asymptotic exterior."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return 1.0 / rho
 
 
 def schrodinger_residual(p, pt, h):

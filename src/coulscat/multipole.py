@@ -278,41 +278,3 @@ def f_reduced_series(p, theta, ell_max):
               for ell, f in enumerate(phase_shift_sweep(ell_max, g).tolist())]
     value = (g / p.k) * _legendre_sum(coeffs, x) / (1.0 - x)
     return complex(value) if theta_arr.ndim == 0 else value
-
-
-def legendre_power_law_coeff(a, ell):
-    """Legendre coefficient c_ell of the power law (1 - x)^(a-1) on
-    (-1, 1), via the pole-free product form
-    2^(a-1) (2 ell + 1) / a * prod_{j=1..ell} (j - a)/(j + a).
-
-    Defined for Re(a) > 0 only; at Re(a) <= 0 the expansion integral does
-    not exist and a domain error is raised.
-    """
-    a = complex(a)
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    if a.real <= 0.0:
-        raise ValueError("requires Re(a) > 0")
-    coeff = 2.0 ** (a - 1.0) * (2.0 * ell + 1.0) / a
-    for j in range(1, ell + 1):
-        coeff *= (j - a) / (j + a)
-    return complex(coeff)
-
-
-@dataclass(frozen=True)
-class PlaneWavePartial:
-    exact: complex
-    asymptotic: complex
-
-
-def plane_wave_partial(ell, rho):
-    """One partial wave of the free plane wave: the exact Bessel form
-    i^ell (2 ell + 1) j_ell(rho), which is coulomb_wave_regular(ell, 0, rho)
-    / rho (F_ell(0, rho) = rho j_ell(rho), DLMF 33.5.ii), next to its
-    large-rho two-exponential approximation coulomb_wave_asymptotic(ell, 0,
-    rho). Useful for judging where 'asymptotic' starts. For ell < 200 and
-    300 < rho <= 1100 the exact form is within 4.3e-13 of its envelope
-    (2 ell + 1)/rho against 40-digit mpmath (see specfun)."""
-    # first: it raises for ell < 0 and rho <= 0
-    asym = coulomb_wave_asymptotic(ell, 0.0, rho)
-    return PlaneWavePartial(coulomb_wave_regular(ell, 0.0, rho) / rho, asym)

@@ -472,14 +472,6 @@ def _legendre_rows(x, ell_max):
         yield p
 
 
-def legendre_p(ell, x):
-    """Legendre polynomial P_ell(x) on [-1, 1] by the upward Bonnet
-    recurrence. x may be an array."""
-    sweep = legendre_sweep(ell, x)
-    out = sweep[ell]
-    return float(out) if np.asarray(x).ndim == 0 else out
-
-
 def legendre_sweep(ell_max, x):
     """All of P_0(x) .. P_{ell_max}(x), shape (ell_max+1,) + x.shape. A
     scalar x runs the recurrence on Python floats, which for a long sweep

@@ -1,6 +1,5 @@
-"""Black-hole long-wavelength layer: parameter mapping, effective barrier,
-tortoise coordinate, validity gating, and the full-equation mode used to
-audit the dropped short-range term."""
+"""Black-hole long-wavelength layer: parameter mapping, validity gating,
+and the full-equation mode used to audit the dropped short-range term."""
 
 import numpy as np
 import pytest
@@ -12,16 +11,13 @@ from coulscat import (
     BlackHoleParams,
     ScatteringParams,
     coulomb_reduction,
+    coulomb_wave_asymptotic,
     coulomb_wave_regular,
-    effective_potential,
     differential_cross_section,
     full_mode_phase_error,
     integrate_full_mode,
     long_wavelength_valid,
-    plane_wave_partial,
     radial_mode_asymptotic,
-    radius_from_tortoise,
-    tortoise_coordinate,
 )
 
 
@@ -42,53 +38,6 @@ def test_coulomb_reduction_mapping():
     assert p.k == 0.2
     # massless limit: free propagation
     assert coulomb_reduction(BlackHoleParams(mass=0.0, omega=1.0)).gamma == 0.0
-
-
-def test_effective_potential_value():
-    bh = BlackHoleParams(mass=1.0, omega=0.3)
-    # (1/100)(1 - 0.2)(0.2 + 6) = 0.0496
-    assert effective_potential(bh, 2, 10.0) == pytest.approx(0.0496)
-    arr = effective_potential(bh, 2, np.array([10.0, 20.0]))
-    assert arr[0] == pytest.approx(0.0496)
-    with pytest.raises(ValueError):
-        effective_potential(bh, 2, 2.0)  # on the horizon
-    with pytest.raises(ValueError):
-        effective_potential(bh, -1, 10.0)
-
-
-def test_effective_potential_barrier_shape():
-    # vanishes at the horizon and at infinity, with a single hump between
-    bh = BlackHoleParams(mass=1.0, omega=0.3)
-    r = np.geomspace(2.0001, 2000.0, 400)
-    v = effective_potential(bh, 2, r)
-    assert v[0] < 1e-3
-    assert v[-1] < 1e-5
-    peak = np.argmax(v)
-    assert 0 < peak < len(r) - 1
-    assert np.all(np.diff(v[: peak + 1]) > 0)
-    assert np.all(np.diff(v[peak:]) < 0)
-
-
-def test_tortoise_coordinate():
-    bh = BlackHoleParams(mass=1.0, omega=0.3)
-    # at r = 2 r_s the log vanishes: r_* = r
-    assert tortoise_coordinate(bh, 2.0 * bh.r_s) == pytest.approx(2.0 * bh.r_s)
-    # diverges toward the horizon
-    assert tortoise_coordinate(bh, bh.r_s * 1.0001) < -10.0
-    with pytest.raises(ValueError):
-        tortoise_coordinate(bh, bh.r_s)
-    # flat space: identity
-    flat = BlackHoleParams(mass=0.0, omega=1.0)
-    assert tortoise_coordinate(flat, 7.3) == 7.3
-    assert radius_from_tortoise(flat, 7.3) == 7.3
-
-
-def test_tortoise_round_trip():
-    bh = BlackHoleParams(mass=0.7, omega=0.3)
-    r = np.geomspace(1.01 * bh.r_s, 1000.0 * bh.r_s, 60)
-    for ri in r:
-        back = radius_from_tortoise(bh, tortoise_coordinate(bh, ri))
-        assert abs(back - ri) < 1e-10 * ri
 
 
 def test_long_wavelength_validity():
@@ -127,7 +76,7 @@ def test_radial_mode_asymptotic_free_limit():
     # mass = 0 reduces to the plane-wave two-exponential partial wave
     bh = BlackHoleParams(mass=0.0, omega=1.0)
     got = radial_mode_asymptotic(bh, 2, 70.0)
-    ref = plane_wave_partial(2, 70.0).asymptotic
+    ref = coulomb_wave_asymptotic(2, 0.0, 70.0)
     assert abs(got - ref) < 1e-12 * abs(ref)
 
 
@@ -346,5 +295,5 @@ def test_flat_spacetime_mode_is_plane_wave_mode():
     bh = BlackHoleParams(mass=0.0, omega=1.0)
     r = 200.0
     asym = radial_mode_asymptotic(bh, 1, r)
-    exact = plane_wave_partial(1, r).exact
+    exact = coulomb_wave_regular(1, 0.0, r) / r
     assert abs(asym - exact) < 2e-2 / r

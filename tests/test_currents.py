@@ -1,6 +1,6 @@
 """Probability-current tests: stencil machinery against analytic forms,
-closure of the asymptotic decomposition, interference fringe geometry,
-and conservation of the exact flow."""
+closure of the asymptotic decomposition and interference fringe
+geometry."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from coulscat import (
     current_numeric,
     current_outgoing_exact,
     current_scattered_asymptotic,
-    divergence_numeric,
     interference_radial_leading,
     oscillation_length,
     psi_exact,
@@ -166,16 +165,6 @@ def test_oscillation_length_errors():
     rho = 2.0 * p.gamma / (1.0 - np.cos(theta))
     with pytest.raises(ValueError):
         oscillation_length(p, FieldPoint(rho=rho, theta=theta))
-
-
-def test_exact_flow_is_divergence_free():
-    p = params(0.4)
-    for rho, theta in [(8.0, 1.2), (25.0, 2.1)]:
-        pt = FieldPoint(rho=rho, theta=theta)
-        div = divergence_numeric(lambda q: psi_exact(p, q), p, pt)
-        j = current_numeric(lambda q: psi_exact(p, q), p, pt)
-        scale = j.magnitude / rho
-        assert abs(div) < 1e-3 * scale, (rho, theta)
 
 
 def test_step_validation():

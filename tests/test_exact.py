@@ -3,7 +3,7 @@
 The forward-direction moduli and the single frozen field value come from a
 40-digit mpmath evaluation of the confluent form; everything else is checked
 against internal identities (plane-wave limit, residual of the governing
-equation, parabolic level sets).
+equation, the forward plateau).
 """
 
 import numpy as np
@@ -12,11 +12,9 @@ import pytest
 from coulscat import (
     FieldPoint,
     ScatteringParams,
-    paraboloid_s,
     psi_exact,
     psi_exact_grid,
     psi_forward,
-    psi_small_rhos,
     schrodinger_residual,
     specfun,
 )
@@ -116,23 +114,6 @@ def test_psi_exact_grid_matches_scalar():
         assert grid[i] == psi_exact(p, FieldPoint(rho=r, theta=t)), (r, t)
 
 
-def test_small_rhos_expansion():
-    p = ScatteringParams(gamma=1.0, k=1.0)
-    pt = FieldPoint(rho=2.0, theta=0.05)
-    approx = psi_small_rhos(p, pt)
-    full = psi_exact(p, pt)
-    assert abs(approx - full) < 1e-2 * abs(full)
-    # on the axis it degenerates to the forward value
-    on_axis = psi_small_rhos(p, FieldPoint(rho=9.0, theta=0.0))
-    assert on_axis == psi_forward(p, 9.0)
-
-
-def test_small_rhos_warns_outside_its_window():
-    p = ScatteringParams(gamma=1.0, k=1.0)
-    with pytest.warns(UserWarning):
-        psi_small_rhos(p, FieldPoint(rho=4.0, theta=2.0))
-
-
 def test_forward_plateau_off_axis():
     # near the axis (rho*s small) the modulus stays on the forward plateau
     # even far from the scatterer
@@ -142,19 +123,6 @@ def test_forward_plateau_off_axis():
         theta = np.sqrt(0.08 / rho)  # rho*s ~ 0.04
         val = abs(psi_exact(p, FieldPoint(rho=rho, theta=theta)))
         assert abs(val - plateau) < 0.1 * plateau
-
-
-def test_paraboloid_scale():
-    assert paraboloid_s(10.0) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        paraboloid_s(0.0)
-    # the unit paraboloid rho*(1-cos theta) = 1 in cartesian coordinates:
-    # at transverse distance kx = 10 the axial coordinate is kz = 49.5
-    kx, kz = 10.0, 49.5
-    rho = np.hypot(kx, kz)
-    s = 1.0 - kz / rho
-    assert rho * s == pytest.approx(1.0, rel=1e-12)
-    assert paraboloid_s(rho) == pytest.approx(s, rel=1e-12)
 
 
 def test_schrodinger_residual_small_on_random_grid():

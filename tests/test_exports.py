@@ -1,9 +1,19 @@
 """The package's public names: every export resolves, listed once, in
-order, and no numerical entry point takes a method option."""
+order, has a caller outside the unit tests, and no numerical entry point
+takes a method option."""
 
 import inspect
+import pathlib
+import re
 
 import coulscat
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# where an export's caller may live: the package itself, the README's tour
+# and the paper's acceptance criteria
+CALLER_FILES = ([path for path in sorted(ROOT.glob("src/coulscat/*.py"))
+                 if path.name != "__init__.py"]
+                + [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"])
 
 # step, tolerance and term-budget names: each evaluator takes its physical
 # inputs only. schrodinger_residual's h stays: the step is what that
@@ -18,6 +28,20 @@ def test_all_exports_resolve_sorted_unique():
     assert missing == []
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+
+
+def test_every_export_has_a_non_test_caller():
+    # a whole-word mention on any line of CALLER_FILES but the name's own
+    # def or class line
+    lines = [line for path in CALLER_FILES
+             for line in path.read_text().splitlines()]
+
+    def has_caller(name):
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        own = re.compile(r"\s*(def|class)\s+%s\b" % re.escape(name))
+        return any(word.search(line) and not own.match(line) for line in lines)
+
+    assert [name for name in coulscat.__all__ if not has_caller(name)] == []
 
 
 def test_no_method_options_in_public_signatures():

@@ -1,26 +1,24 @@
 """Partial-wave layer: phase-shift factors, regular radial waves, the
-divergent amplitude series and its two repaired forms, Legendre expansion
-of the power-law profile, and the free-wave reference."""
+divergent amplitude series and its two repaired forms, and the free-wave
+reference."""
 
 import numpy as np
 import pytest
 from mpmath import mp, coulombf
-from scipy.integrate import quad
-from scipy.special import eval_legendre, spherical_jn
+from scipy.special import spherical_jn
 
 from coulscat import (
     FieldPoint,
     ScatteringParams,
+    born_amplitude_yukawa,
     coulomb_wave_asymptotic,
     coulomb_wave_regular,
     differential_cross_section,
     f_reduced_series,
     f_series_cesaro,
     f_series_partial_sweep,
-    legendre_power_law_coeff,
     phase_shift,
     phase_shift_sweep,
-    plane_wave_partial,
     psi_asymptotic,
     psi_asymptotic_grid,
     psi_exact,
@@ -154,7 +152,7 @@ def test_coulomb_wave_frozen_value():
 # the Kummer form, sigma_ell = arg Gamma(ell + 1 + i gamma); the moduli
 # equal (2 ell + 1) |coulombf(ell, gamma, rho)|. Here |a|^2 >> |z|, where
 # the large-|z| expansion of 1F1 does not hold. The gamma = 0 rows are free
-# partial waves (plane_wave_partial) past rho = 300.
+# partial waves past rho = 300.
 COULOMB_WAVE_LARGE_ELL = [
     (200, 1.0, 500.0, complex(-212.54515812645538092, 318.52238337668994649)),
     (100, 1.0, 400.0, complex(-16.517429214517424406, -161.03873233482146953)),
@@ -480,67 +478,32 @@ def test_closed_form_properties():
                    - differential_cross_section(p, theta)) < 1e-12
 
 
-def test_power_law_coeff_simple_cases():
-    # a = 1 means a constant profile: only the ell = 0 coefficient survives
-    assert legendre_power_law_coeff(1.0, 0) == pytest.approx(1.0)
-    for ell in (1, 2, 5):
-        assert abs(legendre_power_law_coeff(1.0, ell)) < 1e-15
-    # a = 1/2: c_0 = 2^(-1/2) * 1 / (1/2) = sqrt(2)
-    assert legendre_power_law_coeff(0.5, 0) == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(ValueError):
-        legendre_power_law_coeff(0.0, 1)
-    with pytest.raises(ValueError):
-        legendre_power_law_coeff(-1.0 + 2j, 1)
-    with pytest.raises(ValueError):
-        legendre_power_law_coeff(0.5, -1)
-
-
-def test_power_law_coeff_against_quadrature():
-    # c_ell = (2 ell + 1)/2 * integral of (1-x)^(a-1) P_ell(x) dx
-    for a in (0.5, 0.9, 2.3):
-        for ell in (0, 1, 4, 9):
-            val, _ = quad(
-                lambda x: (1.0 - x) ** (a - 1.0) * eval_legendre(ell, x),
-                -1.0, 1.0, points=[1.0] if a < 1.0 else None, limit=200)
-            ref = (2 * ell + 1) / 2.0 * val
-            got = legendre_power_law_coeff(a, ell)
-            assert abs(got - ref) < 1e-8 * max(1.0, abs(ref)), (a, ell)
-
-
-def test_power_law_partial_reconstruction():
-    # truncated expansion of (1-x)^(a-1) evaluated at one interior point;
-    # the endpoint singularity at x = 1 makes convergence slow, so the
-    # bounds here are the measured ones, not wishful thinking
-    a, x = 0.7, 0.3
-    target = (1.0 - x) ** (a - 1.0)
-    coeffs = [legendre_power_law_coeff(a, ell) for ell in range(1001)]
-    leg = legendre_sweep(1000, np.float64(x))
-    partial = np.cumsum([np.real(c) * leg[ell]
-                         for ell, c in enumerate(coeffs)])
-    err60 = abs(partial[60] - target)
-    err1000 = abs(partial[1000] - target)
-    assert err60 < 2e-2
-    assert err1000 < 1e-3
-    assert err1000 < err60
-
-
 def test_plane_wave_partial_values():
+    # one partial wave of the free plane wave, i^ell (2 ell + 1) j_ell(rho),
+    # is coulomb_wave_regular(ell, 0, rho) / rho (F_ell(0, rho) =
+    # rho j_ell(rho), DLMF 33.5.ii); coulomb_wave_asymptotic(ell, 0, rho) is
+    # its large-rho two-exponential form
+    def forms(ell, rho):
+        return (coulomb_wave_regular(ell, 0.0, rho) / rho,
+                coulomb_wave_asymptotic(ell, 0.0, rho))
+
     # ell = 0 at moderate rho: the two forms are identical (j_0 is exactly
     # the two-exponential expression)
-    pw = plane_wave_partial(0, 4.0)
-    assert abs(pw.exact - pw.asymptotic) < 1e-14
+    exact, asym = forms(0, 4.0)
+    assert abs(exact - asym) < 1e-14
     # far zone: close agreement for low ell
-    pw = plane_wave_partial(3, 50.0)
-    assert abs(pw.exact - pw.asymptotic) < 1e-2
+    exact, asym = forms(3, 50.0)
+    assert abs(exact - asym) < 1e-2
     # deep sub-threshold: the exact term is essentially zero while the
     # two-exponential form stays O(1/rho)
-    pw = plane_wave_partial(30, 5.0)
-    assert abs(pw.exact) < 1e-15
-    assert abs(pw.asymptotic) > 1.0
+    exact, asym = forms(30, 5.0)
+    assert abs(exact) < 1e-15
+    assert abs(asym) > 1.0
     with pytest.raises(ValueError):
-        plane_wave_partial(-1, 5.0)
-    with pytest.raises(ValueError):
-        plane_wave_partial(2, 0.0)
+        coulomb_wave_regular(-1, 0.0, 5.0)
+    for ell, rho in [(-1, 5.0), (2, 0.0)]:
+        with pytest.raises(ValueError):
+            coulomb_wave_asymptotic(ell, 0.0, rho)
 
 
 def test_legendre_recurrence_identity():
@@ -580,6 +543,12 @@ SCALAR_WRAPPERS = {
         (lambda p, rho, theta: coulomb_wave_asymptotic(3, p.gamma, rho), 1000),
     "differential_cross_section":
         (lambda p, rho, theta: differential_cross_section(p, theta), 1000),
+    "f_series_cesaro":
+        (lambda p, rho, theta: f_series_cesaro(p, theta, 100), 300),
+    "f_reduced_series":
+        (lambda p, rho, theta: f_reduced_series(p, theta, 100), 300),
+    "born_amplitude_yukawa":
+        (lambda p, rho, theta: born_amplitude_yukawa(p, theta, 0.3), 300),
 }
 
 

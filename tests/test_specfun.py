@@ -11,7 +11,7 @@ from mpmath import hyp1f1 as mp_hyp1f1
 from scipy.special import eval_legendre, loggamma as sc_loggamma, spherical_jn
 
 from coulscat import specfun
-from coulscat.multipole import plane_wave_partial
+from coulscat.multipole import coulomb_wave_regular
 
 mp.dps = 40
 
@@ -451,18 +451,18 @@ def test_kummer_ivp_at_start_radius_is_initial_value():
 
 
 def test_legendre_p_values():
-    assert specfun.legendre_p(0, -0.73) == 1.0
-    assert abs(specfun.legendre_p(2, 1.0) - 1.0) < 1e-14
-    assert abs(specfun.legendre_p(3, 0.3) - (-0.3825)) < 1e-14
+    assert specfun.legendre_sweep(0, -0.73)[0] == 1.0
+    assert abs(specfun.legendre_sweep(2, 1.0)[2] - 1.0) < 1e-14
+    assert abs(specfun.legendre_sweep(3, 0.3)[3] - (-0.3825)) < 1e-14
     with pytest.raises(ValueError):
-        specfun.legendre_p(2, 1.2)
+        specfun.legendre_sweep(2, 1.2)
 
 
 def test_legendre_matches_scipy():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, size=30)
     for ell in (1, 4, 9, 37, 150):
-        got = specfun.legendre_p(ell, x)
+        got = specfun.legendre_sweep(ell, x)[ell]
         ref = eval_legendre(ell, x)
         assert np.max(np.abs(got - ref)) < 1e-10
 
@@ -491,8 +491,9 @@ def test_legendre_scalar_sweep_equals_array_sweep():
 
 
 def spherical_bessel_j(ell, x):
-    """j_ell(x) from the free partial wave, (2 ell + 1) i^ell j_ell(x)."""
-    return plane_wave_partial(ell, x).exact / ((2 * ell + 1) * 1j ** ell)
+    """j_ell(x) from the free partial wave coulomb_wave_regular(ell, 0, x)
+    / x = (2 ell + 1) i^ell j_ell(x)."""
+    return coulomb_wave_regular(ell, 0.0, x) / x / ((2 * ell + 1) * 1j ** ell)
 
 
 def test_spherical_bessel_values():
@@ -511,8 +512,8 @@ def test_spherical_bessel_matches_scipy():
 def test_plane_wave_expansion_consistency():
     rho, theta = 9.0, 1.1
     ell_top = int(rho) + 25
+    leg = specfun.legendre_sweep(ell_top, np.cos(theta))
     acc = 0.0 + 0.0j
     for ell in range(ell_top + 1):
-        acc += plane_wave_partial(ell, rho).exact \
-            * specfun.legendre_p(ell, np.cos(theta))
+        acc += coulomb_wave_regular(ell, 0.0, rho) / rho * leg[ell]
     assert abs(acc - np.exp(1j * rho * np.cos(theta))) < 1e-8
