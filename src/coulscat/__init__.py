@@ -51,8 +51,6 @@ from .multipole import (
 )
 from .specfun import (
     hyp1f1,
-    hyp1f1_asymptotic,
-    hyp1f1_series,
     legendre_sweep,
     log_gamma_complex,
     reciprocal_gamma,
@@ -83,8 +81,6 @@ __all__ = [
     "f_series_partial_sweep",
     "full_mode_phase_error",
     "hyp1f1",
-    "hyp1f1_asymptotic",
-    "hyp1f1_series",
     "integrate_full_mode",
     "interference_radial_leading",
     "legendre_sweep",

@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import asymptotic, classical, currents, exact, multipole
+from . import asymptotic, classical, currents, exact, multipole, specfun
 
 CHUNK_ROWS = 2048
 CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
@@ -371,8 +371,8 @@ _DESCRIPTIONS = {
         "(optionally times 1 - i gamma^2/(rho s)) plus the scattered wave "
         "-(gamma/rho s) (Gamma(1+i gamma)/Gamma(1-i gamma)) "
         "e^{i(rho - gamma ln rho s)}\n"
-        "validity: rho s >> 1 (the valid column uses rho s > 10); the "
-        "split does not exist at theta = 0"),
+        "validity: rho s >> 1 (the valid column uses rho s > %g); the "
+        "split does not exist at theta = 0" % asymptotic.VALIDITY_RHO_S),
     "currents": (
         "probability currents J = Im[psi* grad psi] of the asymptotic "
         "field (total, incoming, scattered, interference = total - in - "
@@ -422,11 +422,12 @@ _DESCRIPTIONS = {
         "Coulomb wave of order lambda, lambda(lambda+1) = ell(ell+1) - "
         "12 (M omega)^2, carried out from the ell wave's data at r_start "
         "by the Kummer-ODE continuation up to the matching radius "
-        "2 omega r = 30 + 2 |lambda + 1 - i gamma|^2, and beyond it by the "
+        "2 omega r = %g + %g |lambda + 1 - i gamma|^2, and beyond it by the "
         "two large-distance Kummer solutions matched there; both in the "
         "u/(omega r) normalization)\n"
         "validity: ell(ell+1) > 12 (M omega)^2 and omega r >> ell(ell+1) + "
-        "gamma^2; never valid for ell = 0"),
+        "gamma^2; never valid for ell = 0"
+        % (specfun.SERIES_SWITCH_BASE, specfun.SERIES_SWITCH_SCALE)),
 }
 
 

@@ -5,6 +5,7 @@ the wavenumber k are the only physical parameters, and field positions are
 the dimensionless (rho = k r, theta).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ def _field(p, rho, theta, kummer):
     """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
     M(-i gamma, 1, i rho s) on broadcastable arrays of (rho, theta), with
     the Kummer function M evaluated by kummer(a, b, z): hyp1f1 or one of
-    its two branches."""
+    its two branch bodies on _entry."""
     rho = np.asarray(rho, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     s = 1.0 - np.cos(theta)
@@ -98,12 +99,12 @@ def schrodinger_residual(p, pt, h):
     # the whole stencil on the center's 1F1 branch: a branch switch inside
     # it would put the two branches' difference into the second differences
     if rho * (1.0 - np.cos(theta)) <= specfun.series_radius(-1j * p.gamma):
-        kummer = specfun.hyp1f1_series
+        branch = specfun._continuation
     else:
-        kummer = specfun.hyp1f1_asymptotic
+        branch = specfun._asymptotic
     rhos = np.array([rho, rho - h, rho + h, rho, rho])
     thetas = np.array([theta, theta, theta, theta - ht, theta + ht])
-    f = _field(p, rhos, thetas, kummer)
+    f = _field(p, rhos, thetas, functools.partial(specfun._entry, branch))
     c, rm, rp, tm, tp = f
 
     d2_rho = (rp - 2.0 * c + rm) / h ** 2

@@ -12,18 +12,20 @@ continued analytically along the ray through z by Taylor re-expansion of
 the Kummer ODE z M'' + (b - z) M' - a M = 0 (Pearson, Olver & Porter,
 Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
 
-* M and M' start from the Maclaurin sum at r_0 = 1 / max(1, |a/b|), where
-  |a r_0 / b| <= 1 keeps its terms O(1).
+* The chain starts at the origin. Its first step, out to
+  r_0 = 1 / max(1, |a/b|), sums the Maclaurin terms of M, which
+  |a r_0 / b| <= 1 keeps O(1).
 * Anchors r_{k+1} = r_k + min(r_k/2, CONT_MAX_STEP, CONT_B_STEP r_k/|b|)
   carry M and M' outward, once per call for each distinct (a, b, ray). The
   lattice depends on (a, b) alone. r_k/2 keeps each step inside the local
   radius of convergence |z0|; CONT_MAX_STEP bounds the e^{|h|} cancellation
   of the e^z component; CONT_B_STEP r_k/|b| keeps the coefficient
   recurrence stable near the origin when |b| is large.
-* An element z with r_k < |z| <= r_{k+1} is the Horner sum sum_n d_n t^n
-  of that step's Taylor coefficients d_n = M^(n)(z_k) H^n / n!, H the step,
-  at t = (z - z_k) / H; inside r_0 the Maclaurin terms at t = z / z_0. Its
-  value depends on its own (a, b, z) only.
+* An element z with r_k < |z| <= r_{k+1} (z = 0 opens the first step) is
+  the Horner sum sum_n d_n t^n of that step's Taylor coefficients
+  d_n = M^(n)(z_k) H^n / n!, H the step, at t = (z - z_k) / H; on the first
+  step z_k = 0 and d_n are the Maclaurin terms. Its value depends on its
+  own (a, b, z) only.
 
 Against 40-digit mpmath this is within 2e-14 relative on the psi ray
 (a, b) = (-i gamma, 1), |gamma| <= 20, |z| <= 1000, and within 4e-12 for the
@@ -40,12 +42,12 @@ terms; coulomb_wave_regular there is within 1.8e-13 on 150 random points.
 Inputs and outputs are ordinary complex128.
 
 kummer_ivp runs the same chain and Horner sums (_ray_values) from given
-initial data instead of the Maclaurin sum, for any solution of the Kummer
+initial data at r0 > 0 instead of the origin, for any solution of the Kummer
 ODE (the Schwarzschild full mode in classical is one), up to a given end
 radius, and returns logs (the chain carries a power-of-two scale, so the
 solution may fall far below float64's range). Past that radius a caller
 matches the solution to the two large-|z| solutions of _kummer_pair, which
-hyp1f1_asymptotic also sums.
+hyp1f1's large-|z| branch (_asymptotic) also sums.
 
 Each of their inverse-power series is one (ASYMPTOTIC_TERMS + 1, N) block of
 terms (_inv_power_series), and the Lanczos sum of log_gamma_complex one
@@ -164,7 +166,8 @@ def _entry(body, a, b, z):
 
 def _raise_unconverged(max_terms, z):
     raise RuntimeError(
-        "hyp1f1_series did not converge within SERIES_MAX_TERMS = %d terms "
+        "hyp1f1's convergent branch (the Kummer-ODE continuation) did not "
+        "converge within SERIES_MAX_TERMS = %d terms "
         "(|z| up to %.3g)" % (max_terms, float(np.max(np.abs(z)))))
 
 
@@ -180,71 +183,70 @@ def _anchor_radii(r0, b, r_max):
     return radii
 
 
-def _maclaurin_row(a, b, z0):
-    """The Maclaurin terms (a)_n z0^n / ((b)_n n!) of M(a, b, z0), and M and
-    M' at z0. The sum stops after three consecutive terms below SERIES_TOL
-    relative to M (and, for the n t_n sum that gives z0 M', to
-    |M| + |z0 M'|)."""
-    tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    t = m = 1.0 + 0.0j
-    dm = 0.0j
-    row = [t]
-    consec = 0
-    for n in range(max_terms):
-        t = t * (a + n) * z0 / ((b + n) * (n + 1))
-        row.append(t)
-        m += t
-        dm += (n + 1) * t
-        at = abs(t)
-        consec = consec + 1 if (at <= tol * abs(m)
-                                and (n + 1) * at <= tol * (abs(m) + abs(dm))) else 0
-        if consec == 3:
-            return row, m, dm / z0
-    _raise_unconverged(max_terms, z0)
-
-
 def _anchor_steps(a, b, u, radii, m, dm, keep):
     """Carry a solution w of the Kummer ODE from w = m, w' = dm at radii[0] u
-    to radii[-1] u. Step j runs from z0 = radii[j-1] u by
-    H = (radii[j] - radii[j-1]) u, and w(z0 + t H) = 2^e_j sum_n d_n t^n with
-    d_n = w^(n)(z0) H^n / (2^e_j n!),
+    to radii[-1] u. Step k runs from z0 = radii[k] u by
+    H = (radii[k+1] - radii[k]) u, and w(z0 + t H) = 2^e_k sum_n d_n t^n with
+    d_n = w^(n)(z0) H^n / (2^e_k n!),
     d_{n+2} = [(n+a) H^2 d_n - (n+1)(n+b-z0) H d_{n+1}] / (z0 (n+1)(n+2)).
+    The origin is a singular point of the ODE; the solutions regular there
+    are the multiples w = m M(a, b, z) (so dm = m a / b, which is not read),
+    and a step from radius 0 sums their Maclaurin terms d_0 = m,
+    d_{n+1} = d_n (a+n) H / ((b+n)(n+1)) instead.
     Python complex arithmetic: one-element numpy steps would cost ~10x more
     per chain. Each series stops after three consecutive terms below
     SERIES_TOL relative to the value (and, for the n d_n sum that gives H w',
-    to |value| + |H w'|). Where |value| leaves [2^-500, 2^500] the pair is
-    rescaled by an exact power of two, which leaves every later step's bits
-    unchanged but its scale, so a solution that falls like |z|^{-Re a} over
-    a long chain stays in float64's range.
+    to |value| + |H w'|); three, because complex oscillatory terms dip below
+    the tolerance spuriously. Where |value| leaves [2^-500, 2^500] the pair
+    is rescaled by an exact power of two, which leaves every later step's
+    bits unchanged but its scale, so a solution that falls like
+    |z|^{-Re a} over a long chain stays in float64's range.
 
-    Returns {j: (e_j, [d_0, d_1, ...])} for the steps j in keep, and the
+    Returns {k: (e_k, [d_0, d_1, ...])} for the steps k in keep, and the
     value, derivative and exponent at the last anchor."""
     tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     rows, exp = {}, 0
-    for j in range(1, len(radii)):
-        z0 = radii[j - 1] * u
-        h = (radii[j] - radii[j - 1]) * u
-        d0, d1 = m, h * dm
-        row = [d0, d1]
-        m, dm = d0 + d1, d1
-        p, q = h * h / z0, h / z0
-        bz = b - z0
+    for k in range(len(radii) - 1):
+        h = (radii[k + 1] - radii[k]) * u
         consec = 0
-        for n in range(max_terms):
-            d2 = ((n + a) * p * d0 - (n + 1) * (n + bz) * q * d1) / ((n + 1) * (n + 2))
-            row.append(d2)
-            m += d2
-            dm += (n + 2) * d2
-            ad = abs(d2)
-            consec = consec + 1 if (ad <= tol * abs(m)
-                                    and (n + 2) * ad <= tol * (abs(m) + abs(dm))) else 0
-            if consec == 3:
-                break
-            d0, d1 = d1, d2
+        if radii[k] == 0.0:
+            d = m
+            row = [d]
+            dm = 0.0j
+            for n in range(max_terms):
+                d = d * (a + n) * h / ((b + n) * (n + 1))
+                row.append(d)
+                m += d
+                dm += (n + 1) * d
+                ad = abs(d)
+                consec = consec + 1 if (ad <= tol * abs(m)
+                                        and (n + 1) * ad <= tol * (abs(m) + abs(dm))) else 0
+                if consec == 3:
+                    break
+            else:
+                _raise_unconverged(max_terms, h)
         else:
-            _raise_unconverged(max_terms, z0 + h)
-        if j in keep:
-            rows[j] = exp, row
+            z0 = radii[k] * u
+            d0, d1 = m, h * dm
+            row = [d0, d1]
+            m, dm = d0 + d1, d1
+            p, q = h * h / z0, h / z0
+            bz = b - z0
+            for n in range(max_terms):
+                d2 = ((n + a) * p * d0 - (n + 1) * (n + bz) * q * d1) / ((n + 1) * (n + 2))
+                row.append(d2)
+                m += d2
+                dm += (n + 2) * d2
+                ad = abs(d2)
+                consec = consec + 1 if (ad <= tol * abs(m)
+                                        and (n + 2) * ad <= tol * (abs(m) + abs(dm))) else 0
+                if consec == 3:
+                    break
+                d0, d1 = d1, d2
+            else:
+                _raise_unconverged(max_terms, z0 + h)
+        if k in keep:
+            rows[k] = exp, row
         dm = dm / h
         if not _RESCALE_LO <= abs(m) <= _RESCALE_HI:
             shift = math.frexp(abs(m))[1]
@@ -254,26 +256,26 @@ def _anchor_steps(a, b, u, radii, m, dm, keep):
     return rows, (m, dm, exp)
 
 
-def _ray_values(a, b, u, radii, row0, m, dm, r, z):
-    """The solution w of _anchor_steps at the points z (radii r <= radii[-1])
-    of the ray u: a point of step j, radii[j-1] < r <= radii[j], is the
-    Horner sum of that step's coefficients; step 0 runs from the origin to
-    radii[0] u on row0 (the Maclaurin terms, or [w] when only r = radii[0]
-    is asked). Rows are kept only for the steps that hold a point, and each
-    Horner step gathers one coefficient column.
+def _ray_values(a, b, u, radii, m, dm, r, z):
+    """The solution w of _anchor_steps at the points z (radii
+    radii[0] <= r <= radii[-1]) of the ray u: a point of step k,
+    radii[k] < r <= radii[k+1], is the Horner sum of that step's
+    coefficients, and r = radii[0] is step 0 at t = 0, its d_0 = m exactly.
+    Rows are kept only for the steps that hold a point, and each Horner step
+    gathers one coefficient column.
 
     Returns the sums, their exponents e (w = 2^e sum) and the end data of
     _anchor_steps."""
-    used, slot = np.unique(np.searchsorted(radii, r), return_inverse=True)
+    used, slot = np.unique(np.searchsorted(radii[1:], r), return_inverse=True)
     rows, end = _anchor_steps(a, b, u, radii, m, dm, set(used.tolist()))
-    rows[0] = 0, row0
-    kept = [rows[j] for j in used]
+    kept = [rows[k] for k in used]
     table = np.zeros((max((len(row) for _, row in kept), default=1),
                       used.size), dtype=np.complex128)
     for s, (_, row) in enumerate(kept):
         table[:len(row), s] = row
-    lo = np.concatenate(([0.0], radii))[used]
-    t = (z - lo[slot] * u) / ((np.asarray(radii)[used] - lo)[slot] * u)
+    radii = np.asarray(radii)
+    lo = radii[used]
+    t = (z - lo[slot] * u) / ((radii[used + 1] - lo)[slot] * u)
     w = table[-1][slot]
     for column in table[-2::-1]:
         w = w * t + column[slot]
@@ -281,15 +283,24 @@ def _ray_values(a, b, u, radii, row0, m, dm, r, z):
 
 
 def _continuation(a, b, z):
-    """Float64 analytic continuation of M(a, b, z) along the ray through
-    each z (see the module docstring)."""
+    """hyp1f1's convergent branch: float64 analytic continuation of
+    M(a, b, z) along the ray through each z, from the origin (see the module
+    docstring), on flat arrays a, b, z.
+
+    Every series of the chain (the Maclaurin terms, each Taylor step) is
+    summed until three consecutive terms are all below SERIES_TOL relative
+    to the sum; each z is the Horner sum of the series whose step holds it.
+    b must not be a non-positive integer. An element's value depends on its
+    own (a, b, z) only, never on the rest of the batch. Raises RuntimeError
+    if any series needs more than SERIES_MAX_TERMS terms."""
     if np.any(_is_nonpositive_integer(b)):
         raise ValueError("hyp1f1 parameter b must not be a non-positive integer")
     # + 0.0 turns -0.0 into +0.0, so equal parameters group together
     a, b, z = a + 0.0, b + 0.0, z + 0.0
     out = np.empty(z.shape, dtype=np.complex128)
     r = np.abs(z)
-    # first anchor radius: |a r_start / b| <= 1 keeps the Maclaurin terms O(1)
+    # first anchor past the origin: |a r_start / b| <= 1 keeps the
+    # Maclaurin terms O(1)
     r_start = 1.0 / np.maximum(1.0, np.abs(a) / np.abs(b))
     # ray direction by real division: z / r in complex arithmetic rounds
     # i x / x to two different values; z = 0 takes the positive real ray
@@ -304,9 +315,8 @@ def _continuation(a, b, z):
         groups = [(i, inverse.reshape(-1) == g) for g, i in enumerate(first)]
     for i, sel in groups:
         ai, bi, ui = complex(a[i]), complex(b[i]), complex(u[i])
-        radii = _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
-        row0, m, dm = _maclaurin_row(ai, bi, radii[0] * ui)
-        w, e, _ = _ray_values(ai, bi, ui, radii, row0, m, dm, r[sel], z[sel])
+        radii = [0.0] + _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
+        w, e, _ = _ray_values(ai, bi, ui, radii, 1.0 + 0.0j, ai / bi, r[sel], z[sel])
         if e.any():
             # M's own scale: inf or 0 only where float64 cannot hold M
             with np.errstate(over="ignore", invalid="ignore"):
@@ -318,12 +328,12 @@ def _continuation(a, b, z):
 def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
     """The solution w of the Kummer ODE z w'' + (b - z) w' - a w = 0 with
     w = m0 and w' = dm0 at z0 = r0 u, carried along the ray to z = r_end u
-    (u a unit complex number; a, b, m0, dm0 scalars): the 1F1 continuation
-    started from this initial data instead of the Maclaurin sum. Anchors on
-    the _anchor_radii lattice from r0, its last radius moved to r_end; each
-    radius r, r0 <= r <= r_end, is the Horner sum of its step's Taylor
-    coefficients (r = r0 gives m0 itself), so a value depends on its own r
-    only.
+    (u a unit complex number; a, b, m0, dm0 scalars, r0 > 0): the 1F1
+    continuation started from this initial data instead of the origin.
+    Anchors on the _anchor_radii lattice from r0, its last radius moved to
+    r_end; each radius r, r0 <= r <= r_end, is the Horner sum of its step's
+    Taylor coefficients (r = r0 gives m0 itself), so a value depends on its
+    own r only.
 
     Returns log w at every r (an array of the shape of r, at least 1-d),
     and log w and w'/w at r_end: logs, because over a long chain w can leave
@@ -334,29 +344,14 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
         raise ValueError("kummer_ivp radii must lie in [r0, r_end]")
     radii = _anchor_radii(r0, b, r_end)
     radii[-1] = r_end
-    w, e, (m, dm, exp) = _ray_values(a, b, u, radii, [m0], m0, dm0, r, r * u)
+    if len(radii) > 1:
+        w, e, (m, dm, exp) = _ray_values(a, b, u, radii, m0, dm0, r, r * u)
+    else:  # r_end = r0: no step, and every r is r0
+        w, e, (m, dm, exp) = np.full(r.shape, m0, np.complex128), 0, (m0, dm0, 0)
     log2 = math.log(2.0)
     with np.errstate(divide="ignore"):
         log_w = np.log(w) + e * log2
     return log_w, (np.log(m) + exp * log2, dm / m)
-
-
-def hyp1f1_series(a, b, z):
-    """Convergent evaluation of Kummer's 1F1(a, b; z) = M(a, b, z): float64
-    analytic continuation of the Kummer ODE along the ray through z (see the
-    module docstring).
-
-    The chain's series (the Maclaurin sum, each Taylor step) are summed until
-    three consecutive terms are all below SERIES_TOL relative to the sum
-    (three, because complex oscillatory terms dip below tolerance
-    spuriously); each z is the Horner sum of the series whose step holds it.
-
-    a, b, z may be scalars or broadcastable arrays. b must not be a
-    non-positive integer. An element's value depends on its own (a, b, z)
-    only, never on the rest of the batch. Raises RuntimeError if any series
-    needs more than SERIES_MAX_TERMS terms.
-    """
-    return _entry(_continuation, a, b, z)
 
 
 def _inv_power_series(p1, p2, w, deriv):
@@ -405,19 +400,15 @@ def _kummer_pair(a, b, z, deriv=False):
     return (z + (a - b) * logz, s1, ds1), (-(a * logz), s2, ds2)
 
 
-def hyp1f1_asymptotic(a, b, z):
-    """Large-|z| expansion of 1F1,
+def _asymptotic(a, b, z):
+    """hyp1f1's large-|z| branch on flat arrays a, b, z: the expansion
     Gamma(b)/Gamma(a) y1 + Gamma(b)/Gamma(b-a) e^{+-i pi a} y2, with y1 the
     growing e^z solution and y2 the algebraic one (_kummer_pair), each an
     inverse-power series truncated at ASYMPTOTIC_TERMS and at its smallest
     term. The algebraic piece carries (-z)^{-a} = z^{-a} e^{+i pi a} where
     Im z >= 0 and z^{-a} e^{-i pi a} where Im z < 0 (mpmath's convention);
     Im z = -0.0 counts as negative, matching the branch of log z there.
-    """
-    return _entry(_asymptotic, a, b, z)
-
-
-def _asymptotic(a, b, z):
+    An element's value depends on its own (a, b, z) only."""
     if a.size > 1 and (a == a[0]).all() and (b == b[0]).all():
         # one (a, b) for the batch: Gamma constants and term ratios once
         a, b = a[:1], b[:1]
@@ -438,11 +429,13 @@ def series_radius(a):
 
 
 def hyp1f1(a, b, z):
-    """1F1(a, b; z) choosing the convergent branch (hyp1f1_series) for
+    """Kummer's 1F1(a, b; z) = M(a, b, z) for scalars or broadcastable
+    arrays a, b, z (b not a non-positive integer), by the convergent branch
+    (_continuation) for
     |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
-    and the large-argument expansion (hyp1f1_asymptotic) beyond. Mixed
-    arrays are partitioned between the branches elementwise; a caller that
-    needs one branch for a whole stencil calls that branch directly.
+    and the large-argument expansion (_asymptotic) beyond. Mixed arrays are
+    partitioned between the branches elementwise; a caller that needs one
+    branch for a whole stencil passes that body to _entry itself.
     """
     return _entry(_dispatch, a, b, z)
 

@@ -14,11 +14,13 @@ import coulscat
 from coulscat import (
     FieldPoint,
     ScatteringParams,
+    asymptotic,
     current_decomposition_asymptotic,
     current_outgoing_exact,
     exact,
     f_series_partial_sweep,
     psi_exact,
+    specfun,
 )
 from coulscat.cli import (
     CHUNK_ROWS,
@@ -143,6 +145,12 @@ def test_describe_text():
         assert "validity" in text
     with pytest.raises(ValueError):
         describe("nonsense")
+    # the thresholds it quotes are the ones the code applies
+    assert ("rho s > %g)" % asymptotic.VALIDITY_RHO_S
+            in describe("psi_asymptotic"))
+    assert ("2 omega r = %g + %g |lambda + 1 - i gamma|^2"
+            % (specfun.SERIES_SWITCH_BASE, specfun.SERIES_SWITCH_SCALE)
+            in describe("bh_mode"))
 
 
 def test_main_describe_and_errors(tmp_path, capsys):

@@ -1,0 +1,23 @@
+"""The README quick tour runs as written and gives the values it quotes."""
+
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_quick_tour_runs_and_matches_its_comments():
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    ns = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), ns)
+    # "closed form vs stencil, 0.97758"
+    p, pt = ns["p"], ns["pt"]
+    for j_r in (ns["current_in_distorted"](p, pt).j_r, ns["j"].incoming.j_r):
+        assert round(j_r, 5) == 0.97758
+    # "-0.1, scattering off the far field" and "~0.0096"
+    bh = ns["bh"]
+    assert ns["coulomb_reduction"](bh).gamma == -0.1
+    assert abs(ns["full_mode_phase_error"](bh, 2) - 0.0096) < 1e-4

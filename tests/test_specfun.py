@@ -4,6 +4,8 @@ frozen from a 40-digit mpmath evaluation; live oracles (mpmath,
 scipy.special) cover the sweeps.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -14,6 +16,10 @@ from coulscat import specfun
 from coulscat.multipole import coulomb_wave_regular
 
 mp.dps = 40
+
+# hyp1f1's two branches, each on hyp1f1's own argument handling
+series_branch = functools.partial(specfun._entry, specfun._continuation)
+asymptotic_branch = functools.partial(specfun._entry, specfun._asymptotic)
 
 # frozen 40-digit brute-force series values
 HYP1F1_TABLE = {
@@ -210,23 +216,23 @@ def test_reciprocal_gamma_zeros_and_values():
 
 def test_hyp1f1_series_frozen_table():
     for (a, b, z), ref in HYP1F1_TABLE.items():
-        got = specfun.hyp1f1_series(a, b, z)
+        got = series_branch(a, b, z)
         assert abs(got - ref) < 1e-14 * abs(ref), (a, b, z)
 
 
 def test_hyp1f1_series_trivial():
-    assert specfun.hyp1f1_series(0.3 - 2j, 1.0, 0.0) == 1.0
+    assert series_branch(0.3 - 2j, 1.0, 0.0) == 1.0
     z = 1.7j
-    assert abs(specfun.hyp1f1_series(1.0, 1.0, z) - np.exp(z)) < 1e-15
+    assert abs(series_branch(1.0, 1.0, z) - np.exp(z)) < 1e-15
 
 
 def test_hyp1f1_series_defining_ode():
     # z F'' + (b - z) F' - a F = 0, derivatives by central differences
     h = 1e-3
     for a, b, z in [(-0.5j, 1.0, 3j), (1.5, 2.0, -4.0), (-1j, 1.0, 8j)]:
-        f0 = specfun.hyp1f1_series(a, b, z)
-        fp = specfun.hyp1f1_series(a, b, z + h)
-        fm = specfun.hyp1f1_series(a, b, z - h)
+        f0 = series_branch(a, b, z)
+        fp = series_branch(a, b, z + h)
+        fm = series_branch(a, b, z - h)
         d1 = (fp - fm) / (2 * h)
         d2 = (fp - 2 * f0 + fm) / h ** 2
         resid = z * d2 + (b - z) * d1 - a * f0
@@ -237,21 +243,21 @@ def test_hyp1f1_series_derivative_identity():
     # d/dz 1F1(a,b;z) = (a/b) 1F1(a+1,b+1;z)
     a, b, z = -0.7j, 1.0, 5j
     h = 1e-4
-    d1 = (specfun.hyp1f1_series(a, b, z + h)
-          - specfun.hyp1f1_series(a, b, z - h)) / (2 * h)
-    rhs = (a / b) * specfun.hyp1f1_series(a + 1, b + 1, z)
+    d1 = (series_branch(a, b, z + h)
+          - series_branch(a, b, z - h)) / (2 * h)
+    rhs = (a / b) * series_branch(a + 1, b + 1, z)
     assert abs(d1 - rhs) < 1e-7 * abs(rhs)
 
 
 def test_hyp1f1_series_nonconvergence_error(monkeypatch):
     monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
     with pytest.raises(RuntimeError, match="SERIES_MAX_TERMS = 20"):
-        specfun.hyp1f1_series(-1j, 1.0, 25j)
+        series_branch(-1j, 1.0, 25j)
 
 
 def test_hyp1f1_asymptotic_frozen_table():
     for (a, b, z), ref in HYP1F1_LARGE.items():
-        got = specfun.hyp1f1_asymptotic(a, b, z)
+        got = asymptotic_branch(a, b, z)
         assert abs(got - ref) < 1e-9 * abs(ref), (a, b, z)
 
 
@@ -259,9 +265,9 @@ def test_hyp1f1_asymptotic_frozen_table():
 def test_hyp1f1_lower_half_plane_frozen_mpmath():
     for a, b, z, ref in HYP1F1_LOWER:
         assert abs(z) > specfun.series_radius(a)
-        for got in (specfun.hyp1f1(a, b, z), specfun.hyp1f1_asymptotic(a, b, z)):
+        for got in (specfun.hyp1f1(a, b, z), asymptotic_branch(a, b, z)):
             assert abs(got - ref) < 1e-12 * abs(ref), (a, b, z, got)
-    batch = specfun.hyp1f1_asymptotic(
+    batch = asymptotic_branch(
         [a for a, _, _, _ in HYP1F1_LOWER], [b for _, b, _, _ in HYP1F1_LOWER],
         np.array([z for _, _, z, _ in HYP1F1_LOWER]))
     refs = np.array([ref for _, _, _, ref in HYP1F1_LOWER])
@@ -281,11 +287,11 @@ def test_hyp1f1_asymptotic_batch_independent():
     # other (a, b): the term block, the Gamma constants and the row sums
     # must not depend on the rest of the batch
     a, b, z = (np.array(col, dtype=complex) for col in zip(*ASYM_CASES))
-    mixed = specfun.hyp1f1_asymptotic(a, b, z)
+    mixed = asymptotic_branch(a, b, z)
     pair = specfun._kummer_pair(a, b, z, deriv=True)
     for i, (ai, bi, zi) in enumerate(ASYM_CASES):
-        alone = specfun.hyp1f1_asymptotic(ai, bi, zi)
-        one_pair = specfun.hyp1f1_asymptotic(ai, bi, np.array([zi, 2 * zi, zi]))
+        alone = asymptotic_branch(ai, bi, zi)
+        one_pair = asymptotic_branch(ai, bi, np.array([zi, 2 * zi, zi]))
         assert mixed[i] == alone == one_pair[0] == one_pair[2], ASYM_CASES[i]
         single = specfun._kummer_pair(np.array([ai]), np.array([bi]),
                                       np.array([zi]), deriv=True)
@@ -329,7 +335,7 @@ def test_hyp1f1_asymptotic_truncates_at_smallest_term():
     # k = 9 < ASYMPTOTIC_TERMS: the sum stops there, and the expansion
     # then agrees with 1F1 to within that term (times its prefactor)
     a, b, z = 0.5 + 0.3j, 2.0, 9j
-    got = specfun.hyp1f1_asymptotic(a, b, z)
+    got = asymptotic_branch(a, b, z)
     ref = mp_hyp1f1(a, b, z)
     ma, mb, mz = mp.mpc(a), mp.mpf(b), mp.mpc(z)
     bound = 0
@@ -349,14 +355,14 @@ def test_hyp1f1_asymptotic_truncates_at_smallest_term():
 
 
 def test_hyp1f1_asymptotic_exponential_limit():
-    got = specfun.hyp1f1_asymptotic(1.0, 1.0, 50j)
+    got = asymptotic_branch(1.0, 1.0, 50j)
     assert abs(got - np.exp(50j)) < 1e-8
 
 
 def test_hyp1f1_asymptotic_polynomial_case():
     # nonpositive-integer a truncates 1F1 to a polynomial; the reciprocal
     # gamma factor must kill the first sum rather than blow up
-    got = specfun.hyp1f1_asymptotic(-1.0, 1.0, 40j)
+    got = asymptotic_branch(-1.0, 1.0, 40j)
     ref = 1.0 - 40j
     assert abs(got - ref) < 1e-10 * abs(ref)
 
@@ -365,8 +371,8 @@ def test_hyp1f1_branch_crossover_consistency():
     # both branches evaluated just inside their shared overlap window
     a, b = -0.4j, 1.0
     z = 1j * 31.0
-    s = specfun.hyp1f1_series(a, b, z)
-    aa = specfun.hyp1f1_asymptotic(a, b, z)
+    s = series_branch(a, b, z)
+    aa = asymptotic_branch(a, b, z)
     assert abs(s - aa) < 1e-11 * abs(s)
 
 
@@ -404,11 +410,11 @@ def test_hyp1f1_series_batch_independent():
              (-0.4j, 1.0, 3.0 + 4.0j), (3 - 0.7j, 8.0, 38j),
              (6 - 2j, 12.0, 9j), (2.5, 3.5, -12.0), (1 - 0.3j, 2 + 0.5j, 4j),
              (1.0, 1.0, 0.5j * np.pi)]  # e^{i pi/2}: Re ~ 6e-17 shows stray terms
-    alone = [specfun.hyp1f1_series(a, b, z) for a, b, z in cases]
+    alone = [series_branch(a, b, z) for a, b, z in cases]
     a, b, z = (np.array(col, dtype=complex) for col in zip(*cases))
-    together = specfun.hyp1f1_series(a, b, z)
-    longer = specfun.hyp1f1_series(np.tile(a, 2), np.tile(b, 2),
-                                   np.concatenate([z, 4.0 * z]))
+    together = series_branch(a, b, z)
+    longer = series_branch(np.tile(a, 2), np.tile(b, 2),
+                           np.concatenate([z, 4.0 * z]))
     for i in range(len(cases)):
         assert together[i] == alone[i], cases[i]
         assert longer[i] == alone[i], cases[i]
@@ -417,14 +423,14 @@ def test_hyp1f1_series_batch_independent():
 @pytest.mark.parametrize("a, b", [(-4j, 1.0), (31 - 2j, 62.0)])
 def test_hyp1f1_series_at_anchor_radii(a, b):
     # the psi ray and the l = 30 partial-wave factor on z = i r, exactly at
-    # anchor radii r_k and one ulp either side: r_k closes step k (t = 1),
-    # the next float above opens step k + 1 (t ~ 0); k = 0 is the edge of
-    # the Maclaurin row
+    # anchor radii r_k and one ulp either side: r_k closes the step that
+    # ends there (t = 1), the next float above opens the next (t ~ 0); r_0
+    # ends the Maclaurin step from the origin
     radii = specfun._anchor_radii(1.0 / max(1.0, abs(a / b)), b, 60.0)
     picks = [radii[k] for k in (0, 1, 2, len(radii) // 2, len(radii) - 2)]
     r = np.array([np.nextafter(rk, to) for rk in picks
                   for to in (0.0, rk, np.inf)])
-    got = specfun.hyp1f1_series(a, b, 1j * r)
+    got = series_branch(a, b, 1j * r)
     for ri, gi in zip(r, got):
         ref = complex(mp_hyp1f1(a, b, 1j * ri))
         assert abs(gi - ref) < 2e-14 * abs(ref), (ri, gi, ref)
@@ -437,16 +443,76 @@ def test_hyp1f1_series_at_zero_is_one():
                   7j, 0.3, -2.0 + 1j, 0.0])
     a = np.array([-4j, -4j, -4j, 1.5, -4j, -4j, 2 - 1j, 31 - 2j])
     b = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 62.0])
-    got = specfun.hyp1f1_series(a, b, z)
+    got = series_branch(a, b, z)
     assert np.all(got[z == 0.0] == 1.0)
-    assert specfun.hyp1f1_series(-4j, 1.0, -0.0) == 1.0
+    assert series_branch(-4j, 1.0, -0.0) == 1.0
+
+
+# hyp1f1's own bits (real and imaginary part as float.hex) where the
+# convergent branch starts its chain: z = 0, |z| = r_0 = 1 / max(1, |a/b|)
+# and |z| < r_0 in all four quadrants and on the axes, and two points past
+# r_0 (the second and a later step); kummer_ivp at its start radius and at
+# the next anchor, with log w and w'/w at the end radius
+CHAIN_START_BITS = [
+    (-4j, 1.0, complex(0.0, 0.0), "0x1.0000000000000p+0", "0x0.0p+0"),
+    (-4j, 1.0, complex(0.23606983273145862, 0.08228629335521892),
+     "0x1.235d0e1177569p+0", "-0x1.26ebbc2a270e8p+0"),
+    (-4j, 1.0, complex(-0.14837450435244304, 0.20120886277241085),
+     "0x1.ca22cbd912b80p+0", "0x1.baeb0b7e797dep-1"),
+    (-4j, 1.0, complex(-0.148374504352443, -0.20120886277241087),
+     "0x1.45931f6a0ecfep-2", "0x1.9a5b3c7e1c9dap-2"),
+    (-4j, 1.0, complex(0.23606983273145862, -0.08228629335521892),
+     "0x1.cadf960f32fb2p-2", "-0x1.9d5b06c9469d8p-1"),
+    (-4j, 1.0, complex(0.0, 0.25), "0x1.232b860c1a528p+1", "0x1.5fd301aecdd3ep-4"),
+    (-4j, 1.0, complex(-0.25, 0.0), "0x1.8ae2ee1dbb805p-1", "0x1.d4c432448e3f2p-1"),
+    (-4j, 1.0, complex(-0.260091772841964, 0.5683108917660511),
+     "0x1.d865f09342bdbp+1", "0x1.76b77ee9941e6p+1"),
+    (-4j, 1.0, complex(0.0, 7.0), "-0x1.24ee7c0ac7a66p+11", "0x1.7a7a053b8bbaap+9"),
+    (3 - 2j, 1.5, complex(0.11440691547145355, 0.19815859033379535),
+     "0x1.8c0ad3995f1dap+0", "0x1.6b48ce07f393bp-2"),
+    (3 - 2j, 1.5, complex(-0.19815859033379532, 0.1144069154714536),
+     "0x1.6c6fffeaec61fp-1", "0x1.97ce9128a21bap-2"),
+    (3 - 2j, 1.5, complex(-0.11440691547145362, -0.1981585903337953),
+     "0x1.2129661e88154p-1", "-0x1.45806969138dfp-3"),
+    (3 - 2j, 1.5, complex(0.1981585903337953, -0.11440691547145362),
+     "0x1.2c54c13fc2720p+0", "-0x1.2ec20a7874848p-1"),
+    (3 - 2j, 1.5, complex(0.41602514716892186, 0.0),
+     "0x1.032f1dff92f0cp+1", "-0x1.f028488d9d2d9p-1"),
+    (3 - 2j, 1.5, complex(0.0, -0.41602514716892186),
+     "0x1.58346757d2244p-2", "-0x1.047cdc1453026p-1"),
+    (3 - 2j, 1.5, complex(0.0, 0.0), "0x1.0000000000000p+0", "0x0.0p+0"),
+]
+KUMMER_IVP_BITS = [
+    ("0x1.b379629e6c2cap-3", "-0x1.5368c951e9cfdp+0"),
+    ("-0x1.bb30397db9880p-9", "-0x1.04b1e2de0674bp+0"),
+    ("-0x1.af73c3fd25cc4p+2", "0x1.7de538c8ba78ep+1"),
+    ("0x1.d22b29d5f764cp-2", "0x1.faee90fd2ca2ap+0"),
+]
+
+
+def _hex(v):
+    return v.real.hex(), v.imag.hex()
+
+
+def test_chain_start_bits_pinned_scalar_and_batch():
+    a, b, z = (np.array(col, dtype=complex)
+               for col in list(zip(*CHAIN_START_BITS))[:3])
+    batch = specfun.hyp1f1(a, b, z)
+    for (ai, bi, zi, re, im), got in zip(CHAIN_START_BITS, batch):
+        assert _hex(specfun.hyp1f1(ai, bi, zi)) == _hex(got) == (re, im), zi
+    a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
+    r = [2.0, specfun._anchor_radii(2.0, b, 30.0)[1]]
+    log_w, end = specfun.kummer_ivp(a, b, 1j, 2.0, m0, dm0, 30.0, r)
+    assert [_hex(v) for v in (*log_w, *end)] == KUMMER_IVP_BITS
 
 
 def test_kummer_ivp_at_start_radius_is_initial_value():
-    # r = r0 is the initial data itself, whatever else the batch holds
+    # r = r0 is the initial data itself, whatever else the batch holds, and
+    # also where r_end = r0 leaves the chain no step
     a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
-    for r in ([2.0], [2.0, 2.0, 7.5, 30.0]):
-        log_w, _ = specfun.kummer_ivp(a, b, 1j, 2.0, m0, dm0, 30.0, r)
+    for r_end, r in ((30.0, [2.0]), (30.0, [2.0, 2.0, 7.5, 30.0]),
+                     (2.0, [2.0, 2.0])):
+        log_w, _ = specfun.kummer_ivp(a, b, 1j, 2.0, m0, dm0, r_end, r)
         assert log_w[0] == np.log(m0)
 
 
