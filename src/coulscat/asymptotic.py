@@ -106,8 +106,8 @@ def born_amplitude_yukawa(p, theta, mu):
     """First Born approximation for the screened potential (A/r) e^{-mu r}:
     f_B = -2 gamma k / (q^2 + mu^2) with momentum transfer q = 2 k
     sin(theta/2). mu = 0 recovers the plain Rutherford modulus."""
-    if mu < 0:
-        raise ValueError("screening mass mu must be >= 0")
+    if not mu >= 0:
+        raise ValueError("screening mass mu must be >= 0, got %r" % mu)
     theta_arr = np.asarray(theta, dtype=np.float64)
     if np.any(theta_arr < 0.0) or np.any(theta_arr > np.pi):
         raise ValueError("theta must lie in [0, pi]")

@@ -9,12 +9,15 @@ One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
 generated from the ScanSpec alone, rows are computed in order in fixed
 2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once),
-and floats are written with 17 significant digits. The axis-value flags
---rho, --kx and --cesaro-n repeat. Each quantity's builder hands _scan its
-header, its full-length per-row input columns and one function from a
-slice of them to the output columns.
+and floats are written with 17 significant digits. write_csv finds an
+outer x inner product in the first two columns from the rows themselves and
+formats each axis value once. The axis-value flags --rho, --kx and
+--cesaro-n repeat. Each quantity's builder hands _scan its header, its
+full-length per-row input columns and one function from a slice of them to
+the output columns.
 
-Exit codes: 0 success, 2 invalid scan spec or arguments, 3 numerical failure.
+Exit codes: 0 success, 2 invalid scan spec or arguments (an --out that
+cannot be written included), 3 numerical failure.
 """
 
 import argparse
@@ -85,8 +88,12 @@ class ScanSpec:
                 raise ValueError("theta_range must lie within [0, pi]")
         if not 0.0 <= self.fixed_theta <= np.pi:
             raise ValueError("theta must lie within [0, pi]")
+        for name, flag in (("rho_values", "--rho"), ("kx_values", "--kx")):
+            values = getattr(self, name)
+            if values is not None and not np.all(np.isfinite(values)):
+                raise ValueError("%s (%s) must be finite" % (name, flag))
         if self.rho_values is not None and min(self.rho_values) <= 0.0:
-            raise ValueError("rho values must be positive")
+            raise ValueError("rho_values (--rho) must be positive")
         if self.kx_values is not None and self.kx_range is not None:
             raise ValueError("kx_values (--kx) and kx_range (--kx-range) "
                              "set the same axis; give one of them")
@@ -342,22 +349,52 @@ def run_scan(spec):
     return header, rows
 
 
+def _product_period(bits):
+    """The run length p of an outer x inner product in columns 0 and 1 of
+    the rows' bit patterns: column 0 constant over each run of p rows and
+    column 1 the same in every run, 2 <= p <= CSV_BLOCK_ROWS, p dividing the
+    row count. 0 when the rows are not such a product."""
+    if len(bits) < 2 or bits.shape[1] < 2:
+        return 0
+    change = np.flatnonzero(bits[:, 0] != bits[0, 0])
+    p = int(change[0]) if change.size else len(bits)
+    if not 2 <= p <= CSV_BLOCK_ROWS or len(bits) % p:
+        return 0
+    outer, inner = bits[:, 0].reshape(-1, p), bits[:, 1].reshape(-1, p)
+    product = np.all(outer == outer[:, :1]) and np.all(inner == inner[0])
+    return p if product else 0
+
+
 def write_csv(path, header, rows):
     # one %-format per block of rows: the same bytes as formatting each
     # value, without holding the whole file as Python objects. A column
     # whose bit patterns are all equal in a block (so 0.0 and -0.0 differ)
-    # is formatted once, into the block's line template
+    # is formatted once, into the block's line template. When the rows are
+    # an outer x inner product, a block holds whole runs and the two
+    # coordinate columns are literals too: the inner axis formatted once
+    # per file, the outer value once per run
     rows = np.asarray(rows, dtype=np.float64)
+    p = _product_period(rows.view(np.int64))
+    # the k leading columns are literals
+    k, step = (2, CSV_BLOCK_ROWS // p * p) if p else (0, CSV_BLOCK_ROWS)
+    inner = ["%.17g" % v for v in rows[:p, 1].tolist()] if p else []
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
             bits = block.view(np.int64)
             const = np.all(bits == bits[0], axis=0)
-            line = ",".join("%.17g" % v if c else "%.17g"
-                            for v, c in zip(block[0].tolist(), const)) + "\n"
-            fh.write((line * len(block))
-                     % tuple(block[:, ~const].ravel().tolist()))
+            cells = ["%.17g" % v if c else "%.17g"
+                     for v, c in zip(block[0, k:].tolist(), const[k:])]
+            if p:
+                lines = [",".join([s] + cells) for s in inner]
+                text = "".join(o + ("\n" + o).join(lines) + "\n"
+                               for o in ("%.17g," % v
+                                         for v in block[::p, 0].tolist()))
+            else:
+                text = (",".join(cells) + "\n") * len(block)
+            const[:k] = True
+            fh.write(text % tuple(block[:, ~const].ravel().tolist()))
 
 
 _DESCRIPTIONS = {
@@ -552,8 +589,12 @@ def main(argv=None):
         if ns.name is not None:
             raise ValueError("positional name is only used with describe")
         spec = _spec_from_args(ns)
-        header, rows = run_scan(spec)
         out = spec.out if spec.out is not None else spec.quantity + ".csv"
+        try:
+            header, rows = run_scan(spec)
+        except OSError as exc:
+            raise ValueError("cannot write --out %s: %s"
+                             % (out, exc.strerror or exc)) from None
         print("wrote %s (%d rows, %d columns)" % (out, rows.shape[0],
                                                   rows.shape[1]))
         return 0

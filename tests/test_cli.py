@@ -28,6 +28,8 @@ from coulscat.cli import (
     PRESETS,
     QUANTITIES,
     ScanSpec,
+    _BUILDERS,
+    _product_period,
     _spec_from_mapping,
     describe,
     load_preset,
@@ -127,6 +129,28 @@ def test_spec_validation_errors(tmp_path):
         small_spec(tmp_path, rho_values=[0.0]).validate()
     with pytest.raises(ValueError):
         small_spec(tmp_path, fixed_theta=4.0).validate()
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="--rho"):
+            small_spec(tmp_path, rho_values=[4.0, bad]).validate()
+        with pytest.raises(ValueError, match="--kx"):
+            small_spec(tmp_path, quantity="field_map", rho_values=None,
+                       kx_values=[bad]).validate()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["psi_exact", "--rho", "inf"], "--rho"),
+    (["psi_exact", "--rho", "nan"], "--rho"),
+    (["psi_asymptotic", "--rho", "inf"], "--rho"),
+    (["field_map", "--kx", "inf", "--kz-range=-1:1:2"], "--kx"),
+    (["field_map", "--kx", "nan", "--kz-range=-1:1:2"], "--kx"),
+    (["cross_section", "--mu", "nan"], "mu"),
+])
+def test_main_rejects_non_finite_axis_values(tmp_path, capsys, args, flag):
+    # NaN fails every comparison, so each check is written to fail on it
+    out = str(tmp_path / "nf.csv")
+    assert main(args + ["--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_presets_all_load_and_validate():
@@ -188,6 +212,16 @@ def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
         out = str(tmp_path / "x.csv")
         assert main(args + ["--out", out]) == 2, args
         assert not os.path.exists(out), args
+
+
+def test_main_unwritable_out(tmp_path, capsys):
+    # a missing directory and a directory path: exit 2 with the path named
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["psi_exact", "--rho", "5", "--theta-range",
+                     "0.2:3.0:5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out %s: " % out)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_main_classical_guard(tmp_path):
@@ -381,6 +415,54 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         ref = ",".join(header) + "\n" + "".join(
             ",".join("%.17g" % v for v in row) + "\n" for row in part)
         assert path.read_bytes() == ref.encode()
+
+    # outer x inner products write their two coordinate columns as
+    # literals; near-misses of the shape take the plain path
+    def product(outer, p):
+        inner = rng.normal(size=p) * 10.0 ** rng.integers(-300, 300, size=p)
+        inner[:2] = [-0.0, 0.0]
+        o, i = np.repeat(outer, p), np.tile(inner, len(outer))
+        return np.column_stack([o, i, rng.normal(size=(len(o), 2)),
+                                np.full(len(o), 7.0), np.full(len(o), np.nan)])
+
+    zeros_outer = product([-0.0, 0.0, 1.5, -0.0], 5)
+    flipped = product([1.0, 2.0, 3.0], 6)
+    flipped[-2, 1] = np.nextafter(flipped[-2, 1], np.inf)
+    inside = product([1.0, 2.0, 3.0], 6)
+    inside[8, 0] = 9.0
+    cases = [(zeros_outer, 5),
+             (product([0.5, -2.0], CSV_BLOCK_ROWS), CSV_BLOCK_ROWS),
+             (product([0.5, -2.0], CSV_BLOCK_ROWS + 1), 0),
+             (product(np.arange(5.0), 1000), 1000),
+             (product([3.0], 700), 700),
+             (flipped, 0),
+             (inside, 0),
+             (product([1.0, 2.0, 3.0], 6)[:-1], 0)]
+    header = ["o", "i", "a", "b", "c", "nan"]
+    for part, p in cases:
+        assert _product_period(part.view(np.int64)) == p
+        write_csv(str(path), header, part)
+        ref = ",".join(header) + "\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in part)
+        assert path.read_bytes() == ref.encode()
+
+
+def test_builders_return_the_scan_triple(tmp_path):
+    # perfbench's tracer unpacks (header, n_rows, compute) from each builder
+    specs = {"bh_mode": dict(mass=0.05, omega=1.0, r_range=(50.0, 60.0, 3)),
+             "diverging_sum": dict(ell_max=5),
+             "field_map": dict(kx_range=(-1.0, 1.0, 3),
+                               kz_range=(-1.0, 1.0, 2))}
+    assert set(_BUILDERS) == set(QUANTITIES)
+    for name, build in _BUILDERS.items():
+        spec = ScanSpec(quantity=name, theta_range=(0.5, 2.5, 3),
+                        cesaro_n_values=[3], ell_max_values=[3],
+                        **specs.get(name, {}))
+        spec.validate()
+        triple = build(spec)
+        assert isinstance(triple, tuple) and len(triple) == 3, name
+        header, n_rows, compute = triple
+        assert compute(0, n_rows).shape == (n_rows, len(header)), name
 
 
 def test_cli_import_loads_no_scipy():
