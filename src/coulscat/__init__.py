@@ -35,7 +35,6 @@ from .exact import (
     ScatteringParams,
     psi_exact,
     psi_exact_grid,
-    psi_forward,
     schrodinger_residual,
 )
 from .multipole import (
@@ -51,7 +50,6 @@ from .multipole import (
 )
 from .specfun import (
     hyp1f1,
-    legendre_sweep,
     log_gamma_complex,
     reciprocal_gamma,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "hyp1f1",
     "integrate_full_mode",
     "interference_radial_leading",
-    "legendre_sweep",
     "log_gamma_complex",
     "long_wavelength_valid",
     "oscillation_length",
@@ -93,9 +90,10 @@ __all__ = [
     "psi_asymptotic_grid",
     "psi_exact",
     "psi_exact_grid",
-    "psi_forward",
     "psi_multipole_sum",
     "radial_mode_asymptotic",
     "reciprocal_gamma",
+    "rutherford_amplitude",
+    "rutherford_amplitude_phase_separated",
     "schrodinger_residual",
 ]

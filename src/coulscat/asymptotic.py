@@ -111,9 +111,9 @@ def born_amplitude_yukawa(p, theta, mu):
     theta_arr = np.asarray(theta, dtype=np.float64)
     if np.any(theta_arr < 0.0) or np.any(theta_arr > np.pi):
         raise ValueError("theta must lie in [0, pi]")
-    q = 2.0 * p.k * np.sin(theta_arr / 2.0)
+    q = 2.0 * p.k * np.sin(np.atleast_1d(theta_arr) / 2.0)
     denom = q ** 2 + mu ** 2
     if np.any(denom == 0.0):
         raise ValueError("Born amplitude diverges at theta = 0 with mu = 0")
     out = -2.0 * p.gamma * p.k / denom + 0j
-    return complex(out) if theta_arr.ndim == 0 else out
+    return complex(out[0]) if theta_arr.ndim == 0 else out

@@ -12,9 +12,10 @@ generated from the ScanSpec alone, rows are computed in order in fixed
 and floats are written with 17 significant digits. write_csv finds an
 outer x inner product in the first two columns from the rows themselves and
 formats each axis value once. The axis-value flags --rho, --kx and
---cesaro-n repeat. Each quantity's builder hands _scan its header, its
-full-length per-row input columns and one function from a slice of them to
-the output columns.
+--cesaro-n repeat. Each quantity's builder but field_map hands _scan its
+header, its full-length per-row input columns and one function from a slice
+of them to the output columns; field_map keeps its own psi table across
+chunks.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments (an --out that
 cannot be written included), 3 numerical failure.
@@ -277,7 +278,6 @@ def _build_field_map(spec):
         kx_axis = _axis(spec.kx_range if spec.kx_range is not None
                         else (-40.0, 40.0, 161))
     kx, kzr = _product_rows(kx_axis, kz)
-    plateau = abs(exact.psi_forward(p, 0.0))
     header = ["kx", "kz", "re_psi", "im_psi", "abs_psi", "plateau"]
     # psi depends on (|kx|, kz) alone, so the kx and -kx rows share one
     # table entry; hypot and arctan2(|x|, z) ignore the sign of x, and each
@@ -286,8 +286,12 @@ def _build_field_map(spec):
     nz = len(kz)
     table = np.empty(len(ax) * nz, dtype=np.complex128)
     done = np.zeros(len(table), dtype=bool)
+    plateau = None  # |psi| on the forward axis, with the first chunk
 
     def compute(start, stop):
+        nonlocal plateau
+        if plateau is None:
+            plateau = abs(exact.psi_exact(p, exact.FieldPoint(0.0, 0.0)))
         r = np.arange(start, stop)
         key = ix[r // nz] * nz + r % nz
         new = np.unique(key[~done[key]])

@@ -71,12 +71,6 @@ def psi_exact(p, pt):
     return complex(psi_exact_grid(p, [pt.rho], [pt.theta])[0])
 
 
-def psi_forward(p, rho):
-    """The solution on the forward axis: a plane wave carrying the reduced
-    amplitude e^{-pi gamma/2} Gamma(1 + i gamma) (s = 0, where M = 1)."""
-    return complex(_field(p, rho, 0.0, lambda a, b, z: 1.0))
-
-
 def schrodinger_residual(p, pt, h):
     """Normalized residual |(d^2_rho + (2/rho) d_rho + Lap_ang/rho^2 + 1
     - 2 gamma/rho) psi| / |psi| by central differences of psi_exact.

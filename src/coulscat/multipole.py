@@ -200,7 +200,7 @@ def psi_multipole_sum(p, pt, ell_max):
     if pt.rho <= 0.0:
         raise ValueError("rho must be > 0")
     radial = _coulomb_wave_sweep(ell_max, p.gamma, pt.rho)
-    terms = radial / pt.rho * specfun.legendre_sweep(ell_max, np.cos(pt.theta))
+    terms = radial / pt.rho * _legendre_column(np.cos(pt.theta), ell_max)
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
@@ -211,10 +211,29 @@ def _amplitude_terms(p, ell_max):
             * (phase_shift_sweep(ell_max, p.gamma) - 1.0))
 
 
+def _legendre_rows(x, ell_max):
+    """Yield P_0(x), ..., P_{ell_max}(x) by the upward Bonnet recurrence
+    (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}. x is a Python float or a
+    float64 array: the same operations in the same order, so the same
+    bits."""
+    p_prev, p = 1.0, x
+    yield p_prev
+    if ell_max >= 1:
+        yield p
+    for n in range(1, ell_max):
+        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        yield p
+
+
+def _legendre_column(x, ell_max):
+    """P_0(x), ..., P_{ell_max}(x) at one x, run on Python floats."""
+    return np.fromiter(_legendre_rows(float(x), ell_max), np.float64, ell_max + 1)
+
+
 def _legendre_sum(coeffs, x):
-    """sum of coeffs[ell] P_ell(x), streamed over specfun's Legendre rows."""
+    """sum of coeffs[ell] P_ell(x), streamed over _legendre_rows."""
     acc = np.zeros_like(x, dtype=np.complex128)
-    for c, p_ell in zip(coeffs, specfun._legendre_rows(x, len(coeffs) - 1)):
+    for c, p_ell in zip(coeffs, _legendre_rows(x, len(coeffs) - 1)):
         acc = acc + c * p_ell
     return acc
 
@@ -227,7 +246,7 @@ def f_series_partial_sweep(p, theta, ell_max):
         raise ValueError("ell_max must be >= 0")
     if not 0.0 < theta <= np.pi:
         raise ValueError("theta must lie in (0, pi]")
-    legendre = specfun.legendre_sweep(ell_max, np.cos(theta))
+    legendre = _legendre_column(np.cos(theta), ell_max)
     return np.cumsum(_amplitude_terms(p, ell_max) * legendre)
 
 

@@ -1,9 +1,9 @@
 """Complex special-function kernel.
 
 Everything downstream (wavefunctions, phase shifts, Coulomb waves, series
-resummation) reduces to the functions in this module: complex log-gamma,
-the confluent hypergeometric function 1F1 in both its convergent and
-large-argument forms, and Legendre polynomials.
+resummation) reduces to the functions in this module: complex log-gamma
+and the confluent hypergeometric function 1F1 in both its convergent and
+large-argument forms.
 
 The convergent branch of 1F1, M(a, b, z), does not sum the Kummer series
 out to z: on the imaginary axis its terms reach ~e^{|z|} while the sum stays
@@ -449,36 +449,3 @@ def _dispatch(a, b, z):
         if sel.any():
             out[sel] = body(a[sel], b[sel], z[sel])
     return out
-
-
-def _legendre_rows(x, ell_max):
-    """Yield P_0(x), ..., P_{ell_max}(x) by the upward Bonnet recurrence
-    (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}. x is a Python float or a
-    float64 array: the same operations in the same order, so the same
-    bits."""
-    p_prev, p = 1.0, x
-    yield p_prev
-    if ell_max >= 1:
-        yield p
-    for n in range(1, ell_max):
-        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-        yield p
-
-
-def legendre_sweep(ell_max, x):
-    """All of P_0(x) .. P_{ell_max}(x), shape (ell_max+1,) + x.shape. A
-    scalar x runs the recurrence on Python floats, which for a long sweep
-    costs a fraction of one numpy call per ell."""
-    if ell_max < 0:
-        raise ValueError("ell_max must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    xv = np.atleast_1d(x)
-    if np.any(np.abs(xv) > 1.0 + 8.0 * np.finfo(float).eps):
-        raise ValueError("legendre argument outside [-1, 1]")
-    xv = np.clip(xv, -1.0, 1.0)
-    if x.ndim == 0:
-        return np.array(list(_legendre_rows(float(xv[0]), ell_max)))
-    out = np.empty((ell_max + 1,) + xv.shape)
-    for n, row in enumerate(_legendre_rows(xv, ell_max)):
-        out[n] = row
-    return out.reshape((ell_max + 1,) + x.shape)

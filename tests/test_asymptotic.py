@@ -91,6 +91,9 @@ def test_forward_axis_rejected():
     p = params(0.5)
     with pytest.raises(ValueError):
         psi_asymptotic(p, FieldPoint(rho=50.0, theta=0.0))
+    # off the axis but at the origin, rho s = 0 as well
+    with pytest.raises(ValueError, match=r"rho\*s > 0"):
+        psi_asymptotic_grid(p, [0.0], [1.0])
 
 
 def test_grid_matches_scalar():
@@ -129,6 +132,8 @@ def test_rutherford_amplitude_domain():
         rutherford_amplitude(p, 0.0)
     with pytest.raises(ValueError):
         rutherford_amplitude(p, -0.3)
+    with pytest.raises(ValueError, match=r"\(0, pi\]"):
+        rutherford_amplitude_phase_separated(p, 0.0)
 
 
 def test_phase_separated_form_same_modulus():
@@ -180,3 +185,6 @@ def test_born_amplitude_errors():
         born_amplitude_yukawa(p, 1.0, -0.5)
     with pytest.raises(ValueError):
         born_amplitude_yukawa(p, 0.0, 0.0)  # diverges unscreened forward
+    for bad in (-0.1, 3.5, [1.0, 3.5]):
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            born_amplitude_yukawa(p, bad, 0.3)

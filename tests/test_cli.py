@@ -125,6 +125,10 @@ def test_spec_validation_errors(tmp_path):
         small_spec(tmp_path, theta_range=(2.0, 1.0, 50)).validate()
     with pytest.raises(ValueError):
         small_spec(tmp_path, theta_range=(0.1, 3.0, 1)).validate()
+    with pytest.raises(ValueError, match=r"within \[0, pi\]"):
+        small_spec(tmp_path, theta_range=(0.1, 4.0, 5)).validate()
+    with pytest.raises(ValueError, match="unknown spec fields: bogus"):
+        _spec_from_mapping({"quantity": "psi_exact", "bogus": 1})
     with pytest.raises(ValueError):
         small_spec(tmp_path, rho_values=[0.0]).validate()
     with pytest.raises(ValueError):
@@ -184,6 +188,10 @@ def test_main_describe_and_errors(tmp_path, capsys):
     assert main(["describe"]) == 2
     assert main(["describe", "nonsense"]) == 2
     assert main(["psi_exact", "extra_name"]) == 2
+    # a range that is not A:B:N is argparse's own usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["psi_exact", "--theta-range", "1:2"])
+    assert exc.value.code == 2
 
 
 def test_main_runs_scan(tmp_path, capsys):
@@ -208,7 +216,10 @@ def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
                  ["diverging_sum", "--theta", "0"],
                  ["diverging_sum", "--ell-max", "-1"],
                  ["field_map", "--kx", "0", "--kx-range=-1:1:3",
-                  "--kz-range=0:1:2"]):
+                  "--kz-range=0:1:2"],
+                 ["psi_exact", "--theta-log"] + zero,
+                 ["bh_mode", "--mass", "0.5", "--omega", "1",
+                  "--r-range", "0.5:5:4"]):
         out = str(tmp_path / "x.csv")
         assert main(args + ["--out", out]) == 2, args
         assert not os.path.exists(out), args
@@ -325,6 +336,16 @@ def test_bh_mode_requires_mass(tmp_path):
     assert code == 2
 
 
+def test_main_numerical_failure_exits_3(tmp_path, capsys):
+    # the ell = 300 wave underflows float64 on its way in from r_start = 1
+    out = tmp_path / "e3.csv"
+    code = main(["bh_mode", "--mass", "0.05", "--omega", "1", "--ell", "300",
+                 "--r-range", "5e5:6e5:2", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
+
+
 def test_chunking_is_invisible(tmp_path):
     # a grid crossing several chunk boundaries stays ordered
     n = CHUNK_ROWS * 2 + 17
@@ -357,7 +378,7 @@ def test_field_map_mirror_dedup_changes_no_value(tmp_path):
 
 def test_field_map_evaluates_each_mirrored_point_once(tmp_path, monkeypatch):
     # kx in {-4, ..., 4} has 5 distinct |kx|, so 9 x 500 rows need 5 x 500
-    # field points
+    # field points, and the plateau column one more on the forward axis
     counted = []
     grid = exact.psi_exact_grid
 
@@ -370,7 +391,7 @@ def test_field_map_evaluates_each_mirrored_point_once(tmp_path, monkeypatch):
                     kz_range=(-4.0, 8.0, 500), out=str(tmp_path / "fm.csv"))
     _, rows = run_scan(spec)
     assert rows.shape[0] == 9 * 500
-    assert sum(counted) == 5 * 500
+    assert sum(counted) == 5 * 500 + 1
 
 
 def test_preset_files_are_plain_json():

@@ -201,5 +201,7 @@ def test_incoming_current_near_axis():
     analytic = current_in_distorted(p, FieldPoint(rho=rho, theta=1e-6))
     expected_r = p.k * (1.0 + p.gamma / rho)
     assert analytic.j_r == pytest.approx(expected_r, rel=1e-9)
-    with pytest.raises(ValueError):
-        current_in_distorted(p, FieldPoint(rho=rho, theta=0.0))
+    for current in (current_in_distorted, current_scattered_asymptotic,
+                    interference_radial_leading):
+        with pytest.raises(ValueError, match=r"\(0, pi\]"):
+            current(p, FieldPoint(rho=rho, theta=0.0))

@@ -14,7 +14,6 @@ from coulscat import (
     ScatteringParams,
     psi_exact,
     psi_exact_grid,
-    psi_forward,
     schrodinger_residual,
     specfun,
 )
@@ -59,7 +58,7 @@ def test_forward_modulus_frozen():
     for g, (ref, _) in FORWARD_TABLE.items():
         p = ScatteringParams(gamma=g, k=1.0)
         for rho in (1.0, 12.0, 300.0):  # modulus is rho-independent
-            assert abs(abs(psi_forward(p, rho)) - ref) < 1e-14
+            assert abs(abs(psi_exact(p, FieldPoint(rho, 0.0))) - ref) < 1e-14
 
 
 def test_forward_modulus_identity():
@@ -68,21 +67,16 @@ def test_forward_modulus_identity():
     for g, (ref, ident) in FORWARD_TABLE.items():
         assert abs(ref * np.exp(np.pi * g / 2.0) - ident) < 1e-13
         p = ScatteringParams(gamma=g, k=1.0)
-        got = abs(psi_forward(p, 5.0)) * np.exp(np.pi * g / 2.0)
+        got = abs(psi_exact(p, FieldPoint(5.0, 0.0))) * np.exp(np.pi * g / 2.0)
         assert abs(got - ident) < 1e-13
 
 
 def test_forward_modulus_decays_with_coupling():
-    mods = [abs(psi_forward(ScatteringParams(gamma=g, k=1.0), 3.0))
+    mods = [abs(psi_exact(ScatteringParams(gamma=g, k=1.0),
+                          FieldPoint(3.0, 0.0)))
             for g in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
     assert all(b < a for a, b in zip(mods, mods[1:]))
     assert mods[-1] < 1e-10
-
-
-def test_psi_forward_is_theta_zero_limit():
-    p = ScatteringParams(gamma=0.7, k=1.0)
-    direct = psi_exact(p, FieldPoint(rho=17.0, theta=0.0))
-    assert abs(direct - psi_forward(p, 17.0)) < 1e-14
 
 
 def test_psi_exact_frozen_point():
@@ -118,7 +112,7 @@ def test_forward_plateau_off_axis():
     # near the axis (rho*s small) the modulus stays on the forward plateau
     # even far from the scatterer
     p = ScatteringParams(gamma=0.8, k=1.0)
-    plateau = abs(psi_forward(p, 1.0))
+    plateau = abs(psi_exact(p, FieldPoint(1.0, 0.0)))
     for rho in (30.0, 80.0, 300.0):
         theta = np.sqrt(0.08 / rho)  # rho*s ~ 0.04
         val = abs(psi_exact(p, FieldPoint(rho=rho, theta=theta)))
@@ -162,6 +156,11 @@ def test_schrodinger_residual_step_validation():
         schrodinger_residual(p, FieldPoint(rho=5.0, theta=1.0), h=0.0)
     with pytest.raises(ValueError):
         schrodinger_residual(p, FieldPoint(rho=5.0, theta=1.0), h=2.0)
+    with pytest.raises(ValueError, match="rho > h"):
+        schrodinger_residual(p, FieldPoint(rho=0.005, theta=1.0), h=0.01)
+    # the polar stencil theta -+ h would cross the forward axis
+    with pytest.raises(ValueError, match="axis"):
+        schrodinger_residual(p, FieldPoint(rho=5.0, theta=1e-4), h=1e-3)
 
 
 def test_psi_exact_large_gamma_far_from_axis():

@@ -30,6 +30,14 @@ def test_all_exports_resolve_sorted_unique():
     assert len(set(names)) == len(names)
 
 
+def test_every_public_name_is_exported():
+    # a name imported into the package but missing from __all__ escapes
+    # `from coulscat import *` and every check here
+    public = {name for name, value in vars(coulscat).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(public - set(coulscat.__all__)) == []
+
+
 def test_every_export_has_a_non_test_caller():
     # a whole-word mention on any line of CALLER_FILES but the name's own
     # def or class line

@@ -5,7 +5,7 @@ reference."""
 import numpy as np
 import pytest
 from mpmath import mp, coulombf
-from scipy.special import spherical_jn
+from scipy.special import eval_legendre, spherical_jn
 
 from coulscat import (
     FieldPoint,
@@ -27,7 +27,6 @@ from coulscat import (
     rutherford_amplitude_phase_separated,
 )
 from coulscat import multipole
-from coulscat.specfun import legendre_sweep
 
 mp.dps = 40
 
@@ -350,6 +349,8 @@ def test_multipole_sum_reconstructs_exact_field():
         assert abs(got - ref) < 1e-8, (rho, theta)
     with pytest.raises(ValueError):
         psi_multipole_sum(p, FieldPoint(rho=3.0, theta=1.0), -1)
+    with pytest.raises(ValueError, match="rho must be > 0"):
+        psi_multipole_sum(p, FieldPoint(rho=0.0, theta=1.0), 10)
 
 
 def test_multipole_sum_truncation_decays():
@@ -372,9 +373,9 @@ def test_partial_sweep_consistency():
     sweep = f_series_partial_sweep(p, 1.7, 50)
     assert len(sweep) == 51
     # increments follow the term formula
-    leg = legendre_sweep(50, np.cos(1.7))
     factors = phase_shift_sweep(50, p.gamma)
-    term7 = (15.0 / (2j * p.k)) * (factors[7] - 1.0) * leg[7]
+    term7 = ((15.0 / (2j * p.k)) * (factors[7] - 1.0)
+             * eval_legendre(7, np.cos(1.7)))
     assert abs((sweep[7] - sweep[6]) - term7) < 1e-14
 
 
@@ -449,6 +450,8 @@ def test_reduced_series_array_and_validation():
     for bad in (0.0, np.pi, 3.5):
         with pytest.raises(ValueError):
             f_reduced_series(p, bad, 100)
+    with pytest.raises(ValueError, match="ell_max"):
+        f_reduced_series(p, 1.0, -1)
     assert f_reduced_series(params(0.0), 1.0, 100) == 0.0
 
 
@@ -459,7 +462,7 @@ def test_reduced_series_term_decay():
     ell_max = 1000
     factors = phase_shift_sweep(ell_max, g)
     ells = np.arange(ell_max + 1)
-    leg = legendre_sweep(ell_max, np.cos(theta))
+    leg = eval_legendre(ells, np.cos(theta))
     bracket = ells / (ells + 1j * g) - (ells + 1.0) / (ells + 1.0 - 1j * g)
     terms = np.abs(factors * bracket * leg)
     edges = np.unique(np.geomspace(50, 1000, 9).astype(int))
@@ -507,10 +510,10 @@ def test_plane_wave_partial_values():
 
 
 def test_legendre_recurrence_identity():
-    # the rolling Bonnet recurrence used by the incremental sweeps must
-    # agree with the direct sweep far past the acceptance grids
+    # the Bonnet recurrence behind every Legendre sum holds along one
+    # angle's whole column, far past the acceptance grids
     x = np.cos(1.234)
-    leg = legendre_sweep(500, x)
+    leg = multipole._legendre_column(x, 500)
     for ell in range(2, 501):
         resid = (ell * leg[ell] - (2 * ell - 1) * x * leg[ell - 1]
                  + (ell - 1) * leg[ell - 2])
@@ -548,7 +551,7 @@ SCALAR_WRAPPERS = {
     "f_reduced_series":
         (lambda p, rho, theta: f_reduced_series(p, theta, 100), 300),
     "born_amplitude_yukawa":
-        (lambda p, rho, theta: born_amplitude_yukawa(p, theta, 0.3), 300),
+        (lambda p, rho, theta: born_amplitude_yukawa(p, theta, 0.3), 2000),
 }
 
 

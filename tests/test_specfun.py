@@ -1,7 +1,7 @@
-"""Kernel tests: complex log-gamma, 1F1 on both branches, Legendre, and
-spherical Bessel functions as the gamma = 0 Coulomb wave. Reference values
-frozen from a 40-digit mpmath evaluation; live oracles (mpmath,
-scipy.special) cover the sweeps.
+"""Kernel tests: complex log-gamma, 1F1 on both branches, the Legendre
+recurrence of the partial-wave sums, and spherical Bessel functions as the
+gamma = 0 Coulomb wave. Reference values frozen from a 40-digit mpmath
+evaluation; live oracles (mpmath, scipy.special) cover the sweeps.
 """
 
 import functools
@@ -13,7 +13,11 @@ from mpmath import hyp1f1 as mp_hyp1f1
 from scipy.special import eval_legendre, loggamma as sc_loggamma, spherical_jn
 
 from coulscat import specfun
-from coulscat.multipole import coulomb_wave_regular
+from coulscat.multipole import (
+    _legendre_column,
+    _legendre_rows,
+    coulomb_wave_regular,
+)
 
 mp.dps = 40
 
@@ -250,9 +254,25 @@ def test_hyp1f1_series_derivative_identity():
 
 
 def test_hyp1f1_series_nonconvergence_error(monkeypatch):
+    # the Maclaurin first step from the origin, and a Taylor step of a chain
+    # from r0 > 0
     monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
     with pytest.raises(RuntimeError, match="SERIES_MAX_TERMS = 20"):
         series_branch(-1j, 1.0, 25j)
+    with pytest.raises(RuntimeError, match="SERIES_MAX_TERMS = 20"):
+        specfun.kummer_ivp(3 + 0.1j, 6.0, 1j, 2.0, 0.3 - 1.2j, 0.5 + 0.08j,
+                           30.0, [2.0, 30.0])
+
+
+def test_kummer_argument_errors():
+    # b a pole of Gamma(b), on the convergent branch
+    for b in (0.0, -2.0):
+        with pytest.raises(ValueError, match="non-positive integer"):
+            specfun.hyp1f1(0.5, b, 1.0)
+    for r in ([1.5], [2.0, 30.5]):
+        with pytest.raises(ValueError, match=r"\[r0, r_end\]"):
+            specfun.kummer_ivp(3 + 0.1j, 6.0, 1j, 2.0, 0.3 - 1.2j,
+                               0.5 + 0.08j, 30.0, r)
 
 
 def test_hyp1f1_asymptotic_frozen_table():
@@ -517,18 +537,16 @@ def test_kummer_ivp_at_start_radius_is_initial_value():
 
 
 def test_legendre_p_values():
-    assert specfun.legendre_sweep(0, -0.73)[0] == 1.0
-    assert abs(specfun.legendre_sweep(2, 1.0)[2] - 1.0) < 1e-14
-    assert abs(specfun.legendre_sweep(3, 0.3)[3] - (-0.3825)) < 1e-14
-    with pytest.raises(ValueError):
-        specfun.legendre_sweep(2, 1.2)
+    assert _legendre_column(-0.73, 0)[0] == 1.0
+    assert abs(_legendre_column(1.0, 2)[2] - 1.0) < 1e-14
+    assert abs(_legendre_column(0.3, 3)[3] - (-0.3825)) < 1e-14
 
 
 def test_legendre_matches_scipy():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, size=30)
     for ell in (1, 4, 9, 37, 150):
-        got = specfun.legendre_sweep(ell, x)[ell]
+        got = list(_legendre_rows(x, ell))[ell]
         ref = eval_legendre(ell, x)
         assert np.max(np.abs(got - ref)) < 1e-10
 
@@ -539,21 +557,22 @@ def test_legendre_explicit_polynomials():
                 (5 * x ** 3 - 3 * x) / 2,
                 (35 * x ** 4 - 30 * x ** 2 + 3) / 8,
                 (63 * x ** 5 - 70 * x ** 3 + 15 * x) / 8]
-    sweep = specfun.legendre_sweep(5, x)
+    sweep = list(_legendre_rows(x, 5))
     for ell in range(6):
         assert np.max(np.abs(sweep[ell] - explicit[ell])) < 1e-13
 
 
 def test_legendre_scalar_sweep_equals_array_sweep():
-    # a 0-d x runs the recurrence on Python floats, an array x in numpy:
-    # the same operations, so the same bits
+    # one angle's column runs the recurrence on Python floats, the sums over
+    # an angle array in numpy: the same operations, so the same bits
     x = np.random.default_rng(17).uniform(-1.0, 1.0, 200)
     x[:5] = (-1.0, 1.0, 0.0, -0.5, 0.5)
-    arrays = specfun.legendre_sweep(2000, x)
+    arrays = np.array([np.broadcast_to(row, x.shape)
+                       for row in _legendre_rows(x, 2000)])
     for i, xi in enumerate(x):
-        assert np.array_equal(specfun.legendre_sweep(2000, xi), arrays[:, i])
-    assert np.array_equal(specfun.legendre_sweep(0, x[7]), [1.0])
-    assert np.array_equal(specfun.legendre_sweep(1, x[7]), [1.0, x[7]])
+        assert np.array_equal(_legendre_column(xi, 2000), arrays[:, i])
+    assert np.array_equal(_legendre_column(x[7], 0), [1.0])
+    assert np.array_equal(_legendre_column(x[7], 1), [1.0, x[7]])
 
 
 def spherical_bessel_j(ell, x):
@@ -578,7 +597,7 @@ def test_spherical_bessel_matches_scipy():
 def test_plane_wave_expansion_consistency():
     rho, theta = 9.0, 1.1
     ell_top = int(rho) + 25
-    leg = specfun.legendre_sweep(ell_top, np.cos(theta))
+    leg = _legendre_column(np.cos(theta), ell_top)
     acc = 0.0 + 0.0j
     for ell in range(ell_top + 1):
         acc += coulomb_wave_regular(ell, 0.0, rho) / rho * leg[ell]
