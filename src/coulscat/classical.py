@@ -180,7 +180,7 @@ def integrate_full_mode(bh, ell, r, r_start=None):
     near = 2.0 * rho <= z_match
     far = ~near
     z_end = z_match if far.any() else 2.0 * rho.max()
-    log_w, end = specfun.kummer_ivp(a, b, 1j, 2.0 * rho0, 1.0 + 0.0j, dw0,
+    log_w, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
                                     z_end, 2.0 * rho[near])
     u = np.empty(rho.shape, dtype=np.complex128)
     # u = u0 e^{i rho0} (rho/rho0)^{lambda+1} w e^{-i rho}, w in units of its
@@ -213,7 +213,7 @@ def full_mode_phase_error(bh, ell):
     Raises as integrate_full_mode does.
     """
     _, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(bh, ell, None)
-    _, end = specfun.kummer_ivp(a, b, 1j, 2.0 * rho0, 1.0 + 0.0j, dw0,
+    _, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
                                 z_match, [])
     c_out, c_in = _far_amplitudes(a, b, rho0, log_u0, z_match, end)
     ratio = (np.exp(c_out - c_in) * (-1.0) ** (ell + 1)

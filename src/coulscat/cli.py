@@ -22,7 +22,9 @@ cannot be written included), 3 numerical failure.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -60,7 +62,6 @@ class ScanSpec:
     fixed_theta: float = 2.0
     rho_values: list = None
     theta_range: tuple = None
-    theta_log: bool = False
     kx_values: list = None
     kx_range: tuple = None
     kz_range: tuple = None
@@ -120,10 +121,9 @@ def _axis(rng, log=False):
     return np.linspace(a, b, int(n))
 
 
-def _theta_axis(spec, default, log_default=False):
-    rng = spec.theta_range if spec.theta_range is not None else default
-    log = spec.theta_log or (log_default and spec.theta_range is None)
-    return _axis(rng, log=log)
+def _theta_axis(spec, default, log=False):
+    return _axis(spec.theta_range if spec.theta_range is not None
+                 else default, log=log)
 
 
 def _product_rows(outer, inner):
@@ -225,10 +225,11 @@ def _build_cross_section(spec):
 
 def _series_scan(spec, order, orders, theta_default, f_series, abs_f):
     """f_series(p, theta, n) for each n in orders (the outer axis, in the
-    column named order) over a theta axis, with (1 - cos theta) f beside the
-    closed form's; abs_f adds the |f| column."""
+    column named order) over a geometric theta axis (the other scans' theta
+    axes are linear), with (1 - cos theta) f beside the closed form's; abs_f
+    adds the |f| column."""
     p = _params(spec)
-    theta = _theta_axis(spec, theta_default, log_default=True)
+    theta = _theta_axis(spec, theta_default, log=True)
     header = [order, "theta", "re_f", "im_f"] + ["abs_f"] * abs_f + [
         "re_sf", "im_sf", "abs_sf", "re_sf_closed", "im_sf_closed",
         "abs_sf_closed"]
@@ -339,6 +340,11 @@ _BUILDERS = {
 QUANTITIES = tuple(_BUILDERS)
 
 
+def _out_path(spec):
+    """spec.out, by default <quantity>.csv."""
+    return spec.out if spec.out is not None else spec.quantity + ".csv"
+
+
 def run_scan(spec):
     """Compute the dataset for a validated spec and write it to spec.out.
     Returns (header, rows). Rows are computed in fixed chunks of CHUNK_ROWS,
@@ -348,8 +354,7 @@ def run_scan(spec):
     rows = np.empty((n_rows, len(header)))
     for i in range(0, n_rows, CHUNK_ROWS):
         rows[i:i + CHUNK_ROWS] = compute(i, min(i + CHUNK_ROWS, n_rows))
-    out = spec.out if spec.out is not None else spec.quantity + ".csv"
-    write_csv(out, header, rows)
+    write_csv(_out_path(spec), header, rows)
     return header, rows
 
 
@@ -541,8 +546,6 @@ def _build_parser():
                         dest="rho_values", metavar="RHO",
                         help="rho value; repeat for several")
     parser.add_argument("--theta-range", type=_parse_range, metavar="A:B:N")
-    parser.add_argument("--theta-log", action="store_true", default=None,
-                        help="logarithmic theta grid")
     parser.add_argument("--kx", type=float, action="append",
                         dest="kx_values", metavar="KX",
                         help="field-map slice at fixed k x; repeatable")
@@ -593,8 +596,15 @@ def main(argv=None):
         if ns.name is not None:
             raise ValueError("positional name is only used with describe")
         spec = _spec_from_args(ns)
-        out = spec.out if spec.out is not None else spec.quantity + ".csv"
+        out = _out_path(spec)
         try:
+            # a parent that is missing or not a directory (stat of its "."
+            # raises either way), or a directory as out, fails before the
+            # compute; any other write error after it
+            os.stat(os.path.join(os.path.dirname(os.path.abspath(out)), "."))
+            if os.path.isdir(out):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR))
             header, rows = run_scan(spec)
         except OSError as exc:
             raise ValueError("cannot write --out %s: %s"

@@ -6,7 +6,8 @@ the numbers carry one power of k relative to the dimensionless field. The
 numeric routines use central differences with radial step
 h = 1e-4 max(1, rho) and an angular step shrunk by 1/max(1, rho) so that
 the physical arc length stays comparable to the radial step. They raise
-outside their domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho).
+outside their domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho), and
+current_numeric also where its polar step would cross theta = 0 or pi.
 """
 
 from dataclasses import dataclass
@@ -21,16 +22,6 @@ class CurrentVector:
     """Radial and polar components of a probability current."""
     j_r: float
     j_theta: float
-
-    def __add__(self, other):
-        return CurrentVector(self.j_r + other.j_r, self.j_theta + other.j_theta)
-
-    def __sub__(self, other):
-        return CurrentVector(self.j_r - other.j_r, self.j_theta - other.j_theta)
-
-    @property
-    def magnitude(self):
-        return float(np.hypot(self.j_r, self.j_theta))
 
 
 @dataclass(frozen=True)
@@ -55,6 +46,12 @@ def _check_domain(p, rho, h):
                          % (rho[bad][0], p.gamma))
 
 
+def _steps(rho):
+    """The stencil's radial and polar steps h and ht (see _stencil)."""
+    h = 1e-4 * np.maximum(1.0, rho)
+    return h, h / np.maximum(1.0, rho)
+
+
 def _stencil(p, fields, rho, theta):
     """Currents of several fields from one five-point central-difference
     stencil.
@@ -73,9 +70,8 @@ def _stencil(p, fields, rho, theta):
     # loops, so a point's current would depend on how it was batched
     shape = np.broadcast_shapes(rho.shape, theta.shape)
     rho_b, theta_b = (np.broadcast_to(v, shape).ravel() for v in (rho, theta))
-    h = 1e-4 * np.maximum(1.0, rho_b)
+    h, ht = _steps(rho_b)
     _check_domain(p, rho_b, h)
-    ht = h / np.maximum(1.0, rho_b)
     pts_rho = np.stack([rho_b, rho_b + h, rho_b - h, rho_b, rho_b])
     pts_theta = np.stack([theta_b, theta_b, theta_b, theta_b + ht, theta_b - ht])
     out = []
@@ -110,7 +106,13 @@ def current_numeric(field, p, pt):
     one five-point cross stencil: radial step h = 1e-4 max(1, rho) and
     polar step h / max(1, rho). schrodinger_residual's stencil is not this
     one: its polar step is h / max(1, rho |sin theta|), with h the caller's.
+    Raises before any field call where a stencil point would leave [0, pi].
     """
+    ht = _steps(pt.rho)[1]
+    if pt.theta - ht < 0.0 or pt.theta + ht > np.pi:
+        raise ValueError("theta = %g lies within the polar step ht = %g of "
+                         "the axis; current_numeric needs ht <= theta <= "
+                         "pi - ht" % (pt.theta, ht))
     return _vector(_stencil(p, _pointwise(field), pt.rho, pt.theta)[0])
 
 
@@ -177,8 +179,9 @@ def current_decomposition_asymptotic(p, pt, backreaction=False):
     total, incoming, scattered = map(_vector, _stencil(
         p, lambda r, t: _asymptotic_fields(p, r, t, backreaction)[0],
         pt.rho, pt.theta))
-    return CurrentDecomposition(total, incoming, scattered,
-                                total - incoming - scattered)
+    return CurrentDecomposition(total, incoming, scattered, CurrentVector(
+        total.j_r - incoming.j_r - scattered.j_r,
+        total.j_theta - incoming.j_theta - scattered.j_theta))
 
 
 def current_outgoing_exact(p, pt, subtract_backreaction=True):

@@ -23,8 +23,6 @@ from . import specfun
 class PhaseShiftFactor:
     """One partial wave's scattering factor e^{2 i delta} and the principal
     value of the shift delta itself."""
-    ell: int
-    gamma: float
     factor: complex
     delta: float
 
@@ -40,8 +38,7 @@ def phase_shift(ell, gamma):
         raise ValueError("ell must be >= 0")
     lg = specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
     factor = np.exp(lg - np.conj(lg))
-    return PhaseShiftFactor(int(ell), float(gamma), complex(factor),
-                            float(_wrap_angle(lg.imag)))
+    return PhaseShiftFactor(complex(factor), float(_wrap_angle(lg.imag)))
 
 
 def phase_shift_sweep(ell_max, gamma):

@@ -41,9 +41,9 @@ mpmath, worst at gamma = -20, l = 0, rho = 10, where M is small against its
 terms; coulomb_wave_regular there is within 1.8e-13 on 150 random points.
 Inputs and outputs are ordinary complex128.
 
-kummer_ivp runs the same chain and Horner sums (_ray_values) from given
-initial data at r0 > 0 instead of the origin, for any solution of the Kummer
-ODE (the Schwarzschild full mode in classical is one), up to a given end
+kummer_ivp runs the same chain and Horner sums (_ray_values) from initial
+data at i r0 (r0 > 0) up the imaginary axis, for any solution of the Kummer
+ODE (the Schwarzschild full mode in classical is one), to a given end
 radius, and returns logs (the chain carries a power-of-two scale, so the
 solution may fall far below float64's range). Past that radius a caller
 matches the solution to the two large-|z| solutions of _kummer_pair, which
@@ -325,19 +325,19 @@ def _continuation(a, b, z):
     return out
 
 
-def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
+def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
     """The solution w of the Kummer ODE z w'' + (b - z) w' - a w = 0 with
-    w = m0 and w' = dm0 at z0 = r0 u, carried along the ray to z = r_end u
-    (u a unit complex number; a, b, m0, dm0 scalars, r0 > 0): the 1F1
-    continuation started from this initial data instead of the origin.
+    w = m0 and w' = dm0 at z0 = i r0, carried up the imaginary axis to
+    z = i r_end (a, b, m0, dm0 scalars, r0 > 0): the 1F1 continuation
+    started from this initial data instead of the origin.
     Anchors on the _anchor_radii lattice from r0, its last radius moved to
     r_end; each radius r, r0 <= r <= r_end, is the Horner sum of its step's
     Taylor coefficients (r = r0 gives m0 itself), so a value depends on its
     own r only.
 
-    Returns log w at every r (an array of the shape of r, at least 1-d),
-    and log w and w'/w at r_end: logs, because over a long chain w can leave
-    float64's range (the chain itself stays inside by its power-of-two
+    Returns log w at every i r (an array of the shape of r, at least 1-d),
+    and log w and w'/w at i r_end: logs, because over a long chain w can
+    leave float64's range (the chain itself stays inside by its power-of-two
     scale)."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if np.any(r < r0) or np.any(r > r_end):
@@ -345,7 +345,7 @@ def kummer_ivp(a, b, u, r0, m0, dm0, r_end, r):
     radii = _anchor_radii(r0, b, r_end)
     radii[-1] = r_end
     if len(radii) > 1:
-        w, e, (m, dm, exp) = _ray_values(a, b, u, radii, m0, dm0, r, r * u)
+        w, e, (m, dm, exp) = _ray_values(a, b, 1j, radii, m0, dm0, r, r * 1j)
     else:  # r_end = r0: no step, and every r is r0
         w, e, (m, dm, exp) = np.full(r.shape, m0, np.complex128), 0, (m0, dm0, 0)
     log2 = math.log(2.0)

@@ -1,6 +1,7 @@
 """Command-line scan layer: spec validation, deterministic chunked output,
 preset loading, and process exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from coulscat import (
     FieldPoint,
     ScatteringParams,
     asymptotic,
+    cli,
     current_decomposition_asymptotic,
     current_outgoing_exact,
     exact,
@@ -188,10 +190,13 @@ def test_main_describe_and_errors(tmp_path, capsys):
     assert main(["describe"]) == 2
     assert main(["describe", "nonsense"]) == 2
     assert main(["psi_exact", "extra_name"]) == 2
-    # a range that is not A:B:N is argparse's own usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["psi_exact", "--theta-range", "1:2"])
-    assert exc.value.code == 2
+    # a range that is not A:B:N, and a theta-spacing flag (the quantity
+    # sets the spacing), are argparse's own usage errors
+    for args in (["psi_exact", "--theta-range", "1:2"],
+                 ["cesaro", "--theta-log"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
 
 
 def test_main_runs_scan(tmp_path, capsys):
@@ -217,7 +222,6 @@ def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
                  ["diverging_sum", "--ell-max", "-1"],
                  ["field_map", "--kx", "0", "--kx-range=-1:1:3",
                   "--kz-range=0:1:2"],
-                 ["psi_exact", "--theta-log"] + zero,
                  ["bh_mode", "--mass", "0.5", "--omega", "1",
                   "--r-range", "0.5:5:4"]):
         out = str(tmp_path / "x.csv")
@@ -225,14 +229,50 @@ def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
         assert not os.path.exists(out), args
 
 
-def test_main_unwritable_out(tmp_path, capsys):
-    # a missing directory and a directory path: exit 2 with the path named
-    for out in (tmp_path / "missing" / "x.csv", tmp_path):
-        assert main(["psi_exact", "--rho", "5", "--theta-range",
-                     "0.2:3.0:5", "--out", str(out)]) == 2
+def test_main_unwritable_out(tmp_path, monkeypatch, capsys):
+    # exit 2 with the path named. A missing directory, a regular file as
+    # the directory, and a directory as out are rejected before any builder
+    # runs (the fig3 one fails if called; a builder may compute, as
+    # bh_mode's does); any other write error when write_csv opens the file
+    def fail(*args):
+        raise AssertionError("builder ran")
+
+    monkeypatch.setitem(_BUILDERS, "field_map", fail)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv",
+                tmp_path):
+        assert main(["field_map", "--preset", "fig3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write --out %s: " % out)
     assert not (tmp_path / "missing").exists()
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_csv", full)
+    out = tmp_path / "x.csv"
+    assert main(["psi_exact", "--rho", "5", "--theta-range", "0.2:3.0:5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write --out %s: %s\n"
+        % (out, os.strerror(errno.ENOSPC)))
+
+
+def test_theta_spacing_follows_the_quantity(tmp_path):
+    # one --theta-range: a geometric axis for the two amplitude series, a
+    # linear one for every other theta scan
+    out = str(tmp_path / "t.csv")
+    for quantity, axis in (("cesaro", np.geomspace),
+                           ("reduced_series", np.geomspace),
+                           ("psi_exact", np.linspace),
+                           ("psi_asymptotic", np.linspace),
+                           ("currents", np.linspace),
+                           ("cross_section", np.linspace)):
+        assert main([quantity, "--theta-range", "0.1:3:5",
+                     "--out", out]) == 0, quantity
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        theta = data[:, 0 if quantity == "cross_section" else 1]
+        assert np.array_equal(theta, axis(0.1, 3.0, 5)), quantity
 
 
 def test_main_classical_guard(tmp_path):

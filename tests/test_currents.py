@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from coulscat import (
-    CurrentVector,
     FieldPoint,
     ScatteringParams,
     current_decomposition_asymptotic,
@@ -23,14 +22,6 @@ from coulscat.currents import current_scan_grid
 
 def params(g, k=1.0):
     return ScatteringParams(gamma=g, k=k)
-
-
-def test_current_vector_algebra():
-    a = CurrentVector(3.0, 4.0)
-    b = CurrentVector(1.0, -1.0)
-    assert a.magnitude == pytest.approx(5.0)
-    assert (a + b).j_r == 4.0
-    assert (a - b).j_theta == 5.0
 
 
 def test_plane_wave_current():
@@ -168,18 +159,30 @@ def test_oscillation_length_errors():
 
 
 def test_step_validation():
-    # the stencil's domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho):
-    # each error names the parameter and its bound
-    for g, rho, match in [(0.5, 1000.0, "rho = 1000, .*rho < 1000"),
-                          (0.5, 5e-5, "rho = 5e-05, .*1e-4 < rho"),
-                          (2000.0, 10.0, r"gamma = 2000 .*\|gamma\| < 1000")]:
+    # the stencil's domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho),
+    # and theta at least the polar step ht (1e-4 at rho = 10) from either
+    # end of [0, pi]: each error names the parameter and its bound, and is
+    # raised before the field is called
+    calls = []
+
+    def field(q):
+        calls.append(q)
+        return psi_exact(p, q)
+
+    for g, rho, theta, match in [
+            (0.5, 1000.0, 1.0, "rho = 1000, .*rho < 1000"),
+            (0.5, 5e-5, 1.0, "rho = 5e-05, .*1e-4 < rho"),
+            (2000.0, 10.0, 1.0, r"gamma = 2000 .*\|gamma\| < 1000"),
+            (0.5, 10.0, 5e-5, r"theta = 5e-05 .*ht = 0\.0001"),
+            (0.5, 10.0, np.pi - 5e-5, r"theta = 3\.14154 .*ht = 0\.0001")]:
         p = params(g)
-        pt = FieldPoint(rho=rho, theta=1.0)
         with pytest.raises(ValueError, match=match):
-            current_numeric(lambda q: psi_exact(p, q), p, pt)
+            current_numeric(field, p, FieldPoint(rho=rho, theta=theta))
+    assert calls == []
     p = params(0.5)
-    pt = FieldPoint(rho=999.0, theta=1.0)
-    assert np.isfinite(current_numeric(lambda q: psi_exact(p, q), p, pt).j_r)
+    for rho, theta in [(999.0, 1.0), (10.0, 2e-4), (10.0, np.pi - 2e-4)]:
+        j = current_numeric(field, p, FieldPoint(rho=rho, theta=theta))
+        assert np.isfinite([j.j_r, j.j_theta]).all()
 
 
 def test_grid_current_matches_pointwise():

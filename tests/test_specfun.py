@@ -260,7 +260,7 @@ def test_hyp1f1_series_nonconvergence_error(monkeypatch):
     with pytest.raises(RuntimeError, match="SERIES_MAX_TERMS = 20"):
         series_branch(-1j, 1.0, 25j)
     with pytest.raises(RuntimeError, match="SERIES_MAX_TERMS = 20"):
-        specfun.kummer_ivp(3 + 0.1j, 6.0, 1j, 2.0, 0.3 - 1.2j, 0.5 + 0.08j,
+        specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j, 0.5 + 0.08j,
                            30.0, [2.0, 30.0])
 
 
@@ -271,7 +271,7 @@ def test_kummer_argument_errors():
             specfun.hyp1f1(0.5, b, 1.0)
     for r in ([1.5], [2.0, 30.5]):
         with pytest.raises(ValueError, match=r"\[r0, r_end\]"):
-            specfun.kummer_ivp(3 + 0.1j, 6.0, 1j, 2.0, 0.3 - 1.2j,
+            specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j,
                                0.5 + 0.08j, 30.0, r)
 
 
@@ -522,7 +522,7 @@ def test_chain_start_bits_pinned_scalar_and_batch():
         assert _hex(specfun.hyp1f1(ai, bi, zi)) == _hex(got) == (re, im), zi
     a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
     r = [2.0, specfun._anchor_radii(2.0, b, 30.0)[1]]
-    log_w, end = specfun.kummer_ivp(a, b, 1j, 2.0, m0, dm0, 30.0, r)
+    log_w, end = specfun.kummer_ivp(a, b, 2.0, m0, dm0, 30.0, r)
     assert [_hex(v) for v in (*log_w, *end)] == KUMMER_IVP_BITS
 
 
@@ -532,7 +532,7 @@ def test_kummer_ivp_at_start_radius_is_initial_value():
     a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
     for r_end, r in ((30.0, [2.0]), (30.0, [2.0, 2.0, 7.5, 30.0]),
                      (2.0, [2.0, 2.0])):
-        log_w, _ = specfun.kummer_ivp(a, b, 1j, 2.0, m0, dm0, r_end, r)
+        log_w, _ = specfun.kummer_ivp(a, b, 2.0, m0, dm0, r_end, r)
         assert log_w[0] == np.log(m0)
 
 
