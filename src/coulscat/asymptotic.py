@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import multipole
+from . import exact, multipole
 
 # rho*s above which the split is flagged as trustworthy; the literature
 # only requires rho*s >> 1, the constant is a library default.
@@ -34,11 +34,9 @@ class AsymptoticSplit:
 
 
 def psi_asymptotic_grid(p, rho, theta, backreaction=True):
-    """Asymptotic split on broadcastable arrays; see psi_asymptotic."""
-    rho = np.asarray(rho, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if np.any(theta <= 0.0):
-        raise ValueError("the asymptotic split does not exist at theta = 0")
+    """Asymptotic split on broadcastable arrays; see psi_asymptotic. Raises
+    unless rho is finite, theta lies in (0, pi] and rho s > 0."""
+    rho, theta = exact._points(rho, theta, split=True)
     s = 1.0 - np.cos(theta)
     rs = rho * s
     if np.any(rs <= 0.0):

@@ -1,13 +1,12 @@
 """Probability currents of the scattering solution.
 
-All currents are computed from fields via J = Im[psi* grad psi] with the
-gradient taken in physical units, grad = (k d/d_rho, (k/rho) d/d_theta), so
-the numbers carry one power of k relative to the dimensionless field. The
-numeric routines use central differences with radial step
-h = 1e-4 max(1, rho) and an angular step shrunk by 1/max(1, rho) so that
-the physical arc length stays comparable to the radial step. They raise
-outside their domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho), and
-current_numeric also where its polar step would cross theta = 0 or pi.
+J = Im[psi* grad psi], grad = (k d/d_rho, (k/rho) d/d_theta). The package's
+own fields have closed-form gradients (dM/dz = (a/b) M(a + 1, b + 1, z) for
+the exact field, log-derivatives for the asymptotic waves): no step, and
+their currents hold wherever the fields do. Only current_numeric, for any
+field, uses a five-point stencil, radial step h = 1e-4 max(1, rho) and polar
+step h / max(1, rho); it raises outside 1e-4 < rho < 1000,
+|gamma| < 1000 min(1, rho), and where its polar step crosses 0 or pi.
 """
 
 from dataclasses import dataclass
@@ -35,70 +34,6 @@ class CurrentDecomposition:
     interference: CurrentVector
 
 
-def _check_domain(p, rho, h):
-    """Raise unless the stencil of radial step h keeps rho > h and
-    h max(1, |gamma| / rho) < 0.1 at each rho: the currents' domain for the
-    stencil's step."""
-    bad = (rho <= h) | (h * np.maximum(1.0, abs(p.gamma) / rho) >= 0.1)
-    if np.any(bad):
-        raise ValueError("rho = %g, gamma = %g lies outside the currents' "
-                         "domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho)"
-                         % (rho[bad][0], p.gamma))
-
-
-def _steps(rho):
-    """The stencil's radial and polar steps h and ht (see _stencil)."""
-    h = 1e-4 * np.maximum(1.0, rho)
-    return h, h / np.maximum(1.0, rho)
-
-
-def _stencil(p, fields, rho, theta):
-    """Currents of several fields from one five-point central-difference
-    stencil.
-
-    fields(rho_array, theta_array) -> sequence of complex arrays, every
-    field evaluated on the same stencil points. The radial step is
-    h = 1e-4 max(1, rho) at each point, so a point's current does not depend
-    on the points batched with it; the polar step is h/max(1, rho) so the
-    arc displacement rho*dtheta matches h. Returns one (j_r, j_theta) pair
-    of arrays, broadcast over rho and theta, per field.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    # flat points even for one point: 0-d operands would take numpy's scalar
-    # arithmetic, which rounds complex products differently from the array
-    # loops, so a point's current would depend on how it was batched
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
-    rho_b, theta_b = (np.broadcast_to(v, shape).ravel() for v in (rho, theta))
-    h, ht = _steps(rho_b)
-    _check_domain(p, rho_b, h)
-    pts_rho = np.stack([rho_b, rho_b + h, rho_b - h, rho_b, rho_b])
-    pts_theta = np.stack([theta_b, theta_b, theta_b, theta_b + ht, theta_b - ht])
-    out = []
-    for vals in fields(pts_rho, pts_theta):
-        psi_c = vals[0]
-        d_rho = (vals[1] - vals[2]) / (2.0 * h)
-        d_theta = (vals[3] - vals[4]) / (2.0 * ht)
-        j_r = p.k * np.imag(np.conj(psi_c) * d_rho)
-        j_theta = (p.k / rho_b) * np.imag(np.conj(psi_c) * d_theta)
-        out.append((j_r.reshape(shape), j_theta.reshape(shape)))
-    return out
-
-
-def _vector(pair):
-    return CurrentVector(float(pair[0]), float(pair[1]))
-
-
-def _pointwise(field):
-    """Stencil fields function for a scalar field of one FieldPoint."""
-    def values(rho_a, theta_a):
-        out = np.array([field(exact.FieldPoint(r, t))
-                        for r, t in zip(rho_a.ravel(), theta_a.ravel())],
-                       dtype=np.complex128)
-        return [out.reshape(rho_a.shape)]
-    return values
-
-
 def current_numeric(field, p, pt):
     """Numerical current of an arbitrary scalar field at one point.
 
@@ -106,40 +41,78 @@ def current_numeric(field, p, pt):
     one five-point cross stencil: radial step h = 1e-4 max(1, rho) and
     polar step h / max(1, rho). schrodinger_residual's stencil is not this
     one: its polar step is h / max(1, rho |sin theta|), with h the caller's.
-    Raises before any field call where a stencil point would leave [0, pi].
+    Raises before any field call outside the domain in the module docstring.
     """
-    ht = _steps(pt.rho)[1]
-    if pt.theta - ht < 0.0 or pt.theta + ht > np.pi:
+    # 1-element arrays: numpy's scalar arithmetic rounds complex products
+    # differently from its array loops
+    rho = np.array([pt.rho])
+    h = 1e-4 * np.maximum(1.0, rho)
+    ht = h / np.maximum(1.0, rho)
+    if pt.theta - ht[0] < 0.0 or pt.theta + ht[0] > np.pi:
         raise ValueError("theta = %g lies within the polar step ht = %g of "
                          "the axis; current_numeric needs ht <= theta <= "
-                         "pi - ht" % (pt.theta, ht))
-    return _vector(_stencil(p, _pointwise(field), pt.rho, pt.theta)[0])
+                         "pi - ht" % (pt.theta, ht[0]))
+    if rho[0] <= h[0] or h[0] * max(1.0, abs(p.gamma) / rho[0]) >= 0.1:
+        raise ValueError("rho = %g, gamma = %g lies outside current_numeric's "
+                         "domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho)"
+                         % (pt.rho, p.gamma))
+    pts = zip(pt.rho + h * np.array([0.0, 1.0, -1.0, 0.0, 0.0]),
+              pt.theta + ht * np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
+    vals = [field(exact.FieldPoint(r, t)) for r, t in pts]
+    c, rp, rm, tp, tm = np.array(vals, dtype=np.complex128)[:, None]
+    j_r = p.k * np.imag(np.conj(c) * ((rp - rm) / (2.0 * h)))
+    j_theta = (p.k / rho) * np.imag(np.conj(c) * ((tp - tm) / (2.0 * ht)))
+    return CurrentVector(float(j_r[0]), float(j_theta[0]))
 
 
-def _asymptotic_fields(p, r, t, backreaction):
-    """The asymptotic total, incoming and scattered fields, then the
-    incoming wave without and with the gamma^2 correction."""
-    pin_plain, pscat, _ = asymptotic.psi_asymptotic_grid(
-        p, r, t, backreaction=False)
-    pin_g2, _, _ = asymptotic.psi_asymptotic_grid(p, r, t, backreaction=True)
-    pin = pin_g2 if backreaction else pin_plain
-    return [pin + pscat, pin, pscat], pin_plain, pin_g2
+def _current(p, f):
+    """(j_r, j_theta) of a field stacked as [psi, d_rho psi,
+    d_theta psi / rho]."""
+    return p.k * np.imag(np.conj(f[0]) * f[1:])
+
+
+def _split(p, rho, theta):
+    """The incoming wave without and with the gamma^2 correction and the
+    scattered wave, stacked as _current takes them."""
+    pin, pscat, _ = asymptotic.psi_asymptotic_grid(p, rho, theta,
+                                                   backreaction=False)
+    g, sin, one = p.gamma, np.sin(theta), np.ones_like(pin)
+    rs = rho * (1.0 - np.cos(theta))
+    # grad ln(rho s), with ln psi_in = i rho cos(theta) + i gamma ln(rho s)
+    # and ln psi_scat = const + i rho - (1 + i gamma) ln(rho s)
+    d_log = np.stack([1.0 / rho, sin / rs])
+    plain = pin * np.stack([one, 1j * (np.cos(theta) + g * d_log[0]),
+                            1j * (g * d_log[1] - sin)])
+    scat = pscat * np.stack([one, 1j - (1.0 + 1j * g) * d_log[0],
+                             -(1.0 + 1j * g) * d_log[1]])
+    # the gamma^2 wave is plain times 1 - u, u = i gamma^2/(rho s), and
+    # grad(1 - u) = u grad ln(rho s)
+    u = 1j * g ** 2 / rs
+    corrected = plain * (1.0 - u)
+    corrected[1:] += pin * u * d_log
+    return plain, corrected, scat
 
 
 def current_scan_grid(p, rho, theta, backreaction=False):
-    """Every current of a `currents` scan, from one stencil pass over the
-    exact and asymptotic fields. Returns six (j_r, j_theta) pairs: the
-    asymptotic total, incoming and scattered currents (the incoming wave
-    with the gamma^2 correction when backreaction is set), the exact-field
-    current, and the outgoing remainders J[psi - psi_in] without and with
-    the gamma^2 correction in psi_in. The interference current is total
-    minus incoming minus scattered, taken by the caller."""
-    def fields(r, t):
-        split, pin_plain, pin_g2 = _asymptotic_fields(p, r, t, backreaction)
-        psi = exact.psi_exact_grid(p, r, t)
-        return split + [psi, psi - pin_plain, psi - pin_g2]
+    """Every current of a `currents` scan on broadcastable arrays of
+    (rho, theta). Returns six (j_r, j_theta) pairs: the asymptotic total,
+    incoming and scattered currents (the incoming wave with the gamma^2
+    correction when backreaction is set), the exact-field current, and the
+    outgoing remainders J[psi - psi_in] without and with the gamma^2
+    correction in psi_in."""
+    # flat: 0-d operands would round as numpy scalars, not as array loops
+    rho, theta = np.broadcast_arrays(np.asarray(rho, dtype=np.float64),
+                                     np.asarray(theta, dtype=np.float64))
+    shape, rho, theta = rho.shape, rho.ravel(), theta.ravel()
+    plain, corrected, scat = _split(p, rho, theta)
+    pin = corrected if backreaction else plain
+    psi = exact._gradient(p, rho, theta)
+    return [_current(p, f).reshape((2,) + shape) for f in
+            (pin + scat, pin, scat, psi, psi - plain, psi - corrected)]
 
-    return _stencil(p, fields, rho, theta)
+
+def _vector(j):
+    return CurrentVector(float(j[0][0]), float(j[1][0]))
 
 
 def current_in_distorted(p, pt):
@@ -156,8 +129,15 @@ def current_in_distorted(p, pt):
 
 
 def current_scattered_asymptotic(p, pt):
-    """Current of the scattered spherical wave alone: purely radial,
-    k gamma^2 / (4 rho^2 sin^4(theta/2))."""
+    """Leading order in 1/rho of the scattered spherical wave's current:
+    purely radial, k gamma^2 / (4 rho^2 sin^4(theta/2)) = k |psi_scat|^2.
+
+    The wave's own current, as current_decomposition_asymptotic gives it,
+    is j_r = k |psi_scat|^2 (1 - gamma/rho) and
+    j_theta = -(k/rho) |psi_scat|^2 gamma sin(theta)/s. Near the axis the
+    dropped j_theta is not small: at gamma = 0.4, rho = 10, theta = 0.05 it
+    is 1.6 j_r.
+    """
     s = pt.s
     if s <= 0.0:
         raise ValueError("theta must lie in (0, pi]")
@@ -168,20 +148,20 @@ def current_scattered_asymptotic(p, pt):
 
 def current_decomposition_asymptotic(p, pt, backreaction=False):
     """Split the current of the asymptotic field into incoming, scattered
-    and interference parts, all by the same numeric stencil: the first
-    three currents of current_scan_grid at one point, from the asymptotic
-    fields alone.
+    and interference parts: the first three currents of current_scan_grid
+    at one point, from the asymptotic fields alone.
 
     Backreaction defaults to off here: the closed-form incoming current
     above belongs to the purely phase-distorted wave, and the decomposition
     is normally compared against it.
     """
-    total, incoming, scattered = map(_vector, _stencil(
-        p, lambda r, t: _asymptotic_fields(p, r, t, backreaction)[0],
-        pt.rho, pt.theta))
-    return CurrentDecomposition(total, incoming, scattered, CurrentVector(
-        total.j_r - incoming.j_r - scattered.j_r,
-        total.j_theta - incoming.j_theta - scattered.j_theta))
+    plain, corrected, scat = _split(p, np.array([pt.rho]),
+                                    np.array([pt.theta]))
+    pin = corrected if backreaction else plain
+    total, incoming, scattered = (_current(p, f)
+                                  for f in (pin + scat, pin, scat))
+    return CurrentDecomposition(*map(_vector, (
+        total, incoming, scattered, total - incoming - scattered)))
 
 
 def current_outgoing_exact(p, pt, subtract_backreaction=True):
@@ -192,7 +172,7 @@ def current_outgoing_exact(p, pt, subtract_backreaction=True):
     removed, which suppresses the spurious oscillations left behind when
     only the phase-distorted wave is subtracted.
     """
-    scan = current_scan_grid(p, pt.rho, pt.theta)
+    scan = current_scan_grid(p, [pt.rho], [pt.theta])
     return _vector(scan[5 if subtract_backreaction else 4])
 
 

@@ -47,11 +47,9 @@ class FieldPoint:
 
 def _field(p, rho, theta, kummer):
     """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
-    M(-i gamma, 1, i rho s) on broadcastable arrays of (rho, theta), with
-    the Kummer function M evaluated by kummer(a, b, z): hyp1f1 or one of
-    its two branch bodies on _entry."""
-    rho = np.asarray(rho, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
+    M(-i gamma, 1, i rho s) on broadcastable float64 arrays of (rho, theta),
+    with the Kummer function M evaluated by kummer(a, b, z): hyp1f1, one of
+    its two branch bodies on _entry, or the dM/dz of _gradient."""
     s = 1.0 - np.cos(theta)
     g = p.gamma
     pref = np.exp(1j * rho * (1.0 - s) - 0.5 * np.pi * g
@@ -59,9 +57,35 @@ def _field(p, rho, theta, kummer):
     return pref * kummer(-1j * g, 1.0, 1j * rho * s)
 
 
+def _points(rho, theta, split=False):
+    """(rho, theta) as float64 arrays, or a ValueError naming the first rho
+    outside [0, inf) or theta outside [0, pi] ((0, pi] for the split)."""
+    rho, theta = (np.asarray(v, dtype=np.float64) for v in (rho, theta))
+    for name, v, ok, bound in (
+            ("rho", rho, (rho >= 0.0) & (rho < np.inf), "[0, inf)"),
+            ("theta", theta, ((theta > 0.0) if split else (theta >= 0.0))
+             & (theta <= np.pi), "(0, pi]" if split else "[0, pi]")):
+        if not ok.all():
+            raise ValueError("%s must lie in %s, got %s = %r"
+                             % (name, bound, name, float(v[~ok].flat[0])))
+    return rho, theta
+
+
 def psi_exact_grid(p, rho, theta):
-    """Exact wavefunction on broadcastable arrays of (rho, theta)."""
-    return _field(p, rho, theta, specfun.hyp1f1)
+    """Exact wavefunction on broadcastable arrays of (rho, theta), rho
+    finite and >= 0, theta in [0, pi]; raises outside."""
+    return _field(p, *_points(rho, theta), specfun.hyp1f1)
+
+
+def _gradient(p, rho, theta):
+    """psi_exact_grid stacked with [d_rho psi, d_theta psi / rho], by
+    dM/dz = (a/b) M(a + 1, b + 1, z) (DLMF 13.3.15) at z = i rho s."""
+    psi = psi_exact_grid(p, rho, theta)
+    dpsi = _field(p, rho, theta,
+                  lambda a, b, z: a / b * specfun.hyp1f1(a + 1.0, b + 1.0, z))
+    s = 1.0 - np.cos(theta)
+    return np.stack([psi, 1j * ((1.0 - s) * psi + s * dpsi),
+                     1j * np.sin(theta) * (dpsi - psi)])
 
 
 def psi_exact(p, pt):

@@ -100,8 +100,8 @@ def test_currents_scan_row_equals_pointwise_currents(tmp_path, backreaction):
 
 
 def test_currents_scan_row_independent_of_other_rho(tmp_path):
-    # each row takes its own default step, so rho = 10 rows are the same
-    # scanned alone or in one chunk with rho = 100
+    # a row's currents depend on its own (rho, theta) alone, so rho = 10
+    # rows are the same scanned alone or in one chunk with rho = 100
     def scan(rho_values, name):
         spec = ScanSpec(quantity="currents", gamma=0.4, rho_values=rho_values,
                         theta_range=(0.05, 3.1, 30), out=str(tmp_path / name))
@@ -547,7 +547,7 @@ PRESET_SHA256 = {
     "fig1": "1b56d624c27f93d0948bba80c7bc6706f771ec90c0c47e027e5c03234509782f",
     "fig2": "df2b55b59bba46ac72d1dcd0ef8131a5d53ca3c389ce9fb9799c801d77ced4bc",
     "fig3": "82553bbf2b94933a96f0b8a9c3133f1606e99c4ea64c7bdc32c971ea97c806ed",
-    "fig4": "f85a87b4367953ec5c9b551a62923c214114c8ab7a267833c7f6d5d46349b19d",
+    "fig4": "fb25cc90c238f78cae1dc6ff37a12532acd22129f3fe835ecd1920f2312bad1d",
     "fig5": "c02be81460857384a5a95a69ee00f00a6ecf6f0fceee86a5dff892f5992118e1",
     "fig6": "4f946c3c0ed8e55638a2d16fee2357579ebd47d4f2848b85597f5971c4454b3d",
     "fig7": "c915b9e0c9930a57e64c474ee2f7744bfbcb664dbe45cbecd03239c0ab3efc31",

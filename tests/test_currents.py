@@ -1,6 +1,8 @@
-"""Probability-current tests: stencil machinery against analytic forms,
-closure of the asymptotic decomposition and interference fringe
-geometry."""
+"""Probability-current tests: the closed-form gradient currents against
+frozen mpmath values, the numeric stencil against analytic forms, closure
+of the asymptotic decomposition and interference fringe geometry."""
+
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +22,37 @@ from coulscat import (
 from coulscat.currents import current_scan_grid
 
 
+# Currents (k = 1) keyed by (gamma, rho, theta), from mpmath at dps 30 with
+# psi = e^{-pi gamma/2} Gamma(1 + i gamma) e^{i rho cos theta} M(a, 1, z),
+# z = i rho s, a = -i gamma, differentiated through
+# dM/dz = a M(a + 1, 2, z) (DLMF 13.3.15): J[psi], then the outgoing
+# remainder J[psi - psi_in (1 - i gamma^2/(rho s))] with
+# psi_in = e^{i (rho cos theta + gamma ln(rho s))}.
+J_EXACT_FROZEN = {
+    (0.7, 15.0, 0.8): (0.8981611010364831, -0.6015460769862382),
+    (0.7, 15.0, 2.0): (-0.35235680305952466, -0.9055262163484077),
+    (0.7, 40.0, 1.1): (0.4887332687363668, -0.8740225124528443),
+    (0.4, 1000.0, 1.0): (0.5412487754490161, -0.8410345996603324),
+    (0.4, 5e-05, 1.0): (0.11969361823977832, -0.18641017963870882),
+    (20.0, 0.01, 1.0): (2.239549504169716e-53, -3.2256769435401424e-53),
+    (0.4, 10.0, 0.05): (0.2234700548345778, -0.011154976814803314),
+    (0.4, 10.0, 3.1): (-0.9604110361415346, -0.04090972328734837),
+    (0.4, 100.0, 0.05): (0.2442015147503692, -0.011929413053878114),
+    (0.4, 100.0, 3.1): (-0.995119453972767, -0.041423135023620786),
+}
+J_OUT_FROZEN = {
+    (0.4, 1000.0, 1.0): (7.600136371875503e-07, -8.517309593202073e-10),
+    (0.4, 5e-05, 1.0): (387838929396.3985, 709845708132.5625),
+    (20.0, 0.01, 1.0): (15146869599276.07, 27712299496519.66),
+}
+
+
 def params(g, k=1.0):
     return ScatteringParams(gamma=g, k=k)
+
+
+def rel_err(j, ref):
+    return max(abs(a - b) for a, b in zip(j, ref)) / math.hypot(*ref)
 
 
 def test_plane_wave_current():
@@ -191,10 +222,43 @@ def test_grid_current_matches_pointwise():
     theta = np.array([0.8, 2.0, 1.1])
     jr, jt = current_scan_grid(p, rho, theta)[3]
     for i in range(3):
-        j = current_numeric(lambda q: psi_exact(p, q), p,
-                            FieldPoint(rho=rho[i], theta=theta[i]))
-        assert abs(jr[i] - j.j_r) < 1e-12
-        assert abs(jt[i] - j.j_theta) < 1e-12
+        ref = J_EXACT_FROZEN[(0.7, rho[i], theta[i])]
+        assert abs(jr[i] - ref[0]) < 1e-12
+        assert abs(jt[i] - ref[1]) < 1e-12
+
+
+@pytest.mark.parametrize("gamma, rho", [(0.4, 1000.0), (0.4, 5e-5),
+                                        (20.0, 0.01)])
+def test_currents_outside_stencil_domain(gamma, rho):
+    # the closed-form currents take no step, so current_numeric's domain
+    # 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho) does not bound them
+    p = params(gamma)
+    key = (gamma, rho, 1.0)
+    scan = current_scan_grid(p, [rho], [1.0])
+    assert rel_err([float(c[0]) for c in scan[3]], J_EXACT_FROZEN[key]) < 1e-12
+    out = current_outgoing_exact(p, FieldPoint(rho=rho, theta=1.0))
+    assert [out.j_r, out.j_theta] == [float(c[0]) for c in scan[5]]
+    # psi - psi_in is 4e-4 of psi at rho = 1000, where psi and psi_in each
+    # carry the rounding of a phase near 540
+    assert rel_err([out.j_r, out.j_theta], J_OUT_FROZEN[key]) < 1e-9
+
+
+def test_fig4_grid_currents_match_closed_forms():
+    # fig4's grid: the incoming wave's current from its log-derivative is
+    # current_in_distorted's closed form on every row, and the exact
+    # current matches mpmath at the grid's corners
+    p = params(0.4)
+    rho = np.array([10.0, 100.0])[:, None]
+    theta = np.linspace(0.05, 3.1, 400)
+    scan = current_scan_grid(p, rho, theta)
+    jr, jt = scan[1]
+    for i, j in np.ndindex(jr.shape):
+        ref = current_in_distorted(p, FieldPoint(rho=rho[i, 0],
+                                                 theta=theta[j]))
+        assert rel_err([jr[i, j], jt[i, j]], [ref.j_r, ref.j_theta]) < 1e-12
+    for i, j in np.ndindex(2, 2):
+        ref = J_EXACT_FROZEN[(0.4, rho[i, 0], theta[-j])]
+        assert rel_err([c[i, -j] for c in scan[3]], ref) < 1e-12
 
 
 def test_incoming_current_near_axis():

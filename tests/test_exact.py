@@ -12,6 +12,7 @@ import pytest
 from coulscat import (
     FieldPoint,
     ScatteringParams,
+    psi_asymptotic_grid,
     psi_exact,
     psi_exact_grid,
     schrodinger_residual,
@@ -52,6 +53,24 @@ def test_field_point_validation():
         FieldPoint(rho=1.0, theta=-0.1)
     with pytest.raises(ValueError):
         FieldPoint(rho=1.0, theta=np.pi + 0.1)
+
+
+@pytest.mark.parametrize("grid, rho, theta, match", [
+    (psi_exact_grid, -5.0, 1.0, r"rho must lie in \[0, inf\), got rho = -5"),
+    (psi_exact_grid, np.nan, 1.0, r"rho .*, got rho = nan"),
+    (psi_exact_grid, np.inf, 1.0, r"rho .*, got rho = inf"),
+    (psi_exact_grid, 1.0, 4.0, r"theta must lie in \[0, pi\], got theta = 4"),
+    (psi_exact_grid, 1.0, -1.0, r"theta .*, got theta = -1\.0"),
+    (psi_asymptotic_grid, -5.0, 1.0, r"rho must lie in \[0, inf\)"),
+    (psi_asymptotic_grid, np.nan, 1.0, r"got rho = nan"),
+    (psi_asymptotic_grid, 1.0, 4.0, r"theta must lie in \(0, pi\]"),
+    (psi_asymptotic_grid, 1.0, 0.0, r"theta .* \(0, pi\], got theta = 0\.0"),
+])
+def test_field_grids_reject_points_outside_domain(grid, rho, theta, match):
+    # the grids check what FieldPoint checks, naming the first bad value,
+    # before any arithmetic warns (the suite turns warnings into errors)
+    with pytest.raises(ValueError, match=match):
+        grid(ScatteringParams(gamma=0.4), [1.0, rho], [1.0, theta])
 
 
 def test_forward_modulus_frozen():

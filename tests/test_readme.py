@@ -13,7 +13,7 @@ def test_quick_tour_runs_and_matches_its_comments():
     ns = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), ns)
-    # "closed form vs stencil, 0.97758"
+    # "closed form vs the incoming wave's own gradient, 0.97758"
     p, pt = ns["p"], ns["pt"]
     for j_r in (ns["current_in_distorted"](p, pt).j_r, ns["j"].incoming.j_r):
         assert round(j_r, 5) == 0.97758
