@@ -51,7 +51,6 @@ from .multipole import (
 from .specfun import (
     hyp1f1,
     log_gamma_complex,
-    reciprocal_gamma,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +91,6 @@ __all__ = [
     "psi_exact_grid",
     "psi_multipole_sum",
     "radial_mode_asymptotic",
-    "reciprocal_gamma",
     "rutherford_amplitude",
     "rutherford_amplitude_phase_separated",
     "schrodinger_residual",

@@ -96,8 +96,9 @@ _LANCZOS_COEFFS = np.array([
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 ])
-_LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS_COEFFS))
+_LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS_COEFFS))[:, None]
 _HALF_LOG_TWO_PI = 0.91893853320467274178
+_TERM_INDEX = np.arange(float(ASYMPTOTIC_TERMS + 1))[:, None]
 
 
 def _is_nonpositive_integer(z):
@@ -119,20 +120,19 @@ def log_gamma_complex(z):
     Raises ValueError at the poles (non-positive real integers).
     """
     z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(_is_nonpositive_integer(z)):
-        raise ValueError("log_gamma_complex pole: z is a non-positive integer")
+    shape, z = z.shape, z.reshape(-1)
     refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z) - 1.0
-    # c_0 + sum_i c_i / (zz + i), one division over an (8,) + zz.shape block
-    col = (-1,) + (1,) * zz.ndim
-    terms = _LANCZOS_COEFFS[1:].reshape(col) / (zz + _LANCZOS_SHIFTS.reshape(col))
+    reflect = refl.any()  # the poles, and the reflection, lie left of 1/2
+    if reflect and _is_nonpositive_integer(z).any():
+        raise ValueError("log_gamma_complex pole: z is a non-positive integer")
+    zz = (np.where(refl, 1.0 - z, z) if reflect else z) - 1.0
+    # c_0 + sum_i c_i / (zz + i), one division over an (8, zz.size) block
+    terms = _LANCZOS_COEFFS[1:, None] / (zz + _LANCZOS_SHIFTS)
     terms[0] += _LANCZOS_COEFFS[0]
     acc = _sum_rows(terms)
     t = zz + (_LANCZOS_G + 0.5)
     out = _HALF_LOG_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(acc)
-    if np.any(refl):
+    if reflect:
         # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z), up to the
         # 2 pi i k that puts it on the principal branch; k is nonzero only
         # for Re z < -1/2, and only there is it added, so every other value
@@ -143,22 +143,17 @@ def log_gamma_complex(z):
         wrap = refl & (turns != 0.0)
         if wrap.any():
             out[wrap] += 1j * np.copysign(2.0 * np.pi, z.imag[wrap]) * turns[wrap]
-    return complex(out[0]) if scalar else out
-
-
-def reciprocal_gamma(z):
-    """1/Gamma(z), entire: returns exactly 0 at the poles of Gamma."""
-    pole = _is_nonpositive_integer(z)
-    out = np.where(pole, 0.0, np.exp(-log_gamma_complex(np.where(pole, 1.0, z))))
-    return complex(out) if out.ndim == 0 else out
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def _entry(body, a, b, z):
     """body(a, b, z) on a, b, z broadcast once and flattened, returned in
     their common shape (a Python complex when all three are scalars)."""
     a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
-    shape = np.broadcast_shapes(a.shape, b.shape, z.shape)
+    shape = np.broadcast(a, b, z).shape
     size = math.prod(shape)
+    if size == 0:
+        return np.empty(shape, dtype=np.complex128)
     out = body(*[(v if v.size == size else np.broadcast_to(v, shape)).reshape(-1)
                  for v in (a, b, z)])
     return complex(out[0]) if shape == () else out.reshape(shape)
@@ -214,34 +209,41 @@ def _anchor_steps(a, b, u, radii, m, dm, keep):
             row = [d]
             dm = 0.0j
             for n in range(max_terms):
-                d = d * (a + n) * h / ((b + n) * (n + 1))
+                n1 = n + 1
+                d = d * (a + n) * h / ((b + n) * n1)
                 row.append(d)
                 m += d
-                dm += (n + 1) * d
+                dm += n1 * d
                 ad = abs(d)
-                consec = consec + 1 if (ad <= tol * abs(m)
-                                        and (n + 1) * ad <= tol * (abs(m) + abs(dm))) else 0
-                if consec == 3:
-                    break
+                if ad <= tol * abs(m) and n1 * ad <= tol * (abs(m) + abs(dm)):
+                    consec += 1
+                    if consec == 3:
+                        break
+                else:
+                    consec = 0
             else:
                 _raise_unconverged(max_terms, h)
         else:
             z0 = radii[k] * u
             d0, d1 = m, h * dm
             row = [d0, d1]
+            append = row.append
             m, dm = d0 + d1, d1
             p, q = h * h / z0, h / z0
             bz = b - z0
             for n in range(max_terms):
-                d2 = ((n + a) * p * d0 - (n + 1) * (n + bz) * q * d1) / ((n + 1) * (n + 2))
-                row.append(d2)
+                n1, n2 = n + 1, n + 2
+                d2 = ((n + a) * p * d0 - n1 * (n + bz) * q * d1) / (n1 * n2)
+                append(d2)
                 m += d2
-                dm += (n + 2) * d2
+                dm += n2 * d2
                 ad = abs(d2)
-                consec = consec + 1 if (ad <= tol * abs(m)
-                                        and (n + 2) * ad <= tol * (abs(m) + abs(dm))) else 0
-                if consec == 3:
-                    break
+                if ad <= tol * abs(m) and n2 * ad <= tol * (abs(m) + abs(dm)):
+                    consec += 1
+                    if consec == 3:
+                        break
+                else:
+                    consec = 0
                 d0, d1 = d1, d2
             else:
                 _raise_unconverged(max_terms, z0 + h)
@@ -262,23 +264,31 @@ def _ray_values(a, b, u, radii, m, dm, r, z):
     radii[k] < r <= radii[k+1], is the Horner sum of that step's
     coefficients, and r = radii[0] is step 0 at t = 0, its d_0 = m exactly.
     Rows are kept only for the steps that hold a point, and each Horner step
-    gathers one coefficient column.
+    gathers one coefficient column when there are several.
 
     Returns the sums, their exponents e (w = 2^e sum) and the end data of
     _anchor_steps."""
-    used, slot = np.unique(np.searchsorted(radii[1:], r), return_inverse=True)
+    lattice = np.asarray(radii)
+    slot = np.searchsorted(lattice[1:], r)  # each point's step
+    if (slot == slot[:1]).all():  # one step holds every point
+        used = slot[:1].copy()
+        slot[:] = 0
+    else:
+        used, slot = np.unique(slot, return_inverse=True)
     rows, end = _anchor_steps(a, b, u, radii, m, dm, set(used.tolist()))
     kept = [rows[k] for k in used]
     table = np.zeros((max((len(row) for _, row in kept), default=1),
                       used.size), dtype=np.complex128)
     for s, (_, row) in enumerate(kept):
         table[:len(row), s] = row
-    radii = np.asarray(radii)
-    lo = radii[used]
-    t = (z - lo[slot] * u) / ((radii[used + 1] - lo)[slot] * u)
+    lo = lattice[used]
+    t = (z - lo[slot] * u) / ((lattice[used + 1] - lo)[slot] * u)
+    # a lone step's coefficients broadcast, ungathered: a sum rounds alike
+    pick = slot if used.size > 1 else slice(None)
     w = table[-1][slot]
     for column in table[-2::-1]:
-        w = w * t + column[slot]
+        # out of place: numpy rounds an in-place 1-element product otherwise
+        w = w * t + column[pick]
     return w, np.array([e for e, _ in kept], dtype=np.int64)[slot], end
 
 
@@ -293,10 +303,11 @@ def _continuation(a, b, z):
     b must not be a non-positive integer. An element's value depends on its
     own (a, b, z) only, never on the rest of the batch. Raises RuntimeError
     if any series needs more than SERIES_MAX_TERMS terms."""
-    if np.any(_is_nonpositive_integer(b)):
+    if _is_nonpositive_integer(b).any():
         raise ValueError("hyp1f1 parameter b must not be a non-positive integer")
-    # + 0.0 turns -0.0 into +0.0, so equal parameters group together
-    a, b, z = a + 0.0, b + 0.0, z + 0.0
+    # + 0.0 turns -0.0 into +0.0 (in z here, in a and b where they are
+    # read), so equal parameters group together
+    z = z + 0.0
     out = np.empty(z.shape, dtype=np.complex128)
     r = np.abs(z)
     # first anchor past the origin: |a r_start / b| <= 1 keeps the
@@ -304,17 +315,19 @@ def _continuation(a, b, z):
     r_start = 1.0 / np.maximum(1.0, np.abs(a) / np.abs(b))
     # ray direction by real division: z / r in complex arithmetic rounds
     # i x / x to two different values; z = 0 takes the positive real ray
-    safe = np.where(r > 0.0, r, 1.0)
+    pos = r > 0.0
+    safe = np.where(pos, r, 1.0)
     u = np.empty_like(z)
-    u.real, u.imag = np.where(r > 0.0, z.real / safe, 1.0), z.imag / safe
-    keys = np.stack([a, b, u], axis=1).view(np.float64)
+    u.real, u.imag = np.where(pos, z.real / safe, 1.0), z.imag / safe
     groups = [(0, slice(None))]  # one (a, b, ray): no masked copies
-    if not (keys == keys[0]).all():
-        _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                      return_inverse=True)
-        groups = [(i, inverse.reshape(-1) == g) for g, i in enumerate(first)]
+    if z.size > 1:
+        keys = np.stack([a + 0.0, b + 0.0, u], axis=1).view(np.float64)
+        if not (keys == keys[0]).all():
+            _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                          return_inverse=True)
+            groups = [(i, inverse.reshape(-1) == g) for g, i in enumerate(first)]
     for i, sel in groups:
-        ai, bi, ui = complex(a[i]), complex(b[i]), complex(u[i])
+        ai, bi, ui = complex(a[i] + 0.0), complex(b[i] + 0.0), complex(u[i])
         radii = [0.0] + _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
         w, e, _ = _ray_values(ai, bi, ui, radii, 1.0 + 0.0j, ai / bi, r[sel], z[sel])
         if e.any():
@@ -362,12 +375,13 @@ def _inv_power_series(p1, p2, w, deriv):
     stops adding at its smallest term: the terms after the first that grows
     (|c_j| > |w|) are dropped, so a generous ASYMPTOTIC_TERMS never degrades
     the result."""
-    shape, w = np.shape(w), np.reshape(w, -1)
-    k = np.arange(float(ASYMPTOTIC_TERMS + 1)).reshape(-1, 1)
+    w = np.asarray(w)
+    shape, w = w.shape, w.reshape(-1)
+    k = _TERM_INDEX
     c = (p1 + k[:-1]) * (p2 + k[:-1]) / k[1:]
     drop = np.maximum.accumulate(np.abs(c[1:]), axis=0) > np.abs(w)
-    trm = np.ones((k.size, w.size), dtype=np.complex128)
-    trm[1] = 1.0 / w
+    trm = np.empty((k.size, w.size), dtype=np.complex128)
+    trm[0], trm[1] = 1.0, 1.0 / w
     s = 1
     while s < ASYMPTOTIC_TERMS:  # rows s+1 .. 2s are rows 1 .. s times row s
         top = trm[s + 1:2 * s + 1]
@@ -413,11 +427,15 @@ def _asymptotic(a, b, z):
         # one (a, b) for the batch: Gamma constants and term ratios once
         a, b = a[:1], b[:1]
     (log1, s1, _), (log2, s2, _) = _kummer_pair(a, b, z)
-    lg_b, n = log_gamma_complex(b), b.size
-    rg = reciprocal_gamma(np.concatenate((a, b - a)))
-    pre1 = np.exp(log1 + lg_b) * rg[:n]
+    # log Gamma(b), and 1/Gamma(a), 1/Gamma(b - a) as exactly 0 at the
+    # poles of Gamma, from one log-gamma block
+    n, ab = b.size, np.concatenate((a, b - a))
+    pole = _is_nonpositive_integer(ab)
+    lg = log_gamma_complex(np.concatenate((b, np.where(pole, 1.0, ab))))
+    rg = np.where(pole, 0.0, np.exp(-lg[n:]))
+    pre1 = np.exp(log1 + lg[:n]) * rg[:n]
     turn = np.where(np.signbit(z.imag), -1j, 1j) * np.pi
-    pre2 = np.exp(turn * a + log2 + lg_b) * rg[n:]
+    pre2 = np.exp(turn * a + log2 + lg[:n]) * rg[n:]
     return pre1 * s1 + pre2 * s2
 
 
@@ -442,10 +460,12 @@ def hyp1f1(a, b, z):
 
 def _dispatch(a, b, z):
     near = np.abs(z) <= series_radius(a)
+    # the whole batch on one branch: no masked copies
+    if near.all():
+        return _continuation(a, b, z)
+    if not near.any():
+        return _asymptotic(a, b, z)
     out = np.empty(z.shape, dtype=np.complex128)
     for sel, body in ((near, _continuation), (~near, _asymptotic)):
-        if sel.all():  # the whole batch on one branch: no masked copies
-            return body(a, b, z)
-        if sel.any():
-            out[sel] = body(a[sel], b[sel], z[sel])
+        out[sel] = body(a[sel], b[sel], z[sel])
     return out

@@ -227,6 +227,12 @@ def test_grid_current_matches_pointwise():
         assert abs(jt[i] - ref[1]) < 1e-12
 
 
+def test_scan_grid_empty_input_returns_empty():
+    for backreaction in (False, True):
+        got = current_scan_grid(params(0.7), np.zeros((0, 4)), 1.0, backreaction)
+        assert [j.shape for j in got] == [(2, 0, 4)] * 6
+
+
 @pytest.mark.parametrize("gamma, rho", [(0.4, 1000.0), (0.4, 5e-5),
                                         (20.0, 0.01)])
 def test_currents_outside_stencil_domain(gamma, rho):

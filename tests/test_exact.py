@@ -104,6 +104,34 @@ def test_psi_exact_frozen_point():
     assert abs(got - PSI_FROZEN) < 1e-14
 
 
+# psi_exact's own bits (real and imaginary part as float.hex) on each path:
+# the forward axis, where z = 0 is the first Maclaurin term; the series
+# branch at rho s = 0.5, 3 and 20; the large-|z| branch at rho s = 50 and
+# 300; both signs of gamma
+PSI_EXACT_BITS = [
+    (0.7, 4.0, 0.0, "-0x1.94a6014228edap-3", "-0x1.00d9ec194f561p-3"),
+    (-0.7, 7.5, 0.0, "0x1.08218ae11e3ecp-3", "0x1.0d9a2f48665bcp+1"),
+    (0.7, 0.7841387604261375, 1.2, "0x1.49ef2a18550abp-2", "0x1.18c86d8c82430p-7"),
+    (-0.7, 2.118424391156088, 2.0, "-0x1.774bc21b10412p-2", "-0x1.09ac305eb6ccep+0"),
+    (1.5, 114.50531251495654, 0.6, "0x1.9eba944cf9b97p-9", "-0x1.0502e17e77dd7p+0"),
+    (-1.5, 10.050289151424694, 3.0, "-0x1.ca153c6c47478p-2", "-0x1.befabf61b5bcdp-1"),
+    (0.7, 108.76713248350109, 1.0, "0x1.d67f989e592f8p-3", "-0x1.eaca7748136e1p-1"),
+    (-2.0, 166.5608435721003, 2.5, "0x1.e0d01b8c5d083p-1", "-0x1.556315a6c8b18p-2"),
+]
+
+
+def test_psi_exact_bits_pinned():
+    for g, rho, theta, re, im in PSI_EXACT_BITS:
+        got = psi_exact(ScatteringParams(gamma=g), FieldPoint(rho=rho, theta=theta))
+        assert (got.real.hex(), got.imag.hex()) == (re, im), (g, rho, theta)
+
+
+def test_psi_exact_grid_empty_input_returns_empty():
+    p = ScatteringParams(gamma=0.4)
+    assert psi_exact_grid(p, np.zeros(0), 1.0).shape == (0,)
+    assert psi_exact_grid(p, np.zeros((2, 0)), np.zeros((1, 0))).shape == (2, 0)
+
+
 def test_psi_exact_neutral_limit_is_plane_wave():
     p = ScatteringParams(gamma=0.0, k=1.0)
     for rho, theta in [(3.0, 0.4), (25.0, 2.8), (140.0, 1.2)]:

@@ -211,13 +211,6 @@ def test_gamma_modulus_identity():
         assert abs(mod2 * np.sinh(np.pi * g) / (np.pi * g) - 1.0) < 1e-10
 
 
-def test_reciprocal_gamma_zeros_and_values():
-    assert specfun.reciprocal_gamma(0.0) == 0.0
-    assert specfun.reciprocal_gamma(-3.0) == 0.0
-    got = specfun.reciprocal_gamma(1.0 + 1j)
-    assert abs(got - 1.0 / GAMMA_1PI) < 1e-14
-
-
 def test_hyp1f1_series_frozen_table():
     for (a, b, z), ref in HYP1F1_TABLE.items():
         got = series_branch(a, b, z)
@@ -294,6 +287,10 @@ def test_hyp1f1_lower_half_plane_frozen_mpmath():
     assert np.all(np.abs(batch - refs) < 1e-12 * np.abs(refs))
 
 
+def _hex(v):
+    return v.real.hex(), v.imag.hex()
+
+
 # large-|z| points in both half-planes and on the negative real axis with
 # either sign of zero, for psi-ray and partial-wave (a, b)
 ASYM_CASES = [(-0.4j, 1.0, 50j), (-0.4j, 1.0, 800j), (-0.4j, 1.0, -60j),
@@ -318,6 +315,37 @@ def test_hyp1f1_asymptotic_batch_independent():
         for got, ref in zip((x for y in pair for x in y),
                             (x for y in single for x in y)):
             assert got[i] == ref[0], ASYM_CASES[i]
+
+
+def test_hyp1f1_scalar_bits_match_mixed_batch():
+    # seeded elements, each with its own (a, b), on rays in all four
+    # quadrants and on both branches, batched with a second point at half
+    # the radius on each ray, so that every chain in the batch holds two
+    # points: a scalar call's bits are those of its element in the batch
+    rng = np.random.default_rng(2207)
+    n = 240
+    a = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+    b = rng.uniform(0.5, 8.0, n) + 1j * rng.uniform(-2, 2, n)
+    z = rng.uniform(0.2, 130.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    far = np.abs(z) > specfun.series_radius(a)
+    for quadrant in ((z.real > 0) & (z.imag > 0), (z.real < 0) & (z.imag > 0),
+                     (z.real < 0) & (z.imag < 0), (z.real > 0) & (z.imag < 0)):
+        assert (quadrant & far).sum() >= 10 and (quadrant & ~far).sum() >= 10
+    batch = specfun.hyp1f1(np.tile(a, 2), np.tile(b, 2),
+                           np.concatenate([z, 0.5 * z]))
+    for ai, bi, zi, got in zip(a, b, z, batch):
+        assert _hex(specfun.hyp1f1(ai, bi, zi)) == _hex(got), (ai, bi, zi)
+
+
+def test_hyp1f1_empty_input_returns_empty():
+    # an empty broadcast shape evaluates nothing: an empty array of it
+    for a, b, z in ((0.5, 1.0, np.zeros((0, 3))), (np.zeros(0), 1.0, 3j),
+                    (-0.4j, 2.0, np.zeros((2, 0)))):
+        got = specfun.hyp1f1(a, b, z)
+        assert got.shape == np.broadcast(a, b, z).shape
+        assert got.dtype == np.complex128
+    assert coulomb_wave_regular(3, 1.0, np.zeros(0)).shape == (0,)
+    assert coulomb_wave_regular(np.arange(0), 1.0, 2.0).shape == (0,)
 
 
 def _inv_power_series_loop(p1, p2, w):
@@ -508,10 +536,6 @@ KUMMER_IVP_BITS = [
     ("-0x1.af73c3fd25cc4p+2", "0x1.7de538c8ba78ep+1"),
     ("0x1.d22b29d5f764cp-2", "0x1.faee90fd2ca2ap+0"),
 ]
-
-
-def _hex(v):
-    return v.real.hex(), v.imag.hex()
 
 
 def test_chain_start_bits_pinned_scalar_and_batch():
