@@ -5,8 +5,7 @@ cross-sections.
 The split into incoming plus scattered exists only away from the forward
 axis; requesting it at theta = 0 raises, because there the decomposition
 genuinely does not exist (the exact solution stays finite while this
-approximate form diverges). Scalar calls evaluate 1-element arrays: numpy's
-0-d arithmetic rounds complex products differently from its array loops.
+approximate form diverges).
 """
 
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ class AsymptoticSplit:
 def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     """Asymptotic split on broadcastable arrays; see psi_asymptotic. Raises
     unless rho is finite, theta lies in (0, pi] and rho s > 0."""
+    like = np.broadcast(rho, theta)
     rho, theta = exact._points(rho, theta, split=True)
     s = 1.0 - np.cos(theta)
     rs = rho * s
@@ -48,8 +48,8 @@ def psi_asymptotic_grid(p, rho, theta, backreaction=True):
         psi_in = psi_in * (1.0 - 1j * g ** 2 / rs)
     psi_scat = ((-g / rs) * multipole.phase_shift(0, g).factor
                 * np.exp(1j * (rho - g * log_rs)))
-    valid = rs > VALIDITY_RHO_S
-    return psi_in, psi_scat, valid
+    return tuple(exact._like(like, v)
+                 for v in (psi_in, psi_scat, rs > VALIDITY_RHO_S))
 
 
 def psi_asymptotic(p, pt, backreaction=True):
@@ -58,60 +58,44 @@ def psi_asymptotic(p, pt, backreaction=True):
     With backreaction on, the incoming wave carries the (1 - i gamma^2/rho s)
     amplitude correction; off, it is the phase-distorted wave alone.
     """
-    pin, pscat, valid = psi_asymptotic_grid(p, [pt.rho], [pt.theta],
-                                            backreaction=backreaction)
-    return AsymptoticSplit(complex(pin[0]), complex(pscat[0]), bool(valid[0]))
+    return AsymptoticSplit(*psi_asymptotic_grid(p, pt.rho, pt.theta,
+                                                backreaction=backreaction))
 
 
 def rutherford_amplitude(p, theta):
     """Scattering amplitude multiplying the distorted spherical wave:
     -gamma/(2 k sin^2(theta/2)) times the unit-modulus Gamma phase ratio."""
-    theta_arr = np.asarray(theta, dtype=np.float64)
-    if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
-        raise ValueError("theta must lie in (0, pi]")
-    g, k = p.gamma, p.k
-    out = (-g / (2.0 * k * np.sin(np.atleast_1d(theta_arr) / 2.0) ** 2)
-           * multipole.phase_shift(0, g).factor)
-    return complex(out[0]) if theta_arr.ndim == 0 else out
+    theta_v = exact._within("theta", theta, "(0, pi]")
+    out = (-p.gamma / (2.0 * p.k * np.sin(theta_v / 2.0) ** 2)
+           * multipole.phase_shift(0, p.gamma).factor)
+    return exact._like(theta, out)
 
 
 def rutherford_amplitude_phase_separated(p, theta):
     """The amplitude with the angle-dependent logarithmic phase factored in
     explicitly: f = f_R * e^{-i gamma ln(s/2)}. Same modulus as f_R."""
-    theta_arr = np.asarray(theta, dtype=np.float64)
-    theta_v = np.atleast_1d(theta_arr)
-    s = 1.0 - np.cos(theta_v)
-    if np.any(s <= 0.0):
-        raise ValueError("theta must lie in (0, pi]")
+    theta_v = exact._within("theta", theta, "(0, pi]")
+    s = exact._within("s", 1.0 - np.cos(theta_v), "(0, 2]")
     out = rutherford_amplitude(p, theta_v) * np.exp(-1j * p.gamma * np.log(s / 2.0))
-    return complex(out[0]) if theta_arr.ndim == 0 else out
+    return exact._like(theta, out)
 
 
 def differential_cross_section(p, theta):
     """dSigma/dOmega = gamma^2 / (4 k^2 sin^4(theta/2)), diverging as
     theta^-4 toward the forward axis (hence theta = 0 is a domain error:
     the large-distance amplitude picture breaks down there)."""
-    theta_arr = np.asarray(theta, dtype=np.float64)
-    if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
-        raise ValueError("theta must lie in (0, pi]: the cross-section "
-                         "diverges on the forward axis")
-    out = (p.gamma ** 2
-           / (4.0 * p.k ** 2 * np.sin(np.atleast_1d(theta_arr) / 2.0) ** 4))
-    return float(out[0]) if theta_arr.ndim == 0 else out
+    theta_v = exact._within("theta", theta, "(0, pi]")
+    out = p.gamma ** 2 / (4.0 * p.k ** 2 * np.sin(theta_v / 2.0) ** 4)
+    return exact._like(theta, out)
 
 
 def born_amplitude_yukawa(p, theta, mu):
     """First Born approximation for the screened potential (A/r) e^{-mu r}:
     f_B = -2 gamma k / (q^2 + mu^2) with momentum transfer q = 2 k
     sin(theta/2). mu = 0 recovers the plain Rutherford modulus."""
-    if not mu >= 0:
-        raise ValueError("screening mass mu must be >= 0, got %r" % mu)
-    theta_arr = np.asarray(theta, dtype=np.float64)
-    if np.any(theta_arr < 0.0) or np.any(theta_arr > np.pi):
-        raise ValueError("theta must lie in [0, pi]")
-    q = 2.0 * p.k * np.sin(np.atleast_1d(theta_arr) / 2.0)
+    exact._within("mu", mu, "[0, inf)")
+    q = 2.0 * p.k * np.sin(exact._within("theta", theta, "[0, pi]") / 2.0)
     denom = q ** 2 + mu ** 2
     if np.any(denom == 0.0):
         raise ValueError("Born amplitude diverges at theta = 0 with mu = 0")
-    out = -2.0 * p.gamma * p.k / denom + 0j
-    return complex(out[0]) if theta_arr.ndim == 0 else out
+    return exact._like(theta, -2.0 * p.gamma * p.k / denom + 0j)

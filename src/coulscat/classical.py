@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import multipole, specfun
-from .exact import ScatteringParams
+from . import exact, multipole, specfun
 
 # smallest magnitude float64 holds to full precision
 _TINY = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
@@ -51,7 +50,7 @@ class BlackHoleParams:
 def coulomb_reduction(bh):
     """Scattering parameters of the equivalent Coulomb problem. The
     coupling is negative: gravity attracts."""
-    return ScatteringParams(gamma=bh.gamma, k=bh.omega)
+    return exact.ScatteringParams(gamma=bh.gamma, k=bh.omega)
 
 
 def long_wavelength_valid(bh, ell):
@@ -75,12 +74,11 @@ def radial_mode_asymptotic(bh, ell, r):
         raise ValueError("long-wavelength mapping invalid for this ell and "
                          "M omega")
     p = coulomb_reduction(bh)
-    r_arr = np.asarray(r, dtype=np.float64)
-    rho = p.k * r_arr
+    rho = p.k * exact._within("r", r, "(0, inf)")
     scale = 5.0 * (ell * (ell + 1.0) + p.gamma ** 2)
     if np.any(rho <= scale):
         raise ValueError("omega r too small for the asymptotic form here")
-    return multipole.coulomb_wave_asymptotic(ell, p.gamma, rho)
+    return exact._like(r, multipole.coulomb_wave_asymptotic(ell, p.gamma, rho))
 
 
 def _full_mode_start(bh, ell, r_start):
@@ -173,13 +171,12 @@ def integrate_full_mode(bh, ell, r, r_start=None):
     """
     r_start, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(
         bh, ell, r_start)
-    r_arr = np.asarray(r, dtype=np.float64)
-    if np.any(r_arr < r_start):
-        raise ValueError("r must not lie below r_start = %g" % r_start)
-    rho = p.k * np.atleast_1d(r_arr)
+    rho = p.k * exact._within("r", r, "[%r, inf)" % float(r_start))
     near = 2.0 * rho <= z_match
     far = ~near
-    z_end = z_match if far.any() else 2.0 * rho.max()
+    # no r past z_match: stop at the first anchor past every r (same steps)
+    z_end = z_match if far.any() else min(z_match, specfun._anchor_radii(
+        2.0 * rho0, b, 2.0 * rho.max(initial=0.0))[-1])
     log_w, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
                                     z_end, 2.0 * rho[near])
     u = np.empty(rho.shape, dtype=np.complex128)
@@ -196,7 +193,7 @@ def integrate_full_mode(bh, ell, r, r_start=None):
         log_phase = 1j * p.gamma * np.log(2.0 * rho_f)
         u[far] = (np.exp(c_out - log_phase) * s1 * np.exp(1j * rho_f)
                   + np.exp(c_in + log_phase) * s2 * np.exp(-1j * rho_f))
-    return complex(u[0]) if r_arr.ndim == 0 else u
+    return exact._like(r, u)
 
 
 def full_mode_phase_error(bh, ell):

@@ -43,9 +43,7 @@ def current_numeric(field, p, pt):
     one: its polar step is h / max(1, rho |sin theta|), with h the caller's.
     Raises before any field call outside the domain in the module docstring.
     """
-    # 1-element arrays: numpy's scalar arithmetic rounds complex products
-    # differently from its array loops
-    rho = np.array([pt.rho])
+    rho = exact._within("rho", pt.rho, "[0, inf)")
     h = 1e-4 * np.maximum(1.0, rho)
     ht = h / np.maximum(1.0, rho)
     if pt.theta - ht[0] < 0.0 or pt.theta + ht[0] > np.pi:
@@ -100,10 +98,9 @@ def current_scan_grid(p, rho, theta, backreaction=False):
     correction when backreaction is set), the exact-field current, and the
     outgoing remainders J[psi - psi_in] without and with the gamma^2
     correction in psi_in."""
-    # flat: 0-d operands would round as numpy scalars, not as array loops
-    rho, theta = np.broadcast_arrays(np.asarray(rho, dtype=np.float64),
-                                     np.asarray(theta, dtype=np.float64))
-    shape, rho, theta = rho.shape, rho.ravel(), theta.ravel()
+    shape = np.broadcast(rho, theta).shape
+    rho, theta = (v.ravel() for v in np.broadcast_arrays(
+        *exact._points(rho, theta, split=True)))
     plain, corrected, scat = _split(p, rho, theta)
     pin = corrected if backreaction else plain
     psi = exact._gradient(p, rho, theta)
@@ -115,13 +112,19 @@ def _vector(j):
     return CurrentVector(float(j[0][0]), float(j[1][0]))
 
 
+def _closed_form_s(pt, theta_bound="(0, pi]"):
+    """s of a point with rho in (0, inf), theta in theta_bound and s in
+    (0, 2]: s rounds to 0 for 0 < theta < 1.05e-8, inside theta's bound."""
+    exact._within("rho", pt.rho, "(0, inf)")
+    exact._within("theta", pt.theta, theta_bound)
+    return exact._within("s", pt.s, "(0, 2]").item()
+
+
 def current_in_distorted(p, pt):
     """Closed-form current of the phase-distorted incoming wave (no
     backreaction): radially k(cos theta + gamma/rho), polar component
     -k(sin theta - (gamma/rho) sin theta/(1 - cos theta))."""
-    s = pt.s
-    if s <= 0.0:
-        raise ValueError("theta must lie in (0, pi]")
+    s = _closed_form_s(pt)
     g, k, rho, theta = p.gamma, p.k, pt.rho, pt.theta
     j_r = k * (np.cos(theta) + g / rho)
     j_theta = -k * (np.sin(theta) - (g / rho) * np.sin(theta) / s)
@@ -138,9 +141,8 @@ def current_scattered_asymptotic(p, pt):
     dropped j_theta is not small: at gamma = 0.4, rho = 10, theta = 0.05 it
     is 1.6 j_r.
     """
-    s = pt.s
-    if s <= 0.0:
-        raise ValueError("theta must lie in (0, pi]")
+    exact._within("rho", pt.rho, "(0, inf)")
+    exact._within("theta", pt.theta, "(0, pi]")
     g, k = p.gamma, p.k
     j_r = k * g ** 2 / (4.0 * pt.rho ** 2 * np.sin(pt.theta / 2.0) ** 4)
     return CurrentVector(float(j_r), 0.0)
@@ -180,11 +182,8 @@ def interference_radial_leading(p, pt):
     """Leading large-(rho s) form of the radial interference current:
     -(gamma k/rho) cot^2(theta/2) cos(rho s - 2 gamma ln(rho s) + 2 delta_0)
     with delta_0 = arg Gamma(1 + i gamma)."""
-    s = pt.s
-    if s <= 0.0 or pt.theta > np.pi:
-        raise ValueError("theta must lie in (0, pi]")
     g, k = p.gamma, p.k
-    rs = pt.rho * s
+    rs = pt.rho * _closed_form_s(pt)
     delta0 = multipole.phase_shift(0, g).delta
     phase = rs - 2.0 * g * np.log(rs) + 2.0 * delta0
     cot_half = np.cos(pt.theta / 2.0) / np.sin(pt.theta / 2.0)
@@ -195,9 +194,7 @@ def oscillation_length(p, pt):
     """Radial period of the incoming/scattered interference fringes,
     2 pi / (k sin(theta) (1 - 2 gamma/(rho s))). The stationary
     configuration rho s = 2 gamma has no finite fringe spacing."""
-    if not (0.0 < pt.theta < np.pi):
-        raise ValueError("theta must lie strictly inside (0, pi)")
-    rs = pt.rho * pt.s
+    rs = pt.rho * _closed_form_s(pt, "(0, pi)")
     factor = 1.0 - 2.0 * p.gamma / rs
     if abs(factor) < 1e-12:
         raise ValueError("fringe spacing is singular where rho s equals "

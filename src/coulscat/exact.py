@@ -57,24 +57,47 @@ def _field(p, rho, theta, kummer):
     return pref * kummer(-1j * g, 1.0, 1j * rho * s)
 
 
+@functools.lru_cache(maxsize=64)
+def _interval(bound):
+    """(lo, hi, lo_open, hi_open) of a bound text such as "(0, pi]"."""
+    lo, hi = (np.pi if t == "pi" else float(t)
+              for t in bound[1:-1].split(", "))
+    return lo, hi, bound[0] == "(", bound[-1] == ")"
+
+
+def _within(name, values, bound):
+    """values as a float64 array of at least one dimension, or a ValueError
+    naming the first value outside bound, a text such as "(0, pi]" or
+    "[0, inf)" (an inside test, which NaN fails). A scalar becomes one
+    element: numpy's 0-d arithmetic rounds complex products differently
+    from its array loops, so a scalar call computes as its element of an
+    array call does, bit for bit, and _like turns the result back."""
+    v = np.asarray(values, dtype=np.float64)
+    v = v.reshape(1) if v.ndim == 0 else v
+    lo, hi, lo_open, hi_open = _interval(bound)
+    ok = (v > lo if lo_open else v >= lo) & (v < hi if hi_open else v <= hi)
+    if not ok.all():
+        raise ValueError("%s must lie in %s, got %s = %r"
+                         % (name, bound, name, float(v[~ok][0])))
+    return v
+
+
+def _like(arg, out):
+    """out, or its one element as a Python scalar when arg was a scalar."""
+    return out[0].item() if np.ndim(arg) == 0 else out
+
+
 def _points(rho, theta, split=False):
-    """(rho, theta) as float64 arrays, or a ValueError naming the first rho
-    outside [0, inf) or theta outside [0, pi] ((0, pi] for the split)."""
-    rho, theta = (np.asarray(v, dtype=np.float64) for v in (rho, theta))
-    for name, v, ok, bound in (
-            ("rho", rho, (rho >= 0.0) & (rho < np.inf), "[0, inf)"),
-            ("theta", theta, ((theta > 0.0) if split else (theta >= 0.0))
-             & (theta <= np.pi), "(0, pi]" if split else "[0, pi]")):
-        if not ok.all():
-            raise ValueError("%s must lie in %s, got %s = %r"
-                             % (name, bound, name, float(v[~ok].flat[0])))
-    return rho, theta
+    """rho in [0, inf) and theta in [0, pi] ((0, pi] for the split)."""
+    return (_within("rho", rho, "[0, inf)"),
+            _within("theta", theta, "(0, pi]" if split else "[0, pi]"))
 
 
 def psi_exact_grid(p, rho, theta):
     """Exact wavefunction on broadcastable arrays of (rho, theta), rho
     finite and >= 0, theta in [0, pi]; raises outside."""
-    return _field(p, *_points(rho, theta), specfun.hyp1f1)
+    return _like(np.broadcast(rho, theta),
+                 _field(p, *_points(rho, theta), specfun.hyp1f1))
 
 
 def _gradient(p, rho, theta):
@@ -90,9 +113,8 @@ def _gradient(p, rho, theta):
 
 def psi_exact(p, pt):
     """Exact solution at one field point, finite everywhere including the
-    forward axis (theta = 0 enters through s = 0 with no limit-taking).
-    Scalar numpy arithmetic rounds differently, so it is a 1-element grid."""
-    return complex(psi_exact_grid(p, [pt.rho], [pt.theta])[0])
+    forward axis (theta = 0 enters through s = 0 with no limit-taking)."""
+    return psi_exact_grid(p, pt.rho, pt.theta)
 
 
 def schrodinger_residual(p, pt, h):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import exact, specfun
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ def phase_shift(ell, gamma):
     Gamma(ell+1+i gamma)/Gamma(ell+1-i gamma) evaluated in log space."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
+    exact._within("gamma", gamma, "(-inf, inf)")
     lg = specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
     factor = np.exp(lg - np.conj(lg))
     return PhaseShiftFactor(complex(factor), float(_wrap_angle(lg.imag)))
@@ -79,14 +80,10 @@ def coulomb_wave_regular(ell, gamma, rho):
     """
     if np.any(np.asarray(ell) < 0):
         raise ValueError("ell must be >= 0")
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if np.any(rho_arr < 0.0):
-        raise ValueError("rho must be >= 0")
+    rho_v = exact._within("rho", rho, "[0, inf)")
     const = (specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
              - specfun.log_gamma_complex(2.0 * ell + 2.0)
              - 0.5 * np.pi * gamma + ell * np.log(2.0))
-    # a scalar rho as 1 element: numpy's 0-d arithmetic rounds differently
-    rho_v = np.atleast_1d(rho_arr)
     nonzero = rho_v > 0.0
     safe_rho = np.where(nonzero, rho_v, 1.0)
     kummer = specfun.hyp1f1(ell + 1.0 - 1j * gamma, 2.0 * ell + 2.0,
@@ -94,7 +91,7 @@ def coulomb_wave_regular(ell, gamma, rho):
     log_amp = const + (ell + 1.0) * np.log(safe_rho) - 1j * safe_rho
     val = (2.0 * ell + 1.0) * (1j ** ell) * np.exp(log_amp) * kummer
     val = np.where(nonzero, val, 0.0 + 0.0j)
-    return complex(val[0]) if np.ndim(ell) == rho_arr.ndim == 0 else val
+    return exact._like(np.broadcast(ell, rho), val)
 
 
 def coulomb_wave_asymptotic(ell, gamma, rho):
@@ -103,16 +100,13 @@ def coulomb_wave_asymptotic(ell, gamma, rho):
     rho - gamma ln(2 rho), the outgoing one carrying e^{2 i delta_ell}."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if np.any(rho_arr <= 0.0):
-        raise ValueError("rho must be > 0")
-    rho_v = np.atleast_1d(rho_arr)
+    rho_v = exact._within("rho", rho, "(0, inf)")
     rho_c = rho_v - gamma * np.log(2.0 * rho_v)
     factor = phase_shift(ell, gamma).factor
     val = ((2.0 * ell + 1.0) / (2j * rho_v)
            * ((-1.0) ** (ell + 1) * np.exp(-1j * rho_c)
               + factor * np.exp(1j * rho_c)))
-    return complex(val[0]) if rho_arr.ndim == 0 else val
+    return exact._like(rho, val)
 
 
 # Extra ell above ell_max + rho + 4 sqrt(rho) + |gamma| where the downward
@@ -194,8 +188,8 @@ def psi_multipole_sum(p, pt, ell_max):
     """
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
-    if pt.rho <= 0.0:
-        raise ValueError("rho must be > 0")
+    if not 0.0 < pt.rho < np.inf:
+        raise ValueError("rho must lie in (0, inf), got rho = %r" % pt.rho)
     radial = _coulomb_wave_sweep(ell_max, p.gamma, pt.rho)
     terms = radial / pt.rho * _legendre_column(np.cos(pt.theta), ell_max)
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
@@ -228,11 +222,14 @@ def _legendre_column(x, ell_max):
 
 
 def _legendre_sum(coeffs, x):
-    """sum of coeffs[ell] P_ell(x), streamed over _legendre_rows."""
-    acc = np.zeros_like(x, dtype=np.complex128)
-    for c, p_ell in zip(coeffs, _legendre_rows(x, len(coeffs) - 1)):
+    """sum of coeffs[ell] P_ell(x), streamed over _legendre_rows; one x in
+    Python scalars, whose complex-by-real products round as numpy's do."""
+    one = x.size == 1
+    acc = 0j if one else np.zeros_like(x, dtype=np.complex128)
+    for c, p_ell in zip(coeffs, _legendre_rows(x.item() if one else x,
+                                               len(coeffs) - 1)):
         acc = acc + c * p_ell
-    return acc
+    return np.full(x.shape, acc) if one else acc
 
 
 def f_series_partial_sweep(p, theta, ell_max):
@@ -241,8 +238,7 @@ def f_series_partial_sweep(p, theta, ell_max):
     ((2 ell + 1)/(2 i k)) (e^{2 i delta_ell} - 1) P_ell(cos theta)."""
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
-    if not 0.0 < theta <= np.pi:
-        raise ValueError("theta must lie in (0, pi]")
+    theta = exact._within("theta", theta, "(0, pi]").item()
     legendre = _legendre_column(np.cos(theta), ell_max)
     return np.cumsum(_amplitude_terms(p, ell_max) * legendre)
 
@@ -260,13 +256,10 @@ def f_series_cesaro(p, theta, n):
     theta may be a scalar or an array in (0, pi]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    theta_arr = np.asarray(theta, dtype=np.float64)
-    if np.any(theta_arr <= 0.0) or np.any(theta_arr > np.pi):
-        raise ValueError("theta must lie in (0, pi]")
+    x = np.cos(exact._within("theta", theta, "(0, pi]"))
     weights = (n + 1.0 - np.arange(n + 1)) / (n + 1.0)
-    value = _legendre_sum((weights * _amplitude_terms(p, n)).tolist(),
-                          np.cos(theta_arr))
-    return complex(value) if theta_arr.ndim == 0 else value
+    value = _legendre_sum((weights * _amplitude_terms(p, n)).tolist(), x)
+    return exact._like(theta, value)
 
 
 def f_reduced_series(p, theta, ell_max):
@@ -282,15 +275,11 @@ def f_reduced_series(p, theta, ell_max):
     """
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
-    theta_arr = np.asarray(theta, dtype=np.float64)
-    if np.any(theta_arr <= 0.0) or np.any(theta_arr >= np.pi):
-        raise ValueError("theta must lie strictly inside (0, pi)")
+    x = np.cos(exact._within("theta", theta, "(0, pi)"))
     g = p.gamma
     if g == 0.0:
-        zero = np.zeros_like(theta_arr, dtype=np.complex128)
-        return 0.0 + 0.0j if theta_arr.ndim == 0 else zero
-    x = np.cos(theta_arr)
+        return exact._like(theta, np.zeros_like(x, dtype=np.complex128))
+    s = exact._within("s", 1.0 - x, "(0, 2]")
     coeffs = [f * (ell / (ell + 1j * g) - (ell + 1.0) / (ell + 1.0 - 1j * g))
               for ell, f in enumerate(phase_shift_sweep(ell_max, g).tolist())]
-    value = (g / p.k) * _legendre_sum(coeffs, x) / (1.0 - x)
-    return complex(value) if theta_arr.ndim == 0 else value
+    return exact._like(theta, (g / p.k) * _legendre_sum(coeffs, x) / s)

@@ -148,8 +148,16 @@ def log_gamma_complex(z):
 
 def _entry(body, a, b, z):
     """body(a, b, z) on a, b, z broadcast once and flattened, returned in
-    their common shape (a Python complex when all three are scalars)."""
+    their common shape (a Python complex when all three are scalars).
+    Raises ValueError naming a non-finite a, b or z (see hyp1f1)."""
     a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
+    # inf - inf is nan: the sum is non-finite only if a term is (or overflows)
+    if not np.isfinite(a + b + z).all():
+        for name, v in zip("abz", (a, b, z)):
+            bad = ~np.isfinite(v)
+            if bad.any():
+                raise ValueError("hyp1f1 parameter %s must be finite, got "
+                                 "%s = %r" % (name, name, complex(v[bad][0])))
     shape = np.broadcast(a, b, z).shape
     size = math.prod(shape)
     if size == 0:
@@ -454,6 +462,7 @@ def hyp1f1(a, b, z):
     and the large-argument expansion (_asymptotic) beyond. Mixed arrays are
     partitioned between the branches elementwise; a caller that needs one
     branch for a whole stencil passes that body to _entry itself.
+    a, b and z must be finite (an infinite a or b makes every anchor step 0).
     """
     return _entry(_dispatch, a, b, z)
 

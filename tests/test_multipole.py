@@ -8,6 +8,7 @@ from mpmath import mp, coulombf
 from scipy.special import eval_legendre, spherical_jn
 
 from coulscat import (
+    BlackHoleParams,
     FieldPoint,
     ScatteringParams,
     born_amplitude_yukawa,
@@ -17,6 +18,7 @@ from coulscat import (
     f_reduced_series,
     f_series_cesaro,
     f_series_partial_sweep,
+    integrate_full_mode,
     phase_shift,
     phase_shift_sweep,
     psi_asymptotic,
@@ -349,7 +351,7 @@ def test_multipole_sum_reconstructs_exact_field():
         assert abs(got - ref) < 1e-8, (rho, theta)
     with pytest.raises(ValueError):
         psi_multipole_sum(p, FieldPoint(rho=3.0, theta=1.0), -1)
-    with pytest.raises(ValueError, match="rho must be > 0"):
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, inf\)"):
         psi_multipole_sum(p, FieldPoint(rho=0.0, theta=1.0), 10)
 
 
@@ -552,6 +554,10 @@ SCALAR_WRAPPERS = {
         (lambda p, rho, theta: f_reduced_series(p, theta, 100), 300),
     "born_amplitude_yukawa":
         (lambda p, rho, theta: born_amplitude_yukawa(p, theta, 0.3), 2000),
+    # r from 2.5 to 400, on both sides of the matching radius
+    "integrate_full_mode":
+        (lambda p, rho, theta: integrate_full_mode(
+            BlackHoleParams(mass=0.05, omega=1.0), 2, 5.0 * rho), 200),
 }
 
 

@@ -268,6 +268,23 @@ def test_kummer_argument_errors():
                                0.5 + 0.08j, 30.0, r)
 
 
+@pytest.mark.parametrize("a, b, z, name", [
+    # an infinite a or b makes every anchor step 0: the chain never ended
+    (np.inf, 1.0, 1j, "a"),
+    (complex(0.0, np.inf), 1.0, 2j, "a"),
+    (0.5, np.inf, 2j, "b"),
+    # past the switch radius, or NaN anywhere: a silent NaN otherwise
+    (-0.4j, 1.0, [5j, complex(np.inf, 1.0)], "z"),
+    (-0.4j, 1.0, [5j, np.nan], "z"),
+    ([0.5, np.nan], 1.0, 1j, "a"),
+    (0.5, [1.0, -np.inf], 1j, "b"),
+])
+def test_hyp1f1_rejects_non_finite_arguments(a, b, z, name):
+    with pytest.raises(ValueError, match=r"parameter %s must be finite, "
+                       r"got %s = " % (name, name)):
+        specfun.hyp1f1(a, b, z)
+
+
 def test_hyp1f1_asymptotic_frozen_table():
     for (a, b, z), ref in HYP1F1_LARGE.items():
         got = asymptotic_branch(a, b, z)
