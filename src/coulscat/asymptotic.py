@@ -93,7 +93,7 @@ def born_amplitude_yukawa(p, theta, mu):
     """First Born approximation for the screened potential (A/r) e^{-mu r}:
     f_B = -2 gamma k / (q^2 + mu^2) with momentum transfer q = 2 k
     sin(theta/2). mu = 0 recovers the plain Rutherford modulus."""
-    exact._within("mu", mu, "[0, inf)")
+    mu = exact._within("mu", mu, "[0, inf)").item()
     q = 2.0 * p.k * np.sin(exact._within("theta", theta, "[0, pi]") / 2.0)
     denom = q ** 2 + mu ** 2
     if np.any(denom == 0.0):

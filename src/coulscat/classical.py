@@ -174,11 +174,8 @@ def integrate_full_mode(bh, ell, r, r_start=None):
     rho = p.k * exact._within("r", r, "[%r, inf)" % float(r_start))
     near = 2.0 * rho <= z_match
     far = ~near
-    # no r past z_match: stop at the first anchor past every r (same steps)
-    z_end = z_match if far.any() else min(z_match, specfun._anchor_radii(
-        2.0 * rho0, b, 2.0 * rho.max(initial=0.0))[-1])
     log_w, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
-                                    z_end, 2.0 * rho[near])
+                                    z_match, 2.0 * rho[near])
     u = np.empty(rho.shape, dtype=np.complex128)
     # u = u0 e^{i rho0} (rho/rho0)^{lambda+1} w e^{-i rho}, w in units of its
     # r_start value: e^{-i rho} apart, so that its phase keeps full

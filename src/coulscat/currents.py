@@ -98,9 +98,10 @@ def current_scan_grid(p, rho, theta, backreaction=False):
     correction when backreaction is set), the exact-field current, and the
     outgoing remainders J[psi - psi_in] without and with the gamma^2
     correction in psi_in."""
-    shape = np.broadcast(rho, theta).shape
-    rho, theta = (v.ravel() for v in np.broadcast_arrays(
-        *exact._points(rho, theta, split=True)))
+    # flat: 0-d operands would round as numpy scalars, not as array loops
+    rho, theta = np.broadcast_arrays(np.asarray(rho, dtype=np.float64),
+                                     np.asarray(theta, dtype=np.float64))
+    shape, rho, theta = rho.shape, rho.ravel(), theta.ravel()
     plain, corrected, scat = _split(p, rho, theta)
     pin = corrected if backreaction else plain
     psi = exact._gradient(p, rho, theta)

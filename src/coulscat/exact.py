@@ -57,14 +57,6 @@ def _field(p, rho, theta, kummer):
     return pref * kummer(-1j * g, 1.0, 1j * rho * s)
 
 
-@functools.lru_cache(maxsize=64)
-def _interval(bound):
-    """(lo, hi, lo_open, hi_open) of a bound text such as "(0, pi]"."""
-    lo, hi = (np.pi if t == "pi" else float(t)
-              for t in bound[1:-1].split(", "))
-    return lo, hi, bound[0] == "(", bound[-1] == ")"
-
-
 def _within(name, values, bound):
     """values as a float64 array of at least one dimension, or a ValueError
     naming the first value outside bound, a text such as "(0, pi]" or
@@ -74,8 +66,10 @@ def _within(name, values, bound):
     array call does, bit for bit, and _like turns the result back."""
     v = np.asarray(values, dtype=np.float64)
     v = v.reshape(1) if v.ndim == 0 else v
-    lo, hi, lo_open, hi_open = _interval(bound)
-    ok = (v > lo if lo_open else v >= lo) & (v < hi if hi_open else v <= hi)
+    lo, hi = bound[1:-1].split(", ")
+    lo, hi = float(lo), (np.pi if hi == "pi" else float(hi))
+    ok = ((v > lo) if bound[0] == "(" else (v >= lo)) & (
+        (v < hi) if bound[-1] == ")" else (v <= hi))
     if not ok.all():
         raise ValueError("%s must lie in %s, got %s = %r"
                          % (name, bound, name, float(v[~ok][0])))
@@ -83,8 +77,9 @@ def _within(name, values, bound):
 
 
 def _like(arg, out):
-    """out, or its one element as a Python scalar when arg was a scalar."""
-    return out[0].item() if np.ndim(arg) == 0 else out
+    """out, or its one element as a Python scalar when arg was a scalar
+    (out of more than one element then raises)."""
+    return out.item() if np.ndim(arg) == 0 else out
 
 
 def _points(rho, theta, split=False):

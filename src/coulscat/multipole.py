@@ -222,14 +222,12 @@ def _legendre_column(x, ell_max):
 
 
 def _legendre_sum(coeffs, x):
-    """sum of coeffs[ell] P_ell(x), streamed over _legendre_rows; one x in
-    Python scalars, whose complex-by-real products round as numpy's do."""
-    one = x.size == 1
-    acc = 0j if one else np.zeros_like(x, dtype=np.complex128)
-    for c, p_ell in zip(coeffs, _legendre_rows(x.item() if one else x,
-                                               len(coeffs) - 1)):
+    """sum of coeffs[ell] P_ell(x), streamed over _legendre_rows. x may be
+    0-d: its complex-by-real products round as an array's do."""
+    acc = np.zeros_like(x, dtype=np.complex128)
+    for c, p_ell in zip(coeffs, _legendre_rows(x, len(coeffs) - 1)):
         acc = acc + c * p_ell
-    return np.full(x.shape, acc) if one else acc
+    return acc
 
 
 def f_series_partial_sweep(p, theta, ell_max):
@@ -256,7 +254,8 @@ def f_series_cesaro(p, theta, n):
     theta may be a scalar or an array in (0, pi]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.cos(exact._within("theta", theta, "(0, pi]"))
+    x = np.cos(exact._within("theta", theta, "(0, pi]")
+               .reshape(np.shape(theta)))
     weights = (n + 1.0 - np.arange(n + 1)) / (n + 1.0)
     value = _legendre_sum((weights * _amplitude_terms(p, n)).tolist(), x)
     return exact._like(theta, value)
@@ -275,11 +274,13 @@ def f_reduced_series(p, theta, ell_max):
     """
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
-    x = np.cos(exact._within("theta", theta, "(0, pi)"))
+    x = np.cos(exact._within("theta", theta, "(0, pi)")
+               .reshape(np.shape(theta)))
     g = p.gamma
     if g == 0.0:
         return exact._like(theta, np.zeros_like(x, dtype=np.complex128))
-    s = exact._within("s", 1.0 - x, "(0, 2]")
+    s = 1.0 - x
+    exact._within("s", s, "(0, 2]")
     coeffs = [f * (ell / (ell + 1j * g) - (ell + 1.0) / (ell + 1.0 - 1j * g))
               for ell, f in enumerate(phase_shift_sweep(ell_max, g).tolist())]
     return exact._like(theta, (g / p.k) * _legendre_sum(coeffs, x) / s)

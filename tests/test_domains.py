@@ -148,3 +148,13 @@ def test_closed_forms_check_s_where_it_rounds_to_zero():
         * phase_shift(0, P.gamma).factor, rel=1e-15)
     assert differential_cross_section(P, 1e-9) == pytest.approx(
         P.gamma ** 2 / (4.0 * P.k ** 2 * np.sin(5e-10) ** 4), rel=1e-15)
+
+
+def test_born_amplitude_takes_one_mu():
+    # mu is one screening mass: an array of them must raise, not broadcast
+    # against theta (a scalar theta would keep only the first mu's value)
+    for theta in (1.0, np.array([0.5, 1.0])):
+        with pytest.raises(ValueError):
+            born_amplitude_yukawa(P, theta, np.array([0.1, 0.2]))
+    assert born_amplitude_yukawa(P, 1.0, np.array([0.3])) == (
+        born_amplitude_yukawa(P, 1.0, 0.3))
