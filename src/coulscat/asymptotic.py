@@ -36,11 +36,13 @@ def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     """Asymptotic split on broadcastable arrays; see psi_asymptotic. Raises
     unless rho is finite, theta lies in (0, pi] and rho s > 0."""
     like = np.broadcast(rho, theta)
-    rho, theta = exact._points(rho, theta, split=True)
+    rho = exact._within("rho", rho, "[0, inf)")
+    theta = exact._within("theta", theta, "(0, pi]")
     s = 1.0 - np.cos(theta)
     rs = rho * s
     if np.any(rs <= 0.0):
-        raise ValueError("requires rho*s > 0")
+        raise ValueError("requires rho*s > 0, got rho*s = %r"
+                         % float(rs[rs <= 0.0][0]))
     g = p.gamma
     log_rs = np.log(rs)
     psi_in = np.exp(1j * (rho * (1.0 - s) + g * log_rs))

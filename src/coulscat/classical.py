@@ -33,10 +33,9 @@ class BlackHoleParams:
     omega: float
 
     def __post_init__(self):
-        if not self.mass >= 0.0:
-            raise ValueError("mass must be >= 0")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be > 0")
+        # .item(): one value each (an array of several raises)
+        exact._within("mass", self.mass, "[0, inf)").item()
+        exact._within("omega", self.omega, "(0, inf)").item()
 
     @property
     def r_s(self):
@@ -55,10 +54,9 @@ def coulomb_reduction(bh):
 
 def long_wavelength_valid(bh, ell):
     """Whether dropping the short-range correction is justified for this
-    partial wave: requires ell(ell+1) > 12 (M omega)^2. The ell = 0 wave
-    never qualifies and is rejected outright."""
-    if ell < 1:
-        raise ValueError("the mapping is never controlled for ell < 1")
+    partial wave: requires ell(ell+1) > 12 (M omega)^2. The mapping is
+    never controlled for the ell = 0 wave, so ell must lie in [1, inf)."""
+    exact._within("ell", ell, "[1, inf)")
     return ell * (ell + 1.0) > 12.0 * (bh.mass * bh.omega) ** 2
 
 
@@ -88,12 +86,11 @@ def _full_mode_start(bh, ell, r_start):
     taken from the asymptotic pair (hyp1f1's switch radius for this a, or
     z0 = 2 i rho0 if that lies farther), and w'/w at z0 (see
     integrate_full_mode)."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    exact._within("ell", ell, "[0, inf)")
     if r_start is None:
         r_start = 10.0 * bh.r_s
-    if r_start <= bh.r_s:
-        raise ValueError("r_start must lie outside the horizon")
+    # outside the horizon
+    exact._within("r_start", r_start, "(%r, inf)" % float(bh.r_s))
     p = coulomb_reduction(bh)
     rho0 = p.k * r_start
     u0, u1 = multipole.coulomb_wave_regular(np.array([ell, ell + 1]),

@@ -21,10 +21,9 @@ class ScatteringParams:
     k: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
-        if not (self.k > 0 and np.isfinite(self.k)):
-            raise ValueError("k must be positive and finite")
+        # .item(): one value each (an array of several raises)
+        _within("gamma", self.gamma, "(-inf, inf)").item()
+        _within("k", self.k, "(0, inf)").item()
 
 
 @dataclass(frozen=True)
@@ -82,17 +81,12 @@ def _like(arg, out):
     return out.item() if np.ndim(arg) == 0 else out
 
 
-def _points(rho, theta, split=False):
-    """rho in [0, inf) and theta in [0, pi] ((0, pi] for the split)."""
-    return (_within("rho", rho, "[0, inf)"),
-            _within("theta", theta, "(0, pi]" if split else "[0, pi]"))
-
-
 def psi_exact_grid(p, rho, theta):
     """Exact wavefunction on broadcastable arrays of (rho, theta), rho
     finite and >= 0, theta in [0, pi]; raises outside."""
     return _like(np.broadcast(rho, theta),
-                 _field(p, *_points(rho, theta), specfun.hyp1f1))
+                 _field(p, _within("rho", rho, "[0, inf)"),
+                        _within("theta", theta, "[0, pi]"), specfun.hyp1f1))
 
 
 def _gradient(p, rho, theta):
@@ -120,16 +114,18 @@ def schrodinger_residual(p, pt, h):
     rate grows like rho sin(theta), and an unscaled step would leave
     truncation error far above the roundoff floor at rho ~ 20.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    _within("h", h, "(0, inf)")
     if pt.rho <= h:
-        raise ValueError("requires rho > h")
+        raise ValueError("requires rho > h, got rho = %r, h = %r"
+                         % (pt.rho, h))
     if h * max(1.0, abs(p.gamma) / pt.rho) >= 0.1:
-        raise ValueError("step h too large to resolve the local wavelength")
+        raise ValueError("step h too large to resolve the local wavelength, "
+                         "got h = %r" % h)
     rho, theta = pt.rho, pt.theta
     ht = h / max(1.0, rho * abs(np.sin(theta)))
     if theta - ht < 0.0 or theta + ht > np.pi:
-        raise ValueError("theta too close to the axis for the angular stencil")
+        raise ValueError("theta too close to the axis for the angular "
+                         "stencil, got theta = %r, h = %r" % (theta, h))
 
     # the whole stencil on the center's 1F1 branch: a branch switch inside
     # it would put the two branches' difference into the second differences

@@ -73,6 +73,10 @@ SERIES_SWITCH_SCALE = 2.0
 # Taylor-continuation step bounds (see the module docstring).
 CONT_MAX_STEP = 2.0
 CONT_B_STEP = 16.0
+# Largest |b| in hyp1f1's domain: near the origin each anchor step grows r
+# by 1 + CONT_B_STEP/|b|, so a chain grows like |b| (4,096 anchors per
+# e-fold of r at 2^16). The package's b: 1, 2, 2 ell + 2 and 2 lambda + 2.
+B_MAX = 2.0 ** 16
 # An anchor chain rescales its value and derivative by an exact power of
 # two once |value| leaves [2^-500, 2^500] (_anchor_steps).
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -500, 2.0 ** 500
@@ -103,7 +107,8 @@ _TERM_INDEX = np.arange(float(ASYMPTOTIC_TERMS + 1))[:, None]
 
 def _is_nonpositive_integer(z):
     z = np.asarray(z, dtype=np.complex128)
-    return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
+    # z equal to its rounded real part is real and an integer
+    return (z == np.rint(z.real)) & (z.real <= 0.0)
 
 
 def _sum_rows(block):
@@ -149,7 +154,7 @@ def log_gamma_complex(z):
 def _entry(body, a, b, z):
     """body(a, b, z) on a, b, z broadcast once and flattened, returned in
     their common shape (a Python complex when all three are scalars).
-    Raises ValueError naming a non-finite a, b or z (see hyp1f1)."""
+    Raises ValueError naming an a, b or z outside hyp1f1's domain."""
     a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
     # inf - inf is nan: the sum is non-finite only if a term is (or overflows)
     if not np.isfinite(a + b + z).all():
@@ -158,6 +163,11 @@ def _entry(body, a, b, z):
             if bad.any():
                 raise ValueError("hyp1f1 parameter %s must be finite, got "
                                  "%s = %r" % (name, name, complex(v[bad][0])))
+    bad = _is_nonpositive_integer(b) | (np.abs(b) > B_MAX)
+    if bad.any():
+        raise ValueError("hyp1f1 parameter b must not be a non-positive "
+                         "integer and must have |b| <= %g, got b = %r"
+                         % (B_MAX, complex(b[bad][0])))
     shape = np.broadcast(a, b, z).shape
     size = math.prod(shape)
     if size == 0:
@@ -308,11 +318,9 @@ def _continuation(a, b, z):
     Every series of the chain (the Maclaurin terms, each Taylor step) is
     summed until three consecutive terms are all below SERIES_TOL relative
     to the sum; each z is the Horner sum of the series whose step holds it.
-    b must not be a non-positive integer. An element's value depends on its
-    own (a, b, z) only, never on the rest of the batch. Raises RuntimeError
-    if any series needs more than SERIES_MAX_TERMS terms."""
-    if _is_nonpositive_integer(b).any():
-        raise ValueError("hyp1f1 parameter b must not be a non-positive integer")
+    An element's value depends on its own (a, b, z) only, never on the rest
+    of the batch. Raises RuntimeError if any series needs more than
+    SERIES_MAX_TERMS terms."""
     # + 0.0 turns -0.0 into +0.0 (in z here, in a and b where they are
     # read), so equal parameters group together
     z = z + 0.0
@@ -361,8 +369,10 @@ def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
     leave float64's range (the chain itself stays inside by its power-of-two
     scale)."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if np.any(r < r0) or np.any(r > r_end):
-        raise ValueError("kummer_ivp radii must lie in [r0, r_end]")
+    bad = ~((r >= r0) & (r <= r_end))
+    if bad.any():
+        raise ValueError("kummer_ivp radii must lie in [r0, r_end] = [%r, %r]"
+                         ", got r = %r" % (r0, r_end, float(r[bad][0])))
     radii = _anchor_radii(r0, b, r_end)
     radii[-1] = r_end
     if len(radii) > 1:
@@ -456,13 +466,15 @@ def series_radius(a):
 
 def hyp1f1(a, b, z):
     """Kummer's 1F1(a, b; z) = M(a, b, z) for scalars or broadcastable
-    arrays a, b, z (b not a non-positive integer), by the convergent branch
-    (_continuation) for
+    arrays a, b, z, by the convergent branch (_continuation) for
     |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
     and the large-argument expansion (_asymptotic) beyond. Mixed arrays are
     partitioned between the branches elementwise; a caller that needs one
     branch for a whole stencil passes that body to _entry itself.
-    a, b and z must be finite (an infinite a or b makes every anchor step 0).
+
+    Domain, checked on both branches (a ValueError names the parameter):
+    a, b and z finite (an infinite a or b makes every anchor step 0); b not
+    a non-positive integer (a pole of M); |b| <= B_MAX = 2^16.
     """
     return _entry(_dispatch, a, b, z)
 

@@ -24,8 +24,10 @@ from coulscat import (
     f_series_partial_sweep,
     integrate_full_mode,
     interference_radial_leading,
+    long_wavelength_valid,
     oscillation_length,
     phase_shift,
+    phase_shift_sweep,
     psi_asymptotic_grid,
     psi_exact,
     psi_exact_grid,
@@ -33,6 +35,7 @@ from coulscat import (
     radial_mode_asymptotic,
     rutherford_amplitude,
     rutherford_amplitude_phase_separated,
+    schrodinger_residual,
 )
 
 P = ScatteringParams(gamma=0.7, k=1.3)
@@ -104,10 +107,44 @@ DOMAINS = [
      lambda x: integrate_full_mode(BH, 2, x)),
     ("radial_mode_asymptotic", "r", "(0, inf)",
      lambda x: radial_mode_asymptotic(BH, 2, x)),
+    # the partial-wave orders
+    ("phase_shift", "ell", "[0, inf)", lambda x: phase_shift(x, 1.0)),
+    ("coulomb_wave_regular", "ell", "[0, inf)",
+     lambda x: coulomb_wave_regular(x, 1.0, 5.0)),
+    ("coulomb_wave_asymptotic", "ell", "[0, inf)",
+     lambda x: coulomb_wave_asymptotic(x, 1.0, 50.0)),
+    ("integrate_full_mode", "ell", "[0, inf)",
+     lambda x: integrate_full_mode(BH, x, 5.0)),
+    ("long_wavelength_valid", "ell", "[1, inf)",
+     lambda x: long_wavelength_valid(BH, x)),
+    ("phase_shift_sweep", "ell_max", "[0, inf)",
+     lambda x: phase_shift_sweep(x, 1.0)),
+    ("psi_multipole_sum", "ell_max", "[0, inf)",
+     lambda x: psi_multipole_sum(P, point(5.0, 1.0), x)),
+    ("f_series_partial_sweep", "ell_max", "[0, inf)",
+     lambda x: f_series_partial_sweep(P, 1.0, x)),
+    ("f_reduced_series", "ell_max", "[0, inf)",
+     lambda x: f_reduced_series(P, 1.0, x)),
+    ("f_series_cesaro", "n", "[1, inf)", lambda x: f_series_cesaro(P, 1.0, x)),
+    # the other scalars: a step, and r_start outside the horizon r_s = 0.1
+    ("schrodinger_residual", "h", "(0, inf)",
+     lambda x: schrodinger_residual(P, FieldPoint(5.0, 1.0), x)),
+    ("integrate_full_mode", "r_start", "(0.1, inf)",
+     lambda x: integrate_full_mode(BH, 2, 50.0, r_start=x)),
+    # the parameter objects
+    ("ScatteringParams", "gamma", "(-inf, inf)",
+     lambda x: ScatteringParams(gamma=x)),
+    ("ScatteringParams", "k", "(0, inf)",
+     lambda x: ScatteringParams(gamma=0.7, k=x)),
+    ("BlackHoleParams", "mass", "[0, inf)",
+     lambda x: BlackHoleParams(mass=x, omega=1.0)),
+    ("BlackHoleParams", "omega", "(0, inf)",
+     lambda x: BlackHoleParams(mass=0.05, omega=x)),
 ]
 
 ENDS = {"0": (-1.0, 0.0), "pi": (3.5, np.pi), "inf": (np.inf, np.inf),
-        "-inf": (-np.inf, -np.inf), "1.0": (0.5, 1.0)}
+        "-inf": (-np.inf, -np.inf), "1.0": (0.5, 1.0), "1": (0.0, 1.0),
+        "0.1": (0.05, 0.1)}
 
 
 def outside(bound):

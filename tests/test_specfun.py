@@ -258,11 +258,13 @@ def test_hyp1f1_series_nonconvergence_error(monkeypatch):
 
 
 def test_kummer_argument_errors():
-    # b a pole of Gamma(b), on the convergent branch
+    # b a pole of Gamma(b), on the convergent and the asymptotic branch
     for b in (0.0, -2.0):
         with pytest.raises(ValueError, match="non-positive integer"):
             specfun.hyp1f1(0.5, b, 1.0)
-    for r in ([1.5], [2.0, 30.5]):
+        with pytest.raises(ValueError, match="non-positive integer"):
+            specfun.hyp1f1(0.5, b, 100j)
+    for r in ([1.5], [2.0, 30.5], [2.0, np.nan]):
         with pytest.raises(ValueError, match=r"\[r0, r_end\]"):
             specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j,
                                0.5 + 0.08j, 30.0, r)
@@ -283,6 +285,20 @@ def test_hyp1f1_rejects_non_finite_arguments(a, b, z, name):
     with pytest.raises(ValueError, match=r"parameter %s must be finite, "
                        r"got %s = " % (name, name)):
         specfun.hyp1f1(a, b, z)
+
+
+def test_hyp1f1_rejects_b_past_its_bound():
+    # the anchor steps near the origin scale like 1/|b|: both calls ran
+    # until killed before |b| <= B_MAX was part of the domain
+    bound = r"\|b\| <= 65536, got b = "
+    with pytest.raises(ValueError, match=bound + r"\(1000000000\+0j\)"):
+        specfun.hyp1f1(0.5, 1e9, 10j)
+    # a + b + z overflows in the finiteness test's one sum (a warning, which
+    # this suite's config makes an error) before each parameter is read
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=bound):
+        specfun.hyp1f1(1e308, 1e308, 1e308)
+    # the bound itself lies inside
+    specfun.hyp1f1(0.5, [1.0, 2.0 ** 16], [1j, 1j])
 
 
 def test_hyp1f1_asymptotic_frozen_table():
