@@ -8,7 +8,7 @@ large-argument forms.
 The convergent branch of 1F1, M(a, b, z), does not sum the Kummer series
 out to z: on the imaginary axis its terms reach ~e^{|z|} while the sum stays
 O(1), so a plain float64 sum loses |z|/ln(10) digits. Instead M is
-continued analytically along the ray through z by Taylor re-expansion of
+continued analytically up the imaginary axis by Taylor re-expansion of
 the Kummer ODE z M'' + (b - z) M' - a M = 0 (Pearson, Olver & Porter,
 Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
 
@@ -16,9 +16,9 @@ Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
   r_0 = 1 / max(1, |a/b|), sums the Maclaurin terms of M, which
   |a r_0 / b| <= 1 keeps O(1).
 * Anchors r_{k+1} = r_k + min(r_k/2, CONT_MAX_STEP, CONT_B_STEP r_k/|b|)
-  carry M and M' outward, once per call for each distinct (a, b, ray). The
-  lattice depends on (a, b) alone. r_k/2 keeps each step inside the local
-  radius of convergence |z0|; CONT_MAX_STEP bounds the e^{|h|} cancellation
+  carry M and M' outward, once per call for each distinct (a, b), the
+  lattice's only inputs. r_k/2 keeps each step inside the local radius of
+  convergence |z0|; CONT_MAX_STEP bounds the e^{|h|} cancellation
   of the e^z component; CONT_B_STEP r_k/|b| keeps the coefficient
   recurrence stable near the origin when |b| is large.
 * An element z with r_k < |z| <= r_{k+1} (z = 0 opens the first step) is
@@ -82,10 +82,12 @@ B_MAX = 2.0 ** 16
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -500, 2.0 ** 500
 
 # Convergent-branch series: relative tolerance of the last three terms, and
-# the term budget beyond which a series raises (read once per call). Terms
-# of each large-|z| inverse-power series.
+# the term budget beyond which a series raises (read once per call); anchor
+# budget of a chain, ~|z|/2 anchors (2^18: ~7 s, the full mode to ell = 511).
+# Terms of each large-|z| inverse-power series.
 SERIES_TOL = 1e-17
 SERIES_MAX_TERMS = 2500
+MAX_ANCHORS = 2 ** 18
 ASYMPTOTIC_TERMS = 24
 
 _LANCZOS_G = 7
@@ -106,7 +108,6 @@ _TERM_INDEX = np.arange(float(ASYMPTOTIC_TERMS + 1))[:, None]
 
 
 def _is_nonpositive_integer(z):
-    z = np.asarray(z, dtype=np.complex128)
     # z equal to its rounded real part is real and an integer
     return (z == np.rint(z.real)) & (z.real <= 0.0)
 
@@ -156,18 +157,20 @@ def _entry(body, a, b, z):
     their common shape (a Python complex when all three are scalars).
     Raises ValueError naming an a, b or z outside hyp1f1's domain."""
     a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
-    # inf - inf is nan: the sum is non-finite only if a term is (or overflows)
-    if not np.isfinite(a + b + z).all():
-        for name, v in zip("abz", (a, b, z)):
-            bad = ~np.isfinite(v)
-            if bad.any():
-                raise ValueError("hyp1f1 parameter %s must be finite, got "
-                                 "%s = %r" % (name, name, complex(v[bad][0])))
-    bad = _is_nonpositive_integer(b) | (np.abs(b) > B_MAX)
-    if bad.any():
-        raise ValueError("hyp1f1 parameter b must not be a non-positive "
-                         "integer and must have |b| <= %g, got b = %r"
-                         % (B_MAX, complex(b[bad][0])))
+    # each parameter alone (a + b + z can overflow), by inside tests, which
+    # NaN fails, and reduced once: a reduction costs more than the masks
+    ok_a = np.isfinite(a)
+    ok_b = (np.abs(b) <= B_MAX) & ~_is_nonpositive_integer(b)
+    ok_z = (z.real == 0.0) & (z.imag >= 0.0) & (z.imag < np.inf)
+    if not (ok_a & ok_b & ok_z).all():
+        for name, v, ok, domain in (
+                ("a", a, ok_a, "be finite"),
+                ("b", b, ok_b, "not be a non-positive integer and must have "
+                 "|b| <= %g" % B_MAX),
+                ("z", z, ok_z, "lie on i[0, inf)")):
+            if not ok.all():
+                raise ValueError("hyp1f1 parameter %s must %s, got %s = %r"
+                                 % (name, domain, name, complex(v[~ok][0])))
     shape = np.broadcast(a, b, z).shape
     size = math.prod(shape)
     if size == 0:
@@ -187,19 +190,23 @@ def _raise_unconverged(max_terms, z):
 def _anchor_radii(r0, b, r_max):
     """The anchor lattice of one (a, b): radii r_0 = r0,
     r_{k+1} = r_k + min(r_k / 2, CONT_MAX_STEP, CONT_B_STEP * r_k / |b|),
-    up to the first radius >= r_max."""
+    up to the first radius >= r_max (a RuntimeError past MAX_ANCHORS)."""
     radii = [r0]
     b_step = CONT_B_STEP / abs(b)
-    while radii[-1] < r_max:
+    for _ in range(MAX_ANCHORS):
         r = radii[-1]
+        if r >= r_max:
+            return radii
         radii.append(r + min(0.5 * r, CONT_MAX_STEP, b_step * r))
-    return radii
+    raise RuntimeError("the Kummer-ODE continuation needs more than "
+                       "MAX_ANCHORS = %d anchors to reach |z| = %.3g"
+                       % (MAX_ANCHORS, r_max))
 
 
-def _anchor_steps(a, b, u, radii, m, dm, keep):
-    """Carry a solution w of the Kummer ODE from w = m, w' = dm at radii[0] u
-    to radii[-1] u. Step k runs from z0 = radii[k] u by
-    H = (radii[k+1] - radii[k]) u, and w(z0 + t H) = 2^e_k sum_n d_n t^n with
+def _anchor_steps(a, b, radii, m, dm, keep):
+    """Carry a solution w of the Kummer ODE from w = m, w' = dm at i radii[0]
+    to i radii[-1]. Step k runs from z0 = i radii[k] by
+    H = i (radii[k+1] - radii[k]), and w(z0 + t H) = 2^e_k sum_n d_n t^n with
     d_n = w^(n)(z0) H^n / (2^e_k n!),
     d_{n+2} = [(n+a) H^2 d_n - (n+1)(n+b-z0) H d_{n+1}] / (z0 (n+1)(n+2)).
     The origin is a singular point of the ODE; the solutions regular there
@@ -220,7 +227,7 @@ def _anchor_steps(a, b, u, radii, m, dm, keep):
     tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
     rows, exp = {}, 0
     for k in range(len(radii) - 1):
-        h = (radii[k + 1] - radii[k]) * u
+        h = (radii[k + 1] - radii[k]) * 1j
         consec = 0
         if radii[k] == 0.0:
             d = m
@@ -242,7 +249,7 @@ def _anchor_steps(a, b, u, radii, m, dm, keep):
             else:
                 _raise_unconverged(max_terms, h)
         else:
-            z0 = radii[k] * u
+            z0 = radii[k] * 1j
             d0, d1 = m, h * dm
             row = [d0, d1]
             append = row.append
@@ -276,9 +283,9 @@ def _anchor_steps(a, b, u, radii, m, dm, keep):
     return rows, (m, dm, exp)
 
 
-def _ray_values(a, b, u, radii, m, dm, r, z):
-    """The solution w of _anchor_steps at the points z (radii
-    radii[0] <= r <= radii[-1]) of the ray u: a point of step k,
+def _ray_values(a, b, radii, m, dm, r):
+    """The solution w of _anchor_steps at the points i r,
+    radii[0] <= r <= radii[-1]: a point of step k,
     radii[k] < r <= radii[k+1], is the Horner sum of that step's
     coefficients, and r = radii[0] is step 0 at t = 0, its d_0 = m exactly.
     Rows are kept only for the steps that hold a point, and each Horner step
@@ -293,14 +300,15 @@ def _ray_values(a, b, u, radii, m, dm, r, z):
         slot[:] = 0
     else:
         used, slot = np.unique(slot, return_inverse=True)
-    rows, end = _anchor_steps(a, b, u, radii, m, dm, set(used.tolist()))
+    rows, end = _anchor_steps(a, b, radii, m, dm, set(used.tolist()))
     kept = [rows[k] for k in used]
     table = np.zeros((max((len(row) for _, row in kept), default=1),
                       used.size), dtype=np.complex128)
     for s, (_, row) in enumerate(kept):
         table[:len(row), s] = row
     lo = lattice[used]
-    t = (z - lo[slot] * u) / ((lattice[used + 1] - lo)[slot] * u)
+    # complex t = (i r - i r_k) / (i H): the real (r - r_k) / H rounds apart
+    t = (r * 1j - lo[slot] * 1j) / ((lattice[used + 1] - lo)[slot] * 1j)
     # a lone step's coefficients broadcast, ungathered: a sum rounds alike
     pick = slot if used.size > 1 else slice(None)
     w = table[-1][slot]
@@ -312,7 +320,7 @@ def _ray_values(a, b, u, radii, m, dm, r, z):
 
 def _continuation(a, b, z):
     """hyp1f1's convergent branch: float64 analytic continuation of
-    M(a, b, z) along the ray through each z, from the origin (see the module
+    M(a, b, z) up the imaginary axis from the origin (see the module
     docstring), on flat arrays a, b, z.
 
     Every series of the chain (the Maclaurin terms, each Taylor step) is
@@ -321,31 +329,24 @@ def _continuation(a, b, z):
     An element's value depends on its own (a, b, z) only, never on the rest
     of the batch. Raises RuntimeError if any series needs more than
     SERIES_MAX_TERMS terms."""
-    # + 0.0 turns -0.0 into +0.0 (in z here, in a and b where they are
+    # + 0.0 turns -0.0 into +0.0 (in |z| here, in a and b where they are
     # read), so equal parameters group together
-    z = z + 0.0
-    out = np.empty(z.shape, dtype=np.complex128)
-    r = np.abs(z)
+    r = z.imag + 0.0
+    out = np.empty(r.shape, dtype=np.complex128)
     # first anchor past the origin: |a r_start / b| <= 1 keeps the
     # Maclaurin terms O(1)
     r_start = 1.0 / np.maximum(1.0, np.abs(a) / np.abs(b))
-    # ray direction by real division: z / r in complex arithmetic rounds
-    # i x / x to two different values; z = 0 takes the positive real ray
-    pos = r > 0.0
-    safe = np.where(pos, r, 1.0)
-    u = np.empty_like(z)
-    u.real, u.imag = np.where(pos, z.real / safe, 1.0), z.imag / safe
-    groups = [(0, slice(None))]  # one (a, b, ray): no masked copies
-    if z.size > 1:
-        keys = np.stack([a + 0.0, b + 0.0, u], axis=1).view(np.float64)
+    groups = [(0, slice(None))]  # one (a, b): no masked copies
+    if r.size > 1:
+        keys = np.stack([a + 0.0, b + 0.0], axis=1).view(np.float64)
         if not (keys == keys[0]).all():
             _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                           return_inverse=True)
             groups = [(i, inverse.reshape(-1) == g) for g, i in enumerate(first)]
     for i, sel in groups:
-        ai, bi, ui = complex(a[i] + 0.0), complex(b[i] + 0.0), complex(u[i])
+        ai, bi = complex(a[i] + 0.0), complex(b[i] + 0.0)
         radii = [0.0] + _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
-        w, e, _ = _ray_values(ai, bi, ui, radii, 1.0 + 0.0j, ai / bi, r[sel], z[sel])
+        w, e, _ = _ray_values(ai, bi, radii, 1.0 + 0.0j, ai / bi, r[sel])
         if e.any():
             # M's own scale: inf or 0 only where float64 cannot hold M
             with np.errstate(over="ignore", invalid="ignore"):
@@ -376,7 +377,7 @@ def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
     radii = _anchor_radii(r0, b, r_end)
     radii[-1] = r_end
     if len(radii) > 1:
-        w, e, (m, dm, exp) = _ray_values(a, b, 1j, radii, m0, dm0, r, r * 1j)
+        w, e, (m, dm, exp) = _ray_values(a, b, radii, m0, dm0, r)
     else:  # r_end = r0: no step, and every r is r0
         w, e, (m, dm, exp) = np.full(r.shape, m0, np.complex128), 0, (m0, dm0, 0)
     log2 = math.log(2.0)
@@ -434,12 +435,10 @@ def _kummer_pair(a, b, z, deriv=False):
 
 def _asymptotic(a, b, z):
     """hyp1f1's large-|z| branch on flat arrays a, b, z: the expansion
-    Gamma(b)/Gamma(a) y1 + Gamma(b)/Gamma(b-a) e^{+-i pi a} y2, with y1 the
+    Gamma(b)/Gamma(a) y1 + Gamma(b)/Gamma(b-a) e^{i pi a} y2, with y1 the
     growing e^z solution and y2 the algebraic one (_kummer_pair), each an
     inverse-power series truncated at ASYMPTOTIC_TERMS and at its smallest
-    term. The algebraic piece carries (-z)^{-a} = z^{-a} e^{+i pi a} where
-    Im z >= 0 and z^{-a} e^{-i pi a} where Im z < 0 (mpmath's convention);
-    Im z = -0.0 counts as negative, matching the branch of log z there.
+    term. On i[0, inf) the algebraic piece's (-z)^{-a} is z^{-a} e^{i pi a}.
     An element's value depends on its own (a, b, z) only."""
     if a.size > 1 and (a == a[0]).all() and (b == b[0]).all():
         # one (a, b) for the batch: Gamma constants and term ratios once
@@ -452,8 +451,7 @@ def _asymptotic(a, b, z):
     lg = log_gamma_complex(np.concatenate((b, np.where(pole, 1.0, ab))))
     rg = np.where(pole, 0.0, np.exp(-lg[n:]))
     pre1 = np.exp(log1 + lg[:n]) * rg[:n]
-    turn = np.where(np.signbit(z.imag), -1j, 1j) * np.pi
-    pre2 = np.exp(turn * a + log2 + lg[:n]) * rg[n:]
+    pre2 = np.exp(1j * np.pi * a + log2 + lg[:n]) * rg[n:]
     return pre1 * s1 + pre2 * s2
 
 
@@ -473,14 +471,15 @@ def hyp1f1(a, b, z):
     branch for a whole stencil passes that body to _entry itself.
 
     Domain, checked on both branches (a ValueError names the parameter):
-    a, b and z finite (an infinite a or b makes every anchor step 0); b not
-    a non-positive integer (a pole of M); |b| <= B_MAX = 2^16.
+    z on i[0, inf) (every package call's ray), either sign of zero; a finite;
+    b not a non-positive integer (a pole of M), |b| <= B_MAX = 2^16. The
+    convergent branch raises RuntimeError past MAX_ANCHORS = 2^18 anchors.
     """
     return _entry(_dispatch, a, b, z)
 
 
 def _dispatch(a, b, z):
-    near = np.abs(z) <= series_radius(a)
+    near = z.imag <= series_radius(a)
     # the whole batch on one branch: no masked copies
     if near.all():
         return _continuation(a, b, z)

@@ -31,7 +31,6 @@ HYP1F1_TABLE = {
     (-1j, 1.0, 10j): complex(-7.951052480815969, 4.6081518760791091),
     (-0.4j, 1.0, 30j): complex(0.047014834675010053, 2.1284938582702404),
     (3 - 0.7j, 8.0, 38j): complex(0.010773283562048113, -0.0048555924217339591),
-    (2.5, 3.5, -12.0): complex(0.0066608367869323724, 0.0),
     (1 - 0.3j, 2 + 0.5j, 4j): complex(-0.43023873384850775, 1.3692692934030959),
 }
 
@@ -40,18 +39,6 @@ HYP1F1_LARGE = {
     (-0.4j, 1.0, 60j): complex(-0.56931305095820894, 2.0325741284985819),
     (-1j, 1.0, 200j): complex(7.0803964401692649, -5.8413066285257758),
 }
-
-# 40-digit mpmath 1F1 below the real axis and on the negative real axis
-# with either sign of zero, all past the switch radius: the algebraic piece
-# of the large-|z| expansion turns by e^{-i pi a} there, not e^{+i pi a}
-HYP1F1_LOWER = [
-    (-0.4j, 1.0, -50j, complex(-0.12232822521423042, 0.5873897712261512)),
-    (2 - 1j, 3.0, -80j, complex(0.005522084008289924, -0.004258629754754143)),
-    (1 + 0.5j, 2.0, -60 - 30j, complex(-0.021453107541477317, -0.007574408369806779)),
-    (0.3, 1.5, -70j, complex(0.2414874060838891, -0.12076201654892278)),
-    (0.3 + 0.2j, 1.5, complex(-70.0, -0.0), complex(0.1706067448280016, -0.21733807259855875)),
-    (0.3 + 0.2j, 1.5, complex(-70.0, 0.0), complex(0.1706067448280016, -0.21733807259855875)),
-]
 
 # 40-digit mpmath 1F1(-i g, 1; i x) on the psi ray, inside the series
 # branch (|z| <= 30 + 2 g^2); large |g| at large x is where a Kummer sum
@@ -225,8 +212,9 @@ def test_hyp1f1_series_trivial():
 
 def test_hyp1f1_series_defining_ode():
     # z F'' + (b - z) F' - a F = 0, derivatives by central differences
-    h = 1e-3
-    for a, b, z in [(-0.5j, 1.0, 3j), (1.5, 2.0, -4.0), (-1j, 1.0, 8j)]:
+    # along the axis
+    h = 1e-3j
+    for a, b, z in [(-0.5j, 1.0, 3j), (1.5, 2.0, 4j), (-1j, 1.0, 8j)]:
         f0 = series_branch(a, b, z)
         fp = series_branch(a, b, z + h)
         fm = series_branch(a, b, z - h)
@@ -239,7 +227,7 @@ def test_hyp1f1_series_defining_ode():
 def test_hyp1f1_series_derivative_identity():
     # d/dz 1F1(a,b;z) = (a/b) 1F1(a+1,b+1;z)
     a, b, z = -0.7j, 1.0, 5j
-    h = 1e-4
+    h = 1e-4j
     d1 = (series_branch(a, b, z + h)
           - series_branch(a, b, z - h)) / (2 * h)
     rhs = (a / b) * series_branch(a + 1, b + 1, z)
@@ -257,11 +245,23 @@ def test_hyp1f1_series_nonconvergence_error(monkeypatch):
                            30.0, [2.0, 30.0])
 
 
+def test_anchor_chain_past_its_budget_raises():
+    # |z| = 1e8 lies inside a = 1e4's switch radius: a chain of ~5e7
+    # anchors, hours of Taylor steps. The lattice stops at MAX_ANCHORS
+    # (about 0.1 s) before any step, for hyp1f1 and kummer_ivp alike
+    with pytest.raises(RuntimeError, match=r"MAX_ANCHORS = 262144 anchors "
+                       r"to reach \|z\| = 1e\+08"):
+        specfun.hyp1f1(1e4, 1.0, 1e8j)
+    with pytest.raises(RuntimeError, match="MAX_ANCHORS"):
+        specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j, 0.5 + 0.08j,
+                           1e8, [2.0])
+
+
 def test_kummer_argument_errors():
     # b a pole of Gamma(b), on the convergent and the asymptotic branch
     for b in (0.0, -2.0):
         with pytest.raises(ValueError, match="non-positive integer"):
-            specfun.hyp1f1(0.5, b, 1.0)
+            specfun.hyp1f1(0.5, b, 1j)
         with pytest.raises(ValueError, match="non-positive integer"):
             specfun.hyp1f1(0.5, b, 100j)
     for r in ([1.5], [2.0, 30.5], [2.0, np.nan]):
@@ -271,20 +271,49 @@ def test_kummer_argument_errors():
 
 
 @pytest.mark.parametrize("a, b, z, name", [
-    # an infinite a or b makes every anchor step 0: the chain never ended
+    # an infinite a makes every anchor step 0: the chain would never end
     (np.inf, 1.0, 1j, "a"),
     (complex(0.0, np.inf), 1.0, 2j, "a"),
-    (0.5, np.inf, 2j, "b"),
-    # past the switch radius, or NaN anywhere: a silent NaN otherwise
-    (-0.4j, 1.0, [5j, complex(np.inf, 1.0)], "z"),
-    (-0.4j, 1.0, [5j, np.nan], "z"),
+    # NaN: a silent NaN otherwise
     ([0.5, np.nan], 1.0, 1j, "a"),
-    (0.5, [1.0, -np.inf], 1j, "b"),
 ])
 def test_hyp1f1_rejects_non_finite_arguments(a, b, z, name):
     with pytest.raises(ValueError, match=r"parameter %s must be finite, "
                        r"got %s = " % (name, name)):
         specfun.hyp1f1(a, b, z)
+
+
+@pytest.mark.parametrize("a, b, z", [
+    # the negative real axis, where M (mpmath: -4.4e-270 and 4.4e-215) is
+    # far below its terms and the chain cannot resolve it
+    (50.0, 1.0, -800.0),
+    (30.0, 2.0, -600.0),
+    (-0.4j, 1.0, 3.0),
+    (2 - 1j, 3.0, -80j),
+    (-0.4j, 1.0, complex(1e-300, 5.0)),
+    # non-finite, inside a batch and past the switch radius
+    (-0.4j, 1.0, [5j, complex(np.inf, 1.0)]),
+    (-0.4j, 1.0, [5j, np.nan]),
+    (-0.4j, 1.0, complex(0.0, np.nan)),
+    (-0.4j, 1.0, complex(0.0, np.inf)),
+    (-0.4j, 1.0, complex(0.0, -np.inf)),
+])
+def test_hyp1f1_rejects_z_off_the_axis(a, b, z):
+    for evaluate in (specfun.hyp1f1, series_branch, asymptotic_branch):
+        with pytest.raises(ValueError, match=r"parameter z must lie on "
+                           r"i\[0, inf\), got z = "):
+            evaluate(a, b, z)
+
+
+def test_hyp1f1_signed_zeros_lie_on_the_axis():
+    # Re z = -0.0 and Im z = -0.0 are on the axis, with the bits of +0.0,
+    # on both branches
+    for a, b in ((-0.4j, 1.0), (2 - 1j, 3.0)):
+        for x in (5.0, 100.0):
+            assert _hex(specfun.hyp1f1(a, b, complex(-0.0, x))) == _hex(
+                specfun.hyp1f1(a, b, 1j * x))
+        assert _hex(specfun.hyp1f1(a, b, complex(0.0, -0.0))) == _hex(
+            specfun.hyp1f1(a, b, 0.0))
 
 
 def test_hyp1f1_rejects_b_past_its_bound():
@@ -293,10 +322,14 @@ def test_hyp1f1_rejects_b_past_its_bound():
     bound = r"\|b\| <= 65536, got b = "
     with pytest.raises(ValueError, match=bound + r"\(1000000000\+0j\)"):
         specfun.hyp1f1(0.5, 1e9, 10j)
-    # a + b + z overflows in the finiteness test's one sum (a warning, which
-    # this suite's config makes an error) before each parameter is read
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=bound):
-        specfun.hyp1f1(1e308, 1e308, 1e308)
+    # each parameter is read alone: no a + b + z to overflow (a warning,
+    # which this suite's config makes an error)
+    with pytest.raises(ValueError, match=bound):
+        specfun.hyp1f1(1e308, 1e308, 1e308j)
+    # an infinite or NaN b is past the bound
+    for b in (np.inf, [1.0, -np.inf], np.nan):
+        with pytest.raises(ValueError, match=bound):
+            specfun.hyp1f1(0.5, b, 2j)
     # the bound itself lies inside
     specfun.hyp1f1(0.5, [1.0, 2.0 ** 16], [1j, 1j])
 
@@ -307,29 +340,14 @@ def test_hyp1f1_asymptotic_frozen_table():
         assert abs(got - ref) < 1e-9 * abs(ref), (a, b, z)
 
 
-
-def test_hyp1f1_lower_half_plane_frozen_mpmath():
-    for a, b, z, ref in HYP1F1_LOWER:
-        assert abs(z) > specfun.series_radius(a)
-        for got in (specfun.hyp1f1(a, b, z), asymptotic_branch(a, b, z)):
-            assert abs(got - ref) < 1e-12 * abs(ref), (a, b, z, got)
-    batch = asymptotic_branch(
-        [a for a, _, _, _ in HYP1F1_LOWER], [b for _, b, _, _ in HYP1F1_LOWER],
-        np.array([z for _, _, z, _ in HYP1F1_LOWER]))
-    refs = np.array([ref for _, _, _, ref in HYP1F1_LOWER])
-    assert np.all(np.abs(batch - refs) < 1e-12 * np.abs(refs))
-
-
 def _hex(v):
     return v.real.hex(), v.imag.hex()
 
 
-# large-|z| points in both half-planes and on the negative real axis with
-# either sign of zero, for psi-ray and partial-wave (a, b)
-ASYM_CASES = [(-0.4j, 1.0, 50j), (-0.4j, 1.0, 800j), (-0.4j, 1.0, -60j),
-              (-3j, 1.0, 45 - 30j), (2 - 1j, 3.0, -80j),
-              (1 + 0.5j, 2.0, -60 - 30j), (0.3 + 0.2j, 1.5, complex(-70, -0.0)),
-              (0.3 + 0.2j, 1.5, complex(-70, 0.0)), (4 - 0.7j, 8.0, 300j)]
+# large-|z| points for psi-ray, partial-wave and other (a, b)
+ASYM_CASES = [(-0.4j, 1.0, 50j), (-0.4j, 1.0, 800j), (-3j, 1.0, 54j),
+              (2 - 1j, 3.0, 80j), (1 + 0.5j, 2.0, 67j),
+              (0.3 + 0.2j, 1.5, 70j), (0.3, 1.5, 90j), (4 - 0.7j, 8.0, 300j)]
 
 
 def test_hyp1f1_asymptotic_batch_independent():
@@ -351,19 +369,17 @@ def test_hyp1f1_asymptotic_batch_independent():
 
 
 def test_hyp1f1_scalar_bits_match_mixed_batch():
-    # seeded elements, each with its own (a, b), on rays in all four
-    # quadrants and on both branches, batched with a second point at half
-    # the radius on each ray, so that every chain in the batch holds two
-    # points: a scalar call's bits are those of its element in the batch
+    # seeded elements, each with its own (a, b), on both branches, batched
+    # with a second point at half the radius, so that every chain in the
+    # batch holds two points: a scalar call's bits are those of its element
+    # in the batch
     rng = np.random.default_rng(2207)
     n = 240
     a = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
     b = rng.uniform(0.5, 8.0, n) + 1j * rng.uniform(-2, 2, n)
-    z = rng.uniform(0.2, 130.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    z = 1j * rng.uniform(0.2, 130.0, n)
     far = np.abs(z) > specfun.series_radius(a)
-    for quadrant in ((z.real > 0) & (z.imag > 0), (z.real < 0) & (z.imag > 0),
-                     (z.real < 0) & (z.imag < 0), (z.real > 0) & (z.imag < 0)):
-        assert (quadrant & far).sum() >= 10 and (quadrant & ~far).sum() >= 10
+    assert far.sum() >= 10 and (~far).sum() >= 10
     batch = specfun.hyp1f1(np.tile(a, 2), np.tile(b, 2),
                            np.concatenate([z, 0.5 * z]))
     for ai, bi, zi, got in zip(a, b, z, batch):
@@ -488,8 +504,7 @@ def test_hyp1f1_series_batch_independent():
     # an element's value is bit-identical alone, next to other (a, b), and
     # in a batch whose larger |z| lengthens its chain
     cases = [(-0.4j, 1.0, 7.3j), (-0.4j, 1.0, 0.6j), (-10j, 1.0, 55j),
-             (-0.4j, 1.0, 3.0 + 4.0j), (3 - 0.7j, 8.0, 38j),
-             (6 - 2j, 12.0, 9j), (2.5, 3.5, -12.0), (1 - 0.3j, 2 + 0.5j, 4j),
+             (3 - 0.7j, 8.0, 38j), (6 - 2j, 12.0, 9j), (1 - 0.3j, 2 + 0.5j, 4j),
              (1.0, 1.0, 0.5j * np.pi)]  # e^{i pi/2}: Re ~ 6e-17 shows stray terms
     alone = [series_branch(a, b, z) for a, b, z in cases]
     a, b, z = (np.array(col, dtype=complex) for col in zip(*cases))
@@ -518,49 +533,32 @@ def test_hyp1f1_series_at_anchor_radii(a, b):
 
 
 def test_hyp1f1_series_at_zero_is_one():
-    # z = 0 in any sign of zero, batched with points on other rays and
+    # z = 0 in any sign of zero, batched with other points of its chain and
     # other (a, b), is exactly 1
     z = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0),
-                  7j, 0.3, -2.0 + 1j, 0.0])
-    a = np.array([-4j, -4j, -4j, 1.5, -4j, -4j, 2 - 1j, 31 - 2j])
-    b = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 62.0])
+                  7j, 0.0])
+    a = np.array([-4j, -4j, -4j, 1.5, -4j, 31 - 2j])
+    b = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 62.0])
     got = series_branch(a, b, z)
     assert np.all(got[z == 0.0] == 1.0)
     assert series_branch(-4j, 1.0, -0.0) == 1.0
 
 
 # hyp1f1's own bits (real and imaginary part as float.hex) where the
-# convergent branch starts its chain: z = 0, |z| = r_0 = 1 / max(1, |a/b|)
-# and |z| < r_0 in all four quadrants and on the axes, and two points past
-# r_0 (the second and a later step); kummer_ivp at its start radius and at
-# the next anchor, with log w and w'/w at the end radius
+# convergent branch starts its chain: z = 0, |z| < r_0, |z| = r_0 =
+# 1 / max(1, |a/b|), and points past r_0 (the second and a later step);
+# kummer_ivp at its start radius and at the next anchor, with log w and
+# w'/w at the end radius
 CHAIN_START_BITS = [
     (-4j, 1.0, complex(0.0, 0.0), "0x1.0000000000000p+0", "0x0.0p+0"),
-    (-4j, 1.0, complex(0.23606983273145862, 0.08228629335521892),
-     "0x1.235d0e1177569p+0", "-0x1.26ebbc2a270e8p+0"),
-    (-4j, 1.0, complex(-0.14837450435244304, 0.20120886277241085),
-     "0x1.ca22cbd912b80p+0", "0x1.baeb0b7e797dep-1"),
-    (-4j, 1.0, complex(-0.148374504352443, -0.20120886277241087),
-     "0x1.45931f6a0ecfep-2", "0x1.9a5b3c7e1c9dap-2"),
-    (-4j, 1.0, complex(0.23606983273145862, -0.08228629335521892),
-     "0x1.cadf960f32fb2p-2", "-0x1.9d5b06c9469d8p-1"),
+    (-4j, 1.0, complex(0.0, 0.1), "0x1.710aa4773599dp+0", "0x1.757573c5862c2p-7"),
     (-4j, 1.0, complex(0.0, 0.25), "0x1.232b860c1a528p+1", "0x1.5fd301aecdd3ep-4"),
-    (-4j, 1.0, complex(-0.25, 0.0), "0x1.8ae2ee1dbb805p-1", "0x1.d4c432448e3f2p-1"),
-    (-4j, 1.0, complex(-0.260091772841964, 0.5683108917660511),
-     "0x1.d865f09342bdbp+1", "0x1.76b77ee9941e6p+1"),
+    (-4j, 1.0, complex(0.0, 0.3), "0x1.4d2c60bc5352fp+1", "0x1.0d06ec0eae4d1p-3"),
     (-4j, 1.0, complex(0.0, 7.0), "-0x1.24ee7c0ac7a66p+11", "0x1.7a7a053b8bbaap+9"),
-    (3 - 2j, 1.5, complex(0.11440691547145355, 0.19815859033379535),
-     "0x1.8c0ad3995f1dap+0", "0x1.6b48ce07f393bp-2"),
-    (3 - 2j, 1.5, complex(-0.19815859033379532, 0.1144069154714536),
-     "0x1.6c6fffeaec61fp-1", "0x1.97ce9128a21bap-2"),
-    (3 - 2j, 1.5, complex(-0.11440691547145362, -0.1981585903337953),
-     "0x1.2129661e88154p-1", "-0x1.45806969138dfp-3"),
-    (3 - 2j, 1.5, complex(0.1981585903337953, -0.11440691547145362),
-     "0x1.2c54c13fc2720p+0", "-0x1.2ec20a7874848p-1"),
-    (3 - 2j, 1.5, complex(0.41602514716892186, 0.0),
-     "0x1.032f1dff92f0cp+1", "-0x1.f028488d9d2d9p-1"),
-    (3 - 2j, 1.5, complex(0.0, -0.41602514716892186),
-     "0x1.58346757d2244p-2", "-0x1.047cdc1453026p-1"),
+    (3 - 2j, 1.5, complex(0.0, 0.2), "0x1.371618093ebe7p+0", "0x1.e42c203e953a4p-2"),
+    (3 - 2j, 1.5, complex(0.0, 0.41602514716892186),
+     "0x1.4a618190a338ap+0", "0x1.21dc333dddbacp+0"),
+    (3 - 2j, 1.5, complex(0.0, 0.5), "0x1.431c74788f273p+0", "0x1.6c33a415bd4eep+0"),
     (3 - 2j, 1.5, complex(0.0, 0.0), "0x1.0000000000000p+0", "0x0.0p+0"),
 ]
 KUMMER_IVP_BITS = [
