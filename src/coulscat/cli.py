@@ -9,13 +9,8 @@ One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
 generated from the ScanSpec alone, rows are computed in order in fixed
 2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once),
-and floats are written with 17 significant digits. write_csv finds an
-outer x inner product in the first two columns from the rows themselves and
-formats each axis value once. The axis-value flags --rho, --kx and
---cesaro-n repeat. Each quantity's builder but field_map hands _scan its
-header, its full-length per-row input columns and one function from a slice
-of them to the output columns; field_map keeps its own psi table across
-chunks.
+and floats are written with 17 significant digits. A flag or preset field
+that the quantity does not read is an error.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments (an --out that
 cannot be written included), 3 numerical failure.
@@ -26,6 +21,7 @@ import errno
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -38,92 +34,113 @@ CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
-# ScanSpec fields holding a (start, stop, count) range
-_TUPLE_FIELDS = ("theta_range", "kx_range", "kz_range", "r_range")
+# flags not named after their fields; ell_max_values (presets only) has none
+_FLAG_NAMES = {"rho_values": "--rho", "kx_values": "--kx",
+               "fixed_theta": "--theta", "cesaro_n_values": "--cesaro-n",
+               "ell_max_values": None}
+
+# pairs of field groups that set the same thing: a spec gives one of each
+_ALTERNATIVES = ((("gamma", "k"), ("mass", "omega")),
+                 (("kx_values",), ("kx_range",)),
+                 (("ell_max",), ("ell_max_values",)))
+
+# the range of each value (of the two ends, for a *_range triple)
+_BOUNDS = {"rho_values": "(0, inf)", "kx_values": "(-inf, inf)",
+           "fixed_theta": "[0, pi]", "theta_range": "[0, pi]",
+           "kx_range": "(-inf, inf)", "kz_range": "(-inf, inf)",
+           "r_range": "(-inf, inf)"}
+
+
+def _flag(name):
+    """A ScanSpec field's flag, or its own name when it has none."""
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-")) or name
 
 
 @dataclass
 class ScanSpec:
     """Everything a scan needs: the quantity, physical parameters, grid
     ranges (each a (start, stop, count) triple) and axis value lists, and
-    option flags. Unused fields stay None and are ignored by the builder for
-    that quantity; an axis list left None takes its builder's default (for
-    example n = 1000 for cesaro)."""
+    option flags. Construction, like validate, rejects a set field that
+    the quantity's row does not read (describe lists them) or two that set
+    the same thing, fills the unset ones from the row, and checks ranges."""
     quantity: str
-    gamma: float = 1.0
-    k: float = 1.0
+    gamma: float = None
+    k: float = None
     mass: float = None
     omega: float = None
-    mu: float = 0.0
-    ell: int = 2
-    ell_max: int = 1000
-    ell_max_values: list = None
-    cesaro_n_values: list = None
-    fixed_theta: float = 2.0
-    rho_values: list = None
+    mu: float = None
+    ell: int = None
+    ell_max: int = None
+    ell_max_values: list[int] = None
+    cesaro_n_values: list[int] = None
+    fixed_theta: float = None
+    rho_values: list[float] = None
     theta_range: tuple = None
-    kx_values: list = None
+    kx_values: list[float] = None
     kx_range: tuple = None
     kz_range: tuple = None
     r_range: tuple = None
-    backreaction: bool = False
-    with_asymptotic: bool = False
-    acknowledge_classical: bool = False
+    backreaction: bool = None
+    with_asymptotic: bool = None
+    acknowledge_classical: bool = None
     out: str = None
 
     def validate(self):
-        if self.quantity not in QUANTITIES:
-            raise ValueError("unknown quantity %r; valid names: %s"
-                             % (self.quantity, ", ".join(QUANTITIES)))
-        for name in _TUPLE_FIELDS:
-            rng = getattr(self, name)
-            if rng is None:
+        """Check and fill the spec; a second call changes nothing."""
+        reads = _row(self.quantity)[1]
+        given = {f.name for f in fields(self) if f.name not in
+                 ("quantity", "out") and getattr(self, f.name) is not None}
+        unread = sorted(_flag(name) for name in given - reads.keys())
+        if unread:
+            raise ValueError("%s does not read %s"
+                             % (self.quantity, ", ".join(unread)))
+        # once one group of a pair is given, the fill skips the other
+        for pair in _ALTERNATIVES:
+            chosen = [group for group in pair if given.intersection(group)]
+            if len(chosen) == 2:
+                raise ValueError("give %s or %s, not both" % tuple(
+                    "/".join(map(_flag, group)) for group in pair))
+            if chosen:
+                given.update(*(group for group in pair if group != chosen[0]))
+        for name in reads.keys() - given:
+            setattr(self, name, reads[name])
+        self.out = self.out or self.quantity + ".csv"
+        for name, bound in _BOUNDS.items():
+            value, flag = getattr(self, name), _flag(name)
+            if value is None:
                 continue
-            a, b, n = rng
-            if not (np.isfinite(a) and np.isfinite(b) and a < b):
-                raise ValueError("%s must be an ordered finite range" % name)
-            if int(n) < 2:
-                raise ValueError("%s needs at least 2 samples" % name)
-        if self.theta_range is not None:
-            a, b, _ = self.theta_range
-            if a < 0.0 or b > np.pi + 1e-12:
-                raise ValueError("theta_range must lie within [0, pi]")
-        if not 0.0 <= self.fixed_theta <= np.pi:
-            raise ValueError("theta must lie within [0, pi]")
-        for name, flag in (("rho_values", "--rho"), ("kx_values", "--kx")):
-            values = getattr(self, name)
-            if values is not None and not np.all(np.isfinite(values)):
-                raise ValueError("%s (%s) must be finite" % (name, flag))
-        if self.rho_values is not None and min(self.rho_values) <= 0.0:
-            raise ValueError("rho_values (--rho) must be positive")
-        if self.kx_values is not None and self.kx_range is not None:
-            raise ValueError("kx_values (--kx) and kx_range (--kx-range) "
-                             "set the same axis; give one of them")
+            if name.endswith("_range"):
+                a, b, n = value
+                if not (a < b and n >= 2):
+                    raise ValueError("%s needs A < B and N >= 2, got %s:%s:%s"
+                                     % (flag, a, b, n))
+                setattr(self, name, (float(a), float(b), int(n)))
+                value = (a, b)
+            exact._within(flag, value, bound)
+
+    __post_init__ = validate
 
 
 def _params(spec):
-    """Scattering parameters, from (mass, omega) when both are given and
-    from (gamma, k) otherwise."""
-    if spec.mass is not None and spec.omega is not None:
-        return classical.coulomb_reduction(
-            classical.BlackHoleParams(spec.mass, spec.omega))
-    if spec.mass is not None or spec.omega is not None:
+    """Scattering parameters: (gamma, k), or (mass, omega) mapped onto them."""
+    if spec.mass is None and spec.omega is None:
+        return exact.ScatteringParams(gamma=spec.gamma, k=spec.k)
+    if spec.mass is None or spec.omega is None:
         raise ValueError("mass and omega must be given together")
-    return exact.ScatteringParams(gamma=spec.gamma, k=spec.k)
+    return classical.coulomb_reduction(
+        classical.BlackHoleParams(spec.mass, spec.omega))
+
+
+_PARAMS = dict(gamma=1.0, k=1.0, mass=None, omega=None)  # _params' reads
 
 
 def _axis(rng, log=False):
     a, b, n = rng
     if log:
         if a <= 0.0:
-            raise ValueError("logarithmic grid needs a positive start")
+            raise ValueError("a geometric --theta-range needs A > 0")
         return np.geomspace(a, b, int(n))
     return np.linspace(a, b, int(n))
-
-
-def _theta_axis(spec, default, log=False):
-    return _axis(spec.theta_range if spec.theta_range is not None
-                 else default, log=log)
 
 
 def _product_rows(outer, inner):
@@ -131,12 +148,6 @@ def _product_rows(outer, inner):
     o = np.repeat(np.asarray(outer, dtype=np.float64), len(inner))
     i = np.tile(np.asarray(inner, dtype=np.float64), len(outer))
     return o, i
-
-
-def _rho_theta_rows(spec, theta_default):
-    """(rho, theta) row coordinates of a rho x theta scan."""
-    rho_values = spec.rho_values if spec.rho_values is not None else [10.0]
-    return _product_rows(rho_values, _theta_axis(spec, theta_default))
 
 
 def _parts(z):
@@ -154,9 +165,38 @@ def _scan(header, columns, values):
     return header, len(columns[0]), compute
 
 
+_BUILDERS, _ROWS = {}, {}  # filled by @_quantity
+
+
+def _row(name):
+    """The (describe text, fields read) row of quantity name."""
+    if name not in _ROWS:
+        raise ValueError("unknown quantity %r; valid names: %s"
+                         % (name, ", ".join(QUANTITIES)))
+    return _ROWS[name]
+
+
+def _quantity(name, text, **reads):
+    """Register the decorated builder as quantity name, with its describe
+    text and each ScanSpec field it reads mapped to its default."""
+    def register(build):
+        _BUILDERS[name] = build
+        _ROWS[name] = (text, reads)
+        return build
+    return register
+
+
+@_quantity("psi_exact",
+    "exact scattering solution psi = e^{i rho (1-s)} e^{-pi gamma/2} "
+    "Gamma(1+i gamma) 1F1(-i gamma, 1; i rho s), s = 1 - cos theta\n"
+    "validity: everywhere (rho >= 0, theta in [0, pi]); finite on the "
+    "forward axis, where |psi| = e^{-pi gamma/2} |Gamma(1+i gamma)|",
+    **_PARAMS, rho_values=(10.0,), theta_range=None, with_asymptotic=False,
+    backreaction=False)
 def _build_psi_exact(spec):
+    if spec.backreaction and not spec.with_asymptotic:
+        raise ValueError("psi_exact --backreaction needs --with-asymptotic")
     p = _params(spec)
-    lo = 0.01 if spec.with_asymptotic else 0.0
     header = ["rho", "theta", "re_psi", "im_psi", "abs_psi"]
     if spec.with_asymptotic:
         header += ["re_psi_asym", "im_psi_asym", "abs_psi_asym", "asym_valid"]
@@ -169,9 +209,22 @@ def _build_psi_exact(spec):
             cols += _parts(pin + pscat) + [valid.astype(np.float64)]
         return cols
 
-    return _scan(header, _rho_theta_rows(spec, (lo, np.pi, 400)), values)
+    # the asymptotic columns do not exist at theta = 0
+    theta = spec.theta_range or (0.01 if spec.with_asymptotic else 0.0,
+                                 np.pi, 400)
+    return _scan(header, _product_rows(spec.rho_values, _axis(theta)),
+                 values)
 
 
+@_quantity("psi_asymptotic",
+    "distorted plane wave e^{i(rho(1-s) + gamma ln rho s)} "
+    "(optionally times 1 - i gamma^2/(rho s)) plus the scattered wave "
+    "-(gamma/rho s) (Gamma(1+i gamma)/Gamma(1-i gamma)) "
+    "e^{i(rho - gamma ln rho s)}\n"
+    "validity: rho s >> 1 (the valid column uses rho s > %g); the "
+    "split does not exist at theta = 0" % asymptotic.VALIDITY_RHO_S,
+    **_PARAMS, rho_values=(10.0,), theta_range=(0.01, np.pi, 400),
+    backreaction=False)
 def _build_psi_asymptotic(spec):
     p = _params(spec)
     header = ["rho", "theta", "re_psi_in", "im_psi_in", "re_psi_scat",
@@ -183,9 +236,20 @@ def _build_psi_asymptotic(spec):
         return ([r, t, pin.real, pin.imag, pscat.real, pscat.imag]
                 + _parts(pin + pscat) + [valid.astype(np.float64)])
 
-    return _scan(header, _rho_theta_rows(spec, (0.01, np.pi, 400)), values)
+    return _scan(header, _product_rows(spec.rho_values,
+                                       _axis(spec.theta_range)), values)
 
 
+@_quantity("currents",
+    "probability currents J = Im[psi* grad psi] of the asymptotic "
+    "field (total, incoming, scattered, interference = total - in - "
+    "scat) next to the exact-field current and the outgoing remainders "
+    "J[psi - psi_in] without/with the gamma^2 amplitude correction, "
+    "from closed-form gradients (dM/dz for the exact field), no step\n"
+    "validity: decomposition meaningful for rho s >> 1; every column "
+    "wherever the fields are (rho > 0, theta in (0, pi]): no step domain",
+    **_PARAMS, rho_values=(10.0,), theta_range=(0.05, 3.1, 400),
+    backreaction=False)
 def _build_currents(spec):
     p = _params(spec)
     header = ["rho", "theta",
@@ -200,9 +264,18 @@ def _build_currents(spec):
         return [r, t, *total, *j_in, *scat, *(total - j_in - scat),
                 *np.concatenate(rest)]
 
-    return _scan(header, _rho_theta_rows(spec, (0.05, 3.1, 400)), values)
+    return _scan(header, _product_rows(spec.rho_values,
+                                       _axis(spec.theta_range)), values)
 
 
+@_quantity("cross_section",
+    "dsigma/dOmega = gamma^2 / (4 k^2 sin^4(theta/2)), checked against "
+    "|f_closed|^2 and the mu -> 0 screened Born amplitude "
+    "-2 gamma k/(q^2 + mu^2), q = 2 k sin(theta/2)\n"
+    "validity: theta in (0, pi]; for black-hole parameters the number "
+    "is not an observable and needs --acknowledge-classical",
+    **_PARAMS, acknowledge_classical=False, mu=0.0,
+    theta_range=(0.1, np.pi, 180))
 def _build_cross_section(spec):
     if spec.mass is not None and not spec.acknowledge_classical:
         raise ValueError(
@@ -218,16 +291,16 @@ def _build_cross_section(spec):
         born = np.abs(asymptotic.born_amplitude_yukawa(p, t, spec.mu)) ** 2
         return [t, ruth, closed, born]
 
-    return _scan(header, (_theta_axis(spec, (0.1, np.pi, 180)),), values)
+    return _scan(header, (_axis(spec.theta_range),), values)
 
 
-def _series_scan(spec, order, orders, theta_default, f_series, abs_f):
+def _series_scan(spec, order, orders, f_series, abs_f):
     """f_series(p, theta, n) for each n in orders (the outer axis, in the
     column named order) over a geometric theta axis (the other scans' theta
     axes are linear), with (1 - cos theta) f beside the closed form's; abs_f
     adds the |f| column."""
     p = _params(spec)
-    theta = _theta_axis(spec, theta_default, log=True)
+    theta = _axis(spec.theta_range, log=True)
     header = [order, "theta", "re_f", "im_f"] + ["abs_f"] * abs_f + [
         "re_sf", "im_sf", "abs_sf", "re_sf_closed", "im_sf_closed",
         "abs_sf_closed"]
@@ -245,20 +318,41 @@ def _series_scan(spec, order, orders, theta_default, f_series, abs_f):
     return _scan(header, _product_rows(orders, theta), values)
 
 
+@_quantity("cesaro",
+    "Cesaro (C,1) mean of the divergent amplitude series "
+    "sum_ell ((2 ell+1)/(2 i k)) (e^{2 i delta_ell} - 1) P_ell; "
+    "converges to the closed-form amplitude for 0 < theta < pi, "
+    "non-uniformly as theta -> pi; at theta = pi the series is not "
+    "(C,1)-summable and the mean oscillates at O(1)\n"
+    "validity: theta in (0, pi); convergence slows toward theta = 0 "
+    "and theta = pi; values at theta = pi are computed but do not "
+    "converge",
+    **_PARAMS, cesaro_n_values=(1000,), theta_range=(0.01, np.pi, 200))
 def _build_cesaro(spec):
-    n_values = (spec.cesaro_n_values if spec.cesaro_n_values is not None
-                else [1000])
-    return _series_scan(spec, "n", n_values, (0.01, np.pi, 200),
+    return _series_scan(spec, "n", spec.cesaro_n_values,
                         multipole.f_series_cesaro, abs_f=True)
 
 
+@_quantity("reduced_series",
+    "amplitude from the absolutely convergent reduced series: "
+    "(gamma/k) sum_ell e^{2 i delta_ell} [ell/(ell + i gamma) - "
+    "(ell+1)/(ell+1 - i gamma)] P_ell, divided by (1 - cos theta)\n"
+    "validity: theta strictly inside (0, pi)",
+    **_PARAMS, ell_max=1000, ell_max_values=None,
+    theta_range=(0.01, 3.13, 200))
 def _build_reduced_series(spec):
     lm_values = (spec.ell_max_values if spec.ell_max_values is not None
                  else [spec.ell_max])
-    return _series_scan(spec, "ell_max", lm_values, (0.01, 3.13, 200),
+    return _series_scan(spec, "ell_max", lm_values,
                         multipole.f_reduced_series, abs_f=False)
 
 
+@_quantity("diverging_sum",
+    "raw partial sums of the same amplitude series, kept on purpose: "
+    "their envelope grows like sqrt(ell_max), the divergence being an "
+    "artifact of using the large-distance form of every partial wave\n"
+    "validity: diagnostic only; not an amplitude",
+    **_PARAMS, fixed_theta=2.0, ell_max=1000)
 def _build_diverging_sum(spec):
     sweep = multipole.f_series_partial_sweep(_params(spec), spec.fixed_theta,
                                              spec.ell_max)
@@ -267,15 +361,19 @@ def _build_diverging_sum(spec):
                  (ells, sweep), lambda ell, s: [ell] + _parts(s))
 
 
+@_quantity("field_map",
+    "exact |psi| (and re/im) over a Cartesian (k x, k z) window, with "
+    "the forward-plateau value e^{-pi gamma/2}|Gamma(1+i gamma)| in "
+    "the plateau column\n"
+    "validity: everywhere; the paraboloid rho s = 1 marks the damped "
+    "interior",
+    **_PARAMS, kx_values=None, kx_range=(-40.0, 40.0, 161),
+    kz_range=(-40.0, 80.0, 241))
 def _build_field_map(spec):
     p = _params(spec)
-    kz = _axis(spec.kz_range if spec.kz_range is not None
-               else (-40.0, 80.0, 241))
-    if spec.kx_values is not None:
-        kx_axis = np.asarray(spec.kx_values, dtype=np.float64)
-    else:
-        kx_axis = _axis(spec.kx_range if spec.kx_range is not None
-                        else (-40.0, 40.0, 161))
+    kz = _axis(spec.kz_range)
+    kx_axis = (np.asarray(spec.kx_values, dtype=np.float64)
+               if spec.kx_values is not None else _axis(spec.kx_range))
     kx, kzr = _product_rows(kx_axis, kz)
     header = ["kx", "kz", "re_psi", "im_psi", "abs_psi", "plateau"]
     # psi depends on (|kx|, kz) alone, so the kx and -kx rows share one
@@ -306,14 +404,29 @@ def _build_field_map(spec):
     return header, len(kx), compute
 
 
+@_quantity("bh_mode",
+    "long-wavelength Schwarzschild scalar mode via the Coulomb map "
+    "gamma = -2 M omega, k = omega: two-wave form "
+    "((2 ell+1)/(2 i omega r)) [(-1)^{ell+1} e^{-i omega r_c} + "
+    "e^{2 i delta_ell} e^{i omega r_c}], omega r_c = omega r - gamma "
+    "ln(2 omega r), next to the full mode (short-range term kept: a "
+    "Coulomb wave of order lambda, lambda(lambda+1) = ell(ell+1) - "
+    "12 (M omega)^2, carried out from the ell wave's data at r_start "
+    "by the Kummer-ODE continuation up to the matching radius "
+    "2 omega r = %g + %g |lambda + 1 - i gamma|^2, and beyond it by the "
+    "two large-distance Kummer solutions matched there; both in the "
+    "u/(omega r) normalization)\n"
+    "validity: ell(ell+1) > 12 (M omega)^2 and omega r >> ell(ell+1) + "
+    "gamma^2; never valid for ell = 0"
+    % (specfun.SERIES_SWITCH_BASE, specfun.SERIES_SWITCH_SCALE),
+    mass=None, omega=None, ell=2, r_range=(50.0, 500.0, 200))
 def _build_bh_mode(spec):
     if spec.mass is None or spec.omega is None:
         raise ValueError("bh_mode requires --mass and --omega")
     bh = classical.BlackHoleParams(spec.mass, spec.omega)
-    r = _axis(spec.r_range if spec.r_range is not None
-              else (50.0, 500.0, 200))
+    r = _axis(spec.r_range)
     if r[0] <= bh.r_s:
-        raise ValueError("r range must lie outside the horizon")
+        raise ValueError("--r-range must start outside r_s = %g" % bh.r_s)
     u_asym = classical.radial_mode_asymptotic(bh, spec.ell, r)
     u_full = classical.integrate_full_mode(
         bh, spec.ell, r, r_start=min(10.0 * bh.r_s, float(r[0])))
@@ -324,23 +437,7 @@ def _build_bh_mode(spec):
                  lambda x, ua, uf: [x] + _parts(ua) + _parts(uf))
 
 
-_BUILDERS = {
-    "psi_exact": _build_psi_exact,
-    "psi_asymptotic": _build_psi_asymptotic,
-    "currents": _build_currents,
-    "cross_section": _build_cross_section,
-    "cesaro": _build_cesaro,
-    "reduced_series": _build_reduced_series,
-    "diverging_sum": _build_diverging_sum,
-    "field_map": _build_field_map,
-    "bh_mode": _build_bh_mode,
-}
 QUANTITIES = tuple(_BUILDERS)
-
-
-def _out_path(spec):
-    """spec.out, by default <quantity>.csv."""
-    return spec.out if spec.out is not None else spec.quantity + ".csv"
 
 
 def run_scan(spec):
@@ -352,7 +449,7 @@ def run_scan(spec):
     rows = np.empty((n_rows, len(header)))
     for i in range(0, n_rows, CHUNK_ROWS):
         rows[i:i + CHUNK_ROWS] = compute(i, min(i + CHUNK_ROWS, n_rows))
-    write_csv(_out_path(spec), header, rows)
+    write_csv(spec.out, header, rows)
     return header, rows
 
 
@@ -404,83 +501,10 @@ def write_csv(path, header, rows):
             fh.write(text % tuple(block[:, ~const].ravel().tolist()))
 
 
-_DESCRIPTIONS = {
-    "psi_exact": (
-        "exact scattering solution psi = e^{i rho (1-s)} e^{-pi gamma/2} "
-        "Gamma(1+i gamma) 1F1(-i gamma, 1; i rho s), s = 1 - cos theta\n"
-        "validity: everywhere (rho >= 0, theta in [0, pi]); finite on the "
-        "forward axis, where |psi| = e^{-pi gamma/2} |Gamma(1+i gamma)|"),
-    "psi_asymptotic": (
-        "distorted plane wave e^{i(rho(1-s) + gamma ln rho s)} "
-        "(optionally times 1 - i gamma^2/(rho s)) plus the scattered wave "
-        "-(gamma/rho s) (Gamma(1+i gamma)/Gamma(1-i gamma)) "
-        "e^{i(rho - gamma ln rho s)}\n"
-        "validity: rho s >> 1 (the valid column uses rho s > %g); the "
-        "split does not exist at theta = 0" % asymptotic.VALIDITY_RHO_S),
-    "currents": (
-        "probability currents J = Im[psi* grad psi] of the asymptotic "
-        "field (total, incoming, scattered, interference = total - in - "
-        "scat) next to the exact-field current and the outgoing remainders "
-        "J[psi - psi_in] without/with the gamma^2 amplitude correction, "
-        "from closed-form gradients (dM/dz for the exact field), no step\n"
-        "validity: decomposition meaningful for rho s >> 1; every column "
-        "wherever the fields are (rho > 0, theta in (0, pi]): no step domain"),
-    "cross_section": (
-        "dsigma/dOmega = gamma^2 / (4 k^2 sin^4(theta/2)), checked against "
-        "|f_closed|^2 and the mu -> 0 screened Born amplitude "
-        "-2 gamma k/(q^2 + mu^2), q = 2 k sin(theta/2)\n"
-        "validity: theta in (0, pi]; for black-hole parameters the number "
-        "is not an observable and needs --acknowledge-classical"),
-    "cesaro": (
-        "Cesaro (C,1) mean of the divergent amplitude series "
-        "sum_ell ((2 ell+1)/(2 i k)) (e^{2 i delta_ell} - 1) P_ell; "
-        "converges to the closed-form amplitude for 0 < theta < pi, "
-        "non-uniformly as theta -> pi; at theta = pi the series is not "
-        "(C,1)-summable and the mean oscillates at O(1)\n"
-        "validity: theta in (0, pi); convergence slows toward theta = 0 "
-        "and theta = pi; values at theta = pi are computed but do not "
-        "converge"),
-    "reduced_series": (
-        "amplitude from the absolutely convergent reduced series: "
-        "(gamma/k) sum_ell e^{2 i delta_ell} [ell/(ell + i gamma) - "
-        "(ell+1)/(ell+1 - i gamma)] P_ell, divided by (1 - cos theta)\n"
-        "validity: theta strictly inside (0, pi)"),
-    "diverging_sum": (
-        "raw partial sums of the same amplitude series, kept on purpose: "
-        "their envelope grows like sqrt(ell_max), the divergence being an "
-        "artifact of using the large-distance form of every partial wave\n"
-        "validity: diagnostic only; not an amplitude"),
-    "field_map": (
-        "exact |psi| (and re/im) over a Cartesian (k x, k z) window, with "
-        "the forward-plateau value e^{-pi gamma/2}|Gamma(1+i gamma)| in "
-        "the plateau column\n"
-        "validity: everywhere; the paraboloid rho s = 1 marks the damped "
-        "interior"),
-    "bh_mode": (
-        "long-wavelength Schwarzschild scalar mode via the Coulomb map "
-        "gamma = -2 M omega, k = omega: two-wave form "
-        "((2 ell+1)/(2 i omega r)) [(-1)^{ell+1} e^{-i omega r_c} + "
-        "e^{2 i delta_ell} e^{i omega r_c}], omega r_c = omega r - gamma "
-        "ln(2 omega r), next to the full mode (short-range term kept: a "
-        "Coulomb wave of order lambda, lambda(lambda+1) = ell(ell+1) - "
-        "12 (M omega)^2, carried out from the ell wave's data at r_start "
-        "by the Kummer-ODE continuation up to the matching radius "
-        "2 omega r = %g + %g |lambda + 1 - i gamma|^2, and beyond it by the "
-        "two large-distance Kummer solutions matched there; both in the "
-        "u/(omega r) normalization)\n"
-        "validity: ell(ell+1) > 12 (M omega)^2 and omega r >> ell(ell+1) + "
-        "gamma^2; never valid for ell = 0"
-        % (specfun.SERIES_SWITCH_BASE, specfun.SERIES_SWITCH_SCALE)),
-}
-
-
 def describe(name):
-    """Human-oriented one-paragraph description of a quantity: its
-    governing formula and validity region."""
-    if name not in _DESCRIPTIONS:
-        raise ValueError("unknown quantity %r; valid names: %s"
-                         % (name, ", ".join(QUANTITIES)))
-    return name + ":\n" + _DESCRIPTIONS[name]
+    """A quantity's governing formula, validity region and flags."""
+    text, reads = _row(name)
+    return "%s:\n%s\nflags: %s" % (name, text, ", ".join(map(_flag, reads)))
 
 
 def load_preset(name):
@@ -491,73 +515,48 @@ def load_preset(name):
     return json.loads(path.read_text())
 
 
-# ScanSpec fields that set the same axis
-_AXIS_PAIRS = (("ell_max", "ell_max_values"), ("kx_values", "kx_range"))
-
-
 def _spec_from_mapping(data):
-    known = {f.name for f in fields(ScanSpec)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ScanSpec)}
     if unknown:
         raise ValueError("unknown spec fields: %s" % ", ".join(sorted(unknown)))
-    data = dict(data)
-    for name in _TUPLE_FIELDS:
-        if data.get(name) is not None:
-            a, b, n = data[name]
-            data[name] = (float(a), float(b), int(n))
     return ScanSpec(**data)
 
 
 def _parse_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected A:B:N")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = text.split(":")
+        return float(a), float(b), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected A:B:N, N an integer")
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="scatter",
         description="Coulomb-scattering datasets as CSV; see 'scatter "
-                    "describe <quantity>' for the formula behind each one.")
+                    "describe <quantity>' for the formula behind each one "
+                    "and the flags it reads.")
     parser.add_argument("quantity",
                         choices=QUANTITIES + ("describe",))
     parser.add_argument("name", nargs="?",
                         help="quantity name (describe mode only)")
     parser.add_argument("--preset", choices=PRESETS,
                         help="start from a named figure preset")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--mass", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--ell", type=int, help="partial-wave index "
-                        "(bh_mode)")
-    parser.add_argument("--ell-max", type=int)
-    parser.add_argument("--cesaro-n", type=int, action="append",
-                        dest="cesaro_n_values", metavar="N",
-                        help="Cesaro order n; repeat for several")
-    parser.add_argument("--theta", type=float, dest="fixed_theta",
-                        metavar="THETA", help="fixed angle for diverging_sum")
-    parser.add_argument("--rho", type=float, action="append",
-                        dest="rho_values", metavar="RHO",
-                        help="rho value; repeat for several")
-    parser.add_argument("--theta-range", type=_parse_range, metavar="A:B:N")
-    parser.add_argument("--kx", type=float, action="append",
-                        dest="kx_values", metavar="KX",
-                        help="field-map slice at fixed k x; repeatable")
-    parser.add_argument("--kx-range", type=_parse_range, metavar="A:B:N")
-    parser.add_argument("--kz-range", type=_parse_range, metavar="A:B:N")
-    parser.add_argument("--r-range", type=_parse_range, metavar="A:B:N")
-    parser.add_argument("--backreaction", action="store_true", default=None,
-                        help="keep the gamma^2 amplitude correction in the "
-                             "incoming wave")
-    parser.add_argument("--with-asymptotic", action="store_true",
-                        default=None,
-                        help="add asymptotic columns to psi_exact scans")
-    parser.add_argument("--acknowledge-classical", action="store_true",
-                        default=None)
-    parser.add_argument("--out", type=str)
+    for f in fields(ScanSpec)[1:]:
+        flag, kind = _flag(f.name), typing.get_origin(f.type) or f.type
+        if flag == f.name:
+            continue  # ell_max_values, which presets alone set
+        readers = [q for q, (_, reads) in _ROWS.items() if f.name in reads]
+        kw = dict(type=(typing.get_args(f.type) or (kind,))[0],
+                  action="append" if kind is list else "store",
+                  metavar=flag[2:].upper())
+        if kind is bool:
+            kw = dict(action="store_true")
+        elif kind is tuple:
+            kw = dict(type=_parse_range, metavar="A:B:N")
+        parser.add_argument(flag, dest=f.name, default=None, help=(
+            "read by " + ", ".join(readers) + "; repeatable" * (kind is list)
+            if readers else "output CSV, by default <quantity>.csv"), **kw)
     return parser
 
 
@@ -571,11 +570,11 @@ def _spec_from_args(ns):
     # argument dests are ScanSpec field names; None means "not given"
     given = {f.name: getattr(ns, f.name) for f in fields(ScanSpec)
              if getattr(ns, f.name, None) is not None}
-    # a given flag replaces the preset's whole axis, paired field included
-    for pair in _AXIS_PAIRS:
-        if any(name in given for name in pair):
-            for name in pair:
-                data.pop(name, None)
+    # a given flag replaces whatever its alternative sets in the preset
+    for pair in _ALTERNATIVES:
+        for ours, other in (pair, pair[::-1]):
+            if given.keys() & set(ours):
+                data = {n: v for n, v in data.items() if n not in other}
     data.update(given)
     return _spec_from_mapping(data)
 
@@ -593,7 +592,7 @@ def main(argv=None):
         if ns.name is not None:
             raise ValueError("positional name is only used with describe")
         spec = _spec_from_args(ns)
-        out = _out_path(spec)
+        out = spec.out
         try:
             # a parent that is missing or not a directory (stat of its "."
             # raises either way), or a directory as out, fails before the

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -127,20 +128,25 @@ def test_spec_validation_errors(tmp_path):
         small_spec(tmp_path, theta_range=(2.0, 1.0, 50)).validate()
     with pytest.raises(ValueError):
         small_spec(tmp_path, theta_range=(0.1, 3.0, 1)).validate()
-    with pytest.raises(ValueError, match=r"within \[0, pi\]"):
+    with pytest.raises(ValueError,
+                       match=r"--theta-range must lie in \[0, pi\]"):
         small_spec(tmp_path, theta_range=(0.1, 4.0, 5)).validate()
     with pytest.raises(ValueError, match="unknown spec fields: bogus"):
         _spec_from_mapping({"quantity": "psi_exact", "bogus": 1})
+    # the preset-only field, read by reduced_series alone
+    with pytest.raises(ValueError,
+                       match="^cesaro does not read ell_max_values$"):
+        _spec_from_mapping({"quantity": "cesaro", "ell_max_values": [3]})
     with pytest.raises(ValueError):
         small_spec(tmp_path, rho_values=[0.0]).validate()
     with pytest.raises(ValueError):
-        small_spec(tmp_path, fixed_theta=4.0).validate()
+        ScanSpec(quantity="diverging_sum", fixed_theta=4.0).validate()
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="--rho"):
             small_spec(tmp_path, rho_values=[4.0, bad]).validate()
         with pytest.raises(ValueError, match="--kx"):
             small_spec(tmp_path, quantity="field_map", rho_values=None,
-                       kx_values=[bad]).validate()
+                       theta_range=None, kx_values=[bad]).validate()
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -173,6 +179,9 @@ def test_describe_text():
     for name in QUANTITIES:
         text = describe(name)
         assert "validity" in text
+        # its last line lists the row's fields, by flag where one exists
+        assert text.splitlines()[-1] == "flags: " + ", ".join(
+            cli._flag(field) for field in cli._ROWS[name][1])
     with pytest.raises(ValueError):
         describe("nonsense")
     # the thresholds it quotes are the ones the code applies
@@ -193,10 +202,13 @@ def test_main_describe_and_errors(tmp_path, capsys):
     # a range that is not A:B:N, and a theta-spacing flag (the quantity
     # sets the spacing), are argparse's own usage errors
     for args in (["psi_exact", "--theta-range", "1:2"],
+                 ["psi_exact", "--theta-range", "0.1:3:2.5"],
                  ["cesaro", "--theta-log"]):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+    assert ("argument --theta-range: expected A:B:N, N an integer"
+            in capsys.readouterr().err)
 
 
 def test_main_runs_scan(tmp_path, capsys):
@@ -290,6 +302,95 @@ def test_main_mass_without_omega(tmp_path):
     assert code == 2
 
 
+# a value that a flag of each field type accepts; float and list[float]
+# flags take "0.5"
+FLAG_VALUE = {bool: [], tuple: ["0.5:2.5:3"], int: ["3"], list[int]: ["3"]}
+# every flag but --out and --preset, with its value
+FLAG_ARGS = {f.name: [cli._flag(f.name)] + FLAG_VALUE.get(f.type, ["0.5"])
+             for f in fields(ScanSpec)
+             if cli._flag(f.name).startswith("--")
+             and f.name not in ("quantity", "out")}
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+@pytest.mark.parametrize("field", sorted(FLAG_ARGS))
+def test_flag_is_read_or_exits_2(tmp_path, capsys, quantity, field):
+    # a flag the quantity's row lists passes the spec check; any other flag
+    # exits 2, naming itself and the quantity, before a file is written
+    args = [quantity] + FLAG_ARGS[field]
+    if field in cli._ROWS[quantity][1]:
+        spec = cli._spec_from_args(cli._build_parser().parse_args(args))
+        assert getattr(spec, field) is not None
+        return
+    out = tmp_path / "u.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s does not read %s\n" % (
+        quantity, FLAG_ARGS[field][0])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cross_section", "--rho", "5", "--ell", "7", "--cesaro-n", "3",
+      "--kx", "2"], "cross_section does not read --cesaro-n, --ell, --kx, "
+                    "--rho"),
+    (["psi_exact", "--backreaction"],
+     "psi_exact --backreaction needs --with-asymptotic"),
+    (["psi_exact", "--mass", "0.05", "--omega", "1", "--gamma", "5"],
+     "give --gamma/--k or --mass/--omega, not both"),
+    (["cross_section", "--k", "3", "--omega", "1", "--mass", "0.05",
+      "--acknowledge-classical"],
+     "give --gamma/--k or --mass/--omega, not both"),
+    (["field_map", "--kx", "0", "--kx-range=-1:1:3"],
+     "give --kx or --kx-range, not both"),
+])
+def test_main_rejects_unread_and_conflicting_flags(tmp_path, capsys, args,
+                                                   message):
+    out = tmp_path / "c.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+def test_builders_read_exactly_their_rows():
+    # a builder (and the compute it returns) reads only fields its row
+    # lists, and over both sides of each conditional read, all of them
+    theta = (0.5, 2.5, 3)
+    branches = [
+        ("psi_exact", dict(theta_range=theta)),
+        ("psi_exact", dict(theta_range=theta, with_asymptotic=True)),
+        ("psi_asymptotic", dict(theta_range=theta)),
+        ("currents", dict(theta_range=theta)),
+        ("cross_section", dict(theta_range=theta)),
+        ("cross_section", dict(theta_range=theta, mass=0.2, omega=1.0,
+                               acknowledge_classical=True)),
+        ("cesaro", dict(theta_range=theta, cesaro_n_values=[3])),
+        ("reduced_series", dict(theta_range=theta, ell_max=3)),
+        ("reduced_series", dict(theta_range=theta, ell_max_values=[3])),
+        ("diverging_sum", dict(ell_max=5)),
+        ("field_map", dict(kx_values=[0.0, 1.0], kz_range=(-1.0, 1.0, 2))),
+        ("field_map", dict(kx_range=(-1.0, 1.0, 3), kz_range=(-1.0, 1.0, 2))),
+        ("bh_mode", dict(mass=0.05, omega=1.0, r_range=(50.0, 60.0, 3))),
+    ]
+    names = {f.name for f in fields(ScanSpec)}
+    union = {}
+    for quantity, given in branches:
+        read = set()
+
+        class Recording(ScanSpec):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        spec = Recording(quantity=quantity, **given)
+        read.clear()
+        header, n_rows, compute = _BUILDERS[quantity](spec)
+        compute(0, n_rows)
+        row = set(cli._ROWS[quantity][1])
+        assert read & names <= row, (quantity, given)
+        union.setdefault(quantity, set()).update(read & names)
+    assert union == {q: set(cli._ROWS[q][1]) for q in QUANTITIES}
+
+
 def test_preset_quantity_mismatch(tmp_path):
     code = main(["currents", "--preset", "fig1",
                  "--out", str(tmp_path / "z.csv")])
@@ -343,6 +444,15 @@ def test_flag_replaces_whole_preset_axis(tmp_path):
                  "--out", out]) == 0
     kx = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
     assert sorted(set(kx)) == [-1.0, 0.0, 1.0]
+    # --mass/--omega replace the preset's gamma and k
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    tail = ["--mass", "0.05", "--omega", "1", "--rho", "5",
+            "--theta-range", "0.1:3:4"]
+    assert main(["psi_exact", "--preset", "fig1", "--out", str(a)]
+                + tail) == 0
+    assert main(["psi_exact", "--with-asymptotic", "--backreaction",
+                 "--out", str(b)] + tail) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_cesaro_n_repeats_and_defaults_to_1000(tmp_path):
@@ -508,17 +618,24 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         assert path.read_bytes() == ref.encode()
 
 
+# a small spec for each quantity, of the fields it reads
+SMALL = {"psi_exact": dict(theta_range=(0.5, 2.5, 3)),
+         "psi_asymptotic": dict(theta_range=(0.5, 2.5, 3)),
+         "currents": dict(theta_range=(0.5, 2.5, 3)),
+         "cross_section": dict(theta_range=(0.5, 2.5, 3)),
+         "cesaro": dict(theta_range=(0.5, 2.5, 3), cesaro_n_values=[3]),
+         "reduced_series": dict(theta_range=(0.5, 2.5, 3),
+                                ell_max_values=[3]),
+         "diverging_sum": dict(ell_max=5),
+         "field_map": dict(kx_range=(-1.0, 1.0, 3), kz_range=(-1.0, 1.0, 2)),
+         "bh_mode": dict(mass=0.05, omega=1.0, r_range=(50.0, 60.0, 3))}
+
+
 def test_builders_return_the_scan_triple(tmp_path):
     # perfbench's tracer unpacks (header, n_rows, compute) from each builder
-    specs = {"bh_mode": dict(mass=0.05, omega=1.0, r_range=(50.0, 60.0, 3)),
-             "diverging_sum": dict(ell_max=5),
-             "field_map": dict(kx_range=(-1.0, 1.0, 3),
-                               kz_range=(-1.0, 1.0, 2))}
     assert set(_BUILDERS) == set(QUANTITIES)
     for name, build in _BUILDERS.items():
-        spec = ScanSpec(quantity=name, theta_range=(0.5, 2.5, 3),
-                        cesaro_n_values=[3], ell_max_values=[3],
-                        **specs.get(name, {}))
+        spec = ScanSpec(quantity=name, **SMALL[name])
         spec.validate()
         triple = build(spec)
         assert isinstance(triple, tuple) and len(triple) == 3, name
