@@ -5,7 +5,9 @@ cross-sections.
 The split into incoming plus scattered exists only away from the forward
 axis; requesting it at theta = 0 raises, because there the decomposition
 genuinely does not exist (the exact solution stays finite while this
-approximate form diverges).
+approximate form diverges). Elsewhere it truncates the large-|z| Kummer
+series of the exact field; valid flags est (1 + est) < FORM_TOL, est its
+first omitted term (with backreaction at gamma = 1: rho s > 5.72).
 """
 
 from dataclasses import dataclass
@@ -14,15 +16,17 @@ import numpy as np
 
 from . import exact, multipole
 
-# rho*s above which the split is flagged as trustworthy; the literature
-# only requires rho*s >> 1, the constant is a library default.
-VALIDITY_RHO_S = 10.0
+# A large-distance form (this split, classical's two-wave partial wave) is
+# trusted where est (1 + est) < FORM_TOL, est its first omitted term.
+FORM_TOL = 0.1
 
 
 @dataclass(frozen=True)
 class AsymptoticSplit:
-    """Incoming and scattered pieces of the large-(rho s) solution.
-    Fields may hold scalars or arrays; total is their sum by construction."""
+    """Incoming and scattered pieces of the large-(rho s) solution, and
+    whether its first omitted term puts it within FORM_TOL of psi (see
+    psi_asymptotic_grid). Fields may hold scalars or arrays; total is their
+    sum by construction."""
     psi_in: complex
     psi_scat: complex
     valid: bool
@@ -34,7 +38,10 @@ class AsymptoticSplit:
 
 def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     """Asymptotic split on broadcastable arrays; see psi_asymptotic. Raises
-    unless rho is finite, theta lies in (0, pi] and rho s > 0."""
+    unless rho is finite, theta lies in (0, pi] and rho s > 0. valid is
+    est (1 + est) < FORM_TOL for the first omitted term est:
+    gamma^2/(rho s) without backreaction, gamma^2 (1+gamma^2)/(2 (rho s)^2)
+    with it, plus |gamma| (1+gamma^2)/(rho s)^2."""
     like = np.broadcast(rho, theta)
     rho = exact._within("rho", rho, "[0, inf)")
     theta = exact._within("theta", theta, "(0, pi]")
@@ -50,8 +57,10 @@ def psi_asymptotic_grid(p, rho, theta, backreaction=True):
         psi_in = psi_in * (1.0 - 1j * g ** 2 / rs)
     psi_scat = ((-g / rs) * multipole.phase_shift(0, g).factor
                 * np.exp(1j * (rho - g * log_rs)))
-    return tuple(exact._like(like, v)
-                 for v in (psi_in, psi_scat, rs > VALIDITY_RHO_S))
+    h = (1.0 + g * g) / rs
+    est = (g * g * (0.5 * h if backreaction else 1.0) + abs(g) * h) / rs
+    return tuple(exact._like(like, v) for v in (
+        psi_in, psi_scat, est * (1.0 + est) < FORM_TOL))
 
 
 def psi_asymptotic(p, pt, backreaction=True):

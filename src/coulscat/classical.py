@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact, multipole, specfun
+from . import asymptotic, exact, multipole, specfun
 
 # smallest magnitude float64 holds to full precision
 _TINY = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
@@ -65,17 +65,19 @@ def radial_mode_asymptotic(bh, ell, r):
     two-wave form with log-distorted phases and the partial-wave factor
     e^{2 i delta_ell} at gamma = -2 M omega.
 
-    Raises when the mapping is uncontrolled for this ell or when omega r is
-    not comfortably beyond the centrifugal and Coulomb scales.
+    Raises when the mapping is uncontrolled for this ell or where the form's
+    first omitted term est has est (1 + est) >= asymptotic.FORM_TOL.
     """
     if not long_wavelength_valid(bh, ell):
         raise ValueError("long-wavelength mapping invalid for this ell and "
                          "M omega")
     p = coulomb_reduction(bh)
     rho = p.k * exact._within("r", r, "(0, inf)")
-    scale = 5.0 * (ell * (ell + 1.0) + p.gamma ** 2)
-    if np.any(rho <= scale):
-        raise ValueError("omega r too small for the asymptotic form here")
+    est = abs((ell + 1 + 1j * p.gamma) * (ell - 1j * p.gamma)) / (2.0 * rho)
+    if not (est * (1.0 + est) < asymptotic.FORM_TOL).all():
+        raise ValueError("omega r = %r too small: the two-wave form's first "
+                         "omitted term est = %.3g needs est (1 + est) < %g"
+                         % (float(rho.min()), est.max(), asymptotic.FORM_TOL))
     return exact._like(r, multipole.coulomb_wave_asymptotic(ell, p.gamma, rho))
 
 

@@ -221,8 +221,8 @@ def _build_psi_exact(spec):
     "(optionally times 1 - i gamma^2/(rho s)) plus the scattered wave "
     "-(gamma/rho s) (Gamma(1+i gamma)/Gamma(1-i gamma)) "
     "e^{i(rho - gamma ln rho s)}\n"
-    "validity: rho s >> 1 (the valid column uses rho s > %g); the "
-    "split does not exist at theta = 0" % asymptotic.VALIDITY_RHO_S,
+    "validity: rho s >> 1 (the valid column: est (1 + est) < %g, est the "
+    "first omitted term); no split at theta = 0" % asymptotic.FORM_TOL,
     **_PARAMS, rho_values=(10.0,), theta_range=(0.01, np.pi, 400),
     backreaction=False)
 def _build_psi_asymptotic(spec):
@@ -416,9 +416,10 @@ def _build_field_map(spec):
     "2 omega r = %g + %g |lambda + 1 - i gamma|^2, and beyond it by the "
     "two large-distance Kummer solutions matched there; both in the "
     "u/(omega r) normalization)\n"
-    "validity: ell(ell+1) > 12 (M omega)^2 and omega r >> ell(ell+1) + "
-    "gamma^2; never valid for ell = 0"
-    % (specfun.SERIES_SWITCH_BASE, specfun.SERIES_SWITCH_SCALE),
+    "validity: ell(ell+1) > 12 (M omega)^2 (never ell = 0) and est (1 + est) "
+    "< %g, est = |(ell+1+i gamma)(ell-i gamma)|/(2 omega r) the first omitted"
+    " term" % (specfun.SERIES_SWITCH_BASE, specfun.SERIES_SWITCH_SCALE,
+               asymptotic.FORM_TOL),
     mass=None, omega=None, ell=2, r_range=(50.0, 500.0, 200))
 def _build_bh_mode(spec):
     if spec.mass is None or spec.omega is None:

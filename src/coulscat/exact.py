@@ -12,6 +12,10 @@ import numpy as np
 
 from . import specfun
 
+# natural logs of float64's smallest normal number and of its largest number
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+_LOG_HUGE = float(np.log(np.finfo(np.float64).max))
+
 
 @dataclass(frozen=True)
 class ScatteringParams:
@@ -33,10 +37,13 @@ class FieldPoint:
     theta: float
 
     def __post_init__(self):
+        # plain comparisons (a third of a _within call), in its words
         if not (self.rho >= 0 and np.isfinite(self.rho)):
-            raise ValueError("rho must be >= 0 and finite")
+            raise ValueError("rho must lie in [0, inf), got rho = %r"
+                             % float(self.rho))
         if not (0.0 <= self.theta <= np.pi):
-            raise ValueError("theta must lie in [0, pi]")
+            raise ValueError("theta must lie in [0, pi], got theta = %r"
+                             % float(self.theta))
 
     @property
     def s(self):
@@ -51,9 +58,32 @@ def _field(p, rho, theta, kummer):
     its two branch bodies on _entry, or the dM/dz of _gradient."""
     s = 1.0 - np.cos(theta)
     g = p.gamma
-    pref = np.exp(1j * rho * (1.0 - s) - 0.5 * np.pi * g
-                  + specfun.log_gamma_complex(1.0 + 1j * g))
-    return pref * kummer(-1j * g, 1.0, 1j * rho * s)
+    log_pref = (1j * rho * (1.0 - s) - 0.5 * np.pi * g
+                + specfun.log_gamma_complex(1.0 + 1j * g))
+    m = kummer(-1j * g, 1.0, 1j * rho * s)
+    _check_scale(log_pref, m, g)
+    return np.exp(log_pref) * m
+
+
+def _check_scale(log_pref, m, gamma):
+    """Raises an ArithmeticError naming gamma where float64 cannot form
+    e^{log_pref} m: m is inf or NaN, e^{log_pref} overflows, or it falls
+    below the smallest normal number while the true e^{Re log_pref} |m| lies
+    inside the normal range (past repulsive gamma ~ 225 the prefactor falls
+    like e^{-pi gamma} and M grows like its inverse). A true value below the
+    range is formed as it comes, within an absolute tolerance of 2.2e-308."""
+    r = log_pref.real
+    # initial=0 (inside the range): an empty batch passes
+    if (np.isfinite(m).all() and _LOG_TINY <= r.min(initial=0.0)
+            and r.max(initial=0.0) <= _LOG_HUGE):
+        return
+    with np.errstate(divide="ignore"):
+        lost = (r < _LOG_TINY) & (r + np.log(np.abs(m)) >= _LOG_TINY)
+    if lost.any() or r.max() > _LOG_HUGE or not np.isfinite(m).all():
+        raise ArithmeticError(
+            "float64 cannot form this value at gamma = %s: its prefactor and "
+            "its 1F1 factor leave float64's normal range in opposite "
+            "directions" % np.asarray(gamma))
 
 
 def _within(name, values, bound):
@@ -83,7 +113,8 @@ def _like(arg, out):
 
 def psi_exact_grid(p, rho, theta):
     """Exact wavefunction on broadcastable arrays of (rho, theta), rho
-    finite and >= 0, theta in [0, pi]; raises outside."""
+    finite and >= 0, theta in [0, pi]; raises outside, and raises
+    ArithmeticError where float64 cannot form the value (_check_scale)."""
     return _like(np.broadcast(rho, theta),
                  _field(p, _within("rho", rho, "[0, inf)"),
                         _within("theta", theta, "[0, pi]"), specfun.hyp1f1))

@@ -69,6 +69,13 @@ def coulomb_wave_regular(ell, gamma, rho):
     against each other; rho = 0 returns 0 exactly. Pinned to 40-digit
     mpmath for ell <= 300 out to rho = 1000 and at small rho.
 
+    A value below float64's range is 0 or subnormal: the declared absolute
+    tolerance is float64's smallest normal number, 2.2e-308. So
+    (ell, gamma, rho) = (150, 1, 0.1) and (500, 1, 50) give exactly 0,
+    where the true |w| are 5.5e-459 and 1.0e-433. Where the true value lies
+    inside the range but its prefactor and its 1F1 factor do not (repulsive
+    gamma past ~225, or rho^(ell+1) past it), raises ArithmeticError.
+
     The F_ell obey the three-term recurrence in ell stated in
     psi_multipole_sum, which builds a whole run ell = 0..ell_max from it
     (start ell_max + 30 + floor(rho + 4 sqrt(rho) + |gamma|)) and one call
@@ -86,6 +93,7 @@ def coulomb_wave_regular(ell, gamma, rho):
     kummer = specfun.hyp1f1(ell + 1.0 - 1j * gamma, 2.0 * ell + 2.0,
                             2j * safe_rho)
     log_amp = const + (ell + 1.0) * np.log(safe_rho) - 1j * safe_rho
+    exact._check_scale(log_amp, kummer, gamma)
     val = (2.0 * ell + 1.0) * (1j ** ell) * np.exp(log_amp) * kummer
     val = np.where(nonzero, val, 0.0 + 0.0j)
     return exact._like(np.broadcast(ell, rho), val)

@@ -457,8 +457,10 @@ def _asymptotic(a, b, z):
 
 def series_radius(a):
     """|z| up to which hyp1f1 uses the convergent-series branch for this a,
-    SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE |a|^2 (a scalar or array)."""
-    radius = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
+    SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE |a|^2 (a scalar or array).
+    Past |a| ~ 1e154 it is inf, and the chain raises its own RuntimeError."""
+    with np.errstate(over="ignore"):
+        radius = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
     return float(radius) if np.ndim(radius) == 0 else radius
 
 

@@ -12,9 +12,11 @@ from coulscat import (
     psi_asymptotic,
     psi_asymptotic_grid,
     psi_exact,
+    psi_exact_grid,
     rutherford_amplitude,
     rutherford_amplitude_phase_separated,
 )
+from coulscat.asymptotic import FORM_TOL
 
 
 def params(g, k=1.0):
@@ -85,6 +87,32 @@ def test_valid_flag_tracks_far_zone_boundary():
     p = params(0.5)
     assert not psi_asymptotic(p, FieldPoint(rho=5.0, theta=0.5)).valid
     assert psi_asymptotic(p, FieldPoint(rho=50.0, theta=2.0)).valid
+
+
+def test_valid_flag_bounds_the_split_error():
+    # valid is est (1 + est) < FORM_TOL, est the first term the split
+    # omits: on a seeded grid (not the one the tolerance was sized on) no
+    # flagged point is further from psi_exact than the tolerance
+    rng = np.random.default_rng(2718)
+    flagged = 0
+    for g in rng.uniform(-20.0, 20.0, 40):
+        p = params(g)
+        rho_s = np.exp(rng.uniform(0.0, np.log(3000.0), 30))
+        theta = np.pi - rng.uniform(0.0, np.pi, 30)  # (0, pi]
+        rho = rho_s / (1.0 - np.cos(theta))
+        ex = psi_exact_grid(p, rho, theta)
+        for backreaction in (False, True):
+            psi_in, psi_scat, valid = psi_asymptotic_grid(
+                p, rho, theta, backreaction=backreaction)
+            err = np.abs(psi_in + psi_scat - ex) / np.abs(ex)
+            assert (err[valid] <= FORM_TOL).all(), g
+            flagged += valid.sum()
+    assert flagged > 400  # of 2,400
+    # rho s = 30 at gamma = 10 and rho s = 100 at gamma = 20, where the
+    # split with backreaction is off by a factor of 31 and of 4.1
+    for g, rho_s in ((10.0, 30.0), (20.0, 100.0)):
+        rho = rho_s / (1.0 - np.cos(1.0))
+        assert not psi_asymptotic(params(g), FieldPoint(rho, 1.0)).valid
 
 
 def test_forward_axis_rejected():

@@ -7,6 +7,7 @@ from mpmath import hyp1f1 as mp_hyp1f1, im as mp_im, loggamma as mp_loggamma
 from mpmath import mp, mpf, pi as mp_pi, sqrt as mp_sqrt
 
 from coulscat import classical
+from coulscat.asymptotic import FORM_TOL
 from coulscat import (
     BlackHoleParams,
     ScatteringParams,
@@ -85,8 +86,33 @@ def test_radial_mode_asymptotic_validity_errors():
     with pytest.raises(ValueError):
         radial_mode_asymptotic(strong, 2, 1000.0)  # mapping uncontrolled
     weak = BlackHoleParams(mass=0.05, omega=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^omega r = 10\.0 too small: .* "
+                       r"est = 0\.301 needs est \(1 \+ est\) < 0\.1$"):
         radial_mode_asymptotic(weak, 2, 10.0)  # not asymptotic yet
+    # an empty r has nothing to reject
+    assert radial_mode_asymptotic(weak, 2, np.zeros(0)).shape == (0,)
+
+
+def test_radial_mode_asymptotic_within_its_tolerance():
+    # every omega r radial_mode_asymptotic accepts puts the two-wave form
+    # within FORM_TOL of the regular wave, relative to its envelope
+    # 2 ell + 1 (the map's gamma = -2 M omega is never positive)
+    rng = np.random.default_rng(3141)
+    accepted = 0
+    for _ in range(60):
+        gamma, ell = -rng.uniform(0.0, 5.0), int(rng.integers(1, 31))
+        bh = BlackHoleParams(mass=-gamma / 2.0, omega=1.0)
+        if not long_wavelength_valid(bh, ell):
+            continue
+        for rho in np.exp(rng.uniform(np.log(20.0), np.log(3000.0), 8)):
+            try:
+                u = radial_mode_asymptotic(bh, ell, rho)
+            except ValueError:
+                continue
+            w = coulomb_wave_regular(ell, gamma, rho)
+            assert abs(rho * u - w) / (2 * ell + 1) <= FORM_TOL
+            accepted += 1
+    assert accepted > 50
 
 
 def test_radial_mode_asymptotic_matches_coulomb_wave():

@@ -132,6 +132,8 @@ DOMAINS = [
     ("integrate_full_mode", "r_start", "(0.1, inf)",
      lambda x: integrate_full_mode(BH, 2, 50.0, r_start=x)),
     # the parameter objects
+    ("FieldPoint", "rho", "[0, inf)", lambda x: FieldPoint(x, 1.0)),
+    ("FieldPoint", "theta", "[0, pi]", lambda x: FieldPoint(5.0, x)),
     ("ScatteringParams", "gamma", "(-inf, inf)",
      lambda x: ScatteringParams(gamma=x)),
     ("ScatteringParams", "k", "(0, inf)",
@@ -195,3 +197,43 @@ def test_born_amplitude_takes_one_mu():
             born_amplitude_yukawa(P, theta, np.array([0.1, 0.2]))
     assert born_amplitude_yukawa(P, 1.0, np.array([0.3])) == (
         born_amplitude_yukawa(P, 1.0, 0.3))
+
+
+def test_large_gamma_raises_where_float64_loses_the_value():
+    # psi_exact at theta = 2 returned nan+infj at (gamma, rho) = (230, 600)
+    # and inf+nanj at (228, 1000), where mpmath gives |psi| = 1.3e-3 and
+    # 0.87; exactly 0 at (240, 200), where |psi| = 1.5e-113; and a value
+    # 2.9e-9 off at (232, 50), through a subnormal prefactor
+    for gamma, rho in ((230.0, 600.0), (228.0, 1000.0), (240.0, 200.0),
+                       (232.0, 50.0)):
+        with pytest.raises(ArithmeticError, match="gamma = %r:" % gamma):
+            psi_exact(ScatteringParams(gamma=gamma), FieldPoint(rho, 2.0))
+    # coulomb_wave_regular returned NaN at the first two (|w| = 1.0 and 14)
+    # and was 93% off at the third; at the last, rho^(ell+1) overflowed
+    for ell, gamma, rho in ((0, 250.0, 600.0), (5, 300.0, 800.0),
+                            (0, 240.0, 200.0), (100, 0.0, 1e7)):
+        with pytest.raises(ArithmeticError, match="gamma = %r:" % gamma):
+            coulomb_wave_regular(ell, gamma, rho)
+    # true values below float64's range (5.5e-459 and 1.0e-433) are 0
+    assert coulomb_wave_regular(150, 1.0, 0.1) == 0.0
+    assert coulomb_wave_regular(500, 1.0, 50.0) == 0.0
+
+
+def test_large_gamma_grid_returns_no_inf_or_nan():
+    # each call on gamma in [200, 300], rho <= 1000 returns finite values
+    # or raises ArithmeticError
+    rng = np.random.default_rng(4242)
+    raised = 0
+    for gamma in rng.uniform(200.0, 300.0, 8):
+        rho = rng.uniform(0.0, 1000.0, 6)
+        theta = rng.uniform(0.0, np.pi, 6)
+        ell = rng.integers(0, 10, 6)
+        for call in (lambda: psi_exact_grid(ScatteringParams(gamma), rho, theta),
+                     lambda: psi_exact(ScatteringParams(gamma),
+                                       FieldPoint(rho[0], theta[0])),
+                     lambda: coulomb_wave_regular(ell, gamma, rho)):
+            try:
+                assert np.isfinite(call()).all(), gamma
+            except ArithmeticError:
+                raised += 1
+    assert 0 < raised < 24

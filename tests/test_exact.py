@@ -12,6 +12,7 @@ import pytest
 from coulscat import (
     FieldPoint,
     ScatteringParams,
+    coulomb_wave_regular,
     psi_asymptotic_grid,
     psi_exact,
     psi_exact_grid,
@@ -130,6 +131,7 @@ def test_psi_exact_grid_empty_input_returns_empty():
     p = ScatteringParams(gamma=0.4)
     assert psi_exact_grid(p, np.zeros(0), 1.0).shape == (0,)
     assert psi_exact_grid(p, np.zeros((2, 0)), np.zeros((1, 0))).shape == (2, 0)
+    assert coulomb_wave_regular(2, 0.4, np.zeros(0)).shape == (0,)
 
 
 def test_psi_exact_neutral_limit_is_plane_wave():

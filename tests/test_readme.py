@@ -3,6 +3,8 @@
 import pathlib
 import re
 
+from coulscat.asymptotic import FORM_TOL
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -21,3 +23,9 @@ def test_quick_tour_runs_and_matches_its_comments():
     bh = ns["bh"]
     assert ns["coulomb_reduction"](bh).gamma == -0.1
     assert abs(ns["full_mode_phase_error"](bh, 2) - 0.0096) < 1e-4
+
+
+def test_quotes_the_large_distance_tolerance():
+    # the tolerance of the split's valid flag and of the two-wave mode
+    text = (ROOT / "README.md").read_text()
+    assert text.count("est (1 + est) < %g" % FORM_TOL) == 2

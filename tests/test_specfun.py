@@ -255,6 +255,11 @@ def test_anchor_chain_past_its_budget_raises():
     with pytest.raises(RuntimeError, match="MAX_ANCHORS"):
         specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j, 0.5 + 0.08j,
                            1e8, [2.0])
+    # past |a| ~ 1e154 the switch radius is inf, not a numpy overflow
+    # warning: the chain's own RuntimeError, from its budget or its terms
+    for a, z in ((1e308, 1e308j), (1e200, 5j)):
+        with pytest.raises(RuntimeError, match="Kummer-ODE continuation"):
+            specfun.hyp1f1(a, 1.0, z)
 
 
 def test_kummer_argument_errors():
