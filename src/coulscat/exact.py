@@ -61,29 +61,34 @@ def _field(p, rho, theta, kummer):
     log_pref = (1j * rho * (1.0 - s) - 0.5 * np.pi * g
                 + specfun.log_gamma_complex(1.0 + 1j * g))
     m = kummer(-1j * g, 1.0, 1j * rho * s)
-    _check_scale(log_pref, m, g)
+    _check_scale(log_pref, m, gamma=g)
     return np.exp(log_pref) * m
 
 
-def _check_scale(log_pref, m, gamma):
-    """Raises an ArithmeticError naming gamma where float64 cannot form
-    e^{log_pref} m: m is inf or NaN, e^{log_pref} overflows, or it falls
-    below the smallest normal number while the true e^{Re log_pref} |m| lies
-    inside the normal range (past repulsive gamma ~ 225 the prefactor falls
-    like e^{-pi gamma} and M grows like its inverse). A true value below the
-    range is formed as it comes, within an absolute tolerance of 2.2e-308."""
+def _check_scale(log_pref, m, **point):
+    """Raises an ArithmeticError naming the point, each keyword's value at
+    the first element lost, where float64 cannot form e^{log_pref} m: m is
+    inf or NaN, e^{log_pref} overflows, or it falls below the smallest
+    normal number while the true e^{Re log_pref} |m| lies inside the normal
+    range (past repulsive gamma ~ 225 the prefactor falls like e^{-pi gamma}
+    and M grows like its inverse). A true value below the range is formed
+    as it comes, within an absolute tolerance of 2.2e-308."""
     r = log_pref.real
     # initial=0 (inside the range): an empty batch passes
     if (np.isfinite(m).all() and _LOG_TINY <= r.min(initial=0.0)
             and r.max(initial=0.0) <= _LOG_HUGE):
         return
     with np.errstate(divide="ignore"):
-        lost = (r < _LOG_TINY) & (r + np.log(np.abs(m)) >= _LOG_TINY)
-    if lost.any() or r.max() > _LOG_HUGE or not np.isfinite(m).all():
+        lost = ((r < _LOG_TINY) & (r + np.log(np.abs(m)) >= _LOG_TINY)
+                | (r > _LOG_HUGE) | ~np.isfinite(m))
+    if lost.any():
+        at = ", ".join("%s = %r" % (name, np.broadcast_to(v, lost.shape)
+                                    [lost][0].item())
+                       for name, v in point.items())
         raise ArithmeticError(
-            "float64 cannot form this value at gamma = %s: its prefactor and "
-            "its 1F1 factor leave float64's normal range in opposite "
-            "directions" % np.asarray(gamma))
+            "float64 cannot form this value at %s: its prefactor and its "
+            "1F1 factor leave float64's normal range in opposite "
+            "directions" % at)
 
 
 def _within(name, values, bound):

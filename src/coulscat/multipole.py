@@ -11,6 +11,7 @@ Each is a coefficient vector on phase_shift_sweep's factors
 e^{2 i delta_ell} times one Legendre sum.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,8 +79,9 @@ def coulomb_wave_regular(ell, gamma, rho):
 
     The F_ell obey the three-term recurrence in ell stated in
     psi_multipole_sum, which builds a whole run ell = 0..ell_max from it
-    (start ell_max + 30 + floor(rho + 4 sqrt(rho) + |gamma|)) and one call
-    here; that run is pinned to mpmath for ell <= 1000, rho <= 1200,
+    (start ell_max + 30 + floor(rho + 4 sqrt(rho) + |gamma|)), scaled by
+    the forward-axis sum rule, or by one call here where that sum cancels;
+    that run is pinned to mpmath for ell <= 1000, rho <= 1200,
     |gamma| <= 20, and agrees with this path within 1e-12 of max |w| where
     both are compared (rho <= 10).
     """
@@ -93,7 +95,7 @@ def coulomb_wave_regular(ell, gamma, rho):
     kummer = specfun.hyp1f1(ell + 1.0 - 1j * gamma, 2.0 * ell + 2.0,
                             2j * safe_rho)
     log_amp = const + (ell + 1.0) * np.log(safe_rho) - 1j * safe_rho
-    exact._check_scale(log_amp, kummer, gamma)
+    exact._check_scale(log_amp, kummer, ell=ell, gamma=gamma, rho=rho_v)
     val = (2.0 * ell + 1.0) * (1j ** ell) * np.exp(log_amp) * kummer
     val = np.where(nonzero, val, 0.0 + 0.0j)
     return exact._like(np.broadcast(ell, rho), val)
@@ -118,28 +120,36 @@ def coulomb_wave_asymptotic(ell, gamma, rho):
 _SWEEP_MARGIN = 30
 # Rescale exponent of the sweep: 2^830 is about 7e249.
 _SWEEP_RESCALE = 830
+# Largest rounding estimate 2^-53 cond at which the sum rule scales the
+# sweep: the bound (of max |w|) that doubling the start margin is held to.
+_SUM_RULE_TOL = 1e-14
 
 
 def _coulomb_wave_sweep(ell_max, gamma, rho):
     """Every regular partial wave w_ell of coulomb_wave_regular,
     ell = 0..ell_max, at one rho > 0, by Miller's downward recurrence (see
-    psi_multipole_sum). The running pair is multiplied by 2^-830 (about
-    1e-250, exact in binary) whenever a value passes 1e250; each stored
-    value keeps the rescale count at its step, so the whole sweep is O(L).
-    The phases e^{i (sigma_ell - sigma_0)} keep their own cumprod, apart
-    from phase_shift_sweep: the normalization at ell* absorbs sigma_0, and
-    their squares, as e^{2 i delta_ell}, are 4.7e-14 from mpmath against
-    about 1e-14 for that recurrence."""
+    psi_multipole_sum), and est = 2^-53 cond, the rounding estimate of its
+    forward-axis sum rule: cond = sum |t_ell| / |sum t_ell| over the
+    unscaled waves t_ell up to the start L (fsum of each part). Where est
+    <= _SUM_RULE_TOL the sum rule scales the waves, with no 1F1 call;
+    elsewhere one coulomb_wave_regular call at ell* <= ell_max does.
+
+    The running pair is multiplied by 2^-830 (about 1e-250, exact in
+    binary) whenever a value passes 1e250; each stored value keeps the
+    rescale count at its step, so the whole sweep is O(L). The phases
+    e^{i (sigma_ell - sigma_0)} keep their own cumprod, apart from
+    phase_shift_sweep: the normalization absorbs sigma_0, and their squares,
+    as e^{2 i delta_ell}, are 4.7e-14 from mpmath against about 1e-14 for
+    that recurrence."""
     g2 = gamma * gamma
     top = ell_max + _SWEEP_MARGIN + int(rho + 4.0 * math.sqrt(rho) + abs(gamma))
-    vals = [0.0] * (ell_max + 1)
-    rescales_at = [0] * (ell_max + 1)
+    vals = [0.0] * (top + 1)
+    rescales_at = [0] * (top + 1)
     rescales = 0
     f_up, f = 0.0, 1e-300
     root_up = math.sqrt((top + 1) ** 2 + g2)
     for ell in range(top, 0, -1):
-        if ell <= ell_max:
-            vals[ell], rescales_at[ell] = f, rescales
+        vals[ell], rescales_at[ell] = f, rescales
         root = math.sqrt(ell * ell + g2)
         f_up, f = f, (((2 * ell + 1) * (gamma + ell * (ell + 1) / rho) * f
                        - ell * root_up * f_up) / ((ell + 1) * root))
@@ -153,14 +163,22 @@ def _coulomb_wave_sweep(ell_max, gamma, rho):
     # below 2^-830 of the largest value
     shift = _SWEEP_RESCALE * (rescales - np.array(rescales_at))
     f_rel = np.ldexp(np.array(vals), -shift)
-    ells = np.arange(ell_max + 1)
-    phase = np.ones(ell_max + 1, dtype=np.complex128)
+    ells = np.arange(top + 1)
+    phase = np.ones(top + 1, dtype=np.complex128)
     step = ells[1:] + 1j * gamma
     phase[1:] = np.cumprod(step / np.abs(step))
     phase *= (2.0 * ells + 1.0) * np.array([1.0, 1j, -1.0, -1j])[ells % 4]
+    t = phase * f_rel
+    s = complex(math.fsum(t.real), math.fsum(t.imag))
+    est = 2.0 ** -53 * np.abs(t).sum() / abs(s) if s else math.inf
+    if est <= _SUM_RULE_TOL:
+        axis = rho * cmath.exp(1j * rho - 0.5 * math.pi * gamma
+                               + specfun.log_gamma_complex(1.0 + 1j * gamma))
+        return t[:ell_max + 1] * (axis / s), est
+    phase, f_rel = phase[:ell_max + 1], f_rel[:ell_max + 1]
     star = int(np.argmax(np.abs(f_rel)))
     w_star = coulomb_wave_regular(star, gamma, rho)
-    return phase * (f_rel * (w_star / (phase[star] * f_rel[star])))
+    return phase * (f_rel * (w_star / (phase[star] * f_rel[star]))), est
 
 
 def psi_multipole_sum(p, pt, ell_max):
@@ -168,8 +186,9 @@ def psi_multipole_sum(p, pt, ell_max):
     (radial wave / rho) P_ell(cos theta), accumulated with math.fsum so
     results do not depend on summation luck.
 
-    The radial waves cost one 1F1 anchor chain plus O(ell_max + rho) scalar
-    steps. F_ell is the minimal solution of the Coulomb ell-recurrence
+    The radial waves cost O(ell_max + rho) scalar steps and one log-gamma,
+    with no 1F1 anchor chain where the sum rule below holds. F_ell is the
+    minimal solution of the Coulomb ell-recurrence
     (Abramowitz & Stegun 14.2.3; Thompson & Barnett, J. Comput. Phys. 64
     (1986) 490)
         (ell+1) sqrt(ell^2 + gamma^2) F_{ell-1}
@@ -177,10 +196,14 @@ def psi_multipole_sum(p, pt, ell_max):
               - ell sqrt((ell+1)^2 + gamma^2) F_{ell+1},
     so it is swept downward from L = ell_max + 30
     + floor(rho + 4 sqrt(rho) + |gamma|), above both ell_max and the turning
-    point, with seeds F_{L+1} = 0, F_L = 1e-300. One coulomb_wave_regular
-    call at ell* = argmax |F_ell| fixes the normalization, and
+    point, with seeds F_{L+1} = 0, F_L = 1e-300, and
     e^{i sigma_ell} = e^{i sigma_{ell-1}} (ell + i gamma)/|ell + i gamma|
-    the phases.
+    gives the phases. The forward axis fixes the scale: there P_ell(1) = 1
+    and M = 1, so the waves up to L sum to rho psi(rho, 0)
+    = rho e^{i rho} e^{-pi gamma/2} Gamma(1 + i gamma). Where that sum
+    cancels (repulsive gamma, where psi(rho, 0) ~ e^{-pi gamma}; its
+    rounding estimate 2^-53 sum |w_ell| / |sum w_ell| above 1e-14), one
+    coulomb_wave_regular call at ell* = argmax |F_ell| fixes it instead.
 
     Pinned to 40-digit mpmath for ell <= 1000, 1e-3 <= rho <= 1200,
     |gamma| <= 20: each wave within 1e-11 relative where |w_ell| > 1e-280
@@ -192,7 +215,7 @@ def psi_multipole_sum(p, pt, ell_max):
     """
     exact._within("ell_max", ell_max, "[0, inf)")
     exact._within("rho", pt.rho, "(0, inf)")
-    radial = _coulomb_wave_sweep(ell_max, p.gamma, pt.rho)
+    radial, _ = _coulomb_wave_sweep(ell_max, p.gamma, pt.rho)
     terms = radial / pt.rho * _legendre_column(np.cos(pt.theta), ell_max)
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 

@@ -210,10 +210,16 @@ def test_large_gamma_raises_where_float64_loses_the_value():
             psi_exact(ScatteringParams(gamma=gamma), FieldPoint(rho, 2.0))
     # coulomb_wave_regular returned NaN at the first two (|w| = 1.0 and 14)
     # and was 93% off at the third; at the last, rho^(ell+1) overflowed
+    # (gamma = 0 there), so the message names ell, gamma and rho
     for ell, gamma, rho in ((0, 250.0, 600.0), (5, 300.0, 800.0),
                             (0, 240.0, 200.0), (100, 0.0, 1e7)):
-        with pytest.raises(ArithmeticError, match="gamma = %r:" % gamma):
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "at ell = %r, gamma = %r, rho = %r:" % (ell, gamma, rho))):
             coulomb_wave_regular(ell, gamma, rho)
+    # an array call names the first element it loses
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "at ell = 100, gamma = 0.0, rho = 10000000.0:")):
+        coulomb_wave_regular(np.array([0, 100]), 0.0, np.array([1.0, 1e7]))
     # true values below float64's range (5.5e-459 and 1.0e-433) are 0
     assert coulomb_wave_regular(150, 1.0, 0.1) == 0.0
     assert coulomb_wave_regular(500, 1.0, 50.0) == 0.0

@@ -265,7 +265,7 @@ COULOMB_WAVE_SWEEP = {
 
 def test_coulomb_wave_sweep_frozen_mpmath():
     for (ell_max, g, rho), rows in COULOMB_WAVE_SWEEP.items():
-        w = multipole._coulomb_wave_sweep(ell_max, g, rho)
+        w, _ = multipole._coulomb_wave_sweep(ell_max, g, rho)
         assert w.shape == (ell_max + 1,)
         for ell, ref in rows:
             tol = 1e-11 * abs(ref) if abs(ref) > 1e-280 else 1e-280
@@ -275,7 +275,7 @@ def test_coulomb_wave_sweep_frozen_mpmath():
 def test_coulomb_wave_sweep_matches_per_ell_path():
     for ell_max, g, rho in [(60, 1.0, 10.0), (40, -1.0, 5.0), (60, 20.0, 1.0),
                             (150, 0.5, 0.1), (80, -20.0, 10.0)]:
-        w = multipole._coulomb_wave_sweep(ell_max, g, rho)
+        w, _ = multipole._coulomb_wave_sweep(ell_max, g, rho)
         direct = coulomb_wave_regular(np.arange(ell_max + 1), g, rho)
         err = np.max(np.abs(w - direct)) / np.max(np.abs(w))
         assert err < 1e-12, (ell_max, g, rho, err)
@@ -285,10 +285,10 @@ def test_coulomb_wave_sweep_start_margin(monkeypatch):
     # doubling the margin above ell_max and the turning point changes the
     # waves only by rounding: the start rule is past the point that matters
     configs = list(COULOMB_WAVE_SWEEP) + [(60, 1.0, 10.0), (40, -1.0, 5.0)]
-    base = [multipole._coulomb_wave_sweep(*c) for c in configs]
+    base = [multipole._coulomb_wave_sweep(*c)[0] for c in configs]
     monkeypatch.setattr(multipole, "_SWEEP_MARGIN", 2 * multipole._SWEEP_MARGIN)
     for c, w in zip(configs, base):
-        wide = multipole._coulomb_wave_sweep(*c)
+        wide, _ = multipole._coulomb_wave_sweep(*c)
         err = np.max(np.abs(wide - w)) / np.max(np.abs(w))
         assert err < 1e-14, (c, err)
 
@@ -299,6 +299,100 @@ def test_multipole_sum_far_out():
     pt = FieldPoint(rho=400.0, theta=1.0)
     ref = psi_exact(p, pt)
     assert abs(psi_multipole_sum(p, pt, 600) - ref) < 1e-12 * abs(ref)
+
+
+# perfbench's seed-1701 pointwise psi_multipole_sum calls, (gamma, rho,
+# theta, ell_max): |gamma| <= 1, rho in [0.5, 10], ell_max = rho
+# + 10 |gamma| + 30 (criterion 2's domain); their sweeps have cond <= 58
+POINTWISE_MULTIPOLE = [
+    (-0.13642071196017425, 7.636840106152184, 0.5430370138165839, 39),
+    (-0.5886675241610061, 5.229637532615203, 2.1237240477009847, 41),
+    (0.5993581066164229, 8.008682228292429, 2.025349201199303, 44),
+    (-0.8962343185950812, 6.241607635199214, 1.3363826322855008, 45),
+    (0.21798385324911163, 2.363712047005454, 1.46802737524368, 34),
+    (-0.43521979736210736, 6.627033389137738, 2.228321233050527, 40),
+    (0.9425039005045353, 7.17970942586397, 2.553886098370182, 46),
+    (0.6164970444694979, 2.8048143413799007, 2.9396248226517363, 38),
+    (-0.09537464744451474, 1.0769501672403052, 0.03654673306739059, 32),
+    (0.7130127691207275, 4.843447272350975, 0.12237659462207497, 41),
+    (0.7549066811165333, 2.0801493141790086, 0.7499859183290158, 39),
+    (-0.9786456569951701, 5.591887939322455, 1.506416920554928, 45),
+    (0.40335062393920507, 5.881315902953023, 0.9570924890008766, 39),
+    (0.5202079370391233, 4.472741704696996, 0.6940630272357143, 39),
+    (-0.7582255858494148, 9.612475285269639, 1.0860947793419247, 47),
+    (-0.7486406319375813, 0.8454346750342909, 2.4773198924287736, 38),
+    (0.8401707544816077, 3.767468103580317, 1.934163214170518, 42),
+    (-0.6504531039783571, 8.325346149892006, 3.0916104956478363, 44),
+    (-0.34408776039152666, 9.08694493198815, 1.883081502294395, 42),
+    (-0.3706108614775685, 2.615450543228632, 0.8186836806974636, 36),
+    (0.11741894699337219, 8.932771719878934, 2.6882959703050737, 40),
+    (0.3079376920525141, 3.935770459733393, 2.657504916419937, 37),
+    (-0.6406218906670967, 0.5296779068220819, 1.6967321201592893, 36),
+    (0.19960414761244039, 8.586274973482107, 2.8442596962740905, 40),
+    (-0.19746560613055908, 9.380959397796492, 1.783378004452161, 41),
+    (0.8950102746725768, 5.479561975955581, 2.987419985007536, 44),
+    (-0.037638665265378846, 9.99663901532583, 0.16316482847988628, 40),
+    (-0.49755708543874977, 3.2059020309830784, 2.4153279573709163, 38),
+    (0.2824681400907689, 1.2474278604891111, 0.9168489519538919, 34),
+    (0.023732548887976268, 2.9242015743183294, 1.612592210364669, 33),
+    (0.49209651087667106, 6.711397110852761, 1.1551631341996318, 41),
+    (-0.9204852626495633, 8.48654599822563, 0.2432788728462982, 47),
+    (0.38061091249802326, 4.197429820711537, 2.7688959786510887, 38),
+    (-0.827559397833803, 7.095517644934389, 2.2952903437285466, 45),
+    (0.9743703336310969, 1.645237967993699, 0.36466428682909663, 41),
+    (0.05373077861613873, 1.785048945782557, 0.40444528144292313, 32),
+    (-0.2562680935913575, 3.490075265679238, 0.6155287109714355, 36),
+    (-0.5371349823760361, 4.681587558074751, 2.097565771527242, 40),
+    (0.6719457838201897, 7.42581739099762, 1.192876485745465, 44),
+    (-0.24514635522823358, 6.066997654523272, 1.3169778862676145, 38),
+]
+
+
+def _no_1f1(*args):
+    raise AssertionError("hyp1f1 called with %r" % (args,))
+
+
+def test_multipole_sum_pointwise_runs_no_1f1(monkeypatch):
+    # the forward-axis sum rule normalizes these sweeps: no anchor chain
+    points = POINTWISE_MULTIPOLE + [(-1.0, 5.0, 1.0, 45)]
+    refs = [psi_exact(params(g), FieldPoint(rho, theta))
+            for g, rho, theta, _ in points]
+    monkeypatch.setattr(multipole.specfun, "hyp1f1", _no_1f1)
+    for (g, rho, theta, ell_max), ref in zip(points, refs):
+        got = psi_multipole_sum(params(g), FieldPoint(rho, theta), ell_max)
+        assert abs(got - ref) < 1e-12, (g, rho, theta, got, ref)
+
+
+def test_coulomb_wave_sweep_direct_normalization_where_sum_cancels(
+        monkeypatch):
+    # repulsive gamma: psi(rho, 0) ~ e^{-pi gamma}, the sum rule cancels,
+    # and one coulomb_wave_regular call at ell* fixes the scale
+    calls = []
+    hyp1f1 = multipole.specfun.hyp1f1
+    monkeypatch.setattr(multipole.specfun, "hyp1f1",
+                        lambda *args: calls.append(args) or hyp1f1(*args))
+    for ell_max, g, rho in [(100, 20.0, 60.0), (60, 20.0, 1.0),
+                            (60, 1.0, 10.0)]:
+        calls.clear()
+        _, est = multipole._coulomb_wave_sweep(ell_max, g, rho)
+        assert est > multipole._SUM_RULE_TOL and len(calls) == 1, (g, rho)
+    # |psi| = 5.4e-9 there
+    p, pt = params(20.0), FieldPoint(rho=60.0, theta=1.0)
+    assert abs(psi_multipole_sum(p, pt, 100) - psi_exact(p, pt)) < 1e-14
+
+
+def test_coulomb_wave_sweep_sum_rule_matches_per_ell_path(monkeypatch):
+    cases = [(ell_max, g, rho)
+             for g, rho, _, ell_max in POINTWISE_MULTIPOLE[::5]]
+    cases.append((40, 2.0, 0.001))
+    directs = [coulomb_wave_regular(np.arange(ell_max + 1), g, rho)
+               for ell_max, g, rho in cases]
+    monkeypatch.setattr(multipole.specfun, "hyp1f1", _no_1f1)
+    for case, direct in zip(cases, directs):
+        w, est = multipole._coulomb_wave_sweep(*case)
+        assert est <= multipole._SUM_RULE_TOL, case
+        err = np.max(np.abs(w - direct)) / np.max(np.abs(w))
+        assert err < 1e-12, (case, err)
 
 
 def test_coulomb_wave_at_origin_and_validation():
