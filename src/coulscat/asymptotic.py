@@ -64,7 +64,8 @@ def psi_asymptotic_grid(p, rho, theta, backreaction=True):
 
 
 def psi_asymptotic(p, pt, backreaction=True):
-    """Distorted incoming plane wave plus distorted spherical wave.
+    """Distorted incoming plane wave plus distorted spherical wave, at one
+    site or at a FieldPoint of arrays (then a split of arrays).
 
     With backreaction on, the incoming wave carries the (1 - i gamma^2/rho s)
     amplitude correction; off, it is the phase-distorted wave alone.

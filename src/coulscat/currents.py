@@ -5,7 +5,9 @@ own fields have closed-form gradients (dM/dz = (a/b) M(a + 1, b + 1, z) for
 the exact field, log-derivatives for the asymptotic waves): no step, and
 their currents hold wherever the fields do. Only current_numeric, for any
 field, uses a five-point stencil, radial step h = 1e-4 max(1, rho) and polar
-step h / max(1, rho); it raises outside 1e-4 < rho < 1000,
+step h / max(1, rho), and calls the field once: field maps a FieldPoint of
+the five points' arrays to the array of its values there, as psi_exact
+does. It raises outside 1e-4 < rho < 1000,
 |gamma| < 1000 min(1, rho), and where its polar step crosses 0 or pi.
 """
 
@@ -37,12 +39,15 @@ class CurrentDecomposition:
 def current_numeric(field, p, pt):
     """Numerical current of an arbitrary scalar field at one point.
 
-    field maps a FieldPoint to a complex value. Both components come from
-    one five-point cross stencil: radial step h = 1e-4 max(1, rho) and
-    polar step h / max(1, rho). schrodinger_residual's stencil is not this
-    one: its polar step is h / max(1, rho |sin theta|), with h the caller's.
-    Raises before any field call outside the domain in the module docstring.
+    field maps a FieldPoint of arrays to the array of the field's complex
+    values there, as psi_exact and psi_asymptotic's total do. It is called
+    once, on the five points of one cross stencil: radial step
+    h = 1e-4 max(1, rho) and polar step h / max(1, rho).
+    schrodinger_residual's stencil is not this one: its polar step is
+    h / max(1, rho |sin theta|), with h the caller's. Raises before the
+    field call outside the domain in the module docstring.
     """
+    exact._one_point(pt)
     rho = exact._within("rho", pt.rho, "[0, inf)")
     h = 1e-4 * np.maximum(1.0, rho)
     ht = h / np.maximum(1.0, rho)
@@ -54,10 +59,14 @@ def current_numeric(field, p, pt):
         raise ValueError("rho = %g, gamma = %g lies outside current_numeric's "
                          "domain 1e-4 < rho < 1000, |gamma| < 1000 min(1, rho)"
                          % (pt.rho, p.gamma))
-    pts = zip(pt.rho + h * np.array([0.0, 1.0, -1.0, 0.0, 0.0]),
-              pt.theta + ht * np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
-    vals = [field(exact.FieldPoint(r, t)) for r, t in pts]
-    c, rp, rm, tp, tm = np.array(vals, dtype=np.complex128)[:, None]
+    vals = np.asarray(field(exact.FieldPoint(
+        pt.rho + h * np.array([0.0, 1.0, -1.0, 0.0, 0.0]),
+        pt.theta + ht * np.array([0.0, 0.0, 0.0, 1.0, -1.0]))),
+        dtype=np.complex128)
+    if vals.shape != (5,):
+        raise ValueError("field must map the FieldPoint of 5 stencil points "
+                         "to their 5 values, got shape %s" % (vals.shape,))
+    c, rp, rm, tp, tm = vals[:, None]
     j_r = p.k * np.imag(np.conj(c) * ((rp - rm) / (2.0 * h)))
     j_theta = (p.k / rho) * np.imag(np.conj(c) * ((tp - tm) / (2.0 * ht)))
     return CurrentVector(float(j_r[0]), float(j_theta[0]))
@@ -116,6 +125,7 @@ def _vector(j):
 def _closed_form_s(pt, theta_bound="(0, pi]"):
     """s of a point with rho in (0, inf), theta in theta_bound and s in
     (0, 2]: s rounds to 0 for 0 < theta < 1.05e-8, inside theta's bound."""
+    exact._one_point(pt)
     exact._within("rho", pt.rho, "(0, inf)")
     exact._within("theta", pt.theta, theta_bound)
     return exact._within("s", pt.s, "(0, 2]").item()
@@ -142,6 +152,7 @@ def current_scattered_asymptotic(p, pt):
     dropped j_theta is not small: at gamma = 0.4, rho = 10, theta = 0.05 it
     is 1.6 j_r.
     """
+    exact._one_point(pt)
     exact._within("rho", pt.rho, "(0, inf)")
     exact._within("theta", pt.theta, "(0, pi]")
     g, k = p.gamma, p.k
@@ -158,6 +169,7 @@ def current_decomposition_asymptotic(p, pt, backreaction=False):
     above belongs to the purely phase-distorted wave, and the decomposition
     is normally compared against it.
     """
+    exact._one_point(pt)
     plain, corrected, scat = _split(p, np.array([pt.rho]),
                                     np.array([pt.theta]))
     pin = corrected if backreaction else plain
@@ -175,6 +187,7 @@ def current_outgoing_exact(p, pt, subtract_backreaction=True):
     removed, which suppresses the spurious oscillations left behind when
     only the phase-distorted wave is subtracted.
     """
+    exact._one_point(pt)
     scan = current_scan_grid(p, [pt.rho], [pt.theta])
     return _vector(scan[5 if subtract_backreaction else 4])
 

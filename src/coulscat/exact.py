@@ -32,18 +32,26 @@ class ScatteringParams:
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """Evaluation site (rho = k r, polar angle theta)."""
+    """Evaluation site (rho = k r, polar angle theta): two scalars, or
+    broadcastable float arrays of several sites. psi_exact and
+    psi_asymptotic take either; the other evaluators of a FieldPoint take
+    one site and raise otherwise (_one_point)."""
     rho: float
     theta: float
 
     def __post_init__(self):
-        # plain comparisons (a third of a _within call), in its words
-        if not (self.rho >= 0 and np.isfinite(self.rho)):
-            raise ValueError("rho must lie in [0, inf), got rho = %r"
-                             % float(self.rho))
-        if not (0.0 <= self.theta <= np.pi):
-            raise ValueError("theta must lie in [0, pi], got theta = %r"
-                             % float(self.theta))
+        # chained comparisons on scalars (a twentieth of a _within call;
+        # NaN fails them), one whole-array test where they are ambiguous
+        rho, theta = self.rho, self.theta
+        try:
+            ok = 0.0 <= rho < np.inf and 0.0 <= theta <= np.pi
+        except ValueError:
+            ok = np.all((0.0 <= rho) & (rho < np.inf)
+                        & (0.0 <= theta) & (theta <= np.pi))
+        if not ok:
+            # _within names the first element outside
+            _within("rho", rho, "[0, inf)")
+            _within("theta", theta, "[0, pi]")
 
     @property
     def s(self):
@@ -110,6 +118,15 @@ def _within(name, values, bound):
     return v
 
 
+def _one_point(pt):
+    """A ValueError naming pt where it holds other than one site: the
+    evaluators of one point return scalars."""
+    if np.size(pt.rho) != 1 or np.size(pt.theta) != 1:
+        raise ValueError("pt must hold one point, got rho of shape %s and "
+                         "theta of shape %s"
+                         % (np.shape(pt.rho), np.shape(pt.theta)))
+
+
 def _like(arg, out):
     """out, or its one element as a Python scalar when arg was a scalar
     (out of more than one element then raises)."""
@@ -137,8 +154,9 @@ def _gradient(p, rho, theta):
 
 
 def psi_exact(p, pt):
-    """Exact solution at one field point, finite everywhere including the
-    forward axis (theta = 0 enters through s = 0 with no limit-taking)."""
+    """Exact solution at a field point, finite everywhere including the
+    forward axis (theta = 0 enters through s = 0 with no limit-taking): a
+    complex for one site, an array for a FieldPoint of arrays."""
     return psi_exact_grid(p, pt.rho, pt.theta)
 
 
@@ -150,6 +168,7 @@ def schrodinger_residual(p, pt, h):
     rate grows like rho sin(theta), and an unscaled step would leave
     truncation error far above the roundoff floor at rho ~ 20.
     """
+    _one_point(pt)
     _within("h", h, "(0, inf)")
     if pt.rho <= h:
         raise ValueError("requires rho > h, got rho = %r, h = %r"

@@ -135,8 +135,11 @@ def _coulomb_wave_sweep(ell_max, gamma, rho):
     elsewhere one coulomb_wave_regular call at ell* <= ell_max does.
 
     The running pair is multiplied by 2^-830 (about 1e-250, exact in
-    binary) whenever a value passes 1e250; each stored value keeps the
-    rescale count at its step, so the whole sweep is O(L). The phases
+    binary) whenever a value passes 1e250, or 1e300/B where the bound B
+    on the factor one step can grow a value by, about (2 L + 1) L (L + 1)
+    /rho, passes 1e50 (rho below about 1e-45 at L = 41); each stored value
+    keeps the rescale count at its step, so the whole sweep is O(L).
+    Raises ArithmeticError where B overflows. The phases
     e^{i (sigma_ell - sigma_0)} keep their own cumprod, apart from
     phase_shift_sweep: the normalization absorbs sigma_0, and their squares,
     as e^{2 i delta_ell}, are 4.7e-14 from mpmath against about 1e-14 for
@@ -148,13 +151,23 @@ def _coulomb_wave_sweep(ell_max, gamma, rho):
     rescales = 0
     f_up, f = 0.0, 1e-300
     root_up = math.sqrt((top + 1) ** 2 + g2)
+    # a step's terms are at most bound times the larger of |f| and |f_up|,
+    # so the pair is rescaled above limit: 1e250 unless rho is tiny
+    bound = ((2 * top + 1) * (abs(gamma) + top * (top + 1) / rho)
+             + top * root_up)
+    if not bound < math.inf:
+        raise ArithmeticError(
+            "float64 cannot form the ell-sweep at ell_max = %r, gamma = %r, "
+            "rho = %r: its step bound (2 L + 1) L (L + 1)/rho overflows"
+            % (ell_max, gamma, rho))
+    limit = min(1e250, 1e300 / bound)
     for ell in range(top, 0, -1):
         vals[ell], rescales_at[ell] = f, rescales
         root = math.sqrt(ell * ell + g2)
         f_up, f = f, (((2 * ell + 1) * (gamma + ell * (ell + 1) / rho) * f
                        - ell * root_up * f_up) / ((ell + 1) * root))
         root_up = root
-        if abs(f) > 1e250:
+        while abs(f) > limit:
             f_up = math.ldexp(f_up, -_SWEEP_RESCALE)
             f = math.ldexp(f, -_SWEEP_RESCALE)
             rescales += 1
@@ -211,8 +224,11 @@ def psi_multipole_sum(p, pt, ell_max):
     absolute); within 1e-12 of max |w| of the per-ell direct path at
     rho <= 10; moved by under 1e-14 of max |w| when the start margin 30 is
     doubled. (gamma, rho, theta, ell_max) = (1, 400, 1, 600) matches
-    psi_exact to 1e-12.
+    psi_exact to 1e-12. Raises ArithmeticError at rho so small that
+    (2 L + 1) L (L + 1)/rho overflows float64 (below about 1e-303 at
+    ell_max = 10).
     """
+    exact._one_point(pt)
     exact._within("ell_max", ell_max, "[0, inf)")
     exact._within("rho", pt.rho, "(0, inf)")
     radial, _ = _coulomb_wave_sweep(ell_max, p.gamma, pt.rho)

@@ -74,7 +74,7 @@ def test_distorted_incoming_current_matches_stencil():
 
     def field(q):
         pin, _, _ = psi_asymptotic_grid(p, q.rho, q.theta, backreaction=False)
-        return complex(pin)
+        return pin
 
     numeric = current_numeric(field, p, pt)
     assert abs(numeric.j_r - analytic.j_r) < 1e-6
@@ -90,7 +90,7 @@ def test_scattered_current_matches_stencil():
 
     def field(q):
         _, pscat, _ = psi_asymptotic_grid(p, q.rho, q.theta)
-        return complex(pscat)
+        return pscat
 
     numeric = current_numeric(field, p, pt)
     assert abs(numeric.j_r - analytic.j_r) < 5e-6
@@ -214,6 +214,65 @@ def test_step_validation():
     for rho, theta in [(999.0, 1.0), (10.0, 2e-4), (10.0, np.pi - 2e-4)]:
         j = current_numeric(field, p, FieldPoint(rho=rho, theta=theta))
         assert np.isfinite([j.j_r, j.j_theta]).all()
+
+
+# (gamma, rho, theta): 20 of the current_numeric points of a seeded
+# pointwise benchmark run, rounded to 4 digits. The 1F1 takes its
+# asymptotic branch where rho s > 30 + 2 gamma^2 (the first seven) and its
+# series inside (the rest, three of them within 0.26 of the axis); the
+# last point's stencil straddles that switch.
+STENCIL_POINTS = [
+    (1.962, 65.5596, 1.232), (-1.105, 61.4761, 1.3407),
+    (-1.4946, 76.5474, 1.8129), (1.726, 91.5494, 1.8879),
+    (-0.3206, 33.9793, 2.3233), (0.9447, 26.3968, 2.6775),
+    (-1.028, 41.5294, 3.0657), (-1.2603, 87.2026, 0.0598),
+    (1.4825, 21.5575, 0.1803), (-0.9596, 55.9475, 0.2521),
+    (1.0268, 3.5945, 0.427), (0.2283, 1.5371, 0.6221),
+    (-0.472, 45.6756, 0.886), (-0.6165, 19.6597, 1.0594),
+    (1.2896, 31.5256, 1.4679), (1.8226, 15.0589, 1.6464),
+    (-1.7388, 2.6006, 1.9957), (1.394, 5.5973, 2.4889),
+    (-1.9755, 2.4861, 2.8841), (0.5, 66.348, 1.0),
+]
+
+
+def stencil_from_scalar_calls(p, rho, theta):
+    """current_numeric's five-point stencil, built from five scalar
+    psi_exact calls on one-element arrays, as current_numeric computes."""
+    rho_v = np.array([rho])
+    h = 1e-4 * np.maximum(1.0, rho_v)
+    ht = h / np.maximum(1.0, rho_v)
+    rhos = rho + h * np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+    thetas = theta + ht * np.array([0.0, 0.0, 0.0, 1.0, -1.0])
+    c, rp, rm, tp, tm = (
+        np.array([psi_exact(p, FieldPoint(float(r), float(t)))])
+        for r, t in zip(rhos, thetas))
+    j_r = p.k * np.imag(np.conj(c) * ((rp - rm) / (2.0 * h)))
+    j_theta = (p.k / rho_v) * np.imag(np.conj(c) * ((tp - tm) / (2.0 * ht)))
+    return float(j_r[0]), float(j_theta[0])
+
+
+@pytest.mark.parametrize("gamma, rho, theta", STENCIL_POINTS)
+def test_current_numeric_equals_scalar_stencil(gamma, rho, theta):
+    # one field call on the five points gives the bits of five scalar calls
+    p = params(gamma)
+    j = current_numeric(lambda q: psi_exact(p, q), p, FieldPoint(rho, theta))
+    assert (j.j_r, j.j_theta) == stencil_from_scalar_calls(p, rho, theta)
+
+
+def test_current_numeric_calls_the_field_once():
+    p = params(0.4)
+    calls = []
+
+    def field(q):
+        calls.append(q)
+        return psi_exact(p, q)
+
+    current_numeric(field, p, FieldPoint(rho=10.0, theta=1.0))
+    assert len(calls) == 1
+    assert np.shape(calls[0].rho) == np.shape(calls[0].theta) == (5,)
+    # a field of one value per call names the contract
+    with pytest.raises(ValueError, match=r"^field must map .* got shape \(\)"):
+        current_numeric(lambda q: 1.0 + 0j, p, FieldPoint(10.0, 1.0))
 
 
 def test_grid_current_matches_pointwise():

@@ -16,7 +16,10 @@ from coulscat import (
     born_amplitude_yukawa,
     coulomb_wave_asymptotic,
     coulomb_wave_regular,
+    current_decomposition_asymptotic,
     current_in_distorted,
+    current_numeric,
+    current_outgoing_exact,
     current_scattered_asymptotic,
     differential_cross_section,
     f_reduced_series,
@@ -28,6 +31,7 @@ from coulscat import (
     oscillation_length,
     phase_shift,
     phase_shift_sweep,
+    psi_asymptotic,
     psi_asymptotic_grid,
     psi_exact,
     psi_exact_grid,
@@ -165,6 +169,66 @@ def test_evaluator_rejects_values_outside_its_domain(call, name, bound, x):
     with pytest.raises(ValueError, match="^%s must lie in %s, got %s = "
                        % (name, re.escape(bound), name)):
         call(x)
+
+
+# (evaluator, call at a FieldPoint pt): the evaluators of one point
+ONE_POINT = [
+    ("psi_multipole_sum", lambda pt: psi_multipole_sum(P, pt, 10)),
+    ("current_in_distorted", lambda pt: current_in_distorted(P, pt)),
+    ("current_scattered_asymptotic",
+     lambda pt: current_scattered_asymptotic(P, pt)),
+    ("current_decomposition_asymptotic",
+     lambda pt: current_decomposition_asymptotic(P, pt)),
+    ("current_outgoing_exact", lambda pt: current_outgoing_exact(P, pt)),
+    ("interference_radial_leading",
+     lambda pt: interference_radial_leading(P, pt)),
+    ("oscillation_length", lambda pt: oscillation_length(P, pt)),
+    ("schrodinger_residual", lambda pt: schrodinger_residual(P, pt, 1e-3)),
+    ("current_numeric",
+     lambda pt: current_numeric(lambda q: psi_exact(P, q), P, pt)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name)
+                                  for name, call in ONE_POINT])
+def test_one_point_evaluator_rejects_several_points(call):
+    for pt in (FieldPoint(np.array([10.0, 20.0]), np.array([1.0, 1.5])),
+               FieldPoint(10.0, np.array([1.0, 1.5]))):
+        with pytest.raises(ValueError, match="^pt must hold one point, got "
+                           r"rho of shape \(2?,?\) and theta of shape"):
+            call(pt)
+    call(FieldPoint(10.0, 1.0))
+
+
+def test_field_point_of_arrays_names_its_first_bad_element():
+    with pytest.raises(ValueError, match=r"^rho must lie in \[0, inf\), "
+                       "got rho = nan$"):
+        FieldPoint(np.array([1.0, np.nan, -1.0]), 1.0)
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], "
+                       "got theta = -0.5$"):
+        FieldPoint(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+    pt = FieldPoint(np.array([[1.0], [2.0]]), np.array([0.0, 1.0, np.pi]))
+    assert pt.s.shape == (3,)
+
+
+def test_field_evaluators_on_several_points_match_scalar_calls():
+    # psi_exact and psi_asymptotic on arrays, element for element the bits
+    # of their scalar calls (the one 1F1 call of an array runs each (a, b)
+    # chain once; each element takes its own branch and Horner step)
+    rng = np.random.default_rng(29)
+    rho = np.concatenate([[0.0, 66.348], rng.uniform(0.1, 200.0, 30)])
+    theta = np.concatenate([[1.0, 1.0], rng.uniform(0.01, np.pi, 30)])
+    for gamma in (-1.5, 0.0, 0.7, 3.0):
+        p = ScatteringParams(gamma=gamma)
+        psi = psi_exact(p, FieldPoint(rho, theta))
+        for i, (r, t) in enumerate(zip(rho.tolist(), theta.tolist())):
+            assert psi[i] == psi_exact(p, FieldPoint(r, t)), (gamma, r, t)
+        # the split needs rho s > 0: every point but the origin
+        split = psi_asymptotic(p, FieldPoint(rho[1:], theta[1:]))
+        for i, (r, t) in enumerate(zip(rho[1:].tolist(), theta[1:].tolist())):
+            one = psi_asymptotic(p, FieldPoint(r, t))
+            assert (split.psi_in[i], split.psi_scat[i], split.valid[i]) == (
+                one.psi_in, one.psi_scat, one.valid), (gamma, r, t)
 
 
 def test_closed_forms_check_s_where_it_rounds_to_zero():

@@ -381,6 +381,22 @@ def test_coulomb_wave_sweep_direct_normalization_where_sum_cancels(
     assert abs(psi_multipole_sum(p, pt, 100) - psi_exact(p, pt)) < 1e-14
 
 
+def test_multipole_sum_at_tiny_rho():
+    # one downward step grows a value by up to about (2 L + 1) L (L + 1)
+    # /rho: past 1e50 the sweep rescales below 1e250 (at 1e-60 a value
+    # passed float64's range before), and where that bound itself
+    # overflows it raises, naming rho
+    for g in (0.5, -0.5):
+        for rho in (1e-60, 1e-100, 1e-300):
+            p, pt = params(g), FieldPoint(rho=rho, theta=1.0)
+            ref = psi_exact(p, pt)
+            got = psi_multipole_sum(p, pt, 10)
+            assert abs(got - ref) < 1e-15 * abs(ref), (g, rho, got, ref)
+        with pytest.raises(ArithmeticError, match="rho = 1e-310:"):
+            psi_multipole_sum(params(g), FieldPoint(rho=1e-310, theta=1.0),
+                              10)
+
+
 def test_coulomb_wave_sweep_sum_rule_matches_per_ell_path(monkeypatch):
     cases = [(ell_max, g, rho)
              for g, rho, _, ell_max in POINTWISE_MULTIPOLE[::5]]
