@@ -38,13 +38,13 @@ class AsymptoticSplit:
 
 def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     """Asymptotic split on broadcastable arrays; see psi_asymptotic. Raises
-    unless rho is finite, theta lies in (0, pi] and rho s > 0. valid is
+    unless theta lies in (0, pi], rho in [0, inf) with rho s finite
+    (exact._rho_theta) and rho s > 0. valid is
     est (1 + est) < FORM_TOL for the first omitted term est:
     gamma^2/(rho s) without backreaction, gamma^2 (1+gamma^2)/(2 (rho s)^2)
     with it, plus |gamma| (1+gamma^2)/(rho s)^2."""
     like = np.broadcast(rho, theta)
-    rho = exact._within("rho", rho, "[0, inf)")
-    theta = exact._within("theta", theta, "(0, pi]")
+    rho, theta = exact._rho_theta(rho, theta, "(0, pi]")
     s = 1.0 - np.cos(theta)
     rs = rho * s
     if np.any(rs <= 0.0):

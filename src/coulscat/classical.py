@@ -55,8 +55,9 @@ def coulomb_reduction(bh):
 def long_wavelength_valid(bh, ell):
     """Whether dropping the short-range correction is justified for this
     partial wave: requires ell(ell+1) > 12 (M omega)^2. The mapping is
-    never controlled for the ell = 0 wave, so ell must lie in [1, inf)."""
-    exact._within("ell", ell, "[1, inf)")
+    never controlled for the ell = 0 wave, so ell must be an integer in
+    [1, inf)."""
+    exact._order("ell", ell, "[1, inf)")
     return ell * (ell + 1.0) > 12.0 * (bh.mass * bh.omega) ** 2
 
 
@@ -88,7 +89,7 @@ def _full_mode_start(bh, ell, r_start):
     taken from the asymptotic pair (hyp1f1's switch radius for this a, or
     z0 = 2 i rho0 if that lies farther), and w'/w at z0 (see
     integrate_full_mode)."""
-    exact._within("ell", ell, "[0, inf)")
+    exact._order("ell", ell, "[0, inf)")
     if r_start is None:
         r_start = 10.0 * bh.r_s
     # outside the horizon

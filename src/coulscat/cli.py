@@ -8,9 +8,9 @@ Usage:
 One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
 generated from the ScanSpec alone, rows are computed in order in fixed
-2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once),
-and floats are written with 17 significant digits. A flag or preset field
-that the quantity does not read is an error.
+2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once, in
+one call), and floats are written with 17 significant digits. A flag or
+preset field that the quantity does not read is an error.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments (an --out that
 cannot be written included), 3 numerical failure.
@@ -18,6 +18,7 @@ cannot be written included), 3 numerical failure.
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,8 @@ import numpy as np
 
 from . import asymptotic, classical, currents, exact, multipole, specfun
 
+# rows per compute call: bounds the output columns a builder stacks at once
+# and the per-row work of the builders that evaluate chunk by chunk
 CHUNK_ROWS = 2048
 CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
 
@@ -351,7 +354,11 @@ def _build_reduced_series(spec):
     "raw partial sums of the same amplitude series, kept on purpose: "
     "their envelope grows like sqrt(ell_max), the divergence being an "
     "artifact of using the large-distance form of every partial wave\n"
-    "validity: diagnostic only; not an amplitude",
+    "validity: diagnostic only; not an amplitude. At rho = k r the "
+    "two-wave form of wave ell holds where est (1 + est) < %g, est = "
+    "|(ell+1+i gamma)(ell-i gamma)|/(2 rho) its first omitted term; est "
+    "passes 1 near ell ~ sqrt(2 rho), and every later amplitude term uses "
+    "the form outside its domain" % asymptotic.FORM_TOL,
     **_PARAMS, fixed_theta=2.0, ell_max=1000)
 def _build_diverging_sum(spec):
     sweep = multipole.f_series_partial_sweep(_params(spec), spec.fixed_theta,
@@ -377,26 +384,27 @@ def _build_field_map(spec):
     kx, kzr = _product_rows(kx_axis, kz)
     header = ["kx", "kz", "re_psi", "im_psi", "abs_psi", "plateau"]
     # psi depends on (|kx|, kz) alone, so the kx and -kx rows share one
-    # table entry; hypot and arctan2(|x|, z) ignore the sign of x, and each
-    # value depends on its own point only, so the bytes do not change
+    # table entry, (ax[i], kz[j]) at i nz + j; hypot and arctan2(|x|, z)
+    # ignore the sign of x, and each value depends on its own point only,
+    # so the bytes do not change
     ax, ix = np.unique(np.abs(kx_axis), return_inverse=True)
     nz = len(kz)
-    table = np.empty(len(ax) * nz, dtype=np.complex128)
-    done = np.zeros(len(table), dtype=bool)
-    plateau = None  # |psi| on the forward axis, with the first chunk
+
+    @functools.cache
+    def field():
+        # the whole table in one call, made by the first chunk (a scan's
+        # kernel work stays inside its chunks), and |psi| on the forward
+        # axis for the plateau column
+        x, z = _product_rows(ax, kz)
+        rho, theta = np.hypot(x, z), np.arctan2(x, z)
+        del x, z
+        return (exact.psi_exact_grid(p, rho, theta),
+                abs(exact.psi_exact(p, exact.FieldPoint(0.0, 0.0))))
 
     def compute(start, stop):
-        nonlocal plateau
-        if plateau is None:
-            plateau = abs(exact.psi_exact(p, exact.FieldPoint(0.0, 0.0)))
+        table, plateau = field()
         r = np.arange(start, stop)
         key = ix[r // nz] * nz + r % nz
-        new = np.unique(key[~done[key]])
-        if new.size:
-            x, z = ax[new // nz], kz[new % nz]
-            table[new] = exact.psi_exact_grid(p, np.hypot(x, z),
-                                              np.arctan2(x, z))
-            done[new] = True
         return np.column_stack([kx[start:stop], kzr[start:stop]]
                                + _parts(table[key])
                                + [np.full(stop - start, plateau)])
@@ -444,7 +452,10 @@ QUANTITIES = tuple(_BUILDERS)
 def run_scan(spec):
     """Compute the dataset for a validated spec and write it to spec.out.
     Returns (header, rows). Rows are computed in fixed chunks of CHUNK_ROWS,
-    which bounds the size of the kernels' temporaries."""
+    which bounds the output columns a builder stacks at once and, for the
+    builders that evaluate their rows chunk by chunk, their per-row work.
+    psi_exact_grid bounds its own temporaries by its slices (exact._SLICE),
+    so field_map evaluates its whole psi table in its first chunk."""
     spec.validate()
     header, n_rows, compute = _BUILDERS[spec.quantity](spec)
     rows = np.empty((n_rows, len(header)))

@@ -3,18 +3,30 @@
 Natural units hbar = m = 1 throughout: the interaction strength gamma and
 the wavenumber k are the only physical parameters, and field positions are
 the dimensionless (rho = k r, theta).
+
+A field evaluation (psi_exact_grid, and the gradient behind the currents)
+runs its flat batch in slices of _SLICE = 4096 points, so its temporaries
+stay those of one slice whatever the batch. Its slices read one 1F1 anchor
+chain per (a, b) per call: walked once, kept in a table local to the call
+and dropped when it returns. A batch of one slice is one hyp1f1 call.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
 
-# natural logs of float64's smallest normal number and of its largest number
+# float64's largest number, its half, and the natural logs of its smallest
+# normal number and of its largest number
+_HUGE = float(np.finfo(np.float64).max)
+_HALF_HUGE = 0.5 * _HUGE
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
-_LOG_HUGE = float(np.log(np.finfo(np.float64).max))
+_LOG_HUGE = float(np.log(_HUGE))
+# points per slice of a field evaluation (_field): fig3's psi table took
+# 1.25x as long at 2048 and 0.97x at 8192, where the fieldmap benchmark's
+# peak memory rose by 1 MB
+_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -62,15 +74,46 @@ class FieldPoint:
 def _field(p, rho, theta, kummer):
     """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
     M(-i gamma, 1, i rho s) on broadcastable float64 arrays of (rho, theta),
-    with the Kummer function M evaluated by kummer(a, b, z): hyp1f1, one of
-    its two branch bodies on _entry, or the dM/dz of _gradient."""
+    with the Kummer function M evaluated by kummer(a, b, z, chains):
+    _kummer, one of hyp1f1's two branch bodies on _entry, or the dM/dz of
+    _gradient.
+
+    A batch of more than _SLICE points is evaluated flat, in slices of
+    _SLICE, so that its temporaries stay those of one slice; chains is then
+    one dict for all slices, which keeps one anchor chain per (a, b) for
+    this call alone (specfun._chain). A smaller batch is one slice,
+    with chains None. Each element goes through the operations of a
+    one-slice call, so the slicing moves no bit."""
+    both = np.broadcast(rho, theta)
+    if both.size <= _SLICE:
+        return _slice(p, rho, theta, kummer, None)
+    rho, theta = (np.broadcast_to(v, both.shape).reshape(-1)
+                  for v in (rho, theta))
+    chains = {}
+    out = np.empty(both.size, dtype=np.complex128)
+    for i in range(0, both.size, _SLICE):
+        out[i:i + _SLICE] = _slice(p, rho[i:i + _SLICE],
+                                   theta[i:i + _SLICE], kummer, chains)
+    return out.reshape(both.shape)
+
+
+def _slice(p, rho, theta, kummer, chains):
+    """_field on one slice."""
     s = 1.0 - np.cos(theta)
     g = p.gamma
     log_pref = (1j * rho * (1.0 - s) - 0.5 * np.pi * g
                 + specfun.log_gamma_complex(1.0 + 1j * g))
-    m = kummer(-1j * g, 1.0, 1j * rho * s)
+    m = kummer(-1j * g, 1.0, 1j * rho * s, chains)
     _check_scale(log_pref, m, gamma=g)
     return np.exp(log_pref) * m
+
+
+def _kummer(a, b, z, chains):
+    """M(a, b, z) for _field: hyp1f1, or with chains its body reading and
+    extending the anchor chains there."""
+    if chains is None:
+        return specfun.hyp1f1(a, b, z)
+    return specfun._entry(specfun._dispatch, a, b, z, chains)
 
 
 def _check_scale(log_pref, m, **point):
@@ -118,6 +161,17 @@ def _within(name, values, bound):
     return v
 
 
+def _order(name, value, bound):
+    """A partial-wave index (an int, or an array of them) as _within returns
+    it, or a ValueError naming it where a value lies outside bound or is
+    not an integer; an integral float such as 2.0 passes."""
+    v = _within(name, value, bound)
+    if type(value) is not int and (v != np.floor(v)).any():
+        raise ValueError("%s must be an integer in %s, got %s = %r"
+                         % (name, bound, name, float(v[v != np.floor(v)][0])))
+    return v
+
+
 def _one_point(pt):
     """A ValueError naming pt where it holds other than one site: the
     evaluators of one point return scalars."""
@@ -133,21 +187,44 @@ def _like(arg, out):
     return out.item() if np.ndim(arg) == 0 else out
 
 
+def _rho_theta(rho, theta, theta_bound):
+    """rho and theta as float64 arrays of at least one dimension (_within),
+    or a ValueError naming the first theta outside theta_bound, else the
+    first rho outside its bound at that point, so that rho s never
+    overflows: [0, inf) where s = 1 - cos(theta) <= 1, [0, max/s] where
+    s > 1 (theta > pi/2), max float64's largest number."""
+    theta = _within("theta", theta, theta_bound)
+    v = np.asarray(rho, dtype=np.float64)
+    v = v.reshape(1) if v.ndim == 0 else v
+    # past max/2, rho s overflows for some s in [0, 2]
+    if not ((0.0 <= v) & (v <= _HALF_HUGE)).all():
+        s = 1.0 - np.cos(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~((0.0 <= v) & (v * s < np.inf))
+        if bad.any():
+            x, sx = (float(np.broadcast_to(a, bad.shape)[bad][0])
+                     for a in (v, s))
+            raise ValueError("rho must lie in %s, got rho = %r" % (
+                "[0, %r]" % (_HUGE / sx) if sx > 1.0 else "[0, inf)", x))
+    return v, theta
+
+
 def psi_exact_grid(p, rho, theta):
-    """Exact wavefunction on broadcastable arrays of (rho, theta), rho
-    finite and >= 0, theta in [0, pi]; raises outside, and raises
-    ArithmeticError where float64 cannot form the value (_check_scale)."""
+    """Exact wavefunction on broadcastable arrays of (rho, theta), theta in
+    [0, pi] and rho in [0, inf) with rho s finite (_rho_theta); raises
+    outside, and raises ArithmeticError where float64 cannot form the value
+    (_check_scale). Evaluated flat in slices of _SLICE points that share
+    one anchor chain per (a, b) per call (_field)."""
     return _like(np.broadcast(rho, theta),
-                 _field(p, _within("rho", rho, "[0, inf)"),
-                        _within("theta", theta, "[0, pi]"), specfun.hyp1f1))
+                 _field(p, *_rho_theta(rho, theta, "[0, pi]"), _kummer))
 
 
 def _gradient(p, rho, theta):
     """psi_exact_grid stacked with [d_rho psi, d_theta psi / rho], by
     dM/dz = (a/b) M(a + 1, b + 1, z) (DLMF 13.3.15) at z = i rho s."""
     psi = psi_exact_grid(p, rho, theta)
-    dpsi = _field(p, rho, theta,
-                  lambda a, b, z: a / b * specfun.hyp1f1(a + 1.0, b + 1.0, z))
+    dpsi = _field(p, rho, theta, lambda a, b, z, chains:
+                  a / b * _kummer(a + 1.0, b + 1.0, z, chains))
     s = 1.0 - np.cos(theta)
     return np.stack([psi, 1j * ((1.0 - s) * psi + s * dpsi),
                      1j * np.sin(theta) * (dpsi - psi)])
@@ -190,7 +267,8 @@ def schrodinger_residual(p, pt, h):
         branch = specfun._asymptotic
     rhos = np.array([rho, rho - h, rho + h, rho, rho])
     thetas = np.array([theta, theta, theta, theta - ht, theta + ht])
-    f = _field(p, rhos, thetas, functools.partial(specfun._entry, branch))
+    f = _field(p, rhos, thetas,
+               lambda a, b, z, _: specfun._entry(branch, a, b, z))
     c, rm, rp, tm, tp = f
 
     d2_rho = (rp - 2.0 * c + rm) / h ** 2

@@ -544,6 +544,28 @@ def test_field_map_evaluates_each_mirrored_point_once(tmp_path, monkeypatch):
     assert sum(counted) == 5 * 500 + 1
 
 
+def test_field_map_evaluates_its_table_in_one_call(monkeypatch):
+    # fig3: 321 x 481 rows over 161 distinct |kx|, 76 chunks. Building the
+    # scan evaluates nothing; its first chunk makes one psi_exact_grid call
+    # for the whole table and one for the plateau, and the other chunks none
+    counted = []
+    grid = exact.psi_exact_grid
+
+    def counting(p, rho, theta):
+        counted.append(np.size(rho))
+        return grid(p, rho, theta)
+
+    monkeypatch.setattr(exact, "psi_exact_grid", counting)
+    spec = _spec_from_mapping(load_preset("fig3"))
+    header, n_rows, compute = _BUILDERS["field_map"](spec)
+    assert counted == [] and n_rows == 321 * 481 > 70 * CHUNK_ROWS
+    compute(0, CHUNK_ROWS)
+    assert counted == [161 * 481, 1]
+    for start in range(CHUNK_ROWS, n_rows, CHUNK_ROWS):
+        compute(start, min(start + CHUNK_ROWS, n_rows))
+    assert counted == [161 * 481, 1]
+
+
 def test_preset_files_are_plain_json():
     # the shipped presets stay readable as data, not code
     from importlib import resources

@@ -41,6 +41,7 @@ from coulscat import (
     rutherford_amplitude_phase_separated,
     schrodinger_residual,
 )
+from coulscat.currents import current_scan_grid
 
 P = ScatteringParams(gamma=0.7, k=1.3)
 BH = BlackHoleParams(mass=0.05, omega=1.0)
@@ -135,6 +136,13 @@ DOMAINS = [
      lambda x: schrodinger_residual(P, FieldPoint(5.0, 1.0), x)),
     ("integrate_full_mode", "r_start", "(0.1, inf)",
      lambda x: integrate_full_mode(BH, 2, 50.0, r_start=x)),
+    # rho s overflows float64 past max/2 at theta = pi (s = 2)
+    ("psi_exact", "rho", "[0, 8.988465674311579e+307]",
+     lambda x: psi_exact(P, point(x, np.pi))),
+    ("current_scan_grid", "rho", "[0, 8.988465674311579e+307]",
+     lambda x: current_scan_grid(P, x, np.pi)),
+    ("psi_asymptotic_grid", "rho", "[0, 8.988465674311579e+307]",
+     lambda x: psi_asymptotic_grid(P, x, np.pi)),
     # the parameter objects
     ("FieldPoint", "rho", "[0, inf)", lambda x: FieldPoint(x, 1.0)),
     ("FieldPoint", "theta", "[0, pi]", lambda x: FieldPoint(5.0, x)),
@@ -150,7 +158,8 @@ DOMAINS = [
 
 ENDS = {"0": (-1.0, 0.0), "pi": (3.5, np.pi), "inf": (np.inf, np.inf),
         "-inf": (-np.inf, -np.inf), "1.0": (0.5, 1.0), "1": (0.0, 1.0),
-        "0.1": (0.05, 0.1)}
+        "0.1": (0.05, 0.1),
+        "8.988465674311579e+307": (1e308, 8.988465674311579e+307)}
 
 
 def outside(bound):
@@ -169,6 +178,43 @@ def test_evaluator_rejects_values_outside_its_domain(call, name, bound, x):
     with pytest.raises(ValueError, match="^%s must lie in %s, got %s = "
                        % (name, re.escape(bound), name)):
         call(x)
+
+
+# (evaluator, partial-wave index, its bound, an integer n inside, call with
+# the index set to x): a non-integer raises, and the integral float n.0
+# gives the value of n
+ORDERS = [
+    ("phase_shift", "ell", "[0, inf)", 1, lambda x: phase_shift(x, 0.4).factor),
+    ("coulomb_wave_regular", "ell", "[0, inf)", 1,
+     lambda x: coulomb_wave_regular(x, 0.4, 2.0)),
+    ("coulomb_wave_asymptotic", "ell", "[0, inf)", 2,
+     lambda x: coulomb_wave_asymptotic(x, 1.0, 50.0)),
+    ("integrate_full_mode", "ell", "[0, inf)", 2,
+     lambda x: integrate_full_mode(BH, x, 100.0)),
+    ("long_wavelength_valid", "ell", "[1, inf)", 1,
+     lambda x: long_wavelength_valid(BH, x)),
+    ("psi_multipole_sum", "ell_max", "[0, inf)", 10,
+     lambda x: psi_multipole_sum(P, FieldPoint(5.0, 1.0), x)),
+    ("phase_shift_sweep", "ell_max", "[0, inf)", 10,
+     lambda x: phase_shift_sweep(x, 1.0)),
+    ("f_series_partial_sweep", "ell_max", "[0, inf)", 10,
+     lambda x: f_series_partial_sweep(P, 1.0, x)),
+    ("f_series_cesaro", "n", "[1, inf)", 10,
+     lambda x: f_series_cesaro(P, 1.0, x)),
+    ("f_reduced_series", "ell_max", "[0, inf)", 10,
+     lambda x: f_reduced_series(P, 1.0, x)),
+]
+
+
+@pytest.mark.parametrize("name, bound, n, call", [
+    pytest.param(name, bound, n, call, id=f) for f, name, bound, n, call
+    in ORDERS])
+def test_partial_wave_index_must_be_an_integer(name, bound, n, call):
+    with pytest.raises(ValueError, match="^%s must be an integer in %s, got "
+                       "%s = %r$" % (name, re.escape(bound), name, n + 0.5)):
+        call(n + 0.5)
+    assert np.array_equal(call(float(n)), call(n))
+    assert np.array_equal(call(np.int64(n)), call(n))
 
 
 # (evaluator, call at a FieldPoint pt): the evaluators of one point

@@ -6,6 +6,8 @@ against internal identities (plane-wave limit, residual of the governing
 equation, the forward plateau).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from coulscat import (
     FieldPoint,
     ScatteringParams,
     coulomb_wave_regular,
+    exact,
     psi_asymptotic_grid,
     psi_exact,
     psi_exact_grid,
     schrodinger_residual,
     specfun,
 )
+from coulscat.currents import current_scan_grid
 
 # e^{-pi*g/2} |Gamma(1+ig)| and sqrt(pi*g / sinh(pi*g)), 40-digit evaluation
 FORWARD_TABLE = {
@@ -155,6 +159,75 @@ def test_psi_exact_grid_matches_scalar():
     grid = psi_exact_grid(p, rho, theta)
     for i, (r, t) in enumerate(zip(rho, theta)):
         assert grid[i] == psi_exact(p, FieldPoint(rho=r, theta=t)), (r, t)
+
+
+def _bits(z):
+    """The bit patterns of a complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(z).view(np.int64)
+
+
+def test_psi_exact_grid_slices_keep_every_bit():
+    # a batch of three slices, which share one anchor chain per call: its
+    # first slice reaches rho s <= 20 only, so the later ones walk the chain
+    # on. Each slice-sized piece alone (one hyp1f1 call, the chain walked
+    # for it alone) has the batch's bits, and sampled points, the six on
+    # each side of both slice boundaries among them, equal psi_exact
+    n = exact._SLICE
+    rng = np.random.default_rng(30)
+    ends = [k * n + d for k in (1, 2) for d in range(-6, 6)]
+    for gamma in (0.4, -1.5, 3.0):
+        p = ScatteringParams(gamma=gamma)
+        rho = np.concatenate([rng.uniform(0.0, 10.0, n),
+                              rng.uniform(0.0, 150.0, n + 300)])
+        theta = rng.uniform(0.0, np.pi, rho.size)
+        theta[::50] = 0.0
+        # both 1F1 branches and the axis at the boundaries
+        rho[ends] = np.resize([5.0, 120.0, 60.0], len(ends))
+        theta[ends] = np.resize([1.0, 2.0, 0.0, 1.5], len(ends))
+        series = rho * (1.0 - np.cos(theta)) <= specfun.series_radius(
+            -1j * gamma)
+        assert 0.2 < series[n:].mean() < 0.8 and series[:n - 6].all()
+        assert series[ends].any() and not series[ends].all()
+        grid = psi_exact_grid(p, rho, theta)
+        for i in range(0, rho.size, n):
+            piece = psi_exact_grid(p, rho[i:i + n], theta[i:i + n])
+            assert np.array_equal(_bits(grid[i:i + n]), _bits(piece)), gamma
+        for i in ends + list(range(0, rho.size, 157)):
+            assert grid[i] == psi_exact(p, FieldPoint(rho[i], theta[i])), (
+                gamma, i)
+
+
+def test_current_scan_grid_slices_keep_every_bit():
+    # the exact field's gradient reads its dM/dz in slices too: every
+    # current of a three-slice batch has the bits of its slice-sized piece
+    n = exact._SLICE
+    rng = np.random.default_rng(31)
+    p = ScatteringParams(gamma=0.7)
+    rho = rng.uniform(1.0, 150.0, 2 * n + 300)
+    theta = rng.uniform(0.05, np.pi, rho.size)
+    whole = current_scan_grid(p, rho, theta)
+    for i in range(0, rho.size, n):
+        piece = current_scan_grid(p, rho[i:i + n], theta[i:i + n])
+        for w, q in zip(whole, piece):
+            assert np.array_equal(w[:, i:i + n].view(np.int64),
+                                  q.view(np.int64)), i
+
+
+def test_psi_exact_grid_memory_is_bounded_by_its_slices():
+    # 2e5 points past the switch radius (rho s from 46 to 460, the
+    # asymptotic branch's (25, N) term blocks): the temporaries of one
+    # slice, a fixed few MB, come to under 64 B a point beyond the 16 B of
+    # the output; evaluated in one piece they took about 500 B a point
+    p = ScatteringParams(gamma=0.4)
+    rho = np.linspace(100.0, 1000.0, 200_000)
+    psi_exact_grid(p, rho[:10], 1.0)
+    tracemalloc.start()
+    try:
+        psi = psi_exact_grid(p, rho, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - psi.nbytes) / rho.size < 64
 
 
 def test_forward_plateau_off_axis():
