@@ -5,12 +5,12 @@ the wavenumber k are the only physical parameters, and field positions are
 the dimensionless (rho = k r, theta).
 
 A field evaluation (psi_exact_grid, and the gradient behind the currents)
-runs its flat batch in slices of _SLICE = 4096 points, so its temporaries
-stay those of one slice whatever the batch. Its slices read one 1F1 anchor
-chain per (a, b) per call: walked once, kept in a table local to the call
-and dropped when it returns. A batch of one slice is one hyp1f1 call.
+runs its flat batch in slices of _SLICE points, so its temporaries stay
+those of one slice whatever the batch. Each slice is one hyp1f1 call, which
+walks its own anchor chain per (a, b).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +23,9 @@ _HUGE = float(np.finfo(np.float64).max)
 _HALF_HUGE = 0.5 * _HUGE
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _LOG_HUGE = float(np.log(_HUGE))
-# points per slice of a field evaluation (_field): fig3's psi table took
-# 1.25x as long at 2048 and 0.97x at 8192, where the fieldmap benchmark's
-# peak memory rose by 1 MB
+# points per slice of a field evaluation (_field): fig3's compute phase took
+# 1.3x as long at 2048 and 0.85x at 8192, where the fieldmap benchmark's
+# peak memory rose by 1 MB more, to 2% above per-chunk calls
 _SLICE = 4096
 
 
@@ -74,46 +74,34 @@ class FieldPoint:
 def _field(p, rho, theta, kummer):
     """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
     M(-i gamma, 1, i rho s) on broadcastable float64 arrays of (rho, theta),
-    with the Kummer function M evaluated by kummer(a, b, z, chains):
-    _kummer, one of hyp1f1's two branch bodies on _entry, or the dM/dz of
-    _gradient.
+    with the Kummer function M evaluated by kummer(a, b, z): hyp1f1, one of
+    its two branch bodies on _entry, or the dM/dz of _gradient.
 
     A batch of more than _SLICE points is evaluated flat, in slices of
-    _SLICE, so that its temporaries stay those of one slice; chains is then
-    one dict for all slices, which keeps one anchor chain per (a, b) for
-    this call alone (specfun._chain). A smaller batch is one slice,
-    with chains None. Each element goes through the operations of a
-    one-slice call, so the slicing moves no bit."""
+    _SLICE, so that its temporaries stay those of one slice; a smaller one
+    skips the flattening, 8 us of a pointwise call's 0.2 ms. An element's
+    value depends on its own point only, so the slicing moves no bit."""
     both = np.broadcast(rho, theta)
     if both.size <= _SLICE:
-        return _slice(p, rho, theta, kummer, None)
+        return _slice(p, rho, theta, kummer)
     rho, theta = (np.broadcast_to(v, both.shape).reshape(-1)
                   for v in (rho, theta))
-    chains = {}
     out = np.empty(both.size, dtype=np.complex128)
     for i in range(0, both.size, _SLICE):
         out[i:i + _SLICE] = _slice(p, rho[i:i + _SLICE],
-                                   theta[i:i + _SLICE], kummer, chains)
+                                   theta[i:i + _SLICE], kummer)
     return out.reshape(both.shape)
 
 
-def _slice(p, rho, theta, kummer, chains):
+def _slice(p, rho, theta, kummer):
     """_field on one slice."""
     s = 1.0 - np.cos(theta)
     g = p.gamma
     log_pref = (1j * rho * (1.0 - s) - 0.5 * np.pi * g
                 + specfun.log_gamma_complex(1.0 + 1j * g))
-    m = kummer(-1j * g, 1.0, 1j * rho * s, chains)
+    m = kummer(-1j * g, 1.0, 1j * rho * s)
     _check_scale(log_pref, m, gamma=g)
     return np.exp(log_pref) * m
-
-
-def _kummer(a, b, z, chains):
-    """M(a, b, z) for _field: hyp1f1, or with chains its body reading and
-    extending the anchor chains there."""
-    if chains is None:
-        return specfun.hyp1f1(a, b, z)
-    return specfun._entry(specfun._dispatch, a, b, z, chains)
 
 
 def _check_scale(log_pref, m, **point):
@@ -213,18 +201,17 @@ def psi_exact_grid(p, rho, theta):
     """Exact wavefunction on broadcastable arrays of (rho, theta), theta in
     [0, pi] and rho in [0, inf) with rho s finite (_rho_theta); raises
     outside, and raises ArithmeticError where float64 cannot form the value
-    (_check_scale). Evaluated flat in slices of _SLICE points that share
-    one anchor chain per (a, b) per call (_field)."""
+    (_check_scale). Evaluated flat in slices of _SLICE points (_field)."""
     return _like(np.broadcast(rho, theta),
-                 _field(p, *_rho_theta(rho, theta, "[0, pi]"), _kummer))
+                 _field(p, *_rho_theta(rho, theta, "[0, pi]"), specfun.hyp1f1))
 
 
 def _gradient(p, rho, theta):
     """psi_exact_grid stacked with [d_rho psi, d_theta psi / rho], by
     dM/dz = (a/b) M(a + 1, b + 1, z) (DLMF 13.3.15) at z = i rho s."""
     psi = psi_exact_grid(p, rho, theta)
-    dpsi = _field(p, rho, theta, lambda a, b, z, chains:
-                  a / b * _kummer(a + 1.0, b + 1.0, z, chains))
+    dpsi = _field(p, rho, theta,
+                  lambda a, b, z: a / b * specfun.hyp1f1(a + 1.0, b + 1.0, z))
     s = 1.0 - np.cos(theta)
     return np.stack([psi, 1j * ((1.0 - s) * psi + s * dpsi),
                      1j * np.sin(theta) * (dpsi - psi)])
@@ -267,8 +254,7 @@ def schrodinger_residual(p, pt, h):
         branch = specfun._asymptotic
     rhos = np.array([rho, rho - h, rho + h, rho, rho])
     thetas = np.array([theta, theta, theta, theta - ht, theta + ht])
-    f = _field(p, rhos, thetas,
-               lambda a, b, z, _: specfun._entry(branch, a, b, z))
+    f = _field(p, rhos, thetas, functools.partial(specfun._entry, branch))
     c, rm, rp, tm, tp = f
 
     d2_rho = (rp - 2.0 * c + rm) / h ** 2

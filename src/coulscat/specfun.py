@@ -17,12 +17,12 @@ Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
   |a r_0 / b| <= 1 keeps O(1).
 * Anchors r_{k+1} = r_k + min(r_k/2, CONT_MAX_STEP, CONT_B_STEP r_k/|b|)
   carry M and M' outward, once per call for each distinct (a, b), the
-  lattice's only inputs; the slices of one field evaluation (at most
-  exact._SLICE points each) share one chain per (a, b) per call (_chain),
-  dropped when the call returns. r_k/2 keeps each step inside the local
-  radius of convergence |z0|; CONT_MAX_STEP bounds the e^{|h|} cancellation
-  of the e^z component; CONT_B_STEP r_k/|b| keeps the coefficient
-  recurrence stable near the origin when |b| is large.
+  lattice's only inputs (a field evaluation makes one call per slice of at
+  most exact._SLICE points, so one chain per (a, b) per slice). r_k/2
+  keeps each step inside the local radius of convergence |z0|;
+  CONT_MAX_STEP bounds the e^{|h|} cancellation of the e^z component;
+  CONT_B_STEP r_k/|b| keeps the coefficient recurrence stable near the
+  origin when |b| is large.
 * An element z with r_k < |z| <= r_{k+1} (z = 0 opens the first step) is
   the Horner sum sum_n d_n t^n of that step's Taylor coefficients
   d_n = M^(n)(z_k) H^n / n!, H the step, at t = (z - z_k) / H; on the first
@@ -58,7 +58,6 @@ costs a fixed number of numpy operations on either branch, and every value,
 like the convergent branch's, is the same alone as in any batch.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -155,11 +154,10 @@ def log_gamma_complex(z):
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
-def _entry(body, a, b, z, *args):
-    """body(a, b, z, *args) on a, b, z broadcast once and flattened,
-    returned in their common shape (a Python complex when all three are
-    scalars). Raises ValueError naming an a, b or z outside hyp1f1's
-    domain."""
+def _entry(body, a, b, z):
+    """body(a, b, z) on a, b, z broadcast once and flattened, returned in
+    their common shape (a Python complex when all three are scalars).
+    Raises ValueError naming an a, b or z outside hyp1f1's domain."""
     a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
     # each parameter alone (a + b + z can overflow), by inside tests, which
     # NaN fails, and reduced once: a reduction costs more than the masks
@@ -180,7 +178,7 @@ def _entry(body, a, b, z, *args):
     if size == 0:
         return np.empty(shape, dtype=np.complex128)
     out = body(*[(v if v.size == size else np.broadcast_to(v, shape)).reshape(-1)
-                 for v in (a, b, z)], *args)
+                 for v in (a, b, z)])
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -191,14 +189,13 @@ def _raise_unconverged(max_terms, z):
         "(|z| up to %.3g)" % (max_terms, float(np.max(np.abs(z)))))
 
 
-def _anchor_radii(r0, b, r_max, anchors=MAX_ANCHORS):
+def _anchor_radii(r0, b, r_max):
     """The anchor lattice of one (a, b): radii r_0 = r0,
     r_{k+1} = r_k + min(r_k / 2, CONT_MAX_STEP, CONT_B_STEP * r_k / |b|),
-    up to the first radius >= r_max (a RuntimeError past anchors radii, by
-    default MAX_ANCHORS)."""
+    up to the first radius >= r_max (a RuntimeError past MAX_ANCHORS)."""
     radii = [r0]
     b_step = CONT_B_STEP / abs(b)
-    for _ in range(anchors):
+    for _ in range(MAX_ANCHORS):
         r = radii[-1]
         if r >= r_max:
             return radii
@@ -208,9 +205,9 @@ def _anchor_radii(r0, b, r_max, anchors=MAX_ANCHORS):
                        % (MAX_ANCHORS, r_max))
 
 
-def _anchor_steps(a, b, radii, m, dm, keep, exp=0):
-    """Carry a solution w of the Kummer ODE from w = 2^exp m, w' = 2^exp dm
-    at i radii[0] to i radii[-1]. Step k runs from z0 = i radii[k] by
+def _anchor_steps(a, b, radii, m, dm, keep):
+    """Carry a solution w of the Kummer ODE from w = m, w' = dm at i radii[0]
+    to i radii[-1]. Step k runs from z0 = i radii[k] by
     H = i (radii[k+1] - radii[k]), and w(z0 + t H) = 2^e_k sum_n d_n t^n with
     d_n = w^(n)(z0) H^n / (2^e_k n!),
     d_{n+2} = [(n+a) H^2 d_n - (n+1)(n+b-z0) H d_{n+1}] / (z0 (n+1)(n+2)).
@@ -230,7 +227,7 @@ def _anchor_steps(a, b, radii, m, dm, keep, exp=0):
     Returns {k: (e_k, [d_0, d_1, ...])} for the steps k in keep, and the
     value, derivative and exponent at the last anchor."""
     tol, max_terms = SERIES_TOL, SERIES_MAX_TERMS
-    rows = {}
+    rows, exp = {}, 0
     for k in range(len(radii) - 1):
         h = (radii[k + 1] - radii[k]) * 1j
         consec = 0
@@ -288,17 +285,16 @@ def _anchor_steps(a, b, radii, m, dm, keep, exp=0):
     return rows, (m, dm, exp)
 
 
-def _ray_values(radii, r, steps):
+def _ray_values(a, b, radii, m, dm, r):
     """The solution w of _anchor_steps at the points i r,
     radii[0] <= r <= radii[-1]: a point of step k,
     radii[k] < r <= radii[k+1], is the Horner sum of that step's
     coefficients, and r = radii[0] is step 0 at t = 0, its d_0 = m exactly.
-    steps(keep) returns {k: (e_k, [d_0, d_1, ...])} for (at least) the
-    steps k in keep, the steps that hold a point, and a second value that
-    is passed on; each Horner step gathers one coefficient column when
-    there are several.
+    Rows are kept only for the steps that hold a point, and each Horner step
+    gathers one coefficient column when there are several.
 
-    Returns the sums, their exponents e (w = 2^e sum) and that value."""
+    Returns the sums, their exponents e (w = 2^e sum) and the end data of
+    _anchor_steps."""
     lattice = np.asarray(radii)
     slot = np.searchsorted(lattice[1:], r)  # each point's step
     if (slot == slot[:1]).all():  # one step holds every point
@@ -306,8 +302,8 @@ def _ray_values(radii, r, steps):
         slot[:] = 0
     else:
         used, slot = np.unique(slot, return_inverse=True)
-    rows, extra = steps(set(used.tolist()))
-    kept = [rows[k] for k in used.tolist()]
+    rows, end = _anchor_steps(a, b, radii, m, dm, set(used.tolist()))
+    kept = [rows[k] for k in used]
     table = np.zeros((max((len(row) for _, row in kept), default=1),
                       used.size), dtype=np.complex128)
     for s, (_, row) in enumerate(kept):
@@ -321,31 +317,10 @@ def _ray_values(radii, r, steps):
     for column in table[-2::-1]:
         # out of place: numpy rounds an in-place 1-element product otherwise
         w = w * t + column[pick]
-    return w, np.array([e for e, _ in kept], dtype=np.int64)[slot], extra
+    return w, np.array([e for e, _ in kept], dtype=np.int64)[slot], end
 
 
-def _chain(chains, a, b, r0, r_max):
-    """The anchor chain of (a, b) from the origin, first anchor r0, kept in
-    the dict chains and walked on to the first radius >= r_max: its radii
-    and every step's (e_k, [d_0, d_1, ...]). Each step is walked once per
-    dict, from the last one's end data; it depends on (a, b) and the
-    lattice alone, so it has the bits of a chain walked at once."""
-    if (a, b) not in chains:
-        chains[a, b] = [0.0, r0], [], (1.0 + 0.0j, a / b, 0)
-    radii, rows, (m, dm, exp) = chains[a, b]
-    if radii[-1] < r_max:
-        # one budget for the whole chain; radii[0] = 0 is no anchor
-        radii += _anchor_radii(radii[-1], b, r_max,
-                               MAX_ANCHORS + 2 - len(radii))[1:]
-    if len(rows) < len(radii) - 1:
-        new, end = _anchor_steps(a, b, radii[len(rows):], m, dm,
-                                 range(len(radii) - 1 - len(rows)), exp)
-        rows += new.values()
-        chains[a, b] = radii, rows, end
-    return radii, rows
-
-
-def _continuation(a, b, z, chains=None):
+def _continuation(a, b, z):
     """hyp1f1's convergent branch: float64 analytic continuation of
     M(a, b, z) up the imaginary axis from the origin (see the module
     docstring), on flat arrays a, b, z.
@@ -355,9 +330,7 @@ def _continuation(a, b, z, chains=None):
     to the sum; each z is the Horner sum of the series whose step holds it.
     An element's value depends on its own (a, b, z) only, never on the rest
     of the batch. Raises RuntimeError if any series needs more than
-    SERIES_MAX_TERMS terms. With chains, a dict that the slices of one
-    field evaluation share (exact._field), each (a, b) reads and extends
-    its chain there (_chain); without, it is walked for this batch alone."""
+    SERIES_MAX_TERMS terms."""
     # + 0.0 turns -0.0 into +0.0 (in |z| here, in a and b where they are
     # read), so equal parameters group together
     r = z.imag + 0.0
@@ -374,15 +347,8 @@ def _continuation(a, b, z, chains=None):
             groups = [(i, inverse.reshape(-1) == g) for g, i in enumerate(first)]
     for i, sel in groups:
         ai, bi = complex(a[i] + 0.0), complex(b[i] + 0.0)
-        r0, r_max = float(r_start[i]), float(r[sel].max())
-        if chains is None:  # only the steps that hold a point are kept
-            radii = [0.0] + _anchor_radii(r0, bi, r_max)
-            steps = functools.partial(_anchor_steps, ai, bi, radii,
-                                      1.0 + 0.0j, ai / bi)
-        else:
-            radii, rows = _chain(chains, ai, bi, r0, r_max)
-            steps = lambda keep: (rows, None)
-        w, e, _ = _ray_values(radii, r[sel], steps)
+        radii = [0.0] + _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
+        w, e, _ = _ray_values(ai, bi, radii, 1.0 + 0.0j, ai / bi, r[sel])
         if e.any():
             # M's own scale: inf or 0 only where float64 cannot hold M
             with np.errstate(over="ignore", invalid="ignore"):
@@ -413,8 +379,7 @@ def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
     radii = _anchor_radii(r0, b, r_end)
     radii[-1] = r_end
     if len(radii) > 1:
-        w, e, (m, dm, exp) = _ray_values(
-            radii, r, functools.partial(_anchor_steps, a, b, radii, m0, dm0))
+        w, e, (m, dm, exp) = _ray_values(a, b, radii, m0, dm0, r)
     else:  # r_end = r0: no step, and every r is r0
         w, e, (m, dm, exp) = np.full(r.shape, m0, np.complex128), 0, (m0, dm0, 0)
     log2 = math.log(2.0)
@@ -517,16 +482,14 @@ def hyp1f1(a, b, z):
     return _entry(_dispatch, a, b, z)
 
 
-def _dispatch(a, b, z, chains=None):
-    """hyp1f1's body; chains as _continuation takes it."""
+def _dispatch(a, b, z):
     near = z.imag <= series_radius(a)
     # the whole batch on one branch: no masked copies
     if near.all():
-        return _continuation(a, b, z, chains)
+        return _continuation(a, b, z)
     if not near.any():
         return _asymptotic(a, b, z)
-    far = ~near
     out = np.empty(z.shape, dtype=np.complex128)
-    out[near] = _continuation(a[near], b[near], z[near], chains)
-    out[far] = _asymptotic(a[far], b[far], z[far])
+    for sel, body in ((near, _continuation), (~near, _asymptotic)):
+        out[sel] = body(a[sel], b[sel], z[sel])
     return out

@@ -167,10 +167,9 @@ def _bits(z):
 
 
 def test_psi_exact_grid_slices_keep_every_bit():
-    # a batch of three slices, which share one anchor chain per call: its
-    # first slice reaches rho s <= 20 only, so the later ones walk the chain
-    # on. Each slice-sized piece alone (one hyp1f1 call, the chain walked
-    # for it alone) has the batch's bits, and sampled points, the six on
+    # a batch of three slices, whose first reaches rho s <= 20 only and
+    # whose later ones hold both 1F1 branches: each slice-sized piece alone
+    # (one hyp1f1 call) has the batch's bits, and sampled points, the six on
     # each side of both slice boundaries among them, equal psi_exact
     n = exact._SLICE
     rng = np.random.default_rng(30)
