@@ -45,7 +45,7 @@ def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     with it, plus |gamma| (1+gamma^2)/(rho s)^2."""
     like = np.broadcast(rho, theta)
     rho, theta = exact._rho_theta(rho, theta, "(0, pi]")
-    s = 1.0 - np.cos(theta)
+    s = exact._s(theta)
     rs = rho * s
     if np.any(rs <= 0.0):
         raise ValueError("requires rho*s > 0, got rho*s = %r"
@@ -87,7 +87,7 @@ def rutherford_amplitude_phase_separated(p, theta):
     """The amplitude with the angle-dependent logarithmic phase factored in
     explicitly: f = f_R * e^{-i gamma ln(s/2)}. Same modulus as f_R."""
     theta_v = exact._within("theta", theta, "(0, pi]")
-    s = exact._within("s", 1.0 - np.cos(theta_v), "(0, 2]")
+    s = exact._within("s", exact._s(theta_v), "(0, 2]")
     out = rutherford_amplitude(p, theta_v) * np.exp(-1j * p.gamma * np.log(s / 2.0))
     return exact._like(theta, out)
 
@@ -105,7 +105,7 @@ def born_amplitude_yukawa(p, theta, mu):
     """First Born approximation for the screened potential (A/r) e^{-mu r}:
     f_B = -2 gamma k / (q^2 + mu^2) with momentum transfer q = 2 k
     sin(theta/2). mu = 0 recovers the plain Rutherford modulus."""
-    mu = exact._within("mu", mu, "[0, inf)").item()
+    mu = exact._one("mu", exact._within("mu", mu, "[0, inf)"))
     q = 2.0 * p.k * np.sin(exact._within("theta", theta, "[0, pi]") / 2.0)
     denom = q ** 2 + mu ** 2
     if np.any(denom == 0.0):

@@ -33,9 +33,8 @@ class BlackHoleParams:
     omega: float
 
     def __post_init__(self):
-        # .item(): one value each (an array of several raises)
-        exact._within("mass", self.mass, "[0, inf)").item()
-        exact._within("omega", self.omega, "(0, inf)").item()
+        exact._one("mass", exact._within("mass", self.mass, "[0, inf)"))
+        exact._one("omega", exact._within("omega", self.omega, "(0, inf)"))
 
     @property
     def r_s(self):
@@ -69,6 +68,7 @@ def radial_mode_asymptotic(bh, ell, r):
     Raises when the mapping is uncontrolled for this ell or where the form's
     first omitted term est has est (1 + est) >= asymptotic.FORM_TOL.
     """
+    ell = exact._one("ell", ell)
     if not long_wavelength_valid(bh, ell):
         raise ValueError("long-wavelength mapping invalid for this ell and "
                          "M omega")
@@ -88,9 +88,16 @@ def _full_mode_start(bh, ell, r_start):
     the Kummer parameters a, b, the matching radius |z| beyond which w is
     taken from the asymptotic pair (hyp1f1's switch radius for this a, or
     z0 = 2 i rho0 if that lies farther), and w'/w at z0 (see
-    integrate_full_mode)."""
+    integrate_full_mode). The errors name what its caller can change: mass
+    where the default r_start is 0, and r_start only where it was passed."""
+    ell = exact._one("ell", ell)
     exact._order("ell", ell, "[0, inf)")
-    if r_start is None:
+    passed = r_start is not None
+    if not passed:
+        if bh.mass == 0.0:
+            raise ValueError("mass must lie in (0, inf) for the default "
+                             "r_start of ten Schwarzschild radii, got "
+                             "mass = %r" % bh.mass)
         r_start = 10.0 * bh.r_s
     # outside the horizon
     exact._within("r_start", r_start, "(%r, inf)" % float(bh.r_s))
@@ -105,8 +112,10 @@ def _full_mode_start(bh, ell, r_start):
            + 1j * (ell + 1.0 - 1j * p.gamma) * (2.0 * ell + 1.0)
            / (2.0 * ell + 3.0) * u1) / (ell + 1.0)
     if not min(abs(u0), abs(u1)) >= _TINY:
-        raise ArithmeticError("the ell wave underflows float64 at r_start = "
-                              "%g; raise r_start" % r_start)
+        raise ArithmeticError(
+            "the ell = %r wave underflows float64 at r_start = %g%s"
+            % (ell, r_start, "; raise r_start" if passed
+               else " (ten Schwarzschild radii)"))
     disc = (ell + 0.5) ** 2 - 12.0 * (bh.mass * bh.omega) ** 2
     lam1 = 0.5 + (math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc))
     # w'/w = (u0'/u0 - lam1/rho0 + i) / 2i; for real gamma and lambda
@@ -206,6 +215,7 @@ def full_mode_phase_error(bh, ell):
     F_lambda, this would be sigma_lambda - sigma_ell + (ell - lambda) pi/2.
     Raises as integrate_full_mode does.
     """
+    ell = exact._one("ell", ell)
     _, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(bh, ell, None)
     _, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
                                 z_match, [])

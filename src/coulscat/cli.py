@@ -30,8 +30,9 @@ import numpy as np
 
 from . import asymptotic, classical, currents, exact, multipole, specfun
 
-# rows per compute call: bounds the output columns a builder stacks at once
-# and the per-row work of the builders that evaluate chunk by chunk
+# rows per compute call (perfbench's cli.chunk spans): bounds only the
+# output columns a builder stacks at once; no evaluator's temporaries, which
+# the field evaluators bound by their own slices (exact._SLICE)
 CHUNK_ROWS = 2048
 CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
 
@@ -313,7 +314,7 @@ def _series_scan(spec, order, orders, f_series, abs_f):
         for n in np.unique(n_c):
             mask = n_c == n
             f[mask] = f_series(p, t[mask], int(n))
-        s = 1.0 - np.cos(t)
+        s = exact._s(t)
         fc = asymptotic.rutherford_amplitude_phase_separated(p, t)
         return ([n_c, t, f.real, f.imag] + [np.abs(f)] * abs_f
                 + _parts(s * f) + _parts(s * fc))
@@ -433,6 +434,9 @@ def _build_bh_mode(spec):
     if spec.mass is None or spec.omega is None:
         raise ValueError("bh_mode requires --mass and --omega")
     bh = classical.BlackHoleParams(spec.mass, spec.omega)
+    if bh.mass == 0.0:
+        raise ValueError("bh_mode requires --mass > 0: its full mode starts "
+                         "from ten Schwarzschild radii, got --mass 0")
     r = _axis(spec.r_range)
     if r[0] <= bh.r_s:
         raise ValueError("--r-range must start outside r_s = %g" % bh.r_s)
@@ -451,11 +455,12 @@ QUANTITIES = tuple(_BUILDERS)
 
 def run_scan(spec):
     """Compute the dataset for a validated spec and write it to spec.out.
-    Returns (header, rows). Rows are computed in fixed chunks of CHUNK_ROWS,
-    which bounds the output columns a builder stacks at once and, for the
-    builders that evaluate their rows chunk by chunk, their per-row work.
-    psi_exact_grid bounds its own temporaries by its slices (exact._SLICE),
-    so field_map evaluates its whole psi table in its first chunk."""
+    Returns (header, rows). Rows are computed in fixed chunks of CHUNK_ROWS
+    (perfbench's cli.chunk spans), which bound only the output columns a
+    builder stacks at once, not any evaluator's temporaries:
+    psi_exact_grid and currents.current_scan_grid bound theirs by their
+    slices (exact._SLICE), so field_map evaluates its whole psi table in
+    its first chunk."""
     spec.validate()
     header, n_rows, compute = _BUILDERS[spec.quantity](spec)
     rows = np.empty((n_rows, len(header)))

@@ -84,7 +84,7 @@ def _split(p, rho, theta):
     pin, pscat, _ = asymptotic.psi_asymptotic_grid(p, rho, theta,
                                                    backreaction=False)
     g, sin, one = p.gamma, np.sin(theta), np.ones_like(pin)
-    rs = rho * (1.0 - np.cos(theta))
+    rs = rho * exact._s(theta)
     # grad ln(rho s), with ln psi_in = i rho cos(theta) + i gamma ln(rho s)
     # and ln psi_scat = const + i rho - (1 + i gamma) ln(rho s)
     d_log = np.stack([1.0 / rho, sin / rs])
@@ -106,16 +106,21 @@ def current_scan_grid(p, rho, theta, backreaction=False):
     incoming and scattered currents (the incoming wave with the gamma^2
     correction when backreaction is set), the exact-field current, and the
     outgoing remainders J[psi - psi_in] without and with the gamma^2
-    correction in psi_in."""
-    # flat: 0-d operands would round as numpy scalars, not as array loops
-    rho, theta = np.broadcast_arrays(np.asarray(rho, dtype=np.float64),
-                                     np.asarray(theta, dtype=np.float64))
-    shape, rho, theta = rho.shape, rho.ravel(), theta.ravel()
-    plain, corrected, scat = _split(p, rho, theta)
-    pin = corrected if backreaction else plain
-    psi = exact._gradient(p, rho, theta)
-    return [_current(p, f).reshape((2,) + shape) for f in
-            (pin + scat, pin, scat, psi, psi - plain, psi - corrected)]
+    correction in psi_in. Evaluated in the exact field's slices
+    (exact._sliced), each slice flat."""
+    shape = np.broadcast(rho, theta).shape
+    rho, theta = exact._rho_theta(rho, theta, "(0, pi]")
+
+    def scan(rho, theta):
+        # flat, contiguous: 0-d or strided operands may round otherwise
+        rho, theta = (v.ravel() for v in np.broadcast_arrays(rho, theta))
+        plain, corrected, scat = _split(p, rho, theta)
+        pin = corrected if backreaction else plain
+        psi = exact._gradient(p, rho, theta)
+        return np.stack([_current(p, f) for f in (
+            pin + scat, pin, scat, psi, psi - plain, psi - corrected)])
+
+    return list(exact._sliced(scan, rho, theta).reshape((6, 2) + shape))
 
 
 def _vector(j):
@@ -123,11 +128,11 @@ def _vector(j):
 
 
 def _closed_form_s(pt, theta_bound="(0, pi]"):
-    """s of a point with rho in (0, inf), theta in theta_bound and s in
-    (0, 2]: s rounds to 0 for 0 < theta < 1.05e-8, inside theta's bound."""
+    """s of a point in exact._rho_theta's domain with rho > 0, theta in
+    theta_bound and s in (0, 2]: s is 0 for 0 < theta < 1.05e-8."""
     exact._one_point(pt)
     exact._within("rho", pt.rho, "(0, inf)")
-    exact._within("theta", pt.theta, theta_bound)
+    exact._rho_theta(pt.rho, pt.theta, theta_bound)
     return exact._within("s", pt.s, "(0, 2]").item()
 
 

@@ -4,10 +4,10 @@ Natural units hbar = m = 1 throughout: the interaction strength gamma and
 the wavenumber k are the only physical parameters, and field positions are
 the dimensionless (rho = k r, theta).
 
-A field evaluation (psi_exact_grid, and the gradient behind the currents)
-runs its flat batch in slices of _SLICE points, so its temporaries stay
-those of one slice whatever the batch. Each slice is one hyp1f1 call, which
-walks its own anchor chain per (a, b).
+psi_exact_grid and currents.current_scan_grid run a batch in slices of
+_SLICE points through one loop (_sliced), so that their temporaries stay
+those of one slice whatever the batch; each slice is one hyp1f1 call per
+Kummer function. psi_asymptotic_grid, with no 1F1 call, is not sliced.
 """
 
 import functools
@@ -23,7 +23,7 @@ _HUGE = float(np.finfo(np.float64).max)
 _HALF_HUGE = 0.5 * _HUGE
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _LOG_HUGE = float(np.log(_HUGE))
-# points per slice of a field evaluation (_field): fig3's compute phase took
+# points per slice of a sliced evaluation (_sliced): fig3's compute phase took
 # 1.3x as long at 2048 and 0.85x at 8192, where the fieldmap benchmark's
 # peak memory rose by 1 MB more, to 2% above per-chunk calls
 _SLICE = 4096
@@ -37,65 +37,71 @@ class ScatteringParams:
     k: float = 1.0
 
     def __post_init__(self):
-        # .item(): one value each (an array of several raises)
-        _within("gamma", self.gamma, "(-inf, inf)").item()
-        _within("k", self.k, "(0, inf)").item()
+        _one("gamma", _within("gamma", self.gamma, "(-inf, inf)"))
+        _one("k", _within("k", self.k, "(0, inf)"))
 
 
 @dataclass(frozen=True)
 class FieldPoint:
     """Evaluation site (rho = k r, polar angle theta): two scalars, or
-    broadcastable float arrays of several sites. psi_exact and
+    broadcastable float arrays of several sites, in psi_exact_grid's domain
+    (_rho_theta: theta in [0, pi], rho s finite). psi_exact and
     psi_asymptotic take either; the other evaluators of a FieldPoint take
     one site and raise otherwise (_one_point)."""
     rho: float
     theta: float
 
     def __post_init__(self):
-        # chained comparisons on scalars (a twentieth of a _within call;
-        # NaN fails them), one whole-array test where they are ambiguous
+        # chained comparisons on scalars (a twentieth of a _rho_theta call;
+        # NaN fails them), one whole-array test where they are ambiguous;
+        # past max/2 (and outside) _rho_theta decides and names the point
         rho, theta = self.rho, self.theta
         try:
-            ok = 0.0 <= rho < np.inf and 0.0 <= theta <= np.pi
+            ok = 0.0 <= rho <= _HALF_HUGE and 0.0 <= theta <= np.pi
         except ValueError:
-            ok = np.all((0.0 <= rho) & (rho < np.inf)
+            ok = np.all((0.0 <= rho) & (rho <= _HALF_HUGE)
                         & (0.0 <= theta) & (theta <= np.pi))
         if not ok:
-            # _within names the first element outside
-            _within("rho", rho, "[0, inf)")
-            _within("theta", theta, "[0, pi]")
+            _rho_theta(rho, theta, "[0, pi]")
 
     @property
     def s(self):
-        """s = 1 - cos(theta), in [0, 2]."""
-        return 1.0 - np.cos(self.theta)
+        """s = 1 - cos(theta), in [0, 2] (_s)."""
+        return _s(self.theta)
+
+
+def _s(theta):
+    """s = 1 - cos(theta), in [0, 2]: the one place it is formed."""
+    return 1.0 - np.cos(theta)
+
+
+def _sliced(f, rho, theta):
+    """f(rho, theta) for broadcastable float64 arrays, f returning an array
+    with the points on its last axes: a batch of more than _SLICE points is
+    evaluated flat, in slices of _SLICE, into one output allocated at the
+    first slice, so that its temporaries stay those of one slice; a smaller
+    one is f's value, unflattened (8 us of a pointwise call's 0.2 ms). An
+    element's value depends on its own point only, so the slicing moves no
+    bit."""
+    both = np.broadcast(rho, theta)
+    if both.size <= _SLICE:
+        return f(rho, theta)
+    rho, theta = (np.broadcast_to(v, both.shape).reshape(-1)
+                  for v in (rho, theta))
+    for i in range(0, both.size, _SLICE):
+        part = f(rho[i:i + _SLICE], theta[i:i + _SLICE])
+        if i == 0:
+            out = np.empty(part.shape[:-1] + (both.size,), part.dtype)
+        out[..., i:i + _SLICE] = part
+    return out.reshape(out.shape[:-1] + both.shape)
 
 
 def _field(p, rho, theta, kummer):
     """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
     M(-i gamma, 1, i rho s) on broadcastable float64 arrays of (rho, theta),
     with the Kummer function M evaluated by kummer(a, b, z): hyp1f1, one of
-    its two branch bodies on _entry, or the dM/dz of _gradient.
-
-    A batch of more than _SLICE points is evaluated flat, in slices of
-    _SLICE, so that its temporaries stay those of one slice; a smaller one
-    skips the flattening, 8 us of a pointwise call's 0.2 ms. An element's
-    value depends on its own point only, so the slicing moves no bit."""
-    both = np.broadcast(rho, theta)
-    if both.size <= _SLICE:
-        return _slice(p, rho, theta, kummer)
-    rho, theta = (np.broadcast_to(v, both.shape).reshape(-1)
-                  for v in (rho, theta))
-    out = np.empty(both.size, dtype=np.complex128)
-    for i in range(0, both.size, _SLICE):
-        out[i:i + _SLICE] = _slice(p, rho[i:i + _SLICE],
-                                   theta[i:i + _SLICE], kummer)
-    return out.reshape(both.shape)
-
-
-def _slice(p, rho, theta, kummer):
-    """_field on one slice."""
-    s = 1.0 - np.cos(theta)
+    its two branch bodies on _entry, or the dM/dz of _gradient."""
+    s = _s(theta)
     g = p.gamma
     log_pref = (1j * rho * (1.0 - s) - 0.5 * np.pi * g
                 + specfun.log_gamma_complex(1.0 + 1j * g))
@@ -160,6 +166,16 @@ def _order(name, value, bound):
     return v
 
 
+def _one(name, values):
+    """values' one element as a Python scalar, or a ValueError naming it
+    where it holds several: for a parameter that takes one value."""
+    v = np.asarray(values)
+    if v.size != 1:
+        raise ValueError("%s must be one value, got an array of shape %s"
+                         % (name, v.shape))
+    return v.item()
+
+
 def _one_point(pt):
     """A ValueError naming pt where it holds other than one site: the
     evaluators of one point return scalars."""
@@ -186,7 +202,7 @@ def _rho_theta(rho, theta, theta_bound):
     v = v.reshape(1) if v.ndim == 0 else v
     # past max/2, rho s overflows for some s in [0, 2]
     if not ((0.0 <= v) & (v <= _HALF_HUGE)).all():
-        s = 1.0 - np.cos(theta)
+        s = _s(theta)
         with np.errstate(over="ignore", invalid="ignore"):
             bad = ~((0.0 <= v) & (v * s < np.inf))
         if bad.any():
@@ -201,18 +217,19 @@ def psi_exact_grid(p, rho, theta):
     """Exact wavefunction on broadcastable arrays of (rho, theta), theta in
     [0, pi] and rho in [0, inf) with rho s finite (_rho_theta); raises
     outside, and raises ArithmeticError where float64 cannot form the value
-    (_check_scale). Evaluated flat in slices of _SLICE points (_field)."""
-    return _like(np.broadcast(rho, theta),
-                 _field(p, *_rho_theta(rho, theta, "[0, pi]"), specfun.hyp1f1))
+    (_check_scale). Evaluated flat in slices of _SLICE points (_sliced)."""
+    return _like(np.broadcast(rho, theta), _sliced(
+        lambda r, t: _field(p, r, t, specfun.hyp1f1),
+        *_rho_theta(rho, theta, "[0, pi]")))
 
 
 def _gradient(p, rho, theta):
-    """psi_exact_grid stacked with [d_rho psi, d_theta psi / rho], by
+    """psi stacked with [d_rho psi, d_theta psi / rho] on one slice, by
     dM/dz = (a/b) M(a + 1, b + 1, z) (DLMF 13.3.15) at z = i rho s."""
-    psi = psi_exact_grid(p, rho, theta)
+    psi = _field(p, rho, theta, specfun.hyp1f1)
     dpsi = _field(p, rho, theta,
                   lambda a, b, z: a / b * specfun.hyp1f1(a + 1.0, b + 1.0, z))
-    s = 1.0 - np.cos(theta)
+    s = _s(theta)
     return np.stack([psi, 1j * ((1.0 - s) * psi + s * dpsi),
                      1j * np.sin(theta) * (dpsi - psi)])
 
@@ -234,6 +251,7 @@ def schrodinger_residual(p, pt, h):
     """
     _one_point(pt)
     _within("h", h, "(0, inf)")
+    _rho_theta(pt.rho, pt.theta, "[0, pi]")
     if pt.rho <= h:
         raise ValueError("requires rho > h, got rho = %r, h = %r"
                          % (pt.rho, h))
@@ -248,7 +266,7 @@ def schrodinger_residual(p, pt, h):
 
     # the whole stencil on the center's 1F1 branch: a branch switch inside
     # it would put the two branches' difference into the second differences
-    if rho * (1.0 - np.cos(theta)) <= specfun.series_radius(-1j * p.gamma):
+    if rho * _s(theta) <= specfun.series_radius(-1j * p.gamma):
         branch = specfun._continuation
     else:
         branch = specfun._asymptotic

@@ -35,6 +35,7 @@ def _wrap_angle(x):
 def phase_shift(ell, gamma):
     """Coulomb phase shift of one partial wave, from the ratio
     Gamma(ell+1+i gamma)/Gamma(ell+1-i gamma) evaluated in log space."""
+    ell, gamma = exact._one("ell", ell), exact._one("gamma", gamma)
     exact._order("ell", ell, "[0, inf)")
     exact._within("gamma", gamma, "(-inf, inf)")
     lg = specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
@@ -48,7 +49,8 @@ def phase_shift_sweep(ell_max, gamma):
     (ell + i gamma)/(ell - i gamma) from the directly evaluated ell = 0
     seed: the one recurrence behind every amplitude series. Within 5e-13
     of mpmath for ell <= 2000, |gamma| <= 50, the log-gamma seed's error."""
-    ell_max = int(exact._order("ell_max", ell_max, "[0, inf)").item())
+    ell_max = int(exact._one("ell_max",
+                             exact._order("ell_max", ell_max, "[0, inf)")))
     g = float(gamma)
     factor = phase_shift(0, g).factor
     out = [factor]
@@ -86,6 +88,7 @@ def coulomb_wave_regular(ell, gamma, rho):
     both are compared (rho <= 10).
     """
     exact._order("ell", ell, "[0, inf)")
+    gamma = exact._one("gamma", gamma)
     rho_v = exact._within("rho", rho, "[0, inf)")
     const = (specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
              - specfun.log_gamma_complex(2.0 * ell + 2.0)
@@ -105,6 +108,7 @@ def coulomb_wave_asymptotic(ell, gamma, rho):
     """Two-wave large-rho form of the regular partial wave: incoming and
     outgoing spherical exponentials with the log-distorted phase
     rho - gamma ln(2 rho), the outgoing one carrying e^{2 i delta_ell}."""
+    ell = exact._one("ell", ell)
     exact._order("ell", ell, "[0, inf)")
     rho_v = exact._within("rho", rho, "(0, inf)")
     rho_c = rho_v - gamma * np.log(2.0 * rho_v)
@@ -229,7 +233,8 @@ def psi_multipole_sum(p, pt, ell_max):
     ell_max = 10).
     """
     exact._one_point(pt)
-    ell_max = int(exact._order("ell_max", ell_max, "[0, inf)").item())
+    ell_max = int(exact._one("ell_max",
+                             exact._order("ell_max", ell_max, "[0, inf)")))
     exact._within("rho", pt.rho, "(0, inf)")
     radial, _ = _coulomb_wave_sweep(ell_max, p.gamma, pt.rho)
     terms = radial / pt.rho * _legendre_column(np.cos(pt.theta), ell_max)
@@ -275,8 +280,9 @@ def f_series_partial_sweep(p, theta, ell_max):
     """All partial sums of the divergent amplitude series up to ell_max at
     one angle: entry L holds sum over ell <= L of
     ((2 ell + 1)/(2 i k)) (e^{2 i delta_ell} - 1) P_ell(cos theta)."""
-    ell_max = int(exact._order("ell_max", ell_max, "[0, inf)").item())
-    theta = exact._within("theta", theta, "(0, pi]").item()
+    ell_max = int(exact._one("ell_max",
+                             exact._order("ell_max", ell_max, "[0, inf)")))
+    theta = exact._one("theta", exact._within("theta", theta, "(0, pi]"))
     legendre = _legendre_column(np.cos(theta), ell_max)
     return np.cumsum(_amplitude_terms(p, ell_max) * legendre)
 
@@ -292,7 +298,7 @@ def f_series_cesaro(p, theta, n):
     the terms grow linearly in ell, the series is not (C, 1)-summable, and
     the mean oscillates at O(1) for every n; it is still returned there.
     theta may be a scalar or an array in (0, pi]."""
-    n = int(exact._order("n", n, "[1, inf)").item())
+    n = int(exact._one("n", exact._order("n", n, "[1, inf)")))
     x = np.cos(exact._within("theta", theta, "(0, pi]")
                .reshape(np.shape(theta)))
     weights = (n + 1.0 - np.arange(n + 1)) / (n + 1.0)
@@ -311,7 +317,8 @@ def f_reduced_series(p, theta, ell_max):
     series is only conditionally convergent and is not offered. gamma = 0
     returns 0 identically (nothing is scattered).
     """
-    ell_max = int(exact._order("ell_max", ell_max, "[0, inf)").item())
+    ell_max = int(exact._one("ell_max",
+                             exact._order("ell_max", ell_max, "[0, inf)")))
     x = np.cos(exact._within("theta", theta, "(0, pi)")
                .reshape(np.shape(theta)))
     g = p.gamma

@@ -308,6 +308,27 @@ def test_full_mode_massless_is_coulomb_wave():
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref)), ell
 
 
+def test_full_mode_errors_name_what_the_caller_can_change():
+    # at mass 0 the default r_start, ten Schwarzschild radii, is 0: the
+    # callers that passed no r_start are told of the mass
+    flat = BlackHoleParams(mass=0.0, omega=1.0)
+    for call in (lambda: integrate_full_mode(flat, 2, 100.0),
+                 lambda: full_mode_phase_error(flat, 2)):
+        with pytest.raises(ValueError, match=r"^mass must lie in \(0, inf\) "
+                           "for the default r_start of ten Schwarzschild "
+                           "radii, got mass = 0.0$"):
+            call()
+    # the underflow names ell, and r_start only to a caller that passed it
+    bh = BlackHoleParams(mass=0.05, omega=1.0)
+    with pytest.raises(ArithmeticError, match=r"^the ell = 600 wave "
+                       r"underflows float64 at r_start = 1 \(ten "
+                       r"Schwarzschild radii\)$"):
+        full_mode_phase_error(bh, 600)
+    with pytest.raises(ArithmeticError, match="^the ell = 200 wave underflows "
+                       "float64 at r_start = 1; raise r_start$"):
+        integrate_full_mode(flat, 200, 10.0, r_start=1.0)
+
+
 def test_full_mode_raises_outside_float64_range():
     # F_200 at rho = 1 is ~1e-400: no float64 initial data to carry
     bh = BlackHoleParams(mass=0.0, omega=1.0)

@@ -486,6 +486,19 @@ def test_bh_mode_requires_mass(tmp_path):
     assert code == 2
 
 
+def test_bh_mode_names_mass_where_the_full_mode_has_no_start(tmp_path,
+                                                             capsys):
+    # at --mass 0 ten Schwarzschild radii are 0; the CLI has no r_start
+    out = tmp_path / "m0.csv"
+    code = main(["bh_mode", "--mass", "0", "--omega", "1",
+                 "--r-range", "50:500:40", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: bh_mode requires --mass > 0: its full mode starts from ten "
+        "Schwarzschild radii, got --mass 0\n")
+    assert not out.exists()
+
+
 def test_main_numerical_failure_exits_3(tmp_path, capsys):
     # the ell = 300 wave underflows float64 on its way in from r_start = 1
     out = tmp_path / "e3.csv"

@@ -25,6 +25,7 @@ from coulscat import (
     f_reduced_series,
     f_series_cesaro,
     f_series_partial_sweep,
+    full_mode_phase_error,
     integrate_full_mode,
     interference_radial_leading,
     long_wavelength_valid,
@@ -143,6 +144,12 @@ DOMAINS = [
      lambda x: current_scan_grid(P, x, np.pi)),
     ("psi_asymptotic_grid", "rho", "[0, 8.988465674311579e+307]",
      lambda x: psi_asymptotic_grid(P, x, np.pi)),
+    ("FieldPoint", "rho", "[0, 8.988465674311579e+307]",
+     lambda x: FieldPoint(x, np.pi)),
+    # and at theta = 3 (s = 1.99) past max/1.99; the residual's stencil
+    # needs theta off the axis
+    ("schrodinger_residual", "rho", "[0, 9.033667905448691e+307]",
+     lambda x: schrodinger_residual(P, point(x, 3.0), 1e-3)),
     # the parameter objects
     ("FieldPoint", "rho", "[0, inf)", lambda x: FieldPoint(x, 1.0)),
     ("FieldPoint", "theta", "[0, pi]", lambda x: FieldPoint(5.0, x)),
@@ -159,7 +166,8 @@ DOMAINS = [
 ENDS = {"0": (-1.0, 0.0), "pi": (3.5, np.pi), "inf": (np.inf, np.inf),
         "-inf": (-np.inf, -np.inf), "1.0": (0.5, 1.0), "1": (0.0, 1.0),
         "0.1": (0.05, 0.1),
-        "8.988465674311579e+307": (1e308, 8.988465674311579e+307)}
+        "8.988465674311579e+307": (1e308, 8.988465674311579e+307),
+        "9.033667905448691e+307": (1e308, 9.033667905448691e+307)}
 
 
 def outside(bound):
@@ -178,6 +186,85 @@ def test_evaluator_rejects_values_outside_its_domain(call, name, bound, x):
     with pytest.raises(ValueError, match="^%s must lie in %s, got %s = "
                        % (name, re.escape(bound), name)):
         call(x)
+
+
+# (evaluator, parameter that takes one value, call with it set to x): an
+# array of two values inside the domain raises, naming the parameter
+ONE_VALUE = [
+    ("phase_shift", "ell", [1, 2], lambda x: phase_shift(x, 0.5)),
+    ("phase_shift", "gamma", [0.1, 0.2], lambda x: phase_shift(1, x)),
+    ("coulomb_wave_asymptotic", "ell", [1, 2],
+     lambda x: coulomb_wave_asymptotic(x, 0.5, 50.0)),
+    ("coulomb_wave_regular", "gamma", [0.1, 0.2],
+     lambda x: coulomb_wave_regular(2, x, 5.0)),
+    ("integrate_full_mode", "ell", [2, 3],
+     lambda x: integrate_full_mode(BH, x, 100.0)),
+    ("radial_mode_asymptotic", "ell", [2, 3],
+     lambda x: radial_mode_asymptotic(BH, x, 100.0)),
+    ("full_mode_phase_error", "ell", [2, 3],
+     lambda x: full_mode_phase_error(BH, x)),
+    ("ScatteringParams", "gamma", [0.1, 0.2], lambda x: ScatteringParams(x)),
+    ("ScatteringParams", "k", [1.0, 2.0],
+     lambda x: ScatteringParams(0.7, k=x)),
+    ("BlackHoleParams", "mass", [0.1, 0.2], lambda x: BlackHoleParams(x, 1.0)),
+    ("BlackHoleParams", "omega", [1.0, 2.0],
+     lambda x: BlackHoleParams(0.05, x)),
+    ("born_amplitude_yukawa", "mu", [0.1, 0.2],
+     lambda x: born_amplitude_yukawa(P, 1.0, x)),
+    ("f_series_partial_sweep", "theta", [0.5, 1.0],
+     lambda x: f_series_partial_sweep(P, x, 10)),
+    ("phase_shift_sweep", "ell_max", [5, 10],
+     lambda x: phase_shift_sweep(x, 1.0)),
+    ("psi_multipole_sum", "ell_max", [5, 10],
+     lambda x: psi_multipole_sum(P, FieldPoint(5.0, 1.0), x)),
+    ("f_series_partial_sweep", "ell_max", [5, 10],
+     lambda x: f_series_partial_sweep(P, 1.0, x)),
+    ("f_reduced_series", "ell_max", [5, 10],
+     lambda x: f_reduced_series(P, 1.0, x)),
+    ("f_series_cesaro", "n", [5, 10], lambda x: f_series_cesaro(P, 1.0, x)),
+]
+
+
+@pytest.mark.parametrize("name, values, call", [
+    pytest.param(name, values, call, id="%s-%s" % (f, name))
+    for f, name, values, call in ONE_VALUE])
+def test_one_value_parameter_rejects_an_array(name, values, call):
+    with pytest.raises(ValueError, match=r"^%s must be one value, got an "
+                       r"array of shape \(2,\)$" % name):
+        call(np.array(values))
+    # one value as a one-element array still passes
+    call(np.array(values[:1]))
+
+
+def test_long_wavelength_validity_takes_an_array_of_orders():
+    # ell is one value elsewhere in classical, but not here
+    assert long_wavelength_valid(BH, np.array([1, 2])).tolist() == [True, True]
+
+
+def test_one_point_evaluators_refuse_rho_s_past_float64():
+    # a point past FieldPoint's bound, put together past its checks: at
+    # (rho, theta) = (1e308, 3) interference_radial_leading returned NaN;
+    # no numpy warning is raised on the way (the suite turns warnings into
+    # errors). DOMAINS holds the residual's row.
+    pt = point(1e308, 3.0)
+    for evaluate in (lambda: interference_radial_leading(P, pt),
+                     lambda: current_in_distorted(P, pt),
+                     lambda: oscillation_length(P, pt)):
+        with pytest.raises(ValueError, match=re.escape(
+                "rho must lie in [0, 9.033667905448691e+307], got "
+                "rho = 1e+308")):
+            evaluate()
+    with pytest.raises(ValueError, match=re.escape(
+            "rho must lie in [0, 9.033667905448691e+307]")):
+        FieldPoint(1e308, 3.0)
+    # psi_exact_grid's domain: max/s is inside, the next float past it not
+    edge = 9.033667905448691e+307
+    FieldPoint(edge, 3.0)
+    psi_exact_grid(P, edge, 3.0)
+    for call in (lambda: FieldPoint(np.nextafter(edge, np.inf), 3.0),
+                 lambda: psi_exact_grid(P, np.nextafter(edge, np.inf), 3.0)):
+        with pytest.raises(ValueError, match="^rho must lie in"):
+            call()
 
 
 # (evaluator, partial-wave index, its bound, an integer n inside, call with

@@ -212,21 +212,23 @@ def test_current_scan_grid_slices_keep_every_bit():
                                   q.view(np.int64)), i
 
 
-def test_psi_exact_grid_memory_is_bounded_by_its_slices():
+@pytest.mark.parametrize("evaluate", [psi_exact_grid, current_scan_grid])
+def test_psi_exact_grid_memory_is_bounded_by_its_slices(evaluate):
     # 2e5 points past the switch radius (rho s from 46 to 460, the
     # asymptotic branch's (25, N) term blocks): the temporaries of one
-    # slice, a fixed few MB, come to under 64 B a point beyond the 16 B of
-    # the output; evaluated in one piece they took about 500 B a point
+    # slice, a fixed few MB, come to under 64 B a point beyond the output
+    # (16 B of psi, 96 B of the six currents); evaluated in one piece they
+    # took about 500 and 376 B a point
     p = ScatteringParams(gamma=0.4)
     rho = np.linspace(100.0, 1000.0, 200_000)
-    psi_exact_grid(p, rho[:10], 1.0)
+    evaluate(p, rho[:10], 1.0)
     tracemalloc.start()
     try:
-        psi = psi_exact_grid(p, rho, 1.0)
+        out = evaluate(p, rho, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - psi.nbytes) / rho.size < 64
+    assert (peak - np.asarray(out).nbytes) / rho.size < 64
 
 
 def test_forward_plateau_off_axis():
