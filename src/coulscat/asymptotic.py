@@ -76,10 +76,15 @@ def psi_asymptotic(p, pt, backreaction=True):
 
 def rutherford_amplitude(p, theta):
     """Scattering amplitude multiplying the distorted spherical wave:
-    -gamma/(2 k sin^2(theta/2)) times the unit-modulus Gamma phase ratio."""
+    -gamma/(2 k sin^2(theta/2)) times the unit-modulus Gamma phase ratio.
+    Raises ArithmeticError where float64 cannot form it
+    (exact._check_closed): below theta ~ 3e-154 for gamma/k of order 1."""
     theta_v = exact._within("theta", theta, "(0, pi]")
-    out = (-p.gamma / (2.0 * p.k * np.sin(theta_v / 2.0) ** 2)
-           * multipole.phase_shift(0, p.gamma).factor)
+    factor = multipole.phase_shift(0, p.gamma).factor
+    with np.errstate(all="ignore"):
+        sin2 = np.sin(theta_v / 2.0) ** 2
+        out = -p.gamma / (2.0 * p.k * sin2) * factor
+    exact._check_closed(out, [sin2], theta=theta_v)
     return exact._like(theta, out)
 
 
@@ -95,9 +100,14 @@ def rutherford_amplitude_phase_separated(p, theta):
 def differential_cross_section(p, theta):
     """dSigma/dOmega = gamma^2 / (4 k^2 sin^4(theta/2)), diverging as
     theta^-4 toward the forward axis (hence theta = 0 is a domain error:
-    the large-distance amplitude picture breaks down there)."""
+    the large-distance amplitude picture breaks down there). Raises
+    ArithmeticError where float64 cannot form it (exact._check_closed):
+    below theta ~ 3e-77 for gamma/k of order 1."""
     theta_v = exact._within("theta", theta, "(0, pi]")
-    out = p.gamma ** 2 / (4.0 * p.k ** 2 * np.sin(theta_v / 2.0) ** 4)
+    with np.errstate(all="ignore"):
+        sin4 = np.sin(theta_v / 2.0) ** 4
+        out = p.gamma ** 2 / (4.0 * p.k ** 2 * sin4)
+    exact._check_closed(out, [sin4], theta=theta_v)
     return exact._like(theta, out)
 
 

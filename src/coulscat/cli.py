@@ -21,6 +21,7 @@ import errno
 import functools
 import json
 import os
+import stat
 import sys
 import typing
 from dataclasses import dataclass, fields
@@ -34,7 +35,10 @@ from . import asymptotic, classical, currents, exact, multipole, specfun
 # output columns a builder stacks at once; no evaluator's temporaries, which
 # the field evaluators bound by their own slices (exact._SLICE)
 CHUNK_ROWS = 2048
-CSV_BLOCK_ROWS = 4096  # rows formatted per write in write_csv
+# rows per write in write_csv: a block of a scan that is no outer x inner
+# product; a product scan is written one run at a time, a run of at most
+# this many rows
+CSV_BLOCK_ROWS = 4096
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
@@ -441,9 +445,13 @@ def _build_bh_mode(spec):
     if r[0] <= bh.r_s:
         raise ValueError("--r-range must start outside r_s = %g" % bh.r_s)
     u_asym = classical.radial_mode_asymptotic(bh, spec.ell, r)
-    u_full = classical.integrate_full_mode(
-        bh, spec.ell, r, r_start=min(10.0 * bh.r_s, float(r[0])))
-    u_full = u_full / (bh.omega * r)
+    # the full mode starts at ten Schwarzschild radii (the library's
+    # default, whose underflow error names no argument the CLI lacks).
+    # radial_mode_asymptotic has raised for any first r closer in: there
+    # omega r < 10 |gamma|, so est >= sqrt((4 + g^2)(1 + g^2))/(20 |g|)
+    # >= 0.15 for every ell >= 1
+    u_full = (classical.integrate_full_mode(bh, spec.ell, r)
+              / (bh.omega * r))
     header = ["r", "re_mode_asym", "im_mode_asym", "abs_mode_asym",
               "re_mode_full", "im_mode_full", "abs_mode_full"]
     return _scan(header, (r, u_asym, u_full),
@@ -486,36 +494,106 @@ def _product_period(bits):
     return p if product else 0
 
 
+def _cells(block, k):
+    """The line cells of a block after its k leading columns, which the
+    caller writes as literals: the literal of a column whose bit patterns
+    are all equal in the block (so 0.0 and -0.0 differ), "%.17g" for any
+    other; and the mask of those other columns, whose values fill the
+    template. One call per block or run formatted."""
+    bits = block.view(np.int64)
+    const = np.all(bits == bits[0], axis=0)
+    cells = ["%.17g" % v if c else "%.17g"
+             for v, c in zip(block[0, k:].tolist(), const[k:])]
+    const[:k] = True
+    return cells, ~const
+
+
+def _reader(fh, path):
+    """A read-only descriptor on the file that fh (opened on path) writes,
+    or None unless that is a regular file path opens for reading: a FIFO,
+    a pipe or a terminal as --out, a file without read permission, or a
+    system without os.pread takes no read-back."""
+    st = os.fstat(fh.fileno())
+    if not (stat.S_ISREG(st.st_mode) and hasattr(os, "pread")):
+        return None
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    if os.path.samestat(st, os.fstat(fd)):
+        return fd
+    os.close(fd)
+    return None
+
+
 def write_csv(path, header, rows):
     # one %-format per block of rows: the same bytes as formatting each
-    # value, without holding the whole file as Python objects. A column
-    # whose bit patterns are all equal in a block (so 0.0 and -0.0 differ)
-    # is formatted once, into the block's line template. When the rows are
-    # an outer x inner product, a block holds whole runs and the two
-    # coordinate columns are literals too: the inner axis formatted once
-    # per file, the outer value once per run
+    # value, without holding the whole file as Python objects. Each line is
+    # written with its leading newline, and the file ends with one. A
+    # column whose bit patterns are all equal in a block is formatted once
+    # (_cells). An outer x inner product is written one run at a time
+    # (_write_runs), and a run that repeats an earlier one is copied back
+    # from the file; an --out that cannot be read back (_reader) has every
+    # run formatted, to the same bytes
     rows = np.asarray(rows, dtype=np.float64)
-    p = _product_period(rows.view(np.int64))
-    # the k leading columns are literals
-    k, step = (2, CSV_BLOCK_ROWS // p * p) if p else (0, CSV_BLOCK_ROWS)
-    inner = ["%.17g" % v for v in rows[:p, 1].tolist()] if p else []
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            bits = block.view(np.int64)
-            const = np.all(bits == bits[0], axis=0)
-            cells = ["%.17g" % v if c else "%.17g"
-                     for v, c in zip(block[0, k:].tolist(), const[k:])]
-            if p:
-                lines = [",".join([s] + cells) for s in inner]
-                text = "".join(o + ("\n" + o).join(lines) + "\n"
-                               for o in ("%.17g," % v
-                                         for v in block[::p, 0].tolist()))
-            else:
-                text = (",".join(cells) + "\n") * len(block)
-            const[:k] = True
-            fh.write(text % tuple(block[:, ~const].ravel().tolist()))
+    bits = rows.view(np.int64)
+    p = _product_period(bits)
+    with open(path, "wb") as fh:
+        pos = fh.write(",".join(header).encode())
+        if not p:
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start:start + CSV_BLOCK_ROWS]
+                cells, vary = _cells(block, 0)
+                text = ("\n" + ",".join(cells)) * len(block)
+                fh.write((text % tuple(block[:, vary].ravel().tolist()))
+                         .encode())
+        else:
+            fd = _reader(fh, path)
+            try:
+                _write_runs(fh, fd, pos, rows, bits, p)
+            finally:
+                if fd is not None:
+                    os.close(fd)
+        fh.write(b"\n")
+
+
+def _write_runs(fh, fd, pos, rows, bits, p):
+    """write_csv's product branch: the runs of p rows from byte offset pos
+    on. The inner axis and each line-template body are formatted once per
+    file, and a run's outer literal is put at each line start by one
+    replace. With fd, a descriptor reading the file back, a run whose
+    other columns repeat an earlier run's bit patterns (field_map's kx and
+    -kx) is copied from the file (fh flushed first) with the outer literal
+    swapped, which is exact because a newline only ever starts a line and
+    each outer literal ends in a comma. Only an offset per distinct run is
+    kept, not its text."""
+    inner = ["%.17g" % v for v in rows[:p, 1].tolist()]
+    bodies = {}  # constant-cell pattern -> line-template body
+    seen = {}  # hash of a run's other columns -> (row, offset, length, outer)
+    for start in range(0, len(rows), p):
+        run, key, hit = rows[start:start + p], None, None
+        outer = "\n%.17g," % run[0, 0]
+        if fd is not None:
+            rest = bits[start:start + p, 1:]
+            key = hash(rest.tobytes())
+            hit = seen.get(key)
+        # a hash collision fails the comparison and formats afresh
+        if hit and np.array_equal(bits[hit[0]:hit[0] + p, 1:], rest):
+            _, offset, size, old = hit
+            fh.flush()
+            pos += fh.write(os.pread(fd, size, offset).replace(
+                old.encode(), outer.encode()))
+            continue
+        cells, vary = _cells(run, 2)
+        body = bodies.get(tuple(cells))
+        if body is None:
+            body = bodies[tuple(cells)] = "".join(
+                "\n" + ",".join([s] + cells) for s in inner)
+        text = (body.replace("\n", outer)
+                % tuple(run[:, vary].ravel().tolist())).encode()
+        if key is not None:
+            seen.setdefault(key, (start, pos, len(text), outer))
+        pos += fh.write(text)
 
 
 def describe(name):

@@ -139,11 +139,15 @@ def _closed_form_s(pt, theta_bound="(0, pi]"):
 def current_in_distorted(p, pt):
     """Closed-form current of the phase-distorted incoming wave (no
     backreaction): radially k(cos theta + gamma/rho), polar component
-    -k(sin theta - (gamma/rho) sin theta/(1 - cos theta))."""
+    -k(sin theta - (gamma/rho) sin theta/(1 - cos theta)). Raises
+    ArithmeticError where float64 cannot form it (exact._check_closed), as
+    for a subnormal rho."""
     s = _closed_form_s(pt)
     g, k, rho, theta = p.gamma, p.k, pt.rho, pt.theta
-    j_r = k * (np.cos(theta) + g / rho)
-    j_theta = -k * (np.sin(theta) - (g / rho) * np.sin(theta) / s)
+    with np.errstate(all="ignore"):
+        j_r = k * (np.cos(theta) + g / rho)
+        j_theta = -k * (np.sin(theta) - (g / rho) * np.sin(theta) / s)
+    exact._check_closed([j_r, j_theta], [rho], rho=rho, theta=theta)
     return CurrentVector(float(j_r), float(j_theta))
 
 
@@ -155,13 +159,17 @@ def current_scattered_asymptotic(p, pt):
     is j_r = k |psi_scat|^2 (1 - gamma/rho) and
     j_theta = -(k/rho) |psi_scat|^2 gamma sin(theta)/s. Near the axis the
     dropped j_theta is not small: at gamma = 0.4, rho = 10, theta = 0.05 it
-    is 1.6 j_r.
+    is 1.6 j_r. Raises ArithmeticError where float64 cannot form the
+    current (exact._check_closed), as below theta ~ 3e-77 or rho ~ 1.5e-154.
     """
     exact._one_point(pt)
     exact._within("rho", pt.rho, "(0, inf)")
     exact._within("theta", pt.theta, "(0, pi]")
     g, k = p.gamma, p.k
-    j_r = k * g ** 2 / (4.0 * pt.rho ** 2 * np.sin(pt.theta / 2.0) ** 4)
+    with np.errstate(all="ignore"):
+        rho2, sin4 = pt.rho ** 2, np.sin(pt.theta / 2.0) ** 4
+        j_r = k * g ** 2 / (4.0 * rho2 * sin4)
+    exact._check_closed(j_r, [rho2, sin4], rho=pt.rho, theta=pt.theta)
     return CurrentVector(float(j_r), 0.0)
 
 

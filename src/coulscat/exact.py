@@ -17,11 +17,12 @@ import numpy as np
 
 from . import specfun
 
-# float64's largest number, its half, and the natural logs of its smallest
-# normal number and of its largest number
+# float64's smallest normal number, its largest number, its half, and the
+# natural logs of the smallest normal number and of the largest number
+_TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max)
 _HALF_HUGE = 0.5 * _HUGE
-_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+_LOG_TINY = float(np.log(_TINY))
 _LOG_HUGE = float(np.log(_HUGE))
 # points per slice of a sliced evaluation (_sliced): fig3's compute phase took
 # 1.3x as long at 2048 and 0.85x at 8192, where the fieldmap benchmark's
@@ -127,13 +128,35 @@ def _check_scale(log_pref, m, **point):
         lost = ((r < _LOG_TINY) & (r + np.log(np.abs(m)) >= _LOG_TINY)
                 | (r > _LOG_HUGE) | ~np.isfinite(m))
     if lost.any():
-        at = ", ".join("%s = %r" % (name, np.broadcast_to(v, lost.shape)
-                                    [lost][0].item())
-                       for name, v in point.items())
         raise ArithmeticError(
             "float64 cannot form this value at %s: its prefactor and its "
             "1F1 factor leave float64's normal range in opposite "
-            "directions" % at)
+            "directions" % _first(lost, point))
+
+
+def _check_closed(out, divisors, **point):
+    """Raises an ArithmeticError naming the point, each keyword's value at
+    the first element lost, where float64 cannot form a closed form's value
+    out: out is inf or NaN, or one of divisors (the powers of sin(theta/2)
+    or rho that it divides by) falls below the smallest normal number, so
+    that the quotient passes float64's largest number or keeps no full
+    precision. Where none is lost, the value is the one formed."""
+    lost = ~np.isfinite(np.asarray(out))
+    for d in divisors:
+        lost = lost | ~(np.asarray(d) >= _TINY)
+    if lost.any():
+        raise ArithmeticError(
+            "float64 cannot form this value at %s: it, or a power of "
+            "sin(theta/2) or rho that it divides by, leaves float64's "
+            "normal range" % _first(lost, point))
+
+
+def _first(lost, point):
+    """"name = value" for each keyword of point, at the first lost
+    element."""
+    return ", ".join("%s = %r" % (name, np.broadcast_to(v, lost.shape)
+                                  [lost][0].item())
+                     for name, v in point.items())
 
 
 def _within(name, values, bound):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -509,6 +510,28 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_numerical_failures_name_what_the_cli_can_change(tmp_path, capsys):
+    # the bh_mode underflow names the full mode's start of ten Schwarzschild
+    # radii, not the library's r_start argument, which has no flag
+    out = tmp_path / "e3.csv"
+    assert main(["bh_mode", "--mass", "0.05", "--omega", "1", "--ell", "300",
+                 "--r-range", "5e5:6e5:2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the ell = 300 wave underflows float64 at "
+        "r_start = 1 (ten Schwarzschild radii)\n")
+    # a first r inside ten Schwarzschild radii fails the two-wave form's
+    # domain before any full mode is started
+    assert main(["bh_mode", "--mass", "0.05", "--omega", "1", "--ell", "1",
+                 "--r-range", "0.5:600:3", "--out", str(out)]) == 2
+    assert "the two-wave form's first omitted term" in capsys.readouterr().err
+    # a cross-section theta whose value float64 cannot hold
+    assert main(["cross_section", "--theta-range", "1e-100:1:3",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: float64 cannot form this value at theta = 1e-100:")
+    assert not out.exists()
+
+
 def test_chunking_is_invisible(tmp_path):
     # a grid crossing several chunk boundaries stays ordered
     n = CHUNK_ROWS * 2 + 17
@@ -651,6 +674,147 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         ref = ",".join(header) + "\n" + "".join(
             ",".join("%.17g" % v for v in row) + "\n" for row in part)
         assert path.read_bytes() == ref.encode()
+
+
+def _per_value(header, rows):
+    """The CSV bytes of "%.17g" applied value by value."""
+    return (",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows)).encode()
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    calls, inner = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _runs(outer, data, p=7):
+    """Product rows: outer values over a shared inner axis of p values, the
+    run for outer[i] holding data[i] (a (p, 3) block) in its other columns."""
+    inner = np.linspace(-1.0, 2.0, p)
+    return np.column_stack([np.repeat(outer, p), np.tile(inner, len(outer)),
+                            np.concatenate(data)])
+
+
+def test_write_csv_reuses_repeated_runs(tmp_path, monkeypatch):
+    # a run whose columns after the outer one repeat an earlier run's bit
+    # patterns is copied back from the file, outer literal swapped; the
+    # bytes stay those of per-value formatting
+    rng = np.random.default_rng(8)
+    a, b, c, d = (rng.normal(size=(7, 3)) for _ in range(4))
+    a[:, 2] = 4.0  # a constant column, a literal in the template
+    header = ["o", "i", "x", "y", "z"]
+    path = tmp_path / "r.csv"
+    # adjacent repeats, first and last equal, one run three times; and
+    # outer literals that are prefixes of one another (1 and -1, 2 and 2.5,
+    # 1 and 10), so that a swap cannot touch another run's lines
+    cases = [([1.0, -1.0, 2.0, 2.5, 10.0, -0.0], [a, a, b, c, a, b], 3),
+             ([2.5, 2.0, 3.0, 4.0, 5.0, 2.0], [a, b, c, d, c, a], 4),
+             ([-1.0, 1.0, 10.0, 1.0, -10.0], [b, b, b, b, b], 1)]
+    for outer, data, distinct in cases:
+        rows = _runs(outer, data)
+        formatted = _count_calls(monkeypatch, cli, "_cells")
+        write_csv(str(path), header, rows)
+        monkeypatch.undo()
+        assert path.read_bytes() == _per_value(header, rows), outer
+        assert len(formatted) == distinct, outer
+
+
+def test_write_csv_reuses_only_equal_bit_patterns(tmp_path, monkeypatch):
+    # runs equal up to one 0.0 against -0.0, or one NaN against another NaN
+    # bit pattern, are distinct runs; a hash collision formats afresh
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(7, 3))
+    a[3, 1] = 0.0
+    signed = a.copy()
+    signed[3, 1] = -0.0
+    nan, payload = a.copy(), a.copy()
+    nan[5, 0] = np.nan
+    payload[5, 0] = np.nan
+    payload.view(np.int64)[5, 0] ^= 1
+    header = ["o", "i", "x", "y", "z"]
+    path = tmp_path / "z.csv"
+    for data, distinct in (([a, signed, a, signed], 2),
+                           ([nan, payload, payload, nan], 2)):
+        rows = _runs([1.0, 2.0, 3.0, 4.0], data)
+        formatted = _count_calls(monkeypatch, cli, "_cells")
+        write_csv(str(path), header, rows)
+        monkeypatch.undo()
+        assert path.read_bytes() == _per_value(header, rows)
+        assert len(formatted) == distinct
+    # every run's hash alike: only runs equal to the first are copied, and
+    # both runs of signed are formatted
+    rows = _runs([1.0, 2.0, 3.0, 4.0, 5.0], [a, signed, a, signed, a])
+    monkeypatch.setattr(cli, "hash", lambda data: 0, raising=False)
+    formatted = _count_calls(monkeypatch, cli, "_cells")
+    write_csv(str(path), header, rows)
+    assert path.read_bytes() == _per_value(header, rows)
+    assert len(formatted) == 3
+
+
+def test_write_csv_without_read_back(tmp_path, monkeypatch):
+    # an --out that cannot be read back formats every run, to the same
+    # bytes
+    rng = np.random.default_rng(10)
+    a, b = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    rows = _runs([1.0, -1.0, 2.0, -2.0], [a, b, b, a])
+    header = ["o", "i", "x", "y", "z"]
+    path = tmp_path / "n.csv"
+    monkeypatch.setattr(cli, "_reader", lambda fh, path: None)
+    formatted = _count_calls(monkeypatch, cli, "_cells")
+    write_csv(str(path), header, rows)
+    assert path.read_bytes() == _per_value(header, rows)
+    assert len(formatted) == 4
+
+
+def test_fifo_out_writes_the_regular_file_bytes(tmp_path):
+    # a FIFO --out cannot be read back: exit 0 and the bytes of a regular
+    # file, read by a thread as main writes them
+    args = ["field_map", "--kx-range=-2:2:5", "--kz-range=-3:3:7", "--out"]
+    assert main(args + [str(tmp_path / "f.csv")]) == 0
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    try:
+        reader.start()
+        assert main(args + [fifo]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "f.csv").read_bytes()]
+    finally:
+        if reader.is_alive():
+            # a reader still waiting for a writer: open one, so that its
+            # open returns and it reads end of file
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+            reader.join(timeout=30)
+        os.remove(fifo)
+
+
+def test_fig3_formats_each_distinct_run_once(tmp_path, monkeypatch):
+    # fig3's 321 kx runs hold 161 distinct value runs (psi depends on |kx|):
+    # 161 are formatted, and the 160 mirrored ones read back from the file
+    formatted = _count_calls(monkeypatch, cli, "_cells")
+    copied = _count_calls(monkeypatch, os, "pread")
+    spec = _spec_from_mapping(load_preset("fig3"))
+    spec.out = str(tmp_path / "fig3.csv")
+    _, rows = run_scan(spec)
+    assert len(rows) == 321 * 481
+    assert (len(formatted), len(copied)) == (161, 160)
 
 
 # a small spec for each quantity, of the fields it reads

@@ -386,6 +386,39 @@ def test_closed_forms_check_s_where_it_rounds_to_zero():
         P.gamma ** 2 / (4.0 * P.k ** 2 * np.sin(5e-10) ** 4), rel=1e-15)
 
 
+def test_closed_forms_raise_where_float64_loses_the_value():
+    # inside their declared domains these returned inf (with numpy's divide
+    # or overflow warning), or for current_in_distorted inf silently; a
+    # divisor below the smallest normal number would keep few bits of a
+    # value in range (the last cross-section, about 4e28)
+    at = "float64 cannot form this value at %s: "
+    for call, where in (
+            (lambda: differential_cross_section(P, 1e-100), "theta = 1e-100"),
+            (lambda: differential_cross_section(P, np.array([1.0, 1e-100])),
+             "theta = 1e-100"),
+            (lambda: differential_cross_section(ScatteringParams(1e150),
+                                                1e-3), "theta = 0.001"),
+            (lambda: differential_cross_section(ScatteringParams(1e-140),
+                                                1e-77), "theta = 1e-77"),
+            (lambda: rutherford_amplitude(P, 1e-160), "theta = 1e-160"),
+            (lambda: current_scattered_asymptotic(
+                P, FieldPoint(10.0, 1e-100)), "rho = 10.0, theta = 1e-100"),
+            (lambda: current_scattered_asymptotic(
+                P, FieldPoint(1e-200, 1.0)), "rho = 1e-200, theta = 1.0"),
+            (lambda: current_in_distorted(P, FieldPoint(1e-320, 1.0)),
+             "rho = 1e-320, theta = 1.0"),
+            (lambda: current_in_distorted(ScatteringParams(1e10),
+                                          FieldPoint(1e-300, 1.0)),
+             "rho = 1e-300, theta = 1.0")):
+        with pytest.raises(ArithmeticError, match=re.escape(at % where)):
+            call()
+    # values that float64 holds are formed as before
+    assert differential_cross_section(P, 1e-60) == (
+        P.gamma ** 2 / (4.0 * P.k ** 2 * np.sin(5e-61) ** 4))
+    assert current_in_distorted(P, FieldPoint(1e-300, 1.0)).j_r == (
+        P.k * (np.cos(1.0) + P.gamma / 1e-300))
+
+
 def test_born_amplitude_takes_one_mu():
     # mu is one screening mass: an array of them must raise, not broadcast
     # against theta (a scalar theta would keep only the first mu's value)
