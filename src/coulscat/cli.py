@@ -700,8 +700,13 @@ def main(argv=None):
         except OSError as exc:
             raise ValueError("cannot write --out %s: %s"
                              % (out, exc.strerror or exc)) from None
+        try:  # out the file or pipe on fd 1 (/dev/stdout): not over the CSV
+            to_err = os.path.samestat(os.stat(out), os.fstat(1))
+        except OSError:
+            to_err = False
         print("wrote %s (%d rows, %d columns)" % (out, rows.shape[0],
-                                                  rows.shape[1]))
+                                                  rows.shape[1]),
+              file=sys.stderr if to_err else sys.stdout)
         return 0
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -167,7 +167,9 @@ def current_scattered_asymptotic(p, pt):
     exact._within("theta", pt.theta, "(0, pi]")
     g, k = p.gamma, p.k
     with np.errstate(all="ignore"):
-        rho2, sin4 = pt.rho ** 2, np.sin(pt.theta / 2.0) ** 4
+        # np.float64's ** is C pow, as Python's is, but past float64's range
+        # gives inf where Python's raises OverflowError
+        rho2, sin4 = np.float64(pt.rho) ** 2, np.sin(pt.theta / 2.0) ** 4
         j_r = k * g ** 2 / (4.0 * rho2 * sin4)
     exact._check_closed(j_r, [rho2, sin4], rho=pt.rho, theta=pt.theta)
     return CurrentVector(float(j_r), 0.0)

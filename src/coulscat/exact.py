@@ -46,29 +46,33 @@ class ScatteringParams:
 class FieldPoint:
     """Evaluation site (rho = k r, polar angle theta): two scalars, or
     broadcastable float arrays of several sites, in psi_exact_grid's domain
-    (_rho_theta: theta in [0, pi], rho s finite). psi_exact and
+    (_check_point: theta in [0, pi], rho s finite). psi_exact and
     psi_asymptotic take either; the other evaluators of a FieldPoint take
     one site and raise otherwise (_one_point)."""
     rho: float
     theta: float
 
     def __post_init__(self):
-        # chained comparisons on scalars (a twentieth of a _rho_theta call;
-        # NaN fails them), one whole-array test where they are ambiguous;
-        # past max/2 (and outside) _rho_theta decides and names the point
-        rho, theta = self.rho, self.theta
-        try:
-            ok = 0.0 <= rho <= _HALF_HUGE and 0.0 <= theta <= np.pi
-        except ValueError:
-            ok = np.all((0.0 <= rho) & (rho <= _HALF_HUGE)
-                        & (0.0 <= theta) & (theta <= np.pi))
-        if not ok:
-            _rho_theta(rho, theta, "[0, pi]")
+        _check_point(self.rho, self.theta)
 
     @property
     def s(self):
         """s = 1 - cos(theta), in [0, 2] (_s)."""
         return _s(self.theta)
+
+
+def _check_point(rho, theta):
+    """FieldPoint's and psi_exact_grid's check: chained comparisons on
+    scalars (NaN fails them), one array test on anything else; past max/2
+    (and outside) _rho_theta decides and names the point."""
+    try:
+        if 0.0 <= rho <= _HALF_HUGE and 0.0 <= theta <= np.pi:
+            return
+    except (TypeError, ValueError):  # not scalars: unordered or ambiguous
+        r, t = _floats(rho), _floats(theta)
+        if np.all((0.0 <= r) & (r <= _HALF_HUGE) & (0.0 <= t) & (t <= np.pi)):
+            return
+    _rho_theta(rho, theta, "[0, pi]")
 
 
 def _s(theta):
@@ -120,9 +124,8 @@ def _check_scale(log_pref, m, **point):
     and M grows like its inverse). A true value below the range is formed
     as it comes, within an absolute tolerance of 2.2e-308."""
     r = log_pref.real
-    # initial=0 (inside the range): an empty batch passes
-    if (np.isfinite(m).all() and _LOG_TINY <= r.min(initial=0.0)
-            and r.max(initial=0.0) <= _LOG_HUGE):
+    # masks reduced once (an empty batch passes): a reduction costs more
+    if (np.isfinite(m) & (_LOG_TINY <= r) & (r <= _LOG_HUGE)).all():
         return
     with np.errstate(divide="ignore"):
         lost = ((r < _LOG_TINY) & (r + np.log(np.abs(m)) >= _LOG_TINY)
@@ -166,8 +169,7 @@ def _within(name, values, bound):
     element: numpy's 0-d arithmetic rounds complex products differently
     from its array loops, so a scalar call computes as its element of an
     array call does, bit for bit, and _like turns the result back."""
-    v = np.asarray(values, dtype=np.float64)
-    v = v.reshape(1) if v.ndim == 0 else v
+    v = _floats(values)
     lo, hi = bound[1:-1].split(", ")
     lo, hi = float(lo), (np.pi if hi == "pi" else float(hi))
     ok = ((v > lo) if bound[0] == "(" else (v >= lo)) & (
@@ -176,6 +178,12 @@ def _within(name, values, bound):
         raise ValueError("%s must lie in %s, got %s = %r"
                          % (name, bound, name, float(v[~ok][0])))
     return v
+
+
+def _floats(values):
+    """values as a float64 array of at least one dimension."""
+    v = np.asarray(values, dtype=np.float64)
+    return v.reshape(1) if v.ndim == 0 else v
 
 
 def _order(name, value, bound):
@@ -221,8 +229,7 @@ def _rho_theta(rho, theta, theta_bound):
     overflows: [0, inf) where s = 1 - cos(theta) <= 1, [0, max/s] where
     s > 1 (theta > pi/2), max float64's largest number."""
     theta = _within("theta", theta, theta_bound)
-    v = np.asarray(rho, dtype=np.float64)
-    v = v.reshape(1) if v.ndim == 0 else v
+    v = _floats(rho)
     # past max/2, rho s overflows for some s in [0, 2]
     if not ((0.0 <= v) & (v <= _HALF_HUGE)).all():
         s = _s(theta)
@@ -238,12 +245,13 @@ def _rho_theta(rho, theta, theta_bound):
 
 def psi_exact_grid(p, rho, theta):
     """Exact wavefunction on broadcastable arrays of (rho, theta), theta in
-    [0, pi] and rho in [0, inf) with rho s finite (_rho_theta); raises
-    outside, and raises ArithmeticError where float64 cannot form the value
-    (_check_scale). Evaluated flat in slices of _SLICE points (_sliced)."""
+    [0, pi] and rho in [0, inf) with rho s finite (_check_point, FieldPoint's
+    check); raises outside, and ArithmeticError where float64 cannot form
+    the value (_check_scale). Evaluated flat in slices of _SLICE (_sliced)."""
+    _check_point(rho, theta)
     return _like(np.broadcast(rho, theta), _sliced(
         lambda r, t: _field(p, r, t, specfun.hyp1f1),
-        *_rho_theta(rho, theta, "[0, pi]")))
+        _floats(rho), _floats(theta)))
 
 
 def _gradient(p, rho, theta):

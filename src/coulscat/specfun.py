@@ -51,13 +51,14 @@ solution may fall far below float64's range). Past that radius a caller
 matches the solution to the two large-|z| solutions of _kummer_pair, which
 hyp1f1's large-|z| branch (_asymptotic) also sums.
 
-Each of their inverse-power series is one (ASYMPTOTIC_TERMS + 1, N) block of
-terms (_inv_power_series), and the Lanczos sum of log_gamma_complex one
+Their two inverse-power series are one (ASYMPTOTIC_TERMS + 1, 2, N) block
+of terms (_inv_power_series), and the Lanczos sum of log_gamma_complex one
 (8, N) block; a block's rows are added in row order whatever N. So a call
 costs a fixed number of numpy operations on either branch, and every value,
 like the convergent branch's, is the same alone as in any batch.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -79,6 +80,7 @@ CONT_B_STEP = 16.0
 # by 1 + CONT_B_STEP/|b|, so a chain grows like |b| (4,096 anchors per
 # e-fold of r at 2^16). The package's b: 1, 2, 2 ell + 2 and 2 lambda + 2.
 B_MAX = 2.0 ** 16
+_SCALARS = (complex, float, int)  # those _entry checks without numpy
 # An anchor chain rescales its value and derivative by an exact power of
 # two once |value| leaves [2^-500, 2^500] (_anchor_steps).
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -500, 2.0 ** 500
@@ -157,29 +159,46 @@ def log_gamma_complex(z):
 def _entry(body, a, b, z):
     """body(a, b, z) on a, b, z broadcast once and flattened, returned in
     their common shape (a Python complex when all three are scalars).
-    Raises ValueError naming an a, b or z outside hyp1f1's domain."""
-    a, b, z = (np.asarray(v, dtype=np.complex128) for v in (a, b, z))
-    # each parameter alone (a + b + z can overflow), by inside tests, which
-    # NaN fails, and reduced once: a reduction costs more than the masks
-    ok_a = np.isfinite(a)
-    ok_b = (np.abs(b) <= B_MAX) & ~_is_nonpositive_integer(b)
-    ok_z = (z.real == 0.0) & (z.imag >= 0.0) & (z.imag < np.inf)
-    if not (ok_a & ok_b & ok_z).all():
-        for name, v, ok, domain in (
-                ("a", a, ok_a, "be finite"),
-                ("b", b, ok_b, "not be a non-positive integer and must have "
-                 "|b| <= %g" % B_MAX),
-                ("z", z, ok_z, "lie on i[0, inf)")):
-            if not ok.all():
-                raise ValueError("hyp1f1 parameter %s must %s, got %s = %r"
-                                 % (name, domain, name, complex(v[~ok][0])))
-    shape = np.broadcast(a, b, z).shape
+    Raises ValueError naming an a, b or z outside hyp1f1's domain; Python
+    scalars a, b inside it with margin (psi's: |Re a|, |Im a| <= 2^500,
+    0 < Re b, |Re b|, |Im b| <= B_MAX/2) skip numpy's test. Where |a|^2 may
+    overflow (_radius), the body runs with numpy's overflow warning off."""
+    z = np.asarray(z, dtype=np.complex128)
+    tame = (isinstance(a, _SCALARS) and isinstance(b, _SCALARS)
+            and abs(a.real) <= 2.0 ** 500 and abs(a.imag) <= 2.0 ** 500
+            and 0.0 < b.real <= 0.5 * B_MAX and abs(b.imag) <= 0.5 * B_MAX
+            and (_on_ray(z.item()) if z.size == 1 else _on_ray(z).all()))
+    a, b = (np.asarray(v, dtype=np.complex128) for v in (a, b))
+    if not tame:
+        # each parameter alone (a + b + z can overflow), by inside tests, which
+        # NaN fails, and reduced once: a reduction costs more than the masks
+        ok_a, ok_z = np.isfinite(a), _on_ray(z)
+        ok_b = (np.abs(b) <= B_MAX) & ~_is_nonpositive_integer(b)
+        if not (ok_a & ok_b & ok_z).all():
+            for name, v, ok, domain in (
+                    ("a", a, ok_a, "be finite"),
+                    ("b", b, ok_b, "not be a non-positive integer and must "
+                     "have |b| <= %g" % B_MAX),
+                    ("z", z, ok_z, "lie on i[0, inf)")):
+                if not ok.all():
+                    raise ValueError("hyp1f1 parameter %s must %s, got %s = "
+                                     "%r" % (name, domain, name,
+                                             complex(v[~ok][0])))
+        tame = (np.abs(0.5 * a) <= 2.0 ** 499).all()  # |a| can overflow
+    shape = z.shape if a.ndim == b.ndim == 0 else np.broadcast(a, b, z).shape
     size = math.prod(shape)
     if size == 0:
         return np.empty(shape, dtype=np.complex128)
-    out = body(*[(v if v.size == size else np.broadcast_to(v, shape)).reshape(-1)
-                 for v in (a, b, z)])
+    flat = [v.reshape(-1) if v.size == size else v.repeat(size) if v.size == 1
+            else np.broadcast_to(v, shape).reshape(-1) for v in (a, b, z)]
+    with contextlib.nullcontext() if tame else np.errstate(over="ignore"):
+        out = body(*flat)
     return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def _on_ray(z):
+    """Whether z (a complex, or an array's elements) lies on i[0, inf)."""
+    return (z.real == 0.0) & (z.imag >= 0.0) & (z.imag < np.inf)
 
 
 def _raise_unconverged(max_terms, z):
@@ -297,7 +316,7 @@ def _ray_values(a, b, radii, m, dm, r):
     _anchor_steps."""
     lattice = np.asarray(radii)
     slot = np.searchsorted(lattice[1:], r)  # each point's step
-    if (slot == slot[:1]).all():  # one step holds every point
+    if slot.size == 1 or (slot == slot[:1]).all():  # one step holds all
         used = slot[:1].copy()
         slot[:] = 0
     else:
@@ -312,11 +331,11 @@ def _ray_values(a, b, radii, m, dm, r):
     # complex t = (i r - i r_k) / (i H): the real (r - r_k) / H rounds apart
     t = (r * 1j - lo[slot] * 1j) / ((lattice[used + 1] - lo)[slot] * 1j)
     # a lone step's coefficients broadcast, ungathered: a sum rounds alike
-    pick = slot if used.size > 1 else slice(None)
+    many = used.size > 1
     w = table[-1][slot]
     for column in table[-2::-1]:
         # out of place: numpy rounds an in-place 1-element product otherwise
-        w = w * t + column[pick]
+        w = w * t + (column[slot] if many else column)
     return w, np.array([e for e, _ in kept], dtype=np.int64)[slot], end
 
 
@@ -390,18 +409,16 @@ def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
 
 def _inv_power_series(p1, p2, w, deriv):
     """sum_k (p1)_k (p2)_k / (k! w^k), k = 0 .. ASYMPTOTIC_TERMS, and with
-    deriv also sum_k k (p1)_k (p2)_k / (k! w^k), as terms C_k w^-k:
-    C_k = prod_{j <= k} c_j, c_j = (p1 + j - 1)(p2 + j - 1) / j (a column
-    for scalar p1, p2), and the powers of 1/w by doubling. Each element
-    stops adding at its smallest term: the terms after the first that grows
-    (|c_j| > |w|) are dropped, so a generous ASYMPTOTIC_TERMS never degrades
-    the result."""
-    w = np.asarray(w)
-    shape, w = w.shape, w.reshape(-1)
-    k = _TERM_INDEX
+    deriv also sum_k k (p1)_k (p2)_k / (k! w^k), w an array and p1, p2
+    broadcast to it, as terms C_k w^-k: C_k = prod_{j <= k} c_j,
+    c_j = (p1 + j - 1)(p2 + j - 1) / j, and the powers of 1/w by doubling.
+    Each element stops adding at its smallest term: the terms after the
+    first that grows (|c_j| > |w|) are dropped, so a generous
+    ASYMPTOTIC_TERMS never degrades the result."""
+    k = _TERM_INDEX.reshape((-1,) + (1,) * w.ndim)
     c = (p1 + k[:-1]) * (p2 + k[:-1]) / k[1:]
     drop = np.maximum.accumulate(np.abs(c[1:]), axis=0) > np.abs(w)
-    trm = np.empty((k.size, w.size), dtype=np.complex128)
+    trm = np.empty(k.shape[:1] + w.shape, dtype=np.complex128)
     trm[0], trm[1] = 1.0, 1.0 / w
     s = 1
     while s < ASYMPTOTIC_TERMS:  # rows s+1 .. 2s are rows 1 .. s times row s
@@ -410,26 +427,28 @@ def _inv_power_series(p1, p2, w, deriv):
         s *= 2
     trm[1:] *= np.multiply.accumulate(c, axis=0)
     np.copyto(trm[2:], 0.0, where=drop)
-    tot = _sum_rows(trm).reshape(shape)
-    return tot, (_sum_rows(k * trm).reshape(shape) if deriv else None)
+    return _sum_rows(trm), (_sum_rows(k * trm) if deriv else None)
 
 
 def _kummer_pair(a, b, z, deriv=False):
     """The two formal solutions of the Kummer ODE at large |z| (DLMF 13.7.2,
     13.7.3), y1 = e^z z^{a-b} S1(z) and y2 = z^{-a} S2(-z), with
     S1(z) = sum_k (b-a)_k (1-a)_k / (k! z^k) and
-    S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs.
+    S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs: two rows
+    of one _inv_power_series block (a, b scalars or flat arrays of one size).
 
     Returns (log1, s1, ds1), (log2, s2, ds2) with y_j = e^{log_j} s_j, so
     that callers can keep the prefactors in logs; with deriv,
     y_j' = e^{log_j} ds_j, else ds_j is None. Their Wronskian is
     y1 y2' - y1' y2 = -e^z z^{-b}."""
     logz = np.log(z)
-    s1, k1 = _inv_power_series(b - a, 1.0 - a, z, deriv)
-    s2, k2 = _inv_power_series(a, a - b + 1.0, -z, deriv)
+    tot, ktot = _inv_power_series(*(np.array(v).reshape(2, -1) for v in (
+        [b - a, a], [1.0 - a, a - b + 1.0], [z, -z])), deriv)
+    s1, s2 = (row.reshape(np.shape(z)) for row in tot)
     ds1 = ds2 = None
     if deriv:
         # z d/dz of z^{-k} is -k z^{-k}
+        k1, k2 = (row.reshape(np.shape(z)) for row in ktot)
         ds1 = s1 + ((a - b) * s1 - k1) / z
         ds2 = -(a * s2 + k2) / z
     return (z + (a - b) * logz, s1, ds1), (-(a * logz), s2, ds2)
@@ -462,8 +481,13 @@ def series_radius(a):
     SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE |a|^2 (a scalar or array).
     Past |a| ~ 1e154 it is inf, and the chain raises its own RuntimeError."""
     with np.errstate(over="ignore"):
-        radius = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
+        radius = _radius(a)
     return float(radius) if np.ndim(radius) == 0 else radius
+
+
+def _radius(a):
+    """series_radius on an array, numpy's overflow warning left as set."""
+    return SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
 
 
 def hyp1f1(a, b, z):
@@ -483,7 +507,7 @@ def hyp1f1(a, b, z):
 
 
 def _dispatch(a, b, z):
-    near = z.imag <= series_radius(a)
+    near = z.imag <= _radius(a)
     # the whole batch on one branch: no masked copies
     if near.all():
         return _continuation(a, b, z)

@@ -221,6 +221,31 @@ def test_main_runs_scan(tmp_path, capsys):
     assert "25 rows" in capsys.readouterr().out
 
 
+def test_main_reports_to_stderr_when_out_is_stdout(tmp_path, capsys):
+    # with fd 1 redirected to a file, --out /dev/stdout names that file: the
+    # CSV fills it with the bytes of a regular --out, and the wrote line goes
+    # to stderr instead of over the CSV's first bytes
+    args = ["field_map", "--kx-range=-2:2:5", "--kz-range=-3:3:7", "--out"]
+    assert main(args + [str(tmp_path / "f.csv")]) == 0
+    assert "wrote" in capsys.readouterr().out
+    redirected = str(tmp_path / "stdout.csv")
+    saved = os.dup(1)
+    try:
+        fd = os.open(redirected, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        os.dup2(fd, 1)
+        os.close(fd)
+        code = main(args + ["/dev/stdout"])
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    assert code == 0
+    with open(redirected, "rb") as fh, open(tmp_path / "f.csv", "rb") as ref:
+        assert fh.read() == ref.read()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wrote /dev/stdout (35 rows, 6 columns)\n"
+
+
 def test_main_rejects_axis_for_asymptotic_quantity(tmp_path):
     # each library call (or spec check) raises before write_csv, so no file
     # is written

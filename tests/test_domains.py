@@ -42,7 +42,7 @@ from coulscat import (
     rutherford_amplitude_phase_separated,
     schrodinger_residual,
 )
-from coulscat.currents import current_scan_grid
+from coulscat.currents import CurrentVector, current_scan_grid
 
 P = ScatteringParams(gamma=0.7, k=1.3)
 BH = BlackHoleParams(mass=0.05, omega=1.0)
@@ -344,6 +344,21 @@ def test_field_point_of_arrays_names_its_first_bad_element():
     assert pt.s.shape == (3,)
 
 
+def test_field_point_takes_a_list_as_psi_exact_grid_does():
+    # a list is no scalar: it gets the array test (psi_exact_grid's
+    # domain), not Python's TypeError from comparing a float with a list
+    pt = FieldPoint([1.0, 2.0], 1.0)
+    assert np.array_equal(psi_exact(P, pt).view(np.int64),
+                          psi_exact_grid(P, [1.0, 2.0], 1.0).view(np.int64))
+    for rho, theta, bad in (([1.0, -2.0], 1.0, r"rho must lie in \[0, inf\), "
+                             "got rho = -2.0"),
+                            (5.0, [0.5, 4.0], r"theta must lie in \[0, pi\], "
+                             "got theta = 4.0")):
+        for call in (FieldPoint, lambda r, t: psi_exact_grid(P, r, t)):
+            with pytest.raises(ValueError, match="^%s$" % bad):
+                call(rho, theta)
+
+
 def test_field_evaluators_on_several_points_match_scalar_calls():
     # psi_exact and psi_asymptotic on arrays, element for element the bits
     # of their scalar calls (the one 1F1 call of an array runs each (a, b)
@@ -412,6 +427,11 @@ def test_closed_forms_raise_where_float64_loses_the_value():
              "rho = 1e-300, theta = 1.0")):
         with pytest.raises(ArithmeticError, match=re.escape(at % where)):
             call()
+    # a value below float64's range, past rho^2's overflow, is 0.0 (Python's
+    # ** raised a bare OverflowError)
+    for rho in (1e200, 10 ** 200):
+        assert current_scattered_asymptotic(P, FieldPoint(rho, 1.0)) == (
+            CurrentVector(0.0, 0.0))
     # values that float64 holds are formed as before
     assert differential_cross_section(P, 1e-60) == (
         P.gamma ** 2 / (4.0 * P.k ** 2 * np.sin(5e-61) ** 4))

@@ -231,6 +231,26 @@ def test_psi_exact_grid_memory_is_bounded_by_its_slices(evaluate):
     assert (peak - np.asarray(out).nbytes) / rho.size < 64
 
 
+def test_scalar_psi_exact_checks_its_point_once(monkeypatch):
+    # FieldPoint's check is psi_exact_grid's (_check_point): a scalar
+    # psi_exact runs it once, on either 1F1 branch and on the axis, and
+    # _rho_theta, the slower check that names a bad value, not at all
+    p = ScatteringParams(gamma=0.7)
+    points = [FieldPoint(5.0, 1.0), FieldPoint(500.0, 1.0),
+              FieldPoint(5.0, 0.0)]
+    expected = [psi_exact(p, pt) for pt in points]
+    calls = {"_check_point": [], "_rho_theta": []}
+    for name, got in calls.items():
+        inner = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda *args, inner=inner, got=got:
+                            got.append(args) or inner(*args))
+    for pt, psi in zip(points, expected):
+        del calls["_check_point"][:]
+        assert psi_exact(p, pt) == psi
+        assert len(calls["_check_point"]) == 1
+    assert calls["_rho_theta"] == []
+
+
 def test_forward_plateau_off_axis():
     # near the axis (rho*s small) the modulus stays on the forward plateau
     # even far from the scatterer

@@ -373,6 +373,53 @@ def test_hyp1f1_asymptotic_batch_independent():
             assert got[i] == ref[0], ASYM_CASES[i]
 
 
+def _kummer_pair_two_calls(a, b, z, deriv=False):
+    # the pair with each inverse-power series summed in its own call
+    s1, k1 = specfun._inv_power_series(b - a, 1.0 - a, z, True)
+    s2, k2 = specfun._inv_power_series(a, a - b + 1.0, -z, True)
+    ds = (s1 + ((a - b) * s1 - k1) / z, -(a * s2 + k2) / z)
+    logz = np.log(z)
+    return ((z + (a - b) * logz, s1, ds[0] if deriv else None),
+            (-(a * logz), s2, ds[1] if deriv else None))
+
+
+def test_kummer_pair_sums_both_series_in_one_block(monkeypatch):
+    # S1 and S2 are the two rows of one _inv_power_series block, each with
+    # the bits of its own call: psi-ray (a, b) of either sign of gamma as
+    # scalars and as arrays, inside the switch radius (where kummer_ivp's
+    # callers match) and past it (hyp1f1's branch), one point and a batch
+    rng = np.random.default_rng(53)
+    calls = []
+    inner = specfun._inv_power_series
+    monkeypatch.setattr(specfun, "_inv_power_series",
+                        lambda *args: calls.append(args) or inner(*args))
+    for g in (0.7, -0.7, 4.0, -4.0):
+        a, b = -1j * g, 1.0
+        radius = specfun.series_radius(a)
+        for n in (1, 300):
+            for z in (1j * rng.uniform(0.5, 1.0, n) * radius,
+                      1j * rng.uniform(1.0, 20.0, n) * radius):
+                for ab in ((a, b), (np.full(n, a), np.full(n, b + 0j))):
+                    del calls[:]
+                    got = specfun._kummer_pair(*ab, z, deriv=True)
+                    assert len(calls) == 1
+                    ref = _kummer_pair_two_calls(*ab, z, deriv=True)
+                    for x, y in zip((v for f in got for v in f),
+                                    (v for f in ref for v in f)):
+                        assert np.array_equal(x.view(np.int64),
+                                              y.view(np.int64)), (g, n)
+    # psi past the switch radius across a slice boundary: the bits of the
+    # two-call pair in every slice
+    monkeypatch.undo()
+    from coulscat import exact
+    p = exact.ScatteringParams(gamma=-0.7)
+    rho = rng.uniform(100.0, 1000.0, exact._SLICE + 5)
+    psi = exact.psi_exact_grid(p, rho, 2.0)
+    monkeypatch.setattr(specfun, "_kummer_pair", _kummer_pair_two_calls)
+    assert np.array_equal(psi.view(np.int64),
+                          exact.psi_exact_grid(p, rho, 2.0).view(np.int64))
+
+
 def test_hyp1f1_scalar_bits_match_mixed_batch():
     # seeded elements, each with its own (a, b), on both branches, batched
     # with a second point at half the radius, so that every chain in the
