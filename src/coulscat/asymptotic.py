@@ -39,10 +39,12 @@ class AsymptoticSplit:
 def psi_asymptotic_grid(p, rho, theta, backreaction=True):
     """Asymptotic split on broadcastable arrays; see psi_asymptotic. Raises
     unless theta lies in (0, pi], rho in [0, inf) with rho s finite
-    (exact._rho_theta) and rho s > 0. valid is
+    (exact._rho_theta) and rho s > 0, and raises ArithmeticError where
+    float64 cannot form psi_in or psi_scat (exact._check_closed, rho s the
+    divisor), as below rho s ~ 1e-308 for gamma of order 1. valid is
     est (1 + est) < FORM_TOL for the first omitted term est:
     gamma^2/(rho s) without backreaction, gamma^2 (1+gamma^2)/(2 (rho s)^2)
-    with it, plus |gamma| (1+gamma^2)/(rho s)^2."""
+    with it, plus |gamma| (1+gamma^2)/(rho s)^2; 0 where est overflows."""
     like = np.broadcast(rho, theta)
     rho, theta = exact._rho_theta(rho, theta, "(0, pi]")
     s = exact._s(theta)
@@ -51,16 +53,18 @@ def psi_asymptotic_grid(p, rho, theta, backreaction=True):
         raise ValueError("requires rho*s > 0, got rho*s = %r"
                          % float(rs[rs <= 0.0][0]))
     g = p.gamma
-    log_rs = np.log(rs)
-    psi_in = np.exp(1j * (rho * (1.0 - s) + g * log_rs))
-    if backreaction:
-        psi_in = psi_in * (1.0 - 1j * g ** 2 / rs)
-    psi_scat = ((-g / rs) * multipole.phase_shift(0, g).factor
-                * np.exp(1j * (rho - g * log_rs)))
-    h = (1.0 + g * g) / rs
-    est = (g * g * (0.5 * h if backreaction else 1.0) + abs(g) * h) / rs
-    return tuple(exact._like(like, v) for v in (
-        psi_in, psi_scat, est * (1.0 + est) < FORM_TOL))
+    factor = multipole.phase_shift(0, g).factor
+    with np.errstate(all="ignore"):
+        log_rs = np.log(rs)
+        psi_in = np.exp(1j * (rho * (1.0 - s) + g * log_rs))
+        if backreaction:
+            psi_in = psi_in * (1.0 - 1j * g ** 2 / rs)
+        psi_scat = (-g / rs) * factor * np.exp(1j * (rho - g * log_rs))
+        h = (1.0 + g * g) / rs
+        est = (g * g * (0.5 * h if backreaction else 1.0) + abs(g) * h) / rs
+        valid = est * (1.0 + est) < FORM_TOL  # an inf or NaN est fails
+    exact._check_closed([psi_in, psi_scat], [rs], rho=rho, theta=theta)
+    return tuple(exact._like(like, v) for v in (psi_in, psi_scat, valid))
 
 
 def psi_asymptotic(p, pt, backreaction=True):
@@ -117,7 +121,11 @@ def born_amplitude_yukawa(p, theta, mu):
     sin(theta/2). mu = 0 recovers the plain Rutherford modulus."""
     mu = exact._one("mu", exact._within("mu", mu, "[0, inf)"))
     q = 2.0 * p.k * np.sin(exact._within("theta", theta, "[0, pi]") / 2.0)
-    denom = q ** 2 + mu ** 2
+    with np.errstate(over="ignore"):
+        # np.float64's ** is C pow, as Python's is, but past float64's range
+        # gives inf (f_B then 0) where Python's raises OverflowError
+        mu2 = np.float64(mu) ** 2
+    denom = q ** 2 + mu2
     if np.any(denom == 0.0):
         raise ValueError("Born amplitude diverges at theta = 0 with mu = 0")
     return exact._like(theta, -2.0 * p.gamma * p.k / denom + 0j)

@@ -28,13 +28,15 @@ _TINY = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class BlackHoleParams:
-    """Schwarzschild mass and field frequency, in geometric units."""
+    """Schwarzschild mass and field frequency, in geometric units, each
+    stored as the Python float of its one value."""
     mass: float
     omega: float
 
     def __post_init__(self):
-        exact._one("mass", exact._within("mass", self.mass, "[0, inf)"))
-        exact._one("omega", exact._within("omega", self.omega, "(0, inf)"))
+        for name, bound in (("mass", "[0, inf)"), ("omega", "(0, inf)")):
+            object.__setattr__(self, name, exact._one(name, exact._within(
+                name, getattr(self, name), bound)))
 
     @property
     def r_s(self):

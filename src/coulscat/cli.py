@@ -9,8 +9,10 @@ One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
 generated from the ScanSpec alone, rows are computed in order in fixed
 2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once, in
-one call), and floats are written with 17 significant digits. A flag or
-preset field that the quantity does not read is an error.
+one call), and floats are written with 17 significant digits by one loop of
+runs (write_csv). A flag or preset field that the quantity does not read is
+an error: psi depends on gamma and (rho = k r, theta) alone, so psi_exact,
+psi_asymptotic and field_map read no --k.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments (an --out that
 cannot be written included), 3 numerical failure.
@@ -129,10 +131,12 @@ class ScanSpec:
     __post_init__ = validate
 
 
-def _params(spec):
-    """Scattering parameters: (gamma, k), or (mass, omega) mapped onto them."""
+def _params(spec, k=True):
+    """Scattering parameters: (gamma, k), or (mass, omega) mapped onto them;
+    with k=False (psi scans: psi is a function of gamma, rho = k r and theta
+    alone) k is 1 and spec.k is not read."""
     if spec.mass is None and spec.omega is None:
-        return exact.ScatteringParams(gamma=spec.gamma, k=spec.k)
+        return exact.ScatteringParams(spec.gamma, spec.k if k else 1.0)
     if spec.mass is None or spec.omega is None:
         raise ValueError("mass and omega must be given together")
     return classical.coulomb_reduction(
@@ -140,6 +144,7 @@ def _params(spec):
 
 
 _PARAMS = dict(gamma=1.0, k=1.0, mass=None, omega=None)  # _params' reads
+_PSI_PARAMS = dict(gamma=1.0, mass=None, omega=None)  # with k=False
 
 
 def _axis(rng, log=False):
@@ -199,12 +204,12 @@ def _quantity(name, text, **reads):
     "Gamma(1+i gamma) 1F1(-i gamma, 1; i rho s), s = 1 - cos theta\n"
     "validity: everywhere (rho >= 0, theta in [0, pi]); finite on the "
     "forward axis, where |psi| = e^{-pi gamma/2} |Gamma(1+i gamma)|",
-    **_PARAMS, rho_values=(10.0,), theta_range=None, with_asymptotic=False,
-    backreaction=False)
+    **_PSI_PARAMS, rho_values=(10.0,), theta_range=None,
+    with_asymptotic=False, backreaction=False)
 def _build_psi_exact(spec):
     if spec.backreaction and not spec.with_asymptotic:
         raise ValueError("psi_exact --backreaction needs --with-asymptotic")
-    p = _params(spec)
+    p = _params(spec, k=False)
     header = ["rho", "theta", "re_psi", "im_psi", "abs_psi"]
     if spec.with_asymptotic:
         header += ["re_psi_asym", "im_psi_asym", "abs_psi_asym", "asym_valid"]
@@ -230,11 +235,12 @@ def _build_psi_exact(spec):
     "-(gamma/rho s) (Gamma(1+i gamma)/Gamma(1-i gamma)) "
     "e^{i(rho - gamma ln rho s)}\n"
     "validity: rho s >> 1 (the valid column: est (1 + est) < %g, est the "
-    "first omitted term); no split at theta = 0" % asymptotic.FORM_TOL,
-    **_PARAMS, rho_values=(10.0,), theta_range=(0.01, np.pi, 400),
+    "first omitted term); no split at theta = 0; exit 3 where float64 "
+    "cannot hold the waves, as below rho s ~ 1e-308" % asymptotic.FORM_TOL,
+    **_PSI_PARAMS, rho_values=(10.0,), theta_range=(0.01, np.pi, 400),
     backreaction=False)
 def _build_psi_asymptotic(spec):
-    p = _params(spec)
+    p = _params(spec, k=False)
     header = ["rho", "theta", "re_psi_in", "im_psi_in", "re_psi_scat",
               "im_psi_scat", "re_psi", "im_psi", "abs_psi", "valid"]
 
@@ -255,7 +261,8 @@ def _build_psi_asymptotic(spec):
     "J[psi - psi_in] without/with the gamma^2 amplitude correction, "
     "from closed-form gradients (dM/dz for the exact field), no step\n"
     "validity: decomposition meaningful for rho s >> 1; every column "
-    "wherever the fields are (rho > 0, theta in (0, pi]): no step domain",
+    "wherever the fields are (rho > 0, theta in (0, pi]) and float64 holds "
+    "it (exit 3 where not, as below rho ~ 1e-100 at theta = 1); no step",
     **_PARAMS, rho_values=(10.0,), theta_range=(0.05, 3.1, 400),
     backreaction=False)
 def _build_currents(spec):
@@ -379,10 +386,10 @@ def _build_diverging_sum(spec):
     "the plateau column\n"
     "validity: everywhere; the paraboloid rho s = 1 marks the damped "
     "interior",
-    **_PARAMS, kx_values=None, kx_range=(-40.0, 40.0, 161),
+    **_PSI_PARAMS, kx_values=None, kx_range=(-40.0, 40.0, 161),
     kz_range=(-40.0, 80.0, 241))
 def _build_field_map(spec):
-    p = _params(spec)
+    p = _params(spec, k=False)
     kz = _axis(spec.kz_range)
     kx_axis = (np.asarray(spec.kx_values, dtype=np.float64)
                if spec.kx_values is not None else _axis(spec.kx_range))
@@ -482,8 +489,8 @@ def _product_period(bits):
     """The run length p of an outer x inner product in columns 0 and 1 of
     the rows' bit patterns: column 0 constant over each run of p rows and
     column 1 the same in every run, 2 <= p <= CSV_BLOCK_ROWS, p dividing the
-    row count. 0 when the rows are not such a product."""
-    if len(bits) < 2 or bits.shape[1] < 2:
+    row count, a third column. 0 when the rows are not such a product."""
+    if len(bits) < 2 or bits.shape[1] < 3:
         return 0
     change = np.flatnonzero(bits[:, 0] != bits[0, 0])
     p = int(change[0]) if change.size else len(bits)
@@ -527,52 +534,42 @@ def _reader(fh, path):
 
 
 def write_csv(path, header, rows):
-    # one %-format per block of rows: the same bytes as formatting each
-    # value, without holding the whole file as Python objects. Each line is
-    # written with its leading newline, and the file ends with one. A
-    # column whose bit patterns are all equal in a block is formatted once
-    # (_cells). An outer x inner product is written one run at a time
-    # (_write_runs), and a run that repeats an earlier one is copied back
-    # from the file; an --out that cannot be read back (_reader) has every
-    # run formatted, to the same bytes
+    # the bytes of "%.17g" applied value by value, each line written with
+    # its leading newline (_write_runs) and one newline at the end
     rows = np.asarray(rows, dtype=np.float64)
     bits = rows.view(np.int64)
     p = _product_period(bits)
     with open(path, "wb") as fh:
         pos = fh.write(",".join(header).encode())
-        if not p:
-            for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = rows[start:start + CSV_BLOCK_ROWS]
-                cells, vary = _cells(block, 0)
-                text = ("\n" + ",".join(cells)) * len(block)
-                fh.write((text % tuple(block[:, vary].ravel().tolist()))
-                         .encode())
-        else:
-            fd = _reader(fh, path)
-            try:
-                _write_runs(fh, fd, pos, rows, bits, p)
-            finally:
-                if fd is not None:
-                    os.close(fd)
+        fd = _reader(fh, path) if p else None
+        try:
+            _write_runs(fh, fd, pos, rows, bits, p)
+        finally:
+            if fd is not None:
+                os.close(fd)
         fh.write(b"\n")
 
 
 def _write_runs(fh, fd, pos, rows, bits, p):
-    """write_csv's product branch: the runs of p rows from byte offset pos
-    on. The inner axis and each line-template body are formatted once per
-    file, and a run's outer literal is put at each line start by one
-    replace. With fd, a descriptor reading the file back, a run whose
-    other columns repeat an earlier run's bit patterns (field_map's kx and
-    -kx) is copied from the file (fh flushed first) with the outer literal
-    swapped, which is exact because a newline only ever starts a line and
-    each outer literal ends in a comma. Only an offset per distinct run is
-    kept, not its text."""
-    inner = ["%.17g" % v for v in rows[:p, 1].tolist()]
-    bodies = {}  # constant-cell pattern -> line-template body
+    """write_csv's one loop: the rows from byte offset pos on, in runs of p
+    rows with the two coordinate columns as literals where p > 0 (an outer
+    x inner product), else in runs of CSV_BLOCK_ROWS rows with no literal.
+    Each line's start (its newline, and a product's inner literal) and each
+    line-template body (one per constant-cell pattern and run length) are
+    formatted once per file, and a product run's outer literal is put at
+    each line start by one replace. With fd, a descriptor reading the file
+    back, a run whose other columns repeat an earlier run's bit patterns
+    (field_map's kx and -kx) is copied from the file (fh flushed first) with
+    the outer literal swapped, which is exact because a newline only ever
+    starts a line and each outer literal ends in a comma. Only an offset per
+    distinct run is kept, not its text."""
+    starts = (["\n%.17g," % v for v in rows[:p, 1].tolist()] if p
+              else ["\n"] * CSV_BLOCK_ROWS)
+    bodies = {}  # (constant-cell pattern, run length) -> line-template body
     seen = {}  # hash of a run's other columns -> (row, offset, length, outer)
-    for start in range(0, len(rows), p):
-        run, key, hit = rows[start:start + p], None, None
-        outer = "\n%.17g," % run[0, 0]
+    for start in range(0, len(rows), len(starts)):
+        run, key, hit = rows[start:start + len(starts)], None, None
+        outer = "\n%.17g," % run[0, 0] if p else "\n"
         if fd is not None:
             rest = bits[start:start + p, 1:]
             key = hash(rest.tobytes())
@@ -584,11 +581,12 @@ def _write_runs(fh, fd, pos, rows, bits, p):
             pos += fh.write(os.pread(fd, size, offset).replace(
                 old.encode(), outer.encode()))
             continue
-        cells, vary = _cells(run, 2)
-        body = bodies.get(tuple(cells))
+        cells, vary = _cells(run, 2 if p else 0)
+        form = (tuple(cells), len(run))
+        body = bodies.get(form)
         if body is None:
-            body = bodies[tuple(cells)] = "".join(
-                "\n" + ",".join([s] + cells) for s in inner)
+            tail = ",".join(cells)
+            body = bodies[form] = tail.join(starts[:len(run)]) + tail
         text = (body.replace("\n", outer)
                 % tuple(run[:, vary].ravel().tolist())).encode()
         if key is not None:

@@ -3,7 +3,8 @@
 J = Im[psi* grad psi], grad = (k d/d_rho, (k/rho) d/d_theta). The package's
 own fields have closed-form gradients (dM/dz = (a/b) M(a + 1, b + 1, z) for
 the exact field, log-derivatives for the asymptotic waves): no step, and
-their currents hold wherever the fields do. Only current_numeric, for any
+their currents hold wherever the fields do and float64 holds them
+(ArithmeticError elsewhere, exact._check_closed). Only current_numeric, for any
 field, uses a five-point stencil, radial step h = 1e-4 max(1, rho) and polar
 step h / max(1, rho), and calls the field once: field maps a FieldPoint of
 the five points' arrays to the array of its values there, as psi_exact
@@ -107,20 +108,26 @@ def current_scan_grid(p, rho, theta, backreaction=False):
     correction when backreaction is set), the exact-field current, and the
     outgoing remainders J[psi - psi_in] without and with the gamma^2
     correction in psi_in. Evaluated in the exact field's slices
-    (exact._sliced), each slice flat."""
+    (exact._sliced), each slice flat. Raises ArithmeticError where a current
+    leaves float64's range, as below rho ~ 1e-100 at theta = 1."""
     shape = np.broadcast(rho, theta).shape
     rho, theta = exact._rho_theta(rho, theta, "(0, pi]")
 
     def scan(rho, theta):
         # flat, contiguous: 0-d or strided operands may round otherwise
         rho, theta = (v.ravel() for v in np.broadcast_arrays(rho, theta))
-        plain, corrected, scat = _split(p, rho, theta)
-        pin = corrected if backreaction else plain
         psi = exact._gradient(p, rho, theta)
-        return np.stack([_current(p, f) for f in (
-            pin + scat, pin, scat, psi, psi - plain, psi - corrected)])
+        # at tiny rho the asymptotic waves' gradients overflow: the check
+        # below raises where a current leaves float64's range
+        with np.errstate(all="ignore"):
+            plain, corrected, scat = _split(p, rho, theta)
+            pin = corrected if backreaction else plain
+            return np.stack([_current(p, f) for f in (
+                pin + scat, pin, scat, psi, psi - plain, psi - corrected)])
 
-    return list(exact._sliced(scan, rho, theta).reshape((6, 2) + shape))
+    out = exact._sliced(scan, rho, theta).reshape((6, 2) + shape)
+    exact._check_closed(out, [], rho=rho, theta=theta)
+    return list(out)
 
 
 def _vector(j):
@@ -185,13 +192,15 @@ def current_decomposition_asymptotic(p, pt, backreaction=False):
     is normally compared against it.
     """
     exact._one_point(pt)
-    plain, corrected, scat = _split(p, np.array([pt.rho]),
-                                    np.array([pt.theta]))
-    pin = corrected if backreaction else plain
-    total, incoming, scattered = (_current(p, f)
-                                  for f in (pin + scat, pin, scat))
-    return CurrentDecomposition(*map(_vector, (
-        total, incoming, scattered, total - incoming - scattered)))
+    rho, theta = np.array([pt.rho]), np.array([pt.theta])
+    with np.errstate(all="ignore"):
+        plain, corrected, scat = _split(p, rho, theta)
+        pin = corrected if backreaction else plain
+        total, incoming, scattered = (_current(p, f)
+                                      for f in (pin + scat, pin, scat))
+        j = [total, incoming, scattered, total - incoming - scattered]
+    exact._check_closed(j, [], rho=rho, theta=theta)
+    return CurrentDecomposition(*map(_vector, j))
 
 
 def current_outgoing_exact(p, pt, subtract_backreaction=True):

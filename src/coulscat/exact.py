@@ -33,13 +33,15 @@ _SLICE = 4096
 @dataclass(frozen=True)
 class ScatteringParams:
     """Interaction strength gamma (positive repulsive, negative attractive)
-    and wavenumber k > 0."""
+    and wavenumber k > 0, each stored as the Python float of its one
+    value."""
     gamma: float
     k: float = 1.0
 
     def __post_init__(self):
-        _one("gamma", _within("gamma", self.gamma, "(-inf, inf)"))
-        _one("k", _within("k", self.k, "(0, inf)"))
+        for name, bound in (("gamma", "(-inf, inf)"), ("k", "(0, inf)")):
+            object.__setattr__(self, name, _one(name, _within(
+                name, getattr(self, name), bound)))
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def _check_point(rho, theta):
         if 0.0 <= rho <= _HALF_HUGE and 0.0 <= theta <= np.pi:
             return
     except (TypeError, ValueError):  # not scalars: unordered or ambiguous
-        r, t = _floats(rho), _floats(theta)
+        r, t = _floats("rho", rho), _floats("theta", theta)
         if np.all((0.0 <= r) & (r <= _HALF_HUGE) & (0.0 <= t) & (t <= np.pi)):
             return
     _rho_theta(rho, theta, "[0, pi]")
@@ -169,7 +171,7 @@ def _within(name, values, bound):
     element: numpy's 0-d arithmetic rounds complex products differently
     from its array loops, so a scalar call computes as its element of an
     array call does, bit for bit, and _like turns the result back."""
-    v = _floats(values)
+    v = _floats(name, values)
     lo, hi = bound[1:-1].split(", ")
     lo, hi = float(lo), (np.pi if hi == "pi" else float(hi))
     ok = ((v > lo) if bound[0] == "(" else (v >= lo)) & (
@@ -180,9 +182,10 @@ def _within(name, values, bound):
     return v
 
 
-def _floats(values):
-    """values as a float64 array of at least one dimension."""
-    v = np.asarray(values, dtype=np.float64)
+def _floats(name, values):
+    """values as a float64 array of at least one dimension, or a ValueError
+    naming parameter name where they are text (specfun._numbers)."""
+    v = specfun._numbers(name, values, np.float64)
     return v.reshape(1) if v.ndim == 0 else v
 
 
@@ -229,7 +232,7 @@ def _rho_theta(rho, theta, theta_bound):
     overflows: [0, inf) where s = 1 - cos(theta) <= 1, [0, max/s] where
     s > 1 (theta > pi/2), max float64's largest number."""
     theta = _within("theta", theta, theta_bound)
-    v = _floats(rho)
+    v = _floats("rho", rho)
     # past max/2, rho s overflows for some s in [0, 2]
     if not ((0.0 <= v) & (v <= _HALF_HUGE)).all():
         s = _s(theta)
@@ -251,7 +254,7 @@ def psi_exact_grid(p, rho, theta):
     _check_point(rho, theta)
     return _like(np.broadcast(rho, theta), _sliced(
         lambda r, t: _field(p, r, t, specfun.hyp1f1),
-        _floats(rho), _floats(theta)))
+        _floats("rho", rho), _floats("theta", theta)))
 
 
 def _gradient(p, rho, theta):

@@ -159,16 +159,20 @@ def log_gamma_complex(z):
 def _entry(body, a, b, z):
     """body(a, b, z) on a, b, z broadcast once and flattened, returned in
     their common shape (a Python complex when all three are scalars).
-    Raises ValueError naming an a, b or z outside hyp1f1's domain; Python
-    scalars a, b inside it with margin (psi's: |Re a|, |Im a| <= 2^500,
-    0 < Re b, |Re b|, |Im b| <= B_MAX/2) skip numpy's test. Where |a|^2 may
-    overflow (_radius), the body runs with numpy's overflow warning off."""
-    z = np.asarray(z, dtype=np.complex128)
+    Raises ValueError naming an a, b or z outside hyp1f1's domain or given
+    as text (_numbers); Python scalars a, b inside it with margin (psi's:
+    |Re a|, |Im a| <= 2^500, 0 < Re b, |Re b|, |Im b| <= B_MAX/2) skip
+    numpy's test. Where |a|^2 may overflow (_radius), the body runs with
+    numpy's overflow warning off."""
+    z = _numbers("hyp1f1 parameter z", z, np.complex128)
     tame = (isinstance(a, _SCALARS) and isinstance(b, _SCALARS)
             and abs(a.real) <= 2.0 ** 500 and abs(a.imag) <= 2.0 ** 500
             and 0.0 < b.real <= 0.5 * B_MAX and abs(b.imag) <= 0.5 * B_MAX
             and (_on_ray(z.item()) if z.size == 1 else _on_ray(z).all()))
-    a, b = (np.asarray(v, dtype=np.complex128) for v in (a, b))
+    # text a or b is no _SCALARS, so only numpy's path checks for it
+    a, b = (np.asarray(v, dtype=np.complex128) if tame else
+            _numbers("hyp1f1 parameter " + n, v, np.complex128)
+            for n, v in (("a", a), ("b", b)))
     if not tame:
         # each parameter alone (a + b + z can overflow), by inside tests, which
         # NaN fails, and reduced once: a reduction costs more than the masks
@@ -194,6 +198,16 @@ def _entry(body, a, b, z):
     with contextlib.nullcontext() if tame else np.errstate(over="ignore"):
         out = body(*flat)
     return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def _numbers(name, values, dtype):
+    """values as a numpy array of dtype, or a ValueError naming them where
+    they are text (dtype kinds U and S), which numpy would parse."""
+    v = np.asarray(values)
+    if v.dtype.kind in "US":
+        raise ValueError("%s must be a number, got %r"
+                         % (name, v.reshape(-1)[0].item()))
+    return v.astype(dtype, copy=False)
 
 
 def _on_ray(z):

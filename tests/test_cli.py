@@ -855,6 +855,21 @@ SMALL = {"psi_exact": dict(theta_range=(0.5, 2.5, 3)),
          "bh_mode": dict(mass=0.05, omega=1.0, r_range=(50.0, 60.0, 3))}
 
 
+def test_k_moves_the_bytes_of_every_scan_that_reads_it(tmp_path):
+    # psi is a function of gamma and (rho = k r, theta) alone, so the psi
+    # scans list no k (--k exits 2 there: test_flag_is_read_or_exits_2);
+    # every scan that lists it writes other bytes at another k
+    reads_k = [q for q in QUANTITIES if "k" in cli._ROWS[q][1]]
+    assert set(QUANTITIES) - set(reads_k) == {
+        "psi_exact", "psi_asymptotic", "field_map", "bh_mode"}
+    for name in reads_k:
+        files = [tmp_path / ("%s_%g.csv" % (name, k)) for k in (1.0, 2.5)]
+        for k, out in zip((1.0, 2.5), files):
+            run_scan(ScanSpec(quantity=name, k=k, out=str(out),
+                              **SMALL[name]))
+        assert files[0].read_bytes() != files[1].read_bytes(), name
+
+
 def test_builders_return_the_scan_triple(tmp_path):
     # perfbench's tracer unpacks (header, n_rows, compute) from each builder
     assert set(_BUILDERS) == set(QUANTITIES)

@@ -43,6 +43,7 @@ from coulscat import (
     schrodinger_residual,
 )
 from coulscat.currents import CurrentVector, current_scan_grid
+from coulscat.specfun import hyp1f1
 
 P = ScatteringParams(gamma=0.7, k=1.3)
 BH = BlackHoleParams(mass=0.05, omega=1.0)
@@ -437,6 +438,86 @@ def test_closed_forms_raise_where_float64_loses_the_value():
         P.gamma ** 2 / (4.0 * P.k ** 2 * np.sin(5e-61) ** 4))
     assert current_in_distorted(P, FieldPoint(1e-300, 1.0)).j_r == (
         P.k * (np.cos(1.0) + P.gamma / 1e-300))
+
+
+def test_born_amplitude_past_mu_squared_overflow():
+    # mu^2 on a Python float raised a bare OverflowError at mu = 1e200; the
+    # true f_B (about -8e-401) lies below float64's range, so it is 0
+    assert born_amplitude_yukawa(P, 1.0, 1e200) == 0.0
+    assert born_amplitude_yukawa(P, np.array([0.5, 1.0]), 1e200).tolist() == [
+        0j, 0j]
+    # values that float64 holds are formed as before
+    q2 = (2.0 * P.k * np.sin(0.5)) ** 2
+    assert born_amplitude_yukawa(P, 1.0, 1e100) == (
+        -2.0 * P.gamma * P.k / (q2 + 1e100 ** 2))
+
+
+def test_asymptotic_fields_and_currents_raise_where_float64_loses_them():
+    # at tiny rho s these returned inf or NaN with numpy's overflow warnings
+    # (the suite turns warnings into errors, so a warning fails here too)
+    p = ScatteringParams(0.4)
+    at = "float64 cannot form this value at rho = %r, theta = 1.0: "
+    for rho, call in (
+            (1e-150, lambda x: current_scan_grid(p, x, 1.0)),
+            (1e-320, lambda x: current_scan_grid(p, x, 1.0)),
+            (1e-150, lambda x: current_scan_grid(p, np.array([1.0, x]), 1.0)),
+            (1e-150, lambda x: current_decomposition_asymptotic(
+                p, FieldPoint(x, 1.0))),
+            (1e-150, lambda x: current_outgoing_exact(p, FieldPoint(x, 1.0))),
+            (1e-320, lambda x: psi_asymptotic(p, FieldPoint(x, 1.0))),
+            (1e-320, lambda x: psi_asymptotic_grid(p, np.array([1.0, x]),
+                                                   1.0))):
+        with pytest.raises(ArithmeticError, match=re.escape(at % rho)):
+            call(rho)
+    # at 1e-300 the waves lie inside float64's range while their first
+    # omitted term overflows: the split is returned, not valid
+    split = psi_asymptotic(p, FieldPoint(1e-300, 1.0))
+    assert np.isfinite([split.psi_in, split.psi_scat]).all()
+    assert split.valid is False
+    # and the currents hold where float64 does
+    assert np.isfinite(current_scan_grid(p, 1e-90, 1.0)).all()
+
+
+# text that numpy would parse as a number, at each place inputs are
+# converted: (parameter named, call)
+TEXT = [
+    ("rho", lambda: psi_exact_grid(P, "5", 1.0)),
+    ("rho", lambda: psi_exact_grid(P, np.array(["5", "6"]), 1.0)),
+    ("theta", lambda: psi_exact_grid(P, 5.0, [b"1"])),
+    ("rho", lambda: FieldPoint("5", 1.0)),
+    ("theta", lambda: FieldPoint(5.0, "1")),
+    ("hyp1f1 parameter a", lambda: hyp1f1("0.5", 1, 1j)),
+    ("hyp1f1 parameter b", lambda: hyp1f1(0.5, np.array(["1"]), 1j)),
+    ("hyp1f1 parameter z", lambda: hyp1f1(0.5, 1, "1j")),
+    ("gamma", lambda: ScatteringParams(gamma="0.5")),
+    ("k", lambda: ScatteringParams(0.5, k="1")),
+    ("ell", lambda: phase_shift("2", 0.5)),
+    ("mass", lambda: BlackHoleParams("0.05", 1.0)),
+    ("omega", lambda: BlackHoleParams(0.05, "1")),
+    ("mu", lambda: born_amplitude_yukawa(P, 1.0, "0.3")),
+]
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param(name, call, id="%s-%d" % (name, i))
+    for i, (name, call) in enumerate(TEXT)])
+def test_text_is_no_number(name, call):
+    # psi_exact_grid(P, "5", 1.0) returned psi(5, 1), and
+    # ScatteringParams(gamma="0.5") constructed and then failed in psi
+    # with a bare TypeError
+    with pytest.raises(ValueError, match="^%s must be a number, got " % name):
+        call()
+
+
+def test_parameter_objects_store_python_scalars():
+    # a one-element array is one value: stored as the Python float it holds
+    p = ScatteringParams(np.array([0.7]), k=np.array([1.3]))
+    bh = BlackHoleParams(np.array([0.05]), np.float64(1.0))
+    for v, want in ((p.gamma, 0.7), (p.k, 1.3), (bh.mass, 0.05),
+                    (bh.omega, 1.0), (bh.gamma, -0.1)):
+        assert type(v) is float and v == want
+    assert psi_exact(p, FieldPoint(5.0, 1.0)) == psi_exact(
+        ScatteringParams(0.7, 1.3), FieldPoint(5.0, 1.0))
 
 
 def test_born_amplitude_takes_one_mu():
