@@ -10,11 +10,12 @@ series of the exact field; valid flags est (1 + est) < FORM_TOL, est its
 first omitted term (with backreaction at gamma = 1: rho s > 5.72).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact, multipole
+from . import exact, multipole, specfun
 
 # A large-distance form (this split, classical's two-wave partial wave) is
 # trusted where est (1 + est) < FORM_TOL, est its first omitted term.
@@ -118,14 +119,33 @@ def differential_cross_section(p, theta):
 def born_amplitude_yukawa(p, theta, mu):
     """First Born approximation for the screened potential (A/r) e^{-mu r}:
     f_B = -2 gamma k / (q^2 + mu^2) with momentum transfer q = 2 k
-    sin(theta/2). mu = 0 recovers the plain Rutherford modulus."""
-    mu = exact._one("mu", exact._within("mu", mu, "[0, inf)"))
-    q = 2.0 * p.k * np.sin(exact._within("theta", theta, "[0, pi]") / 2.0)
-    with np.errstate(over="ignore"):
-        # np.float64's ** is C pow, as Python's is, but past float64's range
-        # gives inf (f_B then 0) where Python's raises OverflowError
-        mu2 = np.float64(mu) ** 2
-    denom = q ** 2 + mu2
-    if np.any(denom == 0.0):
+    sin(theta/2). mu = 0 recovers the plain Rutherford modulus. Where this
+    plain form leaves float64's range on the way (2 gamma k or q^2 + mu^2
+    overflows, or q^2 + mu^2 falls below the smallest normal number), f_B
+    is the same quotient of power-of-two scaled terms: a value below the
+    range is then 0 or subnormal, and one above it raises ArithmeticError
+    (exact._check_closed)."""
+    mu = specfun._one("mu", exact._within("mu", mu, "[0, inf)"))
+    theta_v = exact._within("theta", theta, "[0, pi]")
+    if mu == 0.0 and np.any(theta_v == 0.0):
         raise ValueError("Born amplitude diverges at theta = 0 with mu = 0")
-    return exact._like(theta, -2.0 * p.gamma * p.k / denom + 0j)
+    with np.errstate(all="ignore"):
+        # np.float64's ** is C pow, as Python's is, but past float64's range
+        # gives inf where Python's raises OverflowError
+        denom = (2.0 * p.k * np.sin(theta_v / 2.0)) ** 2 + np.float64(mu) ** 2
+        out = -2.0 * p.gamma * p.k / denom
+    lost = ~(np.isfinite(out) & (exact._TINY <= denom) & (denom < np.inf))
+    if lost.any():
+        # -gamma k / (2 ((k s)^2 + (mu/2)^2)), s = sin(theta/2), from the
+        # mantissas and exponents of gamma, k, s and mu, over 2^(2 e) with e
+        # the larger exponent of k s and mu/2 (of the one that is nonzero)
+        ms, es = np.frexp(np.sin(theta_v[lost] / 2.0))
+        (mg, eg), (mk, ek), (mm, em) = map(math.frexp, (p.gamma, p.k, mu))
+        e = np.where(ms == 0.0, em - 1, ek + es if mm == 0.0
+                     else np.maximum(ek + es, em - 1))
+        d = (np.ldexp(mk * ms, ek + es - e) ** 2
+             + np.ldexp(mm, em - 1 - e) ** 2)
+        with np.errstate(over="ignore"):
+            out[lost] = np.ldexp(-mg * mk / (2.0 * d), eg + ek - 2 * e)
+    exact._check_closed(out, (), theta=theta_v, mu=mu)
+    return exact._like(theta, out + 0j)

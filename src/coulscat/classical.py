@@ -35,7 +35,7 @@ class BlackHoleParams:
 
     def __post_init__(self):
         for name, bound in (("mass", "[0, inf)"), ("omega", "(0, inf)")):
-            object.__setattr__(self, name, exact._one(name, exact._within(
+            object.__setattr__(self, name, specfun._one(name, exact._within(
                 name, getattr(self, name), bound)))
 
     @property
@@ -70,7 +70,7 @@ def radial_mode_asymptotic(bh, ell, r):
     Raises when the mapping is uncontrolled for this ell or where the form's
     first omitted term est has est (1 + est) >= asymptotic.FORM_TOL.
     """
-    ell = exact._one("ell", ell)
+    ell = specfun._one("ell", ell)
     if not long_wavelength_valid(bh, ell):
         raise ValueError("long-wavelength mapping invalid for this ell and "
                          "M omega")
@@ -92,7 +92,7 @@ def _full_mode_start(bh, ell, r_start):
     z0 = 2 i rho0 if that lies farther), and w'/w at z0 (see
     integrate_full_mode). The errors name what its caller can change: mass
     where the default r_start is 0, and r_start only where it was passed."""
-    ell = exact._one("ell", ell)
+    ell = specfun._one("ell", ell)
     exact._order("ell", ell, "[0, inf)")
     passed = r_start is not None
     if not passed:
@@ -217,7 +217,7 @@ def full_mode_phase_error(bh, ell):
     F_lambda, this would be sigma_lambda - sigma_ell + (ell - lambda) pi/2.
     Raises as integrate_full_mode does.
     """
-    ell = exact._one("ell", ell)
+    ell = specfun._one("ell", ell)
     _, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(bh, ell, None)
     _, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
                                 z_match, [])

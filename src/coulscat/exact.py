@@ -40,7 +40,7 @@ class ScatteringParams:
 
     def __post_init__(self):
         for name, bound in (("gamma", "(-inf, inf)"), ("k", "(0, inf)")):
-            object.__setattr__(self, name, _one(name, _within(
+            object.__setattr__(self, name, specfun._one(name, _within(
                 name, getattr(self, name), bound)))
 
 
@@ -198,16 +198,6 @@ def _order(name, value, bound):
         raise ValueError("%s must be an integer in %s, got %s = %r"
                          % (name, bound, name, float(v[v != np.floor(v)][0])))
     return v
-
-
-def _one(name, values):
-    """values' one element as a Python scalar, or a ValueError naming it
-    where it holds several: for a parameter that takes one value."""
-    v = np.asarray(values)
-    if v.size != 1:
-        raise ValueError("%s must be one value, got an array of shape %s"
-                         % (name, v.shape))
-    return v.item()
 
 
 def _one_point(pt):

@@ -35,7 +35,7 @@ def _wrap_angle(x):
 def phase_shift(ell, gamma):
     """Coulomb phase shift of one partial wave, from the ratio
     Gamma(ell+1+i gamma)/Gamma(ell+1-i gamma) evaluated in log space."""
-    ell, gamma = exact._one("ell", ell), exact._one("gamma", gamma)
+    ell, gamma = specfun._one("ell", ell), specfun._one("gamma", gamma)
     exact._order("ell", ell, "[0, inf)")
     exact._within("gamma", gamma, "(-inf, inf)")
     lg = specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
@@ -49,9 +49,9 @@ def phase_shift_sweep(ell_max, gamma):
     (ell + i gamma)/(ell - i gamma) from the directly evaluated ell = 0
     seed: the one recurrence behind every amplitude series. Within 5e-13
     of mpmath for ell <= 2000, |gamma| <= 50, the log-gamma seed's error."""
-    ell_max = int(exact._one("ell_max",
-                             exact._order("ell_max", ell_max, "[0, inf)")))
-    g = float(gamma)
+    ell_max = int(specfun._one("ell_max",
+                               exact._order("ell_max", ell_max, "[0, inf)")))
+    g = specfun._one("gamma", exact._within("gamma", gamma, "(-inf, inf)"))
     factor = phase_shift(0, g).factor
     out = [factor]
     for ell in range(1, ell_max + 1):
@@ -67,10 +67,11 @@ def coulomb_wave_regular(ell, gamma, rho):
 
     Evaluated directly for each element from the Kummer form, as exp of the
     summed logarithms of every rho- and ell-power and gamma factor, so large
-    ell and rho cannot overflow on the way in; each distinct ell pays its
-    own 1F1 anchor chain. ell (an int or an integer array) and rho broadcast
-    against each other; rho = 0 returns 0 exactly. Pinned to 40-digit
-    mpmath for ell <= 300 out to rho = 1000 and at small rho.
+    ell and rho cannot overflow on the way in; each distinct ell is one
+    hyp1f1 call, which takes one (a, b). gamma is one value; ell (an int or
+    an integer array) and rho broadcast against each other; rho = 0
+    returns 0 exactly. Pinned to 40-digit mpmath for ell <= 300 out to
+    rho = 1000 and at small rho.
 
     A value below float64's range is 0 or subnormal: the declared absolute
     tolerance is float64's smallest normal number, 2.2e-308. So
@@ -88,15 +89,20 @@ def coulomb_wave_regular(ell, gamma, rho):
     both are compared (rho <= 10).
     """
     exact._order("ell", ell, "[0, inf)")
-    gamma = exact._one("gamma", gamma)
+    gamma = specfun._one("gamma",
+                         exact._within("gamma", gamma, "(-inf, inf)"))
     rho_v = exact._within("rho", rho, "[0, inf)")
     const = (specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
              - specfun.log_gamma_complex(2.0 * ell + 2.0)
              - 0.5 * np.pi * gamma + ell * np.log(2.0))
     nonzero = rho_v > 0.0
     safe_rho = np.where(nonzero, rho_v, 1.0)
-    kummer = specfun.hyp1f1(ell + 1.0 - 1j * gamma, 2.0 * ell + 2.0,
-                            2j * safe_rho)
+    ells, z = np.broadcast_arrays(ell, 2j * safe_rho)
+    kummer = np.empty(z.shape, dtype=np.complex128)
+    for ell_i in np.unique(ells):
+        at = ells == ell_i
+        kummer[at] = specfun.hyp1f1(ell_i + 1.0 - 1j * gamma,
+                                    2.0 * ell_i + 2.0, z[at])
     log_amp = const + (ell + 1.0) * np.log(safe_rho) - 1j * safe_rho
     exact._check_scale(log_amp, kummer, ell=ell, gamma=gamma, rho=rho_v)
     val = (2.0 * ell + 1.0) * (1j ** ell) * np.exp(log_amp) * kummer
@@ -108,8 +114,10 @@ def coulomb_wave_asymptotic(ell, gamma, rho):
     """Two-wave large-rho form of the regular partial wave: incoming and
     outgoing spherical exponentials with the log-distorted phase
     rho - gamma ln(2 rho), the outgoing one carrying e^{2 i delta_ell}."""
-    ell = exact._one("ell", ell)
+    ell = specfun._one("ell", ell)
     exact._order("ell", ell, "[0, inf)")
+    gamma = specfun._one("gamma",
+                         exact._within("gamma", gamma, "(-inf, inf)"))
     rho_v = exact._within("rho", rho, "(0, inf)")
     rho_c = rho_v - gamma * np.log(2.0 * rho_v)
     factor = phase_shift(ell, gamma).factor
@@ -233,8 +241,8 @@ def psi_multipole_sum(p, pt, ell_max):
     ell_max = 10).
     """
     exact._one_point(pt)
-    ell_max = int(exact._one("ell_max",
-                             exact._order("ell_max", ell_max, "[0, inf)")))
+    ell_max = int(specfun._one("ell_max",
+                               exact._order("ell_max", ell_max, "[0, inf)")))
     exact._within("rho", pt.rho, "(0, inf)")
     radial, _ = _coulomb_wave_sweep(ell_max, p.gamma, pt.rho)
     terms = radial / pt.rho * _legendre_column(np.cos(pt.theta), ell_max)
@@ -280,9 +288,9 @@ def f_series_partial_sweep(p, theta, ell_max):
     """All partial sums of the divergent amplitude series up to ell_max at
     one angle: entry L holds sum over ell <= L of
     ((2 ell + 1)/(2 i k)) (e^{2 i delta_ell} - 1) P_ell(cos theta)."""
-    ell_max = int(exact._one("ell_max",
-                             exact._order("ell_max", ell_max, "[0, inf)")))
-    theta = exact._one("theta", exact._within("theta", theta, "(0, pi]"))
+    ell_max = int(specfun._one("ell_max",
+                               exact._order("ell_max", ell_max, "[0, inf)")))
+    theta = specfun._one("theta", exact._within("theta", theta, "(0, pi]"))
     legendre = _legendre_column(np.cos(theta), ell_max)
     return np.cumsum(_amplitude_terms(p, ell_max) * legendre)
 
@@ -298,7 +306,7 @@ def f_series_cesaro(p, theta, n):
     the terms grow linearly in ell, the series is not (C, 1)-summable, and
     the mean oscillates at O(1) for every n; it is still returned there.
     theta may be a scalar or an array in (0, pi]."""
-    n = int(exact._one("n", exact._order("n", n, "[1, inf)")))
+    n = int(specfun._one("n", exact._order("n", n, "[1, inf)")))
     x = np.cos(exact._within("theta", theta, "(0, pi]")
                .reshape(np.shape(theta)))
     weights = (n + 1.0 - np.arange(n + 1)) / (n + 1.0)
@@ -317,8 +325,8 @@ def f_reduced_series(p, theta, ell_max):
     series is only conditionally convergent and is not offered. gamma = 0
     returns 0 identically (nothing is scattered).
     """
-    ell_max = int(exact._one("ell_max",
-                             exact._order("ell_max", ell_max, "[0, inf)")))
+    ell_max = int(specfun._one("ell_max",
+                               exact._order("ell_max", ell_max, "[0, inf)")))
     x = np.cos(exact._within("theta", theta, "(0, pi)")
                .reshape(np.shape(theta)))
     g = p.gamma

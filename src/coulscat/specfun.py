@@ -16,9 +16,9 @@ Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
   r_0 = 1 / max(1, |a/b|), sums the Maclaurin terms of M, which
   |a r_0 / b| <= 1 keeps O(1).
 * Anchors r_{k+1} = r_k + min(r_k/2, CONT_MAX_STEP, CONT_B_STEP r_k/|b|)
-  carry M and M' outward, once per call for each distinct (a, b), the
+  carry M and M' outward, once per call: a call takes one (a, b), the
   lattice's only inputs (a field evaluation makes one call per slice of at
-  most exact._SLICE points, so one chain per (a, b) per slice). r_k/2
+  most exact._SLICE points, so one chain per slice). r_k/2
   keeps each step inside the local radius of convergence |z0|;
   CONT_MAX_STEP bounds the e^{|h|} cancellation of the e^z component;
   CONT_B_STEP r_k/|b| keeps the coefficient recurrence stable near the
@@ -26,8 +26,8 @@ Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
 * An element z with r_k < |z| <= r_{k+1} (z = 0 opens the first step) is
   the Horner sum sum_n d_n t^n of that step's Taylor coefficients
   d_n = M^(n)(z_k) H^n / n!, H the step, at t = (z - z_k) / H; on the first
-  step z_k = 0 and d_n are the Maclaurin terms. Its value depends on its
-  own (a, b, z) only.
+  step z_k = 0 and d_n are the Maclaurin terms. Its value depends on the
+  call's (a, b) and its own z only.
 
 Against 40-digit mpmath this is within 2e-14 relative on the psi ray
 (a, b) = (-i gamma, 1), |gamma| <= 20, |z| <= 1000, and within 4e-12 for the
@@ -58,6 +58,7 @@ costs a fixed number of numpy operations on either branch, and every value,
 like the convergent branch's, is the same alone as in any batch.
 """
 
+import cmath
 import contextlib
 import math
 
@@ -67,7 +68,7 @@ import numpy as np
 # convergent while |z| <= SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * |a|^2
 # (series_radius). The expansion needs |z| >> |a|^2, so the radius grows
 # with |a|^2 without a cap: the convergent branch stays accurate at any
-# |z|, and its anchor chain costs about |z|/2 steps per distinct (a, b).
+# |z|, and its anchor chain costs about |z|/2 steps a call.
 # The base constant is a tunable; both branches are accurate well past the
 # boundary in either direction.
 SERIES_SWITCH_BASE = 30.0
@@ -80,7 +81,6 @@ CONT_B_STEP = 16.0
 # by 1 + CONT_B_STEP/|b|, so a chain grows like |b| (4,096 anchors per
 # e-fold of r at 2^16). The package's b: 1, 2, 2 ell + 2 and 2 lambda + 2.
 B_MAX = 2.0 ** 16
-_SCALARS = (complex, float, int)  # those _entry checks without numpy
 # An anchor chain rescales its value and derivative by an exact power of
 # two once |value| leaves [2^-500, 2^500] (_anchor_steps).
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -500, 2.0 ** 500
@@ -127,9 +127,10 @@ def log_gamma_complex(z):
     scipy.special.loggamma), via the Lanczos g=7 rational approximation
     with the reflection formula for Re(z) < 1/2.
 
-    Raises ValueError at the poles (non-positive real integers).
+    Raises ValueError at the poles (non-positive real integers), and for
+    text (_numbers).
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = _numbers("log_gamma_complex parameter z", z, np.complex128)
     shape, z = z.shape, z.reshape(-1)
     refl = z.real < 0.5
     reflect = refl.any()  # the poles, and the reflection, lie left of 1/2
@@ -157,47 +158,52 @@ def log_gamma_complex(z):
 
 
 def _entry(body, a, b, z):
-    """body(a, b, z) on a, b, z broadcast once and flattened, returned in
-    their common shape (a Python complex when all three are scalars).
-    Raises ValueError naming an a, b or z outside hyp1f1's domain or given
-    as text (_numbers); Python scalars a, b inside it with margin (psi's:
-    |Re a|, |Im a| <= 2^500, 0 < Re b, |Re b|, |Im b| <= B_MAX/2) skip
-    numpy's test. Where |a|^2 may overflow (_radius), the body runs with
-    numpy's overflow warning off."""
+    """body(a, b, z) on one value of a and one of b, each as a one-element
+    complex array, and z flattened, returned in the shape of a, b and z
+    broadcast (a Python complex when all three are scalars). Raises
+    ValueError naming an a or b of more than one value (_one), or an a, b
+    or z outside hyp1f1's domain or given as text (_numbers). Where |a|^2
+    may overflow (_radius), the body runs with numpy's overflow warning
+    off."""
     z = _numbers("hyp1f1 parameter z", z, np.complex128)
-    tame = (isinstance(a, _SCALARS) and isinstance(b, _SCALARS)
-            and abs(a.real) <= 2.0 ** 500 and abs(a.imag) <= 2.0 ** 500
-            and 0.0 < b.real <= 0.5 * B_MAX and abs(b.imag) <= 0.5 * B_MAX
-            and (_on_ray(z.item()) if z.size == 1 else _on_ray(z).all()))
-    # text a or b is no _SCALARS, so only numpy's path checks for it
-    a, b = (np.asarray(v, dtype=np.complex128) if tame else
-            _numbers("hyp1f1 parameter " + n, v, np.complex128)
+    a, b = (_numbers("hyp1f1 parameter " + n, v, np.complex128)
             for n, v in (("a", a), ("b", b)))
-    if not tame:
-        # each parameter alone (a + b + z can overflow), by inside tests, which
-        # NaN fails, and reduced once: a reduction costs more than the masks
-        ok_a, ok_z = np.isfinite(a), _on_ray(z)
-        ok_b = (np.abs(b) <= B_MAX) & ~_is_nonpositive_integer(b)
-        if not (ok_a & ok_b & ok_z).all():
-            for name, v, ok, domain in (
-                    ("a", a, ok_a, "be finite"),
-                    ("b", b, ok_b, "not be a non-positive integer and must "
-                     "have |b| <= %g" % B_MAX),
-                    ("z", z, ok_z, "lie on i[0, inf)")):
-                if not ok.all():
-                    raise ValueError("hyp1f1 parameter %s must %s, got %s = "
-                                     "%r" % (name, domain, name,
-                                             complex(v[~ok][0])))
-        tame = (np.abs(0.5 * a) <= 2.0 ** 499).all()  # |a| can overflow
-    shape = z.shape if a.ndim == b.ndim == 0 else np.broadcast(a, b, z).shape
-    size = math.prod(shape)
-    if size == 0:
+    shapes = a.shape, b.shape
+    a, b = _one("hyp1f1 parameter a", a), _one("hyp1f1 parameter b", b)
+    shape = (z.shape if shapes == ((), ())
+             else np.broadcast_shapes(*shapes, z.shape))
+    # inside tests, which NaN fails; |b| halved, as abs of a complex past
+    # max/sqrt(2) overflows
+    if not cmath.isfinite(a):
+        raise _outside("a", a, "be finite")
+    if not (abs(0.5 * b) <= 0.5 * B_MAX and not (
+            b.imag == 0.0 and b.real <= 0.0 and b.real.is_integer())):
+        raise _outside("b", b, "not be a non-positive integer and must "
+                       "have |b| <= %g" % B_MAX)
+    if not (_on_ray(z.item()) if z.size == 1 else _on_ray(z).all()):
+        raise _outside("z", z[~_on_ray(z)][0], "lie on i[0, inf)")
+    if z.size == 0:
         return np.empty(shape, dtype=np.complex128)
-    flat = [v.reshape(-1) if v.size == size else v.repeat(size) if v.size == 1
-            else np.broadcast_to(v, shape).reshape(-1) for v in (a, b, z)]
-    with contextlib.nullcontext() if tame else np.errstate(over="ignore"):
-        out = body(*flat)
+    with (contextlib.nullcontext() if abs(0.5 * a) <= 2.0 ** 499
+          else np.errstate(over="ignore")):
+        out = body(np.array([a]), np.array([b]), z.reshape(-1))
     return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def _outside(name, value, domain):
+    """The ValueError of a hyp1f1 parameter outside its domain."""
+    return ValueError("hyp1f1 parameter %s must %s, got %s = %r"
+                      % (name, domain, name, complex(value)))
+
+
+def _one(name, values):
+    """values' one element as a Python scalar, or a ValueError naming it
+    where it holds several: for a parameter that takes one value."""
+    v = np.asarray(values)
+    if v.size != 1:
+        raise ValueError("%s must be one value, got an array of shape %s"
+                         % (name, v.shape))
+    return v.item()
 
 
 def _numbers(name, values, dtype):
@@ -356,38 +362,28 @@ def _ray_values(a, b, radii, m, dm, r):
 def _continuation(a, b, z):
     """hyp1f1's convergent branch: float64 analytic continuation of
     M(a, b, z) up the imaginary axis from the origin (see the module
-    docstring), on flat arrays a, b, z.
+    docstring), on one-element arrays a, b and a flat array z: one anchor
+    chain, out to the largest |z|.
 
     Every series of the chain (the Maclaurin terms, each Taylor step) is
     summed until three consecutive terms are all below SERIES_TOL relative
     to the sum; each z is the Horner sum of the series whose step holds it.
-    An element's value depends on its own (a, b, z) only, never on the rest
-    of the batch. Raises RuntimeError if any series needs more than
+    An element's value depends on (a, b) and its own z only, never on the
+    rest of the batch. Raises RuntimeError if any series needs more than
     SERIES_MAX_TERMS terms."""
-    # + 0.0 turns -0.0 into +0.0 (in |z| here, in a and b where they are
-    # read), so equal parameters group together
+    # + 0.0 turns -0.0 into +0.0: z = -0.0 i sums as z = 0 does
     r = z.imag + 0.0
-    out = np.empty(r.shape, dtype=np.complex128)
     # first anchor past the origin: |a r_start / b| <= 1 keeps the
-    # Maclaurin terms O(1)
-    r_start = 1.0 / np.maximum(1.0, np.abs(a) / np.abs(b))
-    groups = [(0, slice(None))]  # one (a, b): no masked copies
-    if r.size > 1:
-        keys = np.stack([a + 0.0, b + 0.0], axis=1).view(np.float64)
-        if not (keys == keys[0]).all():
-            _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                          return_inverse=True)
-            groups = [(i, inverse.reshape(-1) == g) for g, i in enumerate(first)]
-    for i, sel in groups:
-        ai, bi = complex(a[i] + 0.0), complex(b[i] + 0.0)
-        radii = [0.0] + _anchor_radii(float(r_start[i]), bi, float(r[sel].max()))
-        w, e, _ = _ray_values(ai, bi, radii, 1.0 + 0.0j, ai / bi, r[sel])
-        if e.any():
-            # M's own scale: inf or 0 only where float64 cannot hold M
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = w * np.exp2(e)
-        out[sel] = w
-    return out
+    # Maclaurin terms O(1); |a| and |b| as numpy's array loop rounds them
+    r_start = float((1.0 / np.maximum(1.0, np.abs(a) / np.abs(b)))[0])
+    a, b = complex(a[0]), complex(b[0])
+    radii = [0.0] + _anchor_radii(r_start, b, float(r.max()))
+    w, e, _ = _ray_values(a, b, radii, 1.0 + 0.0j, a / b, r)
+    if e.any():
+        # M's own scale: inf or 0 only where float64 cannot hold M
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = w * np.exp2(e)
+    return w
 
 
 def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
@@ -449,7 +445,8 @@ def _kummer_pair(a, b, z, deriv=False):
     13.7.3), y1 = e^z z^{a-b} S1(z) and y2 = z^{-a} S2(-z), with
     S1(z) = sum_k (b-a)_k (1-a)_k / (k! z^k) and
     S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs: two rows
-    of one _inv_power_series block (a, b scalars or flat arrays of one size).
+    of one _inv_power_series block (a, b scalars or one-element arrays, z a
+    scalar or a flat array).
 
     Returns (log1, s1, ds1), (log2, s2, ds2) with y_j = e^{log_j} s_j, so
     that callers can keep the prefactors in logs; with deriv,
@@ -469,15 +466,13 @@ def _kummer_pair(a, b, z, deriv=False):
 
 
 def _asymptotic(a, b, z):
-    """hyp1f1's large-|z| branch on flat arrays a, b, z: the expansion
+    """hyp1f1's large-|z| branch on one-element arrays a, b and a flat array
+    z (so the Gamma constants and term ratios are formed once): the expansion
     Gamma(b)/Gamma(a) y1 + Gamma(b)/Gamma(b-a) e^{i pi a} y2, with y1 the
     growing e^z solution and y2 the algebraic one (_kummer_pair), each an
     inverse-power series truncated at ASYMPTOTIC_TERMS and at its smallest
     term. On i[0, inf) the algebraic piece's (-z)^{-a} is z^{-a} e^{i pi a}.
-    An element's value depends on its own (a, b, z) only."""
-    if a.size > 1 and (a == a[0]).all() and (b == b[0]).all():
-        # one (a, b) for the batch: Gamma constants and term ratios once
-        a, b = a[:1], b[:1]
+    An element's value depends on (a, b) and its own z only."""
     (log1, s1, _), (log2, s2, _) = _kummer_pair(a, b, z)
     # log Gamma(b), and 1/Gamma(a), 1/Gamma(b - a) as exactly 0 at the
     # poles of Gamma, from one log-gamma block
@@ -505,12 +500,15 @@ def _radius(a):
 
 
 def hyp1f1(a, b, z):
-    """Kummer's 1F1(a, b; z) = M(a, b, z) for scalars or broadcastable
-    arrays a, b, z, by the convergent branch (_continuation) for
+    """Kummer's 1F1(a, b; z) = M(a, b, z) for one value of a and one of b
+    (each a scalar or a one-element array, broadcast against z) and a
+    scalar or array z, by the convergent branch (_continuation) for
     |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
-    and the large-argument expansion (_asymptotic) beyond. Mixed arrays are
+    and the large-argument expansion (_asymptotic) beyond. An array z is
     partitioned between the branches elementwise; a caller that needs one
-    branch for a whole stencil passes that body to _entry itself.
+    branch for a whole stencil passes that body to _entry itself. Several
+    (a, b) take one call each: an a or b of more than one value raises
+    ValueError.
 
     Domain, checked on both branches (a ValueError names the parameter):
     z on i[0, inf) (every package call's ray), either sign of zero; a finite;
@@ -529,5 +527,5 @@ def _dispatch(a, b, z):
         return _asymptotic(a, b, z)
     out = np.empty(z.shape, dtype=np.complex128)
     for sel, body in ((near, _continuation), (~near, _asymptotic)):
-        out[sel] = body(a[sel], b[sel], z[sel])
+        out[sel] = body(a, b, z[sel])
     return out

@@ -3,6 +3,7 @@ outgoing spherical wave, plus the scattering amplitudes built from it."""
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf, sin
 
 from coulscat import (
     FieldPoint,
@@ -205,6 +206,35 @@ def test_born_amplitude_screening_limits():
     a = born_amplitude_yukawa(p, 1.0, 1e-8)
     b = born_amplitude_yukawa(p, 1.0, 0.0)
     assert abs(a - b) < 1e-10 * abs(b)
+
+
+def test_born_amplitude_past_float64_range_matches_mpmath():
+    # (gamma, k, theta, mu) where q^2, mu^2 or 2 gamma k overflows while f_B
+    # lies in float64's range: these gave 0j, 0j and nan+0j
+    mp.dps = 40
+    for g, k, theta, mu in ((0.7, 1e200, 1.0, 0.0), (1e100, 1.0, 1.0, 1e200),
+                            (1e200, 1e200, 1.0, 0.0),
+                            (-1e-300, 1.0, 1e-160, 0.0),
+                            (0.7, 1e300, 2.0, 3e299)):
+        got = born_amplitude_yukawa(params(g, k), theta, mu)
+        ref = -2 * mpf(g) * k / ((2 * k * sin(mpf(theta) / 2)) ** 2
+                                 + mpf(mu) ** 2)
+        assert abs(got - complex(ref)) < 4e-16 * abs(complex(ref)), (g, k)
+    # an array call rescales only the elements that left the range (q^2
+    # overflows at theta = 1 and 2): the other keeps its plain-form bits
+    p = params(0.7, 1e160)
+    theta = np.array([1e-100, 1.0, 2.0])
+    got = born_amplitude_yukawa(p, theta, 1.0)
+    q = 2.0 * 1e160 * np.sin(theta[:1] / 2.0)
+    assert got[0] == born_amplitude_yukawa(p, 1e-100, 1.0) == (
+        -2.0 * 0.7 * 1e160 / (q ** 2 + np.float64(1.0) ** 2))[0]
+    for t, v in zip(theta[1:], got[1:]):
+        ref = -2 * mpf(0.7) * 1e160 / ((2 * mpf(1e160) * sin(mpf(t) / 2)) ** 2
+                                       + 1)
+        assert abs(v - complex(ref)) < 4e-16 * abs(complex(ref)), t
+    # past float64's range above, an ArithmeticError naming the point
+    with pytest.raises(ArithmeticError, match="at theta = 1e-10, mu = 0.0:"):
+        born_amplitude_yukawa(params(1e300), np.array([1.0, 1e-10]), 0.0)
 
 
 def test_born_amplitude_errors():

@@ -28,6 +28,7 @@ from coulscat import (
     full_mode_phase_error,
     integrate_full_mode,
     interference_radial_leading,
+    log_gamma_complex,
     long_wavelength_valid,
     oscillation_length,
     phase_shift,
@@ -85,6 +86,12 @@ DOMAINS = [
     ("coulomb_wave_asymptotic", "rho", "(0, inf)",
      lambda x: coulomb_wave_asymptotic(2, 1.0, x)),
     ("phase_shift", "gamma", "(-inf, inf)", lambda x: phase_shift(2, x)),
+    ("phase_shift_sweep", "gamma", "(-inf, inf)",
+     lambda x: phase_shift_sweep(3, x)),
+    ("coulomb_wave_regular", "gamma", "(-inf, inf)",
+     lambda x: coulomb_wave_regular(0, x, 1.0)),
+    ("coulomb_wave_asymptotic", "gamma", "(-inf, inf)",
+     lambda x: coulomb_wave_asymptotic(0, x, 10.0)),
     ("f_series_partial_sweep", "theta", "(0, pi]",
      lambda x: f_series_partial_sweep(P, x, 10)),
     ("f_series_cesaro", "theta", "(0, pi]",
@@ -223,6 +230,12 @@ ONE_VALUE = [
     ("f_reduced_series", "ell_max", [5, 10],
      lambda x: f_reduced_series(P, 1.0, x)),
     ("f_series_cesaro", "n", [5, 10], lambda x: f_series_cesaro(P, 1.0, x)),
+    ("phase_shift_sweep", "gamma", [0.1, 0.2],
+     lambda x: phase_shift_sweep(3, x)),
+    # named before a, b and z broadcast: a shape-(3,) z would not take a
+    ("hyp1f1", "hyp1f1 parameter a", [0.5, 0.6],
+     lambda x: hyp1f1(x, 1.0, [1j, 2j, 3j])),
+    ("hyp1f1", "hyp1f1 parameter b", [1.0, 2.0], lambda x: hyp1f1(0.5, x, 1j)),
 ]
 
 
@@ -495,6 +508,11 @@ TEXT = [
     ("mass", lambda: BlackHoleParams("0.05", 1.0)),
     ("omega", lambda: BlackHoleParams(0.05, "1")),
     ("mu", lambda: born_amplitude_yukawa(P, 1.0, "0.3")),
+    ("gamma", lambda: phase_shift_sweep(3, "0.5")),
+    ("gamma", lambda: coulomb_wave_regular(0, "0.5", 1.0)),
+    ("gamma", lambda: coulomb_wave_asymptotic(0, "0.5", 10.0)),
+    ("log_gamma_complex parameter z", lambda: log_gamma_complex("5")),
+    ("log_gamma_complex parameter z", lambda: log_gamma_complex([b"5"])),
 ]
 
 

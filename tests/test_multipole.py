@@ -28,7 +28,7 @@ from coulscat import (
     rutherford_amplitude,
     rutherford_amplitude_phase_separated,
 )
-from coulscat import multipole
+from coulscat import multipole, specfun
 
 mp.dps = 40
 
@@ -409,6 +409,23 @@ def test_coulomb_wave_sweep_sum_rule_matches_per_ell_path(monkeypatch):
         assert est <= multipole._SUM_RULE_TOL, case
         err = np.max(np.abs(w - direct)) / np.max(np.abs(w))
         assert err < 1e-12, (case, err)
+
+
+def test_coulomb_wave_array_ell_bits_match_scalar_calls():
+    # each distinct ell is one 1F1 call; at rho = 600 (z = 1200 i) the
+    # small ell take the asymptotic branch and the rest the series one
+    ells = np.arange(41)
+    radius = specfun.series_radius(ells + 1.0 - 0.7j)
+    assert (radius < 1200.0).any() and (radius > 1200.0).any()
+    for rho in (5.0, 600.0):
+        batch = coulomb_wave_regular(ells, 0.7, rho)
+        alone = np.array([coulomb_wave_regular(ell, 0.7, rho) for ell in ells])
+        assert np.array_equal(batch.view(np.int64), alone.view(np.int64)), rho
+    # an ell array against a rho array: each element its scalar call's bits
+    ell, rho = np.array([[0], [3], [0]]), np.array([0.0, 5.0, 600.0])
+    batch = coulomb_wave_regular(ell, 0.7, rho)
+    for (i, j), got in np.ndenumerate(batch):
+        assert got == coulomb_wave_regular(int(ell[i, 0]), 0.7, rho[j])
 
 
 def test_coulomb_wave_at_origin_and_validation():
