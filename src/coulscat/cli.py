@@ -9,10 +9,11 @@ One CSV goes to --out (default <quantity>.csv), one row per grid point,
 with a header naming every column. Output is deterministic: grids are
 generated from the ScanSpec alone, rows are computed in order in fixed
 2048-row chunks (field_map evaluates each distinct (|kx|, kz) point once, in
-one call), and floats are written with 17 significant digits by one loop of
-runs (write_csv). A flag or preset field that the quantity does not read is
-an error: psi depends on gamma and (rho = k r, theta) alone, so psi_exact,
-psi_asymptotic and field_map read no --k.
+one call), and floats are written as "%.17g" writes them, from float64
+arithmetic in numpy, by one loop of runs (write_csv). A flag or preset
+field that the quantity does not read is an error: psi depends on gamma and
+(rho = k r, theta) alone, so psi_exact, psi_asymptotic and field_map read
+no --k.
 
 Exit codes: 0 success, 2 invalid scan spec or arguments (an --out that
 cannot be written included), 3 numerical failure.
@@ -54,11 +55,14 @@ _ALTERNATIVES = ((("gamma", "k"), ("mass", "omega")),
                  (("kx_values",), ("kx_range",)),
                  (("ell_max",), ("ell_max_values",)))
 
-# the range of each value (of the two ends, for a *_range triple)
+# the range of each value (of the two ends, for a *_range triple), and of
+# each partial-wave order, which is an integer besides (exact._order)
 _BOUNDS = {"rho_values": "(0, inf)", "kx_values": "(-inf, inf)",
            "fixed_theta": "[0, pi]", "theta_range": "[0, pi]",
            "kx_range": "(-inf, inf)", "kz_range": "(-inf, inf)",
            "r_range": "(-inf, inf)"}
+_ORDERS = {"cesaro_n_values": "[1, inf)", "ell_max": "[0, inf)",
+           "ell_max_values": "[0, inf)", "ell": "[1, inf)"}
 
 
 def _flag(name):
@@ -115,7 +119,7 @@ class ScanSpec:
         for name in reads.keys() - given:
             setattr(self, name, reads[name])
         self.out = self.out or self.quantity + ".csv"
-        for name, bound in _BOUNDS.items():
+        for name, bound in {**_BOUNDS, **_ORDERS}.items():
             value, flag = getattr(self, name), _flag(name)
             if value is None:
                 continue
@@ -126,7 +130,8 @@ class ScanSpec:
                                      % (flag, a, b, n))
                 setattr(self, name, (float(a), float(b), int(n)))
                 value = (a, b)
-            exact._within(flag, value, bound)
+            (exact._order if name in _ORDERS else exact._within)(
+                flag, value, bound)
 
     __post_init__ = validate
 
@@ -501,18 +506,82 @@ def _product_period(bits):
     return p if product else 0
 
 
-def _cells(block, k):
-    """The line cells of a block after its k leading columns, which the
-    caller writes as literals: the literal of a column whose bit patterns
-    are all equal in the block (so 0.0 and -0.0 differ), "%.17g" for any
-    other; and the mask of those other columns, whose values fill the
-    template. One call per block or run formatted."""
-    bits = block.view(np.int64)
-    const = np.all(bits == bits[0], axis=0)
-    cells = ["%.17g" % v if c else "%.17g"
-             for v, c in zip(block[0, k:].tolist(), const[k:])]
-    const[:k] = True
-    return cells, ~const
+def _split(v):
+    """Dekker's split of v into a 26-bit high part and an exact rest."""
+    c = v * 134217729.0
+    high = c - (c - v)
+    return high, v - high
+
+
+# _digits' tables: 10^k, k in [0, 20] (exact doubles), and its split; each
+# n < 10^4 as a uint32 of 4 ASCII digits; the layout; its (k, tz, sign) masks
+_POW = np.array([float(10 ** k) for k in range(21)])
+_POW_HI, _POW_LO = _split(_POW)
+_WORDS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                              indexing="ij"), -1).view(np.uint32).ravel()
+_LAYOUT = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17, np.uint8)
+_E, _TZ, _NEG, _COL = np.ix_(range(16, -5, -1), range(17), range(2), range(40))
+_MASKS = (np.uint8(255) * (
+    (_COL == 0) & (_NEG == 1) | (_COL == 1) & (_E < 0)
+    | (2 <= _COL) & (_COL <= 2 + _E) | (_COL == 19) & (_E + _TZ <= 15)
+    | (24 + _E <= _COL) & (_COL <= 39 - _TZ))).reshape(-1, 40).view(np.uint64)
+
+
+def _digits(x):
+    """The "%.17g" bytes of each value of the float64 vector x, as rows of a
+    NUL-padded (len(x), 40) uint8 matrix. Where 1e-4 <= |x| < 1e17 (%g's
+    fixed form), E = floor(log10 |x|), Dekker's two-product gives |x| 10^k =
+    ph + t exactly (k = 16 - E, so 10^k is exact), and ph >= 1e16 is an even
+    integer, so D = ph + rint(t) is the 17 digits, ties to even. D fills the
+    layout [sign][0][17 digits][.][000][17 digits], which a mask row cuts to
+    the value's bytes. Any other value, or one whose E is off (ph + t < 1e16
+    or D >= 1e17: log10 rounds), takes "%.17g" itself."""
+    a = np.abs(x)
+    fast = (1e-4 <= a) & (a < 1e17)  # false on NaN: no arithmetic on it
+    a = np.where(fast, a, 1.0)
+    k = 16 - np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    ph, (ah, al), bh, bl = a * _POW[k], _split(a), _POW_HI[k], _POW_LO[k]
+    t = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    d = ph.astype(np.int64) + np.rint(t).astype(np.int64)
+    # ph - 1e16 is exact, so this sum has the sign of ph + t - 1e16
+    ok = fast & ((ph - 1e16) + t >= 0) & (d < 10 ** 17)
+    q = d // 10 ** 8
+    head = q // 10 ** 8
+    hl = np.stack([q - head * 10 ** 8, d - q * 10 ** 8], axis=1)
+    w = hl // 10000
+    words = np.take(_WORDS, np.stack([w, hl - w * 10000], 2)).reshape(-1, 4)
+    out = np.broadcast_to(_LAYOUT, (len(x), 40)).copy()
+    out[:, 2] = out[:, 23] = ord("0") + head
+    out[:, 3:19], out.view(np.uint32)[:, 6:] = words.view(np.uint8), words
+    tz = np.argmax(out[:, 18:1:-1] != ord("0"), axis=1)
+    mask = np.take(_MASKS, (k * 17 + tz) * 2 + np.signbit(x), axis=0)
+    np.bitwise_and(out.view(np.uint64), mask, out=out.view(np.uint64))
+    bad = np.flatnonzero(~ok)  # one % call, its space padding dropped
+    pad = ("%-40.17g" * len(bad)) % tuple(x[bad].tolist())
+    pad = np.frombuffer(pad.encode(), np.uint8).reshape(-1, 40)
+    out[bad] = np.where(pad == ord(" "), 0, pad)
+    return out
+
+
+def _cells(block, k, lead):
+    """The bytes of a block's lines: each line's lead (a uint8 row per line,
+    or one for all: its newline, and the first k cells with their commas),
+    then its other cells and commas from one _digits call, which formats a
+    column of equal bit patterns (0.0 and -0.0 differ) by its first value;
+    laid out as one NUL-padded matrix, the NULs dropped by one compress."""
+    n, w = len(block), lead.shape[1]
+    bits = block[:, k:].view(np.int64)
+    vary = np.any(bits != bits[0], axis=0)
+    same, other = np.flatnonzero(~vary), np.flatnonzero(vary)
+    cells = _digits(np.concatenate([block[0, k + same],
+                                    block[:, k + other].ravel()]))
+    line = np.zeros((n, w + 41 * len(vary)), np.uint8)
+    line[:, :w] = lead
+    rest = line[:, w:].reshape(n, -1, 41)
+    rest[:, same, :40] = cells[:len(same)]
+    rest[:, other, :40] = cells[len(same):].reshape(n, len(other), 40)
+    rest[:, :-1, 40] = ord(",")
+    return line[line != 0].tobytes()
 
 
 def _reader(fh, path):
@@ -534,8 +603,8 @@ def _reader(fh, path):
 
 
 def write_csv(path, header, rows):
-    # the bytes of "%.17g" applied value by value, each line written with
-    # its leading newline (_write_runs) and one newline at the end
+    # the bytes of "%.17g" value by value, from numpy arithmetic (_digits);
+    # each line written with its leading newline, and a newline at the end
     rows = np.asarray(rows, dtype=np.float64)
     bits = rows.view(np.int64)
     p = _product_period(bits)
@@ -552,24 +621,24 @@ def write_csv(path, header, rows):
 
 def _write_runs(fh, fd, pos, rows, bits, p):
     """write_csv's one loop: the rows from byte offset pos on, in runs of p
-    rows with the two coordinate columns as literals where p > 0 (an outer
-    x inner product), else in runs of CSV_BLOCK_ROWS rows with no literal.
-    Each line's start (its newline, and a product's inner literal) and each
-    line-template body (one per constant-cell pattern and run length) are
-    formatted once per file, and a product run's outer literal is put at
-    each line start by one replace. With fd, a descriptor reading the file
-    back, a run whose other columns repeat an earlier run's bit patterns
-    (field_map's kx and -kx) is copied from the file (fh flushed first) with
-    the outer literal swapped, which is exact because a newline only ever
-    starts a line and each outer literal ends in a comma. Only an offset per
-    distinct run is kept, not its text."""
-    starts = (["\n%.17g," % v for v in rows[:p, 1].tolist()] if p
-              else ["\n"] * CSV_BLOCK_ROWS)
-    bodies = {}  # (constant-cell pattern, run length) -> line-template body
-    seen = {}  # hash of a run's other columns -> (row, offset, length, outer)
-    for start in range(0, len(rows), len(starts)):
-        run, key, hit = rows[start:start + len(starts)], None, None
-        outer = "\n%.17g," % run[0, 0] if p else "\n"
+    rows where p > 0 (an outer x inner product, whose outer and inner cells
+    are formatted once per file), else of CSV_BLOCK_ROWS rows. With fd, a
+    descriptor reading the file back, a run whose other columns repeat an
+    earlier run's bit patterns (field_map's kx and -kx) is copied from the
+    file (fh flushed first) with its line starts swapped, which is exact
+    because a newline only ever starts a line and each outer cell ends in a
+    comma. Only an offset per distinct run is kept, not its text."""
+    k = 2 if p else 0
+    if p:  # each run's line start, and the inner cells with their commas
+        outers = [b"\n%s," % c[c != 0].tobytes()
+                  for c in _digits(rows[::p, 0])]
+        inner = _digits(rows[:p, 1])
+        inner = np.column_stack([inner[:, inner.any(axis=0)],
+                                 np.full(p, ord(","), np.uint8)])
+    seen = {}  # hash of a run's other columns -> (row, offset, size, outer)
+    for start in range(0, len(rows), p or CSV_BLOCK_ROWS):
+        run, key, hit = rows[start:start + (p or CSV_BLOCK_ROWS)], None, None
+        outer = outers[start // p] if p else b"\n"
         if fd is not None:
             rest = bits[start:start + p, 1:]
             key = hash(rest.tobytes())
@@ -578,17 +647,12 @@ def _write_runs(fh, fd, pos, rows, bits, p):
         if hit and np.array_equal(bits[hit[0]:hit[0] + p, 1:], rest):
             _, offset, size, old = hit
             fh.flush()
-            pos += fh.write(os.pread(fd, size, offset).replace(
-                old.encode(), outer.encode()))
+            pos += fh.write(outer.join(os.pread(fd, size, offset).split(old)))
             continue
-        cells, vary = _cells(run, 2 if p else 0)
-        form = (tuple(cells), len(run))
-        body = bodies.get(form)
-        if body is None:
-            tail = ",".join(cells)
-            body = bodies[form] = tail.join(starts[:len(run)]) + tail
-        text = (body.replace("\n", outer)
-                % tuple(run[:, vary].ravel().tolist())).encode()
+        lead = np.frombuffer(outer, np.uint8)[None]
+        if p:
+            lead = np.column_stack([lead.repeat(p, axis=0), inner])
+        text = _cells(run, k, lead)
         if key is not None:
             seen.setdefault(key, (start, pos, len(text), outer))
         pos += fh.write(text)

@@ -43,6 +43,12 @@ class ScatteringParams:
             object.__setattr__(self, name, specfun._one(name, _within(
                 name, getattr(self, name), bound)))
 
+    @functools.cached_property
+    def _log_gamma(self):
+        """log Gamma(1 + i gamma), which every field evaluation adds
+        (_field): formed once per parameters object."""
+        return specfun.log_gamma_complex(1.0 + 1j * self.gamma)
+
 
 @dataclass(frozen=True)
 class FieldPoint:
@@ -110,8 +116,7 @@ def _field(p, rho, theta, kummer):
     its two branch bodies on _entry, or the dM/dz of _gradient."""
     s = _s(theta)
     g = p.gamma
-    log_pref = (1j * rho * (1.0 - s) - 0.5 * np.pi * g
-                + specfun.log_gamma_complex(1.0 + 1j * g))
+    log_pref = 1j * rho * (1.0 - s) - 0.5 * np.pi * g + p._log_gamma
     m = kummer(-1j * g, 1.0, 1j * rho * s)
     _check_scale(log_pref, m, gamma=g)
     return np.exp(log_pref) * m

@@ -166,6 +166,38 @@ def test_main_rejects_non_finite_axis_values(tmp_path, capsys, args, flag):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["cesaro", "--cesaro-n", "0"],
+     "--cesaro-n must lie in [1, inf), got --cesaro-n = 0.0"),
+    (["cesaro", "--cesaro-n", "10", "--cesaro-n", "-3"],
+     "--cesaro-n must lie in [1, inf), got --cesaro-n = -3.0"),
+    (["reduced_series", "--ell-max", "-1"],
+     "--ell-max must lie in [0, inf), got --ell-max = -1.0"),
+    (["diverging_sum", "--ell-max", "-1"],
+     "--ell-max must lie in [0, inf), got --ell-max = -1.0"),
+    (["bh_mode", "--mass", "0.05", "--omega", "1", "--ell", "0"],
+     "--ell must lie in [1, inf), got --ell = 0.0"),
+])
+def test_main_order_range_errors_name_the_flag(tmp_path, capsys, args,
+                                                message):
+    # a partial-wave order outside its range is refused by the spec check,
+    # under its flag, before anything is computed or written
+    out = str(tmp_path / "order.csv")
+    assert main(args + ["--out", out]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not os.path.exists(out)
+
+
+def test_preset_order_list_is_checked_under_its_field_name():
+    # a preset's order list, which has no flag, is named by its field, and
+    # must hold integers
+    with pytest.raises(ValueError, match=r"^ell_max_values must be an "
+                                         r"integer in \[0, inf\), got "
+                                         r"ell_max_values = 2\.5$"):
+        _spec_from_mapping({"quantity": "reduced_series",
+                            "ell_max_values": [100, 2.5]})
+
+
 def test_presets_all_load_and_validate():
     assert PRESETS == ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
     for name in PRESETS:
@@ -636,6 +668,58 @@ def test_preset_files_are_plain_json():
                 ).read_text()
         data = json.loads(text)
         assert data["quantity"] in QUANTITIES
+
+
+def test_digits_match_percent_g_on_seeded_values():
+    # the float64 arithmetic of cli._digits against "%.17g" itself: random
+    # bit patterns, wide and narrow magnitudes, short decimals, half-integer
+    # multiples of powers of two (about 2% exact ties of the 17th digit,
+    # which round to even), every power of ten and its neighbours, and the
+    # edges of the fixed form, all in both signs
+    rng = np.random.default_rng(1717)
+    n = 20000
+    tens = np.array([float("1e%d" % k) for k in range(-6, 19)])
+    x = np.concatenate([
+        rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(np.float64),
+        rng.normal(size=n) * 10.0 ** rng.integers(-8, 20, size=n),
+        rng.random(n),
+        rng.integers(-10 ** 9, 10 ** 9, size=n).astype(np.float64),
+        np.round(rng.normal(size=n) * 1000.0, 3),
+        ((rng.integers(0, 2 ** 52, size=n) >> rng.integers(0, 52, size=n))
+         + 0.5) * 2.0 ** rng.integers(-30, 30, size=n),
+        [float("1e%d" % k) for k in range(-300, 300)],
+        np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        [1e-4, 1e17, 99999999999999992.0, 0.0, np.inf, np.nan, 5e-324,
+         np.finfo(np.float64).max]])
+    x = np.concatenate([x, -x])
+    assert len(x) >= 2e5
+    got = cli._digits(x)
+    assert got.shape == (len(x), 40) and got.dtype == np.uint8
+    ref = ["%.17g" % v for v in x.tolist()]
+    lengths = np.count_nonzero(got, axis=1)
+    wrong = np.flatnonzero(lengths != [len(r) for r in ref])
+    assert not wrong.size, [(x[i], ref[i]) for i in wrong[:5]]
+    # equal lengths, so equal concatenations are equal values
+    assert got[got != 0].tobytes() == "".join(ref).encode()
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf])
+def test_digits_do_not_depend_on_the_last_bit_of_log10(monkeypatch, toward):
+    # log10 rounds differently under numpy's SIMD dispatches; an exponent
+    # it puts one off (at and next to the powers of ten) fails _digits'
+    # checks and takes "%.17g", so the bytes stay the same
+    tens = np.array([float("1e%d" % k) for k in range(-4, 18)])
+    rng = np.random.default_rng(23)
+    x = np.concatenate([tens, np.nextafter(tens, 0.0),
+                        np.nextafter(tens, np.inf),
+                        rng.normal(size=2000) * 10.0 ** rng.integers(
+                            -4, 17, size=2000)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10",
+                        lambda a: np.nextafter(log10(a), toward))
+    got = cli._digits(np.concatenate([x, -x]))
+    ref = ["%.17g" % v for v in np.concatenate([x, -x]).tolist()]
+    assert [r[r != 0].tobytes() for r in got] == [r.encode() for r in ref]
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
