@@ -624,7 +624,9 @@ def _write_runs(fh, fd, pos, rows, bits, p):
     rows where p > 0 (an outer x inner product, whose outer and inner cells
     are formatted once per file), else of CSV_BLOCK_ROWS rows. With fd, a
     descriptor reading the file back, a run whose other columns repeat an
-    earlier run's bit patterns (field_map's kx and -kx) is copied from the
+    earlier run's bit patterns (field_map's kx and -kx; looked up by the
+    hash of their wrapping int64 sum, which any one changed value changes,
+    and confirmed on all of them) is copied from the
     file (fh flushed first) with its line starts swapped, which is exact
     because a newline only ever starts a line and each outer cell ends in a
     comma. Only an offset per distinct run is kept, not its text."""
@@ -635,15 +637,15 @@ def _write_runs(fh, fd, pos, rows, bits, p):
         inner = _digits(rows[:p, 1])
         inner = np.column_stack([inner[:, inner.any(axis=0)],
                                  np.full(p, ord(","), np.uint8)])
-    seen = {}  # hash of a run's other columns -> (row, offset, size, outer)
+    seen = {}  # hash of a run's bit sum -> (row, offset, size, outer)
     for start in range(0, len(rows), p or CSV_BLOCK_ROWS):
         run, key, hit = rows[start:start + (p or CSV_BLOCK_ROWS)], None, None
         outer = outers[start // p] if p else b"\n"
         if fd is not None:
             rest = bits[start:start + p, 1:]
-            key = hash(rest.tobytes())
+            key = hash(rest.sum())
             hit = seen.get(key)
-        # a hash collision fails the comparison and formats afresh
+        # a collision (of sums or of hashes) fails the comparison: formatted
         if hit and np.array_equal(bits[hit[0]:hit[0] + p, 1:], rest):
             _, offset, size, old = hit
             fh.flush()

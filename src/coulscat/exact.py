@@ -34,7 +34,8 @@ _SLICE = 4096
 class ScatteringParams:
     """Interaction strength gamma (positive repulsive, negative attractive)
     and wavenumber k > 0, each stored as the Python float of its one
-    value."""
+    value. log Gamma(1 + i gamma) and psi's two Kummer functions
+    (specfun._Kummer) are formed once per object."""
     gamma: float
     k: float = 1.0
 
@@ -48,6 +49,14 @@ class ScatteringParams:
         """log Gamma(1 + i gamma), which every field evaluation adds
         (_field): formed once per parameters object."""
         return specfun.log_gamma_complex(1.0 + 1j * self.gamma)
+
+    @functools.cached_property
+    def _kummer(self):  # M(-i gamma, 1, .), psi's (_field)
+        return specfun._Kummer(-1j * self.gamma, 1.0)
+
+    @functools.cached_property
+    def _kummer_next(self):  # M(a + 1, b + 1, .), psi's dM/dz (_gradient)
+        return specfun._Kummer(-1j * self.gamma + 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,12 @@ def _sliced(f, rho, theta):
 def _field(p, rho, theta, kummer):
     """The exact solution e^{i rho (1-s)} e^{-pi gamma/2} Gamma(1 + i gamma)
     M(-i gamma, 1, i rho s) on broadcastable float64 arrays of (rho, theta),
-    with the Kummer function M evaluated by kummer(a, b, z): hyp1f1, one of
-    its two branch bodies on _entry, or the dM/dz of _gradient."""
+    with M evaluated by kummer(z): p._kummer, by one branch body, or the
+    dM/dz of _gradient."""
     s = _s(theta)
     g = p.gamma
     log_pref = 1j * rho * (1.0 - s) - 0.5 * np.pi * g + p._log_gamma
-    m = kummer(-1j * g, 1.0, 1j * rho * s)
+    m = kummer(1j * rho * s)
     _check_scale(log_pref, m, gamma=g)
     return np.exp(log_pref) * m
 
@@ -248,16 +257,15 @@ def psi_exact_grid(p, rho, theta):
     the value (_check_scale). Evaluated flat in slices of _SLICE (_sliced)."""
     _check_point(rho, theta)
     return _like(np.broadcast(rho, theta), _sliced(
-        lambda r, t: _field(p, r, t, specfun.hyp1f1),
+        lambda r, t: _field(p, r, t, p._kummer),
         _floats("rho", rho), _floats("theta", theta)))
 
 
 def _gradient(p, rho, theta):
     """psi stacked with [d_rho psi, d_theta psi / rho] on one slice, by
     dM/dz = (a/b) M(a + 1, b + 1, z) (DLMF 13.3.15) at z = i rho s."""
-    psi = _field(p, rho, theta, specfun.hyp1f1)
-    dpsi = _field(p, rho, theta,
-                  lambda a, b, z: a / b * specfun.hyp1f1(a + 1.0, b + 1.0, z))
+    psi = _field(p, rho, theta, p._kummer)
+    dpsi = _field(p, rho, theta, lambda z: -1j * p.gamma * p._kummer_next(z))
     s = _s(theta)
     return np.stack([psi, 1j * ((1.0 - s) * psi + s * dpsi),
                      1j * np.sin(theta) * (dpsi - psi)])
@@ -295,13 +303,11 @@ def schrodinger_residual(p, pt, h):
 
     # the whole stencil on the center's 1F1 branch: a branch switch inside
     # it would put the two branches' difference into the second differences
-    if rho * _s(theta) <= specfun.series_radius(-1j * p.gamma):
-        branch = specfun._continuation
-    else:
-        branch = specfun._asymptotic
+    branch = (specfun._continuation if rho * _s(theta) <= p._kummer.radius
+              else specfun._asymptotic)
     rhos = np.array([rho, rho - h, rho + h, rho, rho])
     thetas = np.array([theta, theta, theta, theta - ht, theta + ht])
-    f = _field(p, rhos, thetas, functools.partial(specfun._entry, branch))
+    f = _field(p, rhos, thetas, functools.partial(p._kummer, body=branch))
     c, rm, rp, tm, tp = f
 
     d2_rho = (rp - 2.0 * c + rm) / h ** 2

@@ -56,10 +56,16 @@ of terms (_inv_power_series), and the Lanczos sum of log_gamma_complex one
 (8, N) block; a block's rows are added in row order whatever N. So a call
 costs a fixed number of numpy operations on either branch, and every value,
 like the convergent branch's, is the same alone as in any batch.
+
+One object per Kummer function M(a, b, .) (_Kummer) checks a and b and forms
+each value of (a, b) alone once: the switch and start radii, the large-|z|
+series rows, term ratios and Gamma factors. hyp1f1 builds one a call;
+exact.ScatteringParams keeps psi's two. Nothing is cached across objects.
 """
 
 import cmath
 import contextlib
+import functools
 import math
 
 import numpy as np
@@ -158,36 +164,60 @@ def log_gamma_complex(z):
 
 
 def _entry(body, a, b, z):
-    """body(a, b, z) on one value of a and one of b, each as a one-element
-    complex array, and z flattened, returned in the shape of a, b and z
-    broadcast (a Python complex when all three are scalars). Raises
-    ValueError naming an a or b of more than one value (_one), or an a, b
-    or z outside hyp1f1's domain or given as text (_numbers). Where |a|^2
-    may overflow (_radius), the body runs with numpy's overflow warning
-    off."""
-    z = _numbers("hyp1f1 parameter z", z, np.complex128)
-    a, b = (_numbers("hyp1f1 parameter " + n, v, np.complex128)
-            for n, v in (("a", a), ("b", b)))
-    shapes = a.shape, b.shape
-    a, b = _one("hyp1f1 parameter a", a), _one("hyp1f1 parameter b", b)
-    shape = (z.shape if shapes == ((), ())
-             else np.broadcast_shapes(*shapes, z.shape))
-    # inside tests, which NaN fails; |b| halved, as abs of a complex past
-    # max/sqrt(2) overflows
-    if not cmath.isfinite(a):
-        raise _outside("a", a, "be finite")
-    if not (abs(0.5 * b) <= 0.5 * B_MAX and not (
-            b.imag == 0.0 and b.real <= 0.0 and b.real.is_integer())):
-        raise _outside("b", b, "not be a non-positive integer and must "
-                       "have |b| <= %g" % B_MAX)
-    if not (_on_ray(z.item()) if z.size == 1 else _on_ray(z).all()):
-        raise _outside("z", z[~_on_ray(z)][0], "lie on i[0, inf)")
-    if z.size == 0:
-        return np.empty(shape, dtype=np.complex128)
-    with (contextlib.nullcontext() if abs(0.5 * a) <= 2.0 ** 499
-          else np.errstate(over="ignore")):
-        out = body(np.array([a]), np.array([b]), z.reshape(-1))
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    """hyp1f1 by a branch body of the caller's: _Kummer(a, b)(z, body)."""
+    return _Kummer(a, b)(z, body)
+
+
+class _Kummer:
+    """M(a, b, .) of one a and one b, checked once as hyp1f1's, holding each
+    value of (a, b) alone (the branches' from first use), none of z."""
+
+    def __init__(self, a, b):
+        a, b = (_numbers("hyp1f1 parameter " + n, v, np.complex128)
+                for n, v in (("a", a), ("b", b)))
+        self.shapes = a.shape, b.shape
+        a, b = _one("hyp1f1 parameter a", a), _one("hyp1f1 parameter b", b)
+        # inside tests, which NaN fails; |b| halved, as abs of a complex past
+        # max/sqrt(2) overflows
+        if not cmath.isfinite(a):
+            raise _outside("a", a, "be finite")
+        if not (abs(0.5 * b) <= 0.5 * B_MAX and not (
+                b.imag == 0.0 and b.real <= 0.0 and b.real.is_integer())):
+            raise _outside("b", b, "not be a non-positive integer and must "
+                           "have |b| <= %g" % B_MAX)
+        self.a, self.b = np.array([a]), np.array([b])
+        self.radius = series_radius(self.a)
+        self.tame = abs(0.5 * a) <= 2.0 ** 499  # |a|^2 cannot overflow
+
+    def __call__(self, z, body=None):
+        """M by body(self, z) (_dispatch unless given), shaped as hyp1f1's."""
+        z = _numbers("hyp1f1 parameter z", z, np.complex128)
+        shape = (z.shape if self.shapes == ((), ())
+                 else np.broadcast_shapes(*self.shapes, z.shape))
+        if not (_on_ray(z.item()) if z.size == 1 else _on_ray(z).all()):
+            raise _outside("z", z[~_on_ray(z)][0], "lie on i[0, inf)")
+        if z.size == 0:
+            return np.empty(shape, dtype=np.complex128)
+        with (contextlib.nullcontext() if self.tame
+              else np.errstate(over="ignore")):
+            out = (body or _dispatch)(self, z.reshape(-1))
+        return complex(out[0]) if shape == () else out.reshape(shape)
+
+    @functools.cached_property
+    def r_start(self):  # the chain's first anchor (_continuation)
+        return float((1.0 / np.maximum(1.0, np.abs(self.a)
+                                        / np.abs(self.b)))[0])
+
+    @functools.cached_property
+    def far(self):
+        """_asymptotic's constants; 1/Gamma is 0 at Gamma's poles."""
+        ab = np.concatenate((self.a, self.b - self.a))
+        pole = _is_nonpositive_integer(ab)
+        lg = log_gamma_complex(np.concatenate((self.b,
+                                               np.where(pole, 1.0, ab))))
+        rg = np.where(pole, 0.0, np.exp(-lg[1:]))
+        return (_pair_rows(self.a, self.b), lg[:1], rg[:1], rg[1:],
+                1j * np.pi * self.a)
 
 
 def _outside(name, value, domain):
@@ -359,25 +389,23 @@ def _ray_values(a, b, radii, m, dm, r):
     return w, np.array([e for e, _ in kept], dtype=np.int64)[slot], end
 
 
-def _continuation(a, b, z):
+def _continuation(k, z):
     """hyp1f1's convergent branch: float64 analytic continuation of
     M(a, b, z) up the imaginary axis from the origin (see the module
-    docstring), on one-element arrays a, b and a flat array z: one anchor
-    chain, out to the largest |z|.
+    docstring), on k = _Kummer(a, b) and a flat array z: one anchor chain
+    from k.r_start, out to the largest |z|.
 
     Every series of the chain (the Maclaurin terms, each Taylor step) is
     summed until three consecutive terms are all below SERIES_TOL relative
     to the sum; each z is the Horner sum of the series whose step holds it.
     An element's value depends on (a, b) and its own z only, never on the
     rest of the batch. Raises RuntimeError if any series needs more than
-    SERIES_MAX_TERMS terms."""
+    SERIES_MAX_TERMS terms. |a r_start / b| <= 1 keeps the first step's
+    Maclaurin terms O(1), |a| and |b| as numpy's array loop rounds them."""
     # + 0.0 turns -0.0 into +0.0: z = -0.0 i sums as z = 0 does
     r = z.imag + 0.0
-    # first anchor past the origin: |a r_start / b| <= 1 keeps the
-    # Maclaurin terms O(1); |a| and |b| as numpy's array loop rounds them
-    r_start = float((1.0 / np.maximum(1.0, np.abs(a) / np.abs(b)))[0])
-    a, b = complex(a[0]), complex(b[0])
-    radii = [0.0] + _anchor_radii(r_start, b, float(r.max()))
+    a, b = complex(k.a[0]), complex(k.b[0])
+    radii = [0.0] + _anchor_radii(k.r_start, b, float(r.max()))
     w, e, _ = _ray_values(a, b, radii, 1.0 + 0.0j, a / b, r)
     if e.any():
         # M's own scale: inf or 0 only where float64 cannot hold M
@@ -417,17 +445,25 @@ def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
     return log_w, (np.log(m) + exp * log2, dm / m)
 
 
-def _inv_power_series(p1, p2, w, deriv):
+def _ratios(p1, p2, ndim):
+    """C_k = prod_{j<=k} c_j, c_j = (p1+j-1)(p2+j-1)/j, and max |c_2..c_j|."""
+    k = _TERM_INDEX.reshape((-1,) + (1,) * ndim)
+    c = (p1 + k[:-1]) * (p2 + k[:-1]) / k[1:]
+    return (np.multiply.accumulate(c, axis=0),
+            np.maximum.accumulate(np.abs(c[1:]), axis=0))
+
+
+def _inv_power_series(p1, p2, w, deriv, ratios=None):
     """sum_k (p1)_k (p2)_k / (k! w^k), k = 0 .. ASYMPTOTIC_TERMS, and with
     deriv also sum_k k (p1)_k (p2)_k / (k! w^k), w an array and p1, p2
-    broadcast to it, as terms C_k w^-k: C_k = prod_{j <= k} c_j,
-    c_j = (p1 + j - 1)(p2 + j - 1) / j, and the powers of 1/w by doubling.
+    broadcast to it, as terms C_k w^-k (_ratios, unless given) and the
+    powers of 1/w by doubling.
     Each element stops adding at its smallest term: the terms after the
     first that grows (|c_j| > |w|) are dropped, so a generous
     ASYMPTOTIC_TERMS never degrades the result."""
     k = _TERM_INDEX.reshape((-1,) + (1,) * w.ndim)
-    c = (p1 + k[:-1]) * (p2 + k[:-1]) / k[1:]
-    drop = np.maximum.accumulate(np.abs(c[1:]), axis=0) > np.abs(w)
+    products, peak = ratios or _ratios(p1, p2, w.ndim)
+    drop = peak > np.abs(w)
     trm = np.empty(k.shape[:1] + w.shape, dtype=np.complex128)
     trm[0], trm[1] = 1.0, 1.0 / w
     s = 1
@@ -435,26 +471,34 @@ def _inv_power_series(p1, p2, w, deriv):
         top = trm[s + 1:2 * s + 1]
         np.multiply(trm[1:1 + len(top)], trm[s], out=top)
         s *= 2
-    trm[1:] *= np.multiply.accumulate(c, axis=0)
+    trm[1:] *= products
     np.copyto(trm[2:], 0.0, where=drop)
     return _sum_rows(trm), (_sum_rows(k * trm) if deriv else None)
 
 
-def _kummer_pair(a, b, z, deriv=False):
+def _pair_rows(a, b):
+    """_kummer_pair's rows [b - a, a], [1 - a, a - b + 1] and their _ratios."""
+    p1, p2 = (np.array(v).reshape(2, -1) for v in (
+        [b - a, a], [1.0 - a, a - b + 1.0]))
+    return p1, p2, _ratios(p1, p2, 2)
+
+
+def _kummer_pair(a, b, z, deriv=False, rows=None):
     """The two formal solutions of the Kummer ODE at large |z| (DLMF 13.7.2,
     13.7.3), y1 = e^z z^{a-b} S1(z) and y2 = z^{-a} S2(-z), with
     S1(z) = sum_k (b-a)_k (1-a)_k / (k! z^k) and
     S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs: two rows
-    of one _inv_power_series block (a, b scalars or one-element arrays, z a
-    scalar or a flat array).
+    of one _inv_power_series block on rows = _pair_rows(a, b) unless given
+    (a, b scalars or one-element arrays, z a scalar or a flat array).
 
     Returns (log1, s1, ds1), (log2, s2, ds2) with y_j = e^{log_j} s_j, so
     that callers can keep the prefactors in logs; with deriv,
     y_j' = e^{log_j} ds_j, else ds_j is None. Their Wronskian is
     y1 y2' - y1' y2 = -e^z z^{-b}."""
     logz = np.log(z)
-    tot, ktot = _inv_power_series(*(np.array(v).reshape(2, -1) for v in (
-        [b - a, a], [1.0 - a, a - b + 1.0], [z, -z])), deriv)
+    p1, p2, ratios = rows or _pair_rows(a, b)
+    tot, ktot = _inv_power_series(p1, p2, np.array([z, -z]).reshape(2, -1),
+                                  deriv, ratios)
     s1, s2 = (row.reshape(np.shape(z)) for row in tot)
     ds1 = ds2 = None
     if deriv:
@@ -465,24 +509,18 @@ def _kummer_pair(a, b, z, deriv=False):
     return (z + (a - b) * logz, s1, ds1), (-(a * logz), s2, ds2)
 
 
-def _asymptotic(a, b, z):
-    """hyp1f1's large-|z| branch on one-element arrays a, b and a flat array
-    z (so the Gamma constants and term ratios are formed once): the expansion
+def _asymptotic(k, z):
+    """hyp1f1's large-|z| branch on k = _Kummer(a, b), whose far constants
+    it reads, and a flat array z: the expansion
     Gamma(b)/Gamma(a) y1 + Gamma(b)/Gamma(b-a) e^{i pi a} y2, with y1 the
     growing e^z solution and y2 the algebraic one (_kummer_pair), each an
     inverse-power series truncated at ASYMPTOTIC_TERMS and at its smallest
     term. On i[0, inf) the algebraic piece's (-z)^{-a} is z^{-a} e^{i pi a}.
     An element's value depends on (a, b) and its own z only."""
-    (log1, s1, _), (log2, s2, _) = _kummer_pair(a, b, z)
-    # log Gamma(b), and 1/Gamma(a), 1/Gamma(b - a) as exactly 0 at the
-    # poles of Gamma, from one log-gamma block
-    n, ab = b.size, np.concatenate((a, b - a))
-    pole = _is_nonpositive_integer(ab)
-    lg = log_gamma_complex(np.concatenate((b, np.where(pole, 1.0, ab))))
-    rg = np.where(pole, 0.0, np.exp(-lg[n:]))
-    pre1 = np.exp(log1 + lg[:n]) * rg[:n]
-    pre2 = np.exp(1j * np.pi * a + log2 + lg[:n]) * rg[n:]
-    return pre1 * s1 + pre2 * s2
+    rows, lg_b, rg_a, rg_ba, ipa = k.far
+    (log1, s1, _), (log2, s2, _) = _kummer_pair(k.a, k.b, z, rows=rows)
+    return (np.exp(log1 + lg_b) * rg_a * s1
+            + np.exp(ipa + log2 + lg_b) * rg_ba * s2)
 
 
 def series_radius(a):
@@ -490,13 +528,8 @@ def series_radius(a):
     SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE |a|^2 (a scalar or array).
     Past |a| ~ 1e154 it is inf, and the chain raises its own RuntimeError."""
     with np.errstate(over="ignore"):
-        radius = _radius(a)
+        radius = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
     return float(radius) if np.ndim(radius) == 0 else radius
-
-
-def _radius(a):
-    """series_radius on an array, numpy's overflow warning left as set."""
-    return SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
 
 
 def hyp1f1(a, b, z):
@@ -504,7 +537,8 @@ def hyp1f1(a, b, z):
     (each a scalar or a one-element array, broadcast against z) and a
     scalar or array z, by the convergent branch (_continuation) for
     |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
-    and the large-argument expansion (_asymptotic) beyond. An array z is
+    and the large-argument expansion (_asymptotic) beyond, by one
+    _Kummer(a, b) a call. An array z is
     partitioned between the branches elementwise; a caller that needs one
     branch for a whole stencil passes that body to _entry itself. Several
     (a, b) take one call each: an a or b of more than one value raises
@@ -518,14 +552,14 @@ def hyp1f1(a, b, z):
     return _entry(_dispatch, a, b, z)
 
 
-def _dispatch(a, b, z):
-    near = z.imag <= _radius(a)
+def _dispatch(k, z):
+    near = z.imag <= k.radius
     # the whole batch on one branch: no masked copies
     if near.all():
-        return _continuation(a, b, z)
+        return _continuation(k, z)
     if not near.any():
-        return _asymptotic(a, b, z)
+        return _asymptotic(k, z)
     out = np.empty(z.shape, dtype=np.complex128)
     for sel, body in ((near, _continuation), (~near, _asymptotic)):
-        out[sel] = body(a, b, z[sel])
+        out[sel] = body(k, z[sel])
     return out

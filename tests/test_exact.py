@@ -22,7 +22,7 @@ from coulscat import (
     schrodinger_residual,
     specfun,
 )
-from coulscat.currents import current_scan_grid
+from coulscat.currents import current_numeric, current_scan_grid
 
 # e^{-pi*g/2} |Gamma(1+ig)| and sqrt(pi*g / sinh(pi*g)), 40-digit evaluation
 FORWARD_TABLE = {
@@ -210,6 +210,82 @@ def test_current_scan_grid_slices_keep_every_bit():
         for w, q in zip(whole, piece):
             assert np.array_equal(w[:, i:i + n].view(np.int64),
                                   q.view(np.int64)), i
+
+
+def _asymptotic_per_call(a, b, z):
+    # hyp1f1's large-|z| branch with its (a, b) constants formed in the call:
+    # the pair's rows, one log-gamma block and the prefactors
+    a, b = np.array([a]), np.array([b])
+    (log1, s1, _), (log2, s2, _) = specfun._kummer_pair(a, b, z)
+    ab = np.concatenate((a, b - a))
+    pole = specfun._is_nonpositive_integer(ab)
+    lg = specfun.log_gamma_complex(np.concatenate((b, np.where(pole, 1.0,
+                                                               ab))))
+    rg = np.where(pole, 0.0, np.exp(-lg[1:]))
+    pre1 = np.exp(log1 + lg[:1]) * rg[:1]
+    pre2 = np.exp(1j * np.pi * a + log2 + lg[:1]) * rg[1:]
+    return pre1 * s1 + pre2 * s2
+
+
+def test_kummer_objects_move_no_bit(monkeypatch):
+    # psi's Kummer functions are formed once per ScatteringParams: on seeded
+    # points of both 1F1 branches and within 1e-9 relative of the switch
+    # radius, psi, its currents and its residual have the same bits on a
+    # fresh and on a reused parameters object, and alone as in a batch
+    rng = np.random.default_rng(3911)
+    n = exact._SLICE
+    for gamma in (0.7, -1.5):
+        reused, radius = ScatteringParams(gamma), specfun.series_radius(
+            -1j * gamma)
+        theta = rng.uniform(0.3, 2.8, 30)
+        rs = radius * np.concatenate([1.0 + rng.uniform(-1e-9, 1e-9, 10),
+                                      rng.uniform(0.05, 1.0, 10),
+                                      rng.uniform(1.0, 12.0, 10)])
+        rho = rs / (1.0 - np.cos(theta))
+        near = rs <= radius
+        assert 3 <= near[:10].sum() <= 7
+        psi = psi_exact_grid(reused, rho, theta)
+        currents = current_scan_grid(reused, rho, theta)
+        for i in range(rho.size):
+            pt = FieldPoint(rho[i], theta[i])
+            for p in (reused, ScatteringParams(gamma)):
+                assert np.array_equal(_bits(psi_exact(p, pt)),
+                                      _bits(psi[i])), (gamma, i)
+                one = current_scan_grid(p, rho[i], theta[i])
+                assert all(np.array_equal(_bits(c[:, i]), _bits(o))
+                           for c, o in zip(currents, one)), (gamma, i)
+            if rho[i] < 1000.0:
+                j = [current_numeric(lambda q: psi_exact(p, q), p, pt)
+                     for p in (reused, ScatteringParams(gamma))]
+                assert j[0] == j[1], (gamma, i)
+            res = [schrodinger_residual(p, pt, 1e-3)
+                   for p in (reused, ScatteringParams(gamma))]
+            assert np.array_equal(_bits(res[0]), _bits(res[1])), (gamma, i)
+        # across a slice boundary, on both branches
+        rho = np.concatenate([rng.uniform(0.5, 3.0, n - 3) * radius,
+                              rng.uniform(0.5, 3.0, 6) * radius])
+        grid = [psi_exact_grid(p, rho, 1.5)
+                for p in (reused, ScatteringParams(gamma))]
+        assert np.array_equal(_bits(grid[0]), _bits(grid[1]))
+        for i in range(n - 6, n + 3):
+            assert grid[0][i] == psi_exact(ScatteringParams(gamma),
+                                           FieldPoint(rho[i], 1.5))
+        # the large-|z| branch still sums its series in _kummer_pair, one
+        # call a slice
+        calls = []
+        inner = specfun._kummer_pair
+        monkeypatch.setattr(specfun, "_kummer_pair", lambda *args, **kw: (
+            calls.append(args) or inner(*args, **kw)))
+        psi_exact_grid(reused, 3.0 * radius * np.ones(n + 1), 1.5)
+        assert len(calls) == 2
+        monkeypatch.undo()
+    # hyp1f1 has the bits of its constants formed in the call, on psi's ray
+    # and for complex (a, b)
+    for a, b in ((-0.7j, 1.0), (1.0 + 1.5j, 2.0), (2.0 - 1j, 3.0 + 0.5j),
+                 (-0.3 + 0.2j, 1.5 - 0.4j)):
+        z = 1j * specfun.series_radius(a) * rng.uniform(1.0, 30.0, 40)
+        assert np.array_equal(_bits(specfun.hyp1f1(a, b, z)),
+                              _bits(_asymptotic_per_call(a, b, z))), (a, b)
 
 
 @pytest.mark.parametrize("evaluate", [psi_exact_grid, current_scan_grid])

@@ -1,12 +1,15 @@
 """The package's public names: every export resolves, listed once, in
 order, has a caller outside the unit tests, and no numerical entry point
-takes a method option."""
+takes a method option, and the kernel keeps no cache across calls."""
 
 import inspect
 import pathlib
 import re
 
+import numpy as np
+
 import coulscat
+from coulscat import exact, multipole, specfun
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # where an export's caller may live: the package itself, the README's tour
@@ -68,3 +71,31 @@ def test_full_mode_entry_points_take_physical_inputs_only():
               for name in ("integrate_full_mode", "full_mode_phase_error")}
     assert params == {"integrate_full_mode": ["bh", "ell", "r", "r_start"],
                       "full_mode_phase_error": ["bh", "ell"]}
+
+
+def test_kernel_keeps_no_cross_call_cache():
+    # a constant of (a, b) lives on the caller's own object (specfun._Kummer
+    # on ScatteringParams), never in a memo keyed by values: 200 hyp1f1 and
+    # psi_exact calls of distinct (a, b) and gamma grow no module-level
+    # dict, list or set, and no function or method is functools-cached
+    modules = (specfun, exact, multipole)
+
+    def sizes():
+        return {(m.__name__, name): len(v) for m in modules
+                for name, v in vars(m).items()
+                if isinstance(v, (dict, list, set))}
+
+    before = sizes()
+    rng = np.random.default_rng(61)
+    for gamma in rng.uniform(-2.0, 2.0, 200):
+        a = complex(rng.uniform(-2.0, 2.0), gamma)
+        specfun.hyp1f1(a, rng.uniform(0.5, 4.0), [5j, 40j, 200j])
+        coulscat.psi_exact(coulscat.ScatteringParams(gamma),
+                           coulscat.FieldPoint(rng.uniform(1.0, 500.0), 1.0))
+    assert sizes() == before
+    found = [(m.__name__, name) for m in modules
+             for name, v in vars(m).items()
+             for f in [v] + (list(vars(v).values()) if inspect.isclass(v)
+                             else [])
+             if hasattr(f, "cache_info")]
+    assert found == []

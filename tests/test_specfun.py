@@ -373,8 +373,9 @@ def test_hyp1f1_asymptotic_batch_independent():
             assert got[i] == ref[0], ASYM_CASES[i]
 
 
-def _kummer_pair_two_calls(a, b, z, deriv=False):
-    # the pair with each inverse-power series summed in its own call
+def _kummer_pair_two_calls(a, b, z, deriv=False, rows=None):
+    # the pair with each inverse-power series summed in its own call (and
+    # its constants formed afresh, whatever rows a caller holds)
     s1, k1 = specfun._inv_power_series(b - a, 1.0 - a, z, True)
     s2, k2 = specfun._inv_power_series(a, a - b + 1.0, -z, True)
     ds = (s1 + ((a - b) * s1 - k1) / z, -(a * s2 + k2) / z)
