@@ -58,8 +58,8 @@ costs a fixed number of numpy operations on either branch, and every value,
 like the convergent branch's, is the same alone as in any batch.
 
 One object per Kummer function M(a, b, .) (_Kummer) checks a and b and forms
-each value of (a, b) alone once: the switch and start radii, the large-|z|
-series rows, term ratios and Gamma factors. hyp1f1 builds one a call;
+each value of (a, b) alone once: the switch and start radii, and the
+large-|z| series' term ratios and Gamma factors. hyp1f1 builds one a call;
 exact.ScatteringParams keeps psi's two. Nothing is cached across objects.
 """
 
@@ -139,8 +139,8 @@ def log_gamma_complex(z):
     z = _numbers("log_gamma_complex parameter z", z, np.complex128)
     shape, z = z.shape, z.reshape(-1)
     refl = z.real < 0.5
-    reflect = refl.any()  # the poles, and the reflection, lie left of 1/2
-    if reflect and _is_nonpositive_integer(z).any():
+    reflect = np.count_nonzero(refl) > 0  # poles, reflection: Re z < 1/2
+    if reflect and np.count_nonzero(_is_nonpositive_integer(z)):
         raise ValueError("log_gamma_complex pole: z is a non-positive integer")
     zz = (np.where(refl, 1.0 - z, z) if reflect else z) - 1.0
     # c_0 + sum_i c_i / (zz + i), one division over an (8, zz.size) block
@@ -158,19 +158,19 @@ def log_gamma_complex(z):
             out = np.where(refl, np.log(np.pi) - np.log(np.sin(np.pi * z)) - out, out)
         turns = np.floor(0.5 * z.real + 0.25)
         wrap = refl & (turns != 0.0)
-        if wrap.any():
+        if np.count_nonzero(wrap):
             out[wrap] += 1j * np.copysign(2.0 * np.pi, z.imag[wrap]) * turns[wrap]
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def _entry(body, a, b, z):
-    """hyp1f1 by a branch body of the caller's: _Kummer(a, b)(z, body)."""
+    """hyp1f1 on one branch body: _Kummer(a, b)(z, body)."""
     return _Kummer(a, b)(z, body)
 
 
 class _Kummer:
-    """M(a, b, .) of one a and one b, checked once as hyp1f1's, holding each
-    value of (a, b) alone (the branches' from first use), none of z."""
+    """M(a, b, .) of one a and one b, checked once as hyp1f1's: M(z) by
+    body(self, z), _dispatch unless given; holds values of (a, b) alone."""
 
     def __init__(self, a, b):
         a, b = (_numbers("hyp1f1 parameter " + n, v, np.complex128)
@@ -185,12 +185,13 @@ class _Kummer:
                 b.imag == 0.0 and b.real <= 0.0 and b.real.is_integer())):
             raise _outside("b", b, "not be a non-positive integer and must "
                            "have |b| <= %g" % B_MAX)
-        self.a, self.b = np.array([a]), np.array([b])
-        self.radius = series_radius(self.a)
+        self.a, self.b, self.ab = np.array([a]), np.array([b]), (a, b)
         self.tame = abs(0.5 * a) <= 2.0 ** 499  # |a|^2 cannot overflow
+        self.radius = (SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE
+                       * np.abs(self.a) ** 2 if self.tame
+                       else series_radius(self.a))
 
     def __call__(self, z, body=None):
-        """M by body(self, z) (_dispatch unless given), shaped as hyp1f1's."""
         z = _numbers("hyp1f1 parameter z", z, np.complex128)
         shape = (z.shape if self.shapes == ((), ())
                  else np.broadcast_shapes(*self.shapes, z.shape))
@@ -204,20 +205,19 @@ class _Kummer:
         return complex(out[0]) if shape == () else out.reshape(shape)
 
     @functools.cached_property
-    def r_start(self):  # the chain's first anchor (_continuation)
+    def r_start(self):  # |a r_start / b| <= 1 by numpy's |a|, |b|: O(1) terms
         return float((1.0 / np.maximum(1.0, np.abs(self.a)
                                         / np.abs(self.b)))[0])
 
     @functools.cached_property
     def far(self):
         """_asymptotic's constants; 1/Gamma is 0 at Gamma's poles."""
-        ab = np.concatenate((self.a, self.b - self.a))
+        a, b = self.a, self.b
+        ab = np.concatenate((a, b - a))
         pole = _is_nonpositive_integer(ab)
-        lg = log_gamma_complex(np.concatenate((self.b,
-                                               np.where(pole, 1.0, ab))))
+        lg = log_gamma_complex(np.concatenate((b, np.where(pole, 1.0, ab))))
         rg = np.where(pole, 0.0, np.exp(-lg[1:]))
-        return (_pair_rows(self.a, self.b), lg[:1], rg[:1], rg[1:],
-                1j * np.pi * self.a)
+        return _pair_ratios(a, b), lg[:1], rg[:1], rg[1:], 1j * np.pi * a
 
 
 def _outside(name, value, domain):
@@ -400,14 +400,13 @@ def _continuation(k, z):
     to the sum; each z is the Horner sum of the series whose step holds it.
     An element's value depends on (a, b) and its own z only, never on the
     rest of the batch. Raises RuntimeError if any series needs more than
-    SERIES_MAX_TERMS terms. |a r_start / b| <= 1 keeps the first step's
-    Maclaurin terms O(1), |a| and |b| as numpy's array loop rounds them."""
+    SERIES_MAX_TERMS terms."""
     # + 0.0 turns -0.0 into +0.0: z = -0.0 i sums as z = 0 does
     r = z.imag + 0.0
-    a, b = complex(k.a[0]), complex(k.b[0])
+    a, b = k.ab
     radii = [0.0] + _anchor_radii(k.r_start, b, float(r.max()))
     w, e, _ = _ray_values(a, b, radii, 1.0 + 0.0j, a / b, r)
-    if e.any():
+    if np.count_nonzero(e):
         # M's own scale: inf or 0 only where float64 cannot hold M
         with np.errstate(over="ignore", invalid="ignore"):
             w = w * np.exp2(e)
@@ -453,17 +452,16 @@ def _ratios(p1, p2, ndim):
             np.maximum.accumulate(np.abs(c[1:]), axis=0))
 
 
-def _inv_power_series(p1, p2, w, deriv, ratios=None):
+def _inv_power_series(ratios, w, deriv):
     """sum_k (p1)_k (p2)_k / (k! w^k), k = 0 .. ASYMPTOTIC_TERMS, and with
     deriv also sum_k k (p1)_k (p2)_k / (k! w^k), w an array and p1, p2
-    broadcast to it, as terms C_k w^-k (_ratios, unless given) and the
-    powers of 1/w by doubling.
+    broadcast to it, as terms C_k w^-k, ratios = _ratios(p1, p2, w.ndim),
+    and the powers of 1/w by doubling.
     Each element stops adding at its smallest term: the terms after the
     first that grows (|c_j| > |w|) are dropped, so a generous
     ASYMPTOTIC_TERMS never degrades the result."""
     k = _TERM_INDEX.reshape((-1,) + (1,) * w.ndim)
-    products, peak = ratios or _ratios(p1, p2, w.ndim)
-    drop = peak > np.abs(w)
+    drop = ratios[1] > np.abs(w)
     trm = np.empty(k.shape[:1] + w.shape, dtype=np.complex128)
     trm[0], trm[1] = 1.0, 1.0 / w
     s = 1
@@ -471,34 +469,32 @@ def _inv_power_series(p1, p2, w, deriv, ratios=None):
         top = trm[s + 1:2 * s + 1]
         np.multiply(trm[1:1 + len(top)], trm[s], out=top)
         s *= 2
-    trm[1:] *= products
+    trm[1:] *= ratios[0]
     np.copyto(trm[2:], 0.0, where=drop)
     return _sum_rows(trm), (_sum_rows(k * trm) if deriv else None)
 
 
-def _pair_rows(a, b):
-    """_kummer_pair's rows [b - a, a], [1 - a, a - b + 1] and their _ratios."""
-    p1, p2 = (np.array(v).reshape(2, -1) for v in (
-        [b - a, a], [1.0 - a, a - b + 1.0]))
-    return p1, p2, _ratios(p1, p2, 2)
+def _pair_ratios(a, b):
+    """_ratios of _kummer_pair's rows [b - a, a], [1 - a, a - b + 1]."""
+    return _ratios(*(np.array(v).reshape(2, -1) for v in (
+        [b - a, a], [1.0 - a, a - b + 1.0])), 2)
 
 
-def _kummer_pair(a, b, z, deriv=False, rows=None):
+def _kummer_pair(a, b, z, deriv=False, ratios=None):
     """The two formal solutions of the Kummer ODE at large |z| (DLMF 13.7.2,
     13.7.3), y1 = e^z z^{a-b} S1(z) and y2 = z^{-a} S2(-z), with
     S1(z) = sum_k (b-a)_k (1-a)_k / (k! z^k) and
     S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs: two rows
-    of one _inv_power_series block on rows = _pair_rows(a, b) unless given
-    (a, b scalars or one-element arrays, z a scalar or a flat array).
+    of one _inv_power_series block on ratios = _pair_ratios(a, b) unless
+    given (a, b scalars or one-element arrays, z a scalar or a flat array).
 
     Returns (log1, s1, ds1), (log2, s2, ds2) with y_j = e^{log_j} s_j, so
     that callers can keep the prefactors in logs; with deriv,
     y_j' = e^{log_j} ds_j, else ds_j is None. Their Wronskian is
     y1 y2' - y1' y2 = -e^z z^{-b}."""
     logz = np.log(z)
-    p1, p2, ratios = rows or _pair_rows(a, b)
-    tot, ktot = _inv_power_series(p1, p2, np.array([z, -z]).reshape(2, -1),
-                                  deriv, ratios)
+    tot, ktot = _inv_power_series(ratios or _pair_ratios(a, b),
+                                  np.array([z, -z]).reshape(2, -1), deriv)
     s1, s2 = (row.reshape(np.shape(z)) for row in tot)
     ds1 = ds2 = None
     if deriv:
@@ -517,8 +513,8 @@ def _asymptotic(k, z):
     inverse-power series truncated at ASYMPTOTIC_TERMS and at its smallest
     term. On i[0, inf) the algebraic piece's (-z)^{-a} is z^{-a} e^{i pi a}.
     An element's value depends on (a, b) and its own z only."""
-    rows, lg_b, rg_a, rg_ba, ipa = k.far
-    (log1, s1, _), (log2, s2, _) = _kummer_pair(k.a, k.b, z, rows=rows)
+    ratios, lg_b, rg_a, rg_ba, ipa = k.far
+    (log1, s1, _), (log2, s2, _) = _kummer_pair(k.a, k.b, z, ratios=ratios)
     return (np.exp(log1 + lg_b) * rg_a * s1
             + np.exp(ipa + log2 + lg_b) * rg_ba * s2)
 
@@ -537,27 +533,27 @@ def hyp1f1(a, b, z):
     (each a scalar or a one-element array, broadcast against z) and a
     scalar or array z, by the convergent branch (_continuation) for
     |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
-    and the large-argument expansion (_asymptotic) beyond, by one
-    _Kummer(a, b) a call. An array z is
-    partitioned between the branches elementwise; a caller that needs one
-    branch for a whole stencil passes that body to _entry itself. Several
-    (a, b) take one call each: an a or b of more than one value raises
-    ValueError.
+    and the large-argument expansion (_asymptotic) beyond, evaluated by
+    _Kummer(a, b)(z). An array z is partitioned between the branches
+    elementwise; a caller that needs one branch for a whole stencil calls
+    _Kummer(a, b)(z, body). Several (a, b) take one call each: an a or b
+    of more than one value raises ValueError.
 
     Domain, checked on both branches (a ValueError names the parameter):
     z on i[0, inf) (every package call's ray), either sign of zero; a finite;
     b not a non-positive integer (a pole of M), |b| <= B_MAX = 2^16. The
     convergent branch raises RuntimeError past MAX_ANCHORS = 2^18 anchors.
     """
-    return _entry(_dispatch, a, b, z)
+    return _Kummer(a, b)(z)
 
 
 def _dispatch(k, z):
     near = z.imag <= k.radius
+    n = np.count_nonzero(near)  # a quarter of any()'s time on one z
     # the whole batch on one branch: no masked copies
-    if near.all():
+    if n == z.size:
         return _continuation(k, z)
-    if not near.any():
+    if n == 0:
         return _asymptotic(k, z)
     out = np.empty(z.shape, dtype=np.complex128)
     for sel, body in ((near, _continuation), (~near, _asymptotic)):

@@ -373,11 +373,13 @@ def test_hyp1f1_asymptotic_batch_independent():
             assert got[i] == ref[0], ASYM_CASES[i]
 
 
-def _kummer_pair_two_calls(a, b, z, deriv=False, rows=None):
+def _kummer_pair_two_calls(a, b, z, deriv=False, ratios=None):
     # the pair with each inverse-power series summed in its own call (and
-    # its constants formed afresh, whatever rows a caller holds)
-    s1, k1 = specfun._inv_power_series(b - a, 1.0 - a, z, True)
-    s2, k2 = specfun._inv_power_series(a, a - b + 1.0, -z, True)
+    # its constants formed afresh, whatever ratios a caller holds)
+    s1, k1 = specfun._inv_power_series(
+        specfun._ratios(b - a, 1.0 - a, z.ndim), z, True)
+    s2, k2 = specfun._inv_power_series(
+        specfun._ratios(a, a - b + 1.0, z.ndim), -z, True)
     ds = (s1 + ((a - b) * s1 - k1) / z, -(a * s2 + k2) / z)
     logz = np.log(z)
     return ((z + (a - b) * logz, s1, ds[0] if deriv else None),
@@ -474,7 +476,8 @@ def test_inv_power_series_matches_term_loop():
     p1, p2 = (rng.uniform(-4, 4, n) + 1j * rng.uniform(-4, 4, n)
               for _ in range(2))
     w = (8.0 + 60.0 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    tot, ktot = specfun._inv_power_series(p1, p2, w, True)
+    tot, ktot = specfun._inv_power_series(specfun._ratios(p1, p2, w.ndim),
+                                          w, True)
     ref_tot, ref_ktot, size, ksize = _inv_power_series_loop(p1, p2, w)
     assert np.max(np.abs(tot - ref_tot) / size) < 1e-15
     assert np.max(np.abs(ktot - ref_ktot) / ksize) < 1e-15
