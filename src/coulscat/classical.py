@@ -87,9 +87,9 @@ def radial_mode_asymptotic(bh, ell, r):
 def _full_mode_start(bh, ell, r_start):
     """The full mode's data at r_start (default ten Schwarzschild radii):
     r_start, the Coulomb reduction, rho0 = omega r_start, log(u0 e^{i rho0}),
-    the Kummer parameters a, b, the matching radius |z| beyond which w is
-    taken from the asymptotic pair (hyp1f1's switch radius for this a, or
-    z0 = 2 i rho0 if that lies farther), and w'/w at z0 (see
+    w's Kummer function k = specfun._Kummer(a, b), the matching radius |z|
+    beyond which w is taken from the asymptotic pair (k.radius, or
+    |z0| = 2 rho0 if that lies farther), and w'/w at z0 (see
     integrate_full_mode). The errors name what its caller can change: mass
     where the default r_start is 0, and r_start only where it was passed."""
     ell = specfun._one("ell", ell)
@@ -125,23 +125,23 @@ def _full_mode_start(bh, ell, r_start):
     # is kept (rounding in its imaginary part grows ~100x along the mode)
     x = du0 / u0 - lam1 / rho0
     dw0 = complex(0.5, -0.5 * x.real) if disc >= 0.0 else complex((x + 1j) / 2j)
-    a = lam1 - 1j * p.gamma
-    z_match = max(specfun.series_radius(a), 2.0 * rho0)
-    return (r_start, p, rho0, np.log(u0 * np.exp(1j * rho0)), a, 2.0 * lam1,
-            z_match, dw0)
+    k = specfun._Kummer(lam1 - 1j * p.gamma, 2.0 * lam1)
+    return (r_start, p, rho0, np.log(u0 * np.exp(1j * rho0)), k,
+            max(k.radius, 2.0 * rho0), dw0)
 
 
-def _far_amplitudes(a, b, rho0, log_u0, z_match, end):
+def _far_amplitudes(k, rho0, log_u0, z_match, end):
     """c_out and c_in of the full mode beyond the matching radius,
     u = e^{c_out} S1 e^{i theta} + e^{c_in} S2 e^{-i theta},
     theta = rho - gamma ln(2 rho), with S1 and S2 the series of
-    specfun._kummer_pair at z = 2 i rho. w = c1 y1 + c2 y2 there, with c1
-    and c2 taken from end = (log w, w'/w) at z_match by the Wronskian; the
-    powers of rho and z are combined by hand, so nothing of order
+    specfun._kummer_pair of k at z = 2 i rho. w = c1 y1 + c2 y2 there, with
+    c1 and c2 taken from end = (log w, w'/w) at z_match by the Wronskian;
+    the powers of rho and z are combined by hand, so nothing of order
     lambda ln(rho) is formed."""
+    a, b = k.ab
     log_w, dlog_w = end
     (log1, s1, ds1), (log2, s2, ds2) = specfun._kummer_pair(
-        a, b, np.complex128(1j * z_match), deriv=True)
+        k, np.complex128(1j * z_match), deriv=True)
     # the Wronskian y1 y2' - y1' y2 is -e^{log1 + log2}
     log_c1 = log_w - log1 + np.log(dlog_w * s2 - ds2)
     log_c2 = log_w - log2 + np.log(ds1 - dlog_w * s1)
@@ -164,7 +164,7 @@ def integrate_full_mode(bh, ell, r, r_start=None):
     complex when ell = 0 and 12 (M omega)^2 > 1/4). Writing
     u = rho^{lambda+1} e^{-i rho} w(2 i rho), w solves the Kummer ODE with
     a = lambda + 1 - i gamma, b = 2 lambda + 2. Up to the matching radius
-    |z| = specfun.series_radius(a) (48 for M omega = 0.05, ell = 2)
+    |z| = specfun._Kummer(a, b).radius (48 for M omega = 0.05, ell = 2)
     specfun.kummer_ivp continues w along the ray z = 2 i rho. Beyond it w is
     c1 y1 + c2 y2, the two large-|z| solutions of specfun._kummer_pair, with
     c1, c2 from w and w' at the matching radius; every farther radius is
@@ -180,24 +180,24 @@ def integrate_full_mode(bh, ell, r, r_start=None):
     initial data can: raises ArithmeticError where the ell wave at r_start
     falls below float64's full-precision range (high ell at small r_start).
     """
-    r_start, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(
+    r_start, p, rho0, log_u0, k, z_match, dw0 = _full_mode_start(
         bh, ell, r_start)
     rho = p.k * exact._within("r", r, "[%r, inf)" % float(r_start))
     near = 2.0 * rho <= z_match
     far = ~near
-    log_w, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
-                                    z_match, 2.0 * rho[near])
+    log_w, end = specfun.kummer_ivp(k, 2.0 * rho0, 1.0 + 0.0j, dw0, z_match,
+                                    2.0 * rho[near])
     u = np.empty(rho.shape, dtype=np.complex128)
     # u = u0 e^{i rho0} (rho/rho0)^{lambda+1} w e^{-i rho}, w in units of its
     # r_start value: e^{-i rho} apart, so that its phase keeps full
     # precision at large rho
     rho_n = rho[near]
-    u[near] = (np.exp(log_u0 + 0.5 * b * np.log(rho_n / rho0) + log_w)
-               * np.exp(-1j * rho_n))
+    u[near] = (np.exp(log_u0 + 0.5 * k.ab[1] * np.log(rho_n / rho0)
+                      + log_w) * np.exp(-1j * rho_n))
     if far.any():
-        c_out, c_in = _far_amplitudes(a, b, rho0, log_u0, z_match, end)
+        c_out, c_in = _far_amplitudes(k, rho0, log_u0, z_match, end)
         rho_f = rho[far]
-        (_, s1, _), (_, s2, _) = specfun._kummer_pair(a, b, 2j * rho_f)
+        (_, s1, _), (_, s2, _) = specfun._kummer_pair(k, 2j * rho_f)
         log_phase = 1j * p.gamma * np.log(2.0 * rho_f)
         u[far] = (np.exp(c_out - log_phase) * s1 * np.exp(1j * rho_f)
                   + np.exp(c_in + log_phase) * s2 * np.exp(-1j * rho_f))
@@ -218,10 +218,9 @@ def full_mode_phase_error(bh, ell):
     Raises as integrate_full_mode does.
     """
     ell = specfun._one("ell", ell)
-    _, p, rho0, log_u0, a, b, z_match, dw0 = _full_mode_start(bh, ell, None)
-    _, end = specfun.kummer_ivp(a, b, 2.0 * rho0, 1.0 + 0.0j, dw0,
-                                z_match, [])
-    c_out, c_in = _far_amplitudes(a, b, rho0, log_u0, z_match, end)
+    _, p, rho0, log_u0, k, z_match, dw0 = _full_mode_start(bh, ell, None)
+    _, end = specfun.kummer_ivp(k, 2.0 * rho0, 1.0 + 0.0j, dw0, z_match, [])
+    c_out, c_in = _far_amplitudes(k, rho0, log_u0, z_match, end)
     ratio = (np.exp(c_out - c_in) * (-1.0) ** (ell + 1)
              / multipole.phase_shift(ell, p.gamma).factor)
     return 0.5 * float(np.angle(ratio))

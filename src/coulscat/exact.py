@@ -303,8 +303,7 @@ def schrodinger_residual(p, pt, h):
 
     # the whole stencil on the center's 1F1 branch: a branch switch inside
     # it would put the two branches' difference into the second differences
-    branch = (specfun._continuation if rho * _s(theta) <= p._kummer.radius
-              else specfun._asymptotic)
+    branch = p._kummer.branch(rho * _s(theta))
     rhos = np.array([rho, rho - h, rho + h, rho, rho])
     thetas = np.array([theta, theta, theta, theta - ht, theta + ht])
     f = _field(p, rhos, thetas, functools.partial(p._kummer, body=branch))

@@ -57,14 +57,14 @@ of terms (_inv_power_series), and the Lanczos sum of log_gamma_complex one
 costs a fixed number of numpy operations on either branch, and every value,
 like the convergent branch's, is the same alone as in any batch.
 
-One object per Kummer function M(a, b, .) (_Kummer) checks a and b and forms
-each value of (a, b) alone once: the switch and start radii, and the
-large-|z| series' term ratios and Gamma factors. hyp1f1 builds one a call;
-exact.ScatteringParams keeps psi's two. Nothing is cached across objects.
+One object per Kummer function M(a, b, .) (_Kummer) is every caller's handle
+on it: it checks a and b and forms each value of (a, b) alone once, among
+them the switch radius and the branch rule. hyp1f1 builds one a call;
+exact.ScatteringParams keeps psi's two and classical one a full-mode call.
+Nothing is cached across objects.
 """
 
 import cmath
-import contextlib
 import functools
 import math
 
@@ -72,7 +72,7 @@ import numpy as np
 
 # Switch radius between the convergent branch and the large-|z| expansion:
 # convergent while |z| <= SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * |a|^2
-# (series_radius). The expansion needs |z| >> |a|^2, so the radius grows
+# (_Kummer.radius). The expansion needs |z| >> |a|^2, so the radius grows
 # with |a|^2 without a cap: the convergent branch stays accurate at any
 # |z|, and its anchor chain costs about |z|/2 steps a call.
 # The base constant is a tunable; both branches are accurate well past the
@@ -83,9 +83,12 @@ SERIES_SWITCH_SCALE = 2.0
 # Taylor-continuation step bounds (see the module docstring).
 CONT_MAX_STEP = 2.0
 CONT_B_STEP = 16.0
-# Largest |b| in hyp1f1's domain: near the origin each anchor step grows r
+# Largest |a| and |b| in hyp1f1's domain. Up to A_MAX, |a|^2 and the
+# switch radius are finite (past it a chain's series raise at all but
+# |z| < ~1e-10, their terms ~|a|). Near the origin each anchor step grows r
 # by 1 + CONT_B_STEP/|b|, so a chain grows like |b| (4,096 anchors per
 # e-fold of r at 2^16). The package's b: 1, 2, 2 ell + 2 and 2 lambda + 2.
+A_MAX = 2.0 ** 500
 B_MAX = 2.0 ** 16
 # An anchor chain rescales its value and derivative by an exact power of
 # two once |value| leaves [2^-500, 2^500] (_anchor_steps).
@@ -163,14 +166,10 @@ def log_gamma_complex(z):
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
-def _entry(body, a, b, z):
-    """hyp1f1 on one branch body: _Kummer(a, b)(z, body)."""
-    return _Kummer(a, b)(z, body)
-
-
 class _Kummer:
     """M(a, b, .) of one a and one b, checked once as hyp1f1's: M(z) by
-    body(self, z), _dispatch unless given; holds values of (a, b) alone."""
+    body(self, z), _dispatch unless given; holds values of (a, b) alone, the
+    switch radius, start radius, series ratios and Gamma factors."""
 
     def __init__(self, a, b):
         a, b = (_numbers("hyp1f1 parameter " + n, v, np.complex128)
@@ -179,17 +178,18 @@ class _Kummer:
         a, b = _one("hyp1f1 parameter a", a), _one("hyp1f1 parameter b", b)
         # inside tests, which NaN fails; |b| halved, as abs of a complex past
         # max/sqrt(2) overflows
-        if not cmath.isfinite(a):
-            raise _outside("a", a, "be finite")
         if not (abs(0.5 * b) <= 0.5 * B_MAX and not (
                 b.imag == 0.0 and b.real <= 0.0 and b.real.is_integer())):
             raise _outside("b", b, "not be a non-positive integer and must "
                            "have |b| <= %g" % B_MAX)
+        if not abs(0.5 * a) <= 0.5 * A_MAX:
+            raise _outside("a", a, "have |a| <= %g" % A_MAX
+                           if cmath.isfinite(a) else "be finite")
         self.a, self.b, self.ab = np.array([a]), np.array([b]), (a, b)
-        self.tame = abs(0.5 * a) <= 2.0 ** 499  # |a|^2 cannot overflow
-        self.radius = (SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE
-                       * np.abs(self.a) ** 2 if self.tame
-                       else series_radius(self.a))
+        # |a| by numpy (Python's abs(complex) rounds differently), squared
+        # by pow: the one float that _dispatch, branch and z_match compare
+        self.radius = (SERIES_SWITCH_BASE
+                       + SERIES_SWITCH_SCALE * float(np.abs(a)) ** 2)
 
     def __call__(self, z, body=None):
         z = _numbers("hyp1f1 parameter z", z, np.complex128)
@@ -199,10 +199,14 @@ class _Kummer:
             raise _outside("z", z[~_on_ray(z)][0], "lie on i[0, inf)")
         if z.size == 0:
             return np.empty(shape, dtype=np.complex128)
-        with (contextlib.nullcontext() if self.tame
-              else np.errstate(over="ignore")):
-            out = (body or _dispatch)(self, z.reshape(-1))
+        out = (body or _dispatch)(self, z.reshape(-1))
         return complex(out[0]) if shape == () else out.reshape(shape)
+
+    def branch(self, r):
+        """The body that evaluates |z| = r (a float): _continuation up to
+        the switch radius, _asymptotic past it. A stencil about r evaluated
+        on it keeps one branch."""
+        return _continuation if r <= self.radius else _asymptotic
 
     @functools.cached_property
     def r_start(self):  # |a r_start / b| <= 1 by numpy's |a|, |b|: O(1) terms
@@ -210,14 +214,21 @@ class _Kummer:
                                         / np.abs(self.b)))[0])
 
     @functools.cached_property
+    def ratios(self):
+        """_ratios of _kummer_pair's rows [b - a, a], [1 - a, a - b + 1]."""
+        a, b = self.a, self.b
+        return _ratios(np.array([b - a, a]), np.array([1.0 - a, a - b + 1.0]),
+                       2)
+
+    @functools.cached_property
     def far(self):
-        """_asymptotic's constants; 1/Gamma is 0 at Gamma's poles."""
+        """_asymptotic's Gamma constants; 1/Gamma is 0 at Gamma's poles."""
         a, b = self.a, self.b
         ab = np.concatenate((a, b - a))
         pole = _is_nonpositive_integer(ab)
         lg = log_gamma_complex(np.concatenate((b, np.where(pole, 1.0, ab))))
         rg = np.where(pole, 0.0, np.exp(-lg[1:]))
-        return _pair_ratios(a, b), lg[:1], rg[:1], rg[1:], 1j * np.pi * a
+        return lg[:1], rg[:1], rg[1:], 1j * np.pi * a
 
 
 def _outside(name, value, domain):
@@ -413,11 +424,11 @@ def _continuation(k, z):
     return w
 
 
-def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
-    """The solution w of the Kummer ODE z w'' + (b - z) w' - a w = 0 with
-    w = m0 and w' = dm0 at z0 = i r0, carried up the imaginary axis to
-    z = i r_end (a, b, m0, dm0 scalars, r0 > 0): the 1F1 continuation
-    started from this initial data instead of the origin.
+def kummer_ivp(k, r0, m0, dm0, r_end, r):
+    """The solution w of the Kummer ODE z w'' + (b - z) w' - a w = 0 of
+    k = _Kummer(a, b) with w = m0 and w' = dm0 at z0 = i r0, carried up the
+    imaginary axis to z = i r_end (m0, dm0 scalars, r0 > 0): the 1F1
+    continuation started from this initial data instead of the origin.
     Anchors on the _anchor_radii lattice from r0, its last radius moved to
     r_end; each radius r, r0 <= r <= r_end, is the Horner sum of its step's
     Taylor coefficients (r = r0 gives m0 itself), so a value depends on its
@@ -432,6 +443,7 @@ def kummer_ivp(a, b, r0, m0, dm0, r_end, r):
     if bad.any():
         raise ValueError("kummer_ivp radii must lie in [r0, r_end] = [%r, %r]"
                          ", got r = %r" % (r0, r_end, float(r[bad][0])))
+    a, b = k.ab
     radii = _anchor_radii(r0, b, r_end)
     radii[-1] = r_end
     if len(radii) > 1:
@@ -474,27 +486,22 @@ def _inv_power_series(ratios, w, deriv):
     return _sum_rows(trm), (_sum_rows(k * trm) if deriv else None)
 
 
-def _pair_ratios(a, b):
-    """_ratios of _kummer_pair's rows [b - a, a], [1 - a, a - b + 1]."""
-    return _ratios(*(np.array(v).reshape(2, -1) for v in (
-        [b - a, a], [1.0 - a, a - b + 1.0])), 2)
-
-
-def _kummer_pair(a, b, z, deriv=False, ratios=None):
+def _kummer_pair(k, z, deriv=False):
     """The two formal solutions of the Kummer ODE at large |z| (DLMF 13.7.2,
     13.7.3), y1 = e^z z^{a-b} S1(z) and y2 = z^{-a} S2(-z), with
     S1(z) = sum_k (b-a)_k (1-a)_k / (k! z^k) and
-    S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs: two rows
-    of one _inv_power_series block on ratios = _pair_ratios(a, b) unless
-    given (a, b scalars or one-element arrays, z a scalar or a flat array).
+    S2(-z) = sum_k (a)_k (a-b+1)_k / (k! (-z)^k) on principal logs, of
+    k = _Kummer(a, b) and z a scalar or a flat array: two rows of one
+    _inv_power_series block on k.ratios.
 
     Returns (log1, s1, ds1), (log2, s2, ds2) with y_j = e^{log_j} s_j, so
     that callers can keep the prefactors in logs; with deriv,
     y_j' = e^{log_j} ds_j, else ds_j is None. Their Wronskian is
     y1 y2' - y1' y2 = -e^z z^{-b}."""
+    a, b = k.ab
     logz = np.log(z)
-    tot, ktot = _inv_power_series(ratios or _pair_ratios(a, b),
-                                  np.array([z, -z]).reshape(2, -1), deriv)
+    tot, ktot = _inv_power_series(k.ratios, np.array([z, -z]).reshape(2, -1),
+                                  deriv)
     s1, s2 = (row.reshape(np.shape(z)) for row in tot)
     ds1 = ds2 = None
     if deriv:
@@ -513,36 +520,28 @@ def _asymptotic(k, z):
     inverse-power series truncated at ASYMPTOTIC_TERMS and at its smallest
     term. On i[0, inf) the algebraic piece's (-z)^{-a} is z^{-a} e^{i pi a}.
     An element's value depends on (a, b) and its own z only."""
-    ratios, lg_b, rg_a, rg_ba, ipa = k.far
-    (log1, s1, _), (log2, s2, _) = _kummer_pair(k.a, k.b, z, ratios=ratios)
+    lg_b, rg_a, rg_ba, ipa = k.far
+    (log1, s1, _), (log2, s2, _) = _kummer_pair(k, z)
     return (np.exp(log1 + lg_b) * rg_a * s1
             + np.exp(ipa + log2 + lg_b) * rg_ba * s2)
-
-
-def series_radius(a):
-    """|z| up to which hyp1f1 uses the convergent-series branch for this a,
-    SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE |a|^2 (a scalar or array).
-    Past |a| ~ 1e154 it is inf, and the chain raises its own RuntimeError."""
-    with np.errstate(over="ignore"):
-        radius = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE * np.abs(a) ** 2
-    return float(radius) if np.ndim(radius) == 0 else radius
 
 
 def hyp1f1(a, b, z):
     """Kummer's 1F1(a, b; z) = M(a, b, z) for one value of a and one of b
     (each a scalar or a one-element array, broadcast against z) and a
     scalar or array z, by the convergent branch (_continuation) for
-    |z| <= series_radius(a) = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE*|a|^2
-    and the large-argument expansion (_asymptotic) beyond, evaluated by
-    _Kummer(a, b)(z). An array z is partitioned between the branches
+    |z| <= _Kummer(a, b).radius = SERIES_SWITCH_BASE + SERIES_SWITCH_SCALE
+    |a|^2 and the large-argument expansion (_asymptotic) beyond, evaluated
+    by _Kummer(a, b)(z). An array z is partitioned between the branches
     elementwise; a caller that needs one branch for a whole stencil calls
-    _Kummer(a, b)(z, body). Several (a, b) take one call each: an a or b
-    of more than one value raises ValueError.
+    k(z, k.branch(r)) on k = _Kummer(a, b). Several (a, b) take one call
+    each: an a or b of more than one value raises ValueError.
 
     Domain, checked on both branches (a ValueError names the parameter):
-    z on i[0, inf) (every package call's ray), either sign of zero; a finite;
-    b not a non-positive integer (a pole of M), |b| <= B_MAX = 2^16. The
-    convergent branch raises RuntimeError past MAX_ANCHORS = 2^18 anchors.
+    z on i[0, inf) (every package call's ray), either sign of zero; a finite
+    with |a| <= A_MAX = 2^500; b not a non-positive integer (a pole of M),
+    |b| <= B_MAX = 2^16. The convergent branch raises RuntimeError past
+    MAX_ANCHORS = 2^18 anchors.
     """
     return _Kummer(a, b)(z)
 

@@ -246,7 +246,7 @@ def test_full_mode_phase_error_of_pure_regular_wave(monkeypatch):
 
     def regular_start(bh, ell, r_start):
         start = real_start(bh, ell, r_start)
-        rho0, a, b = start[2], start[4], start[5]
+        rho0, (a, b) = start[2], start[4].ab
         z0 = 2j * rho0
         dw0 = complex(a / b * mp_hyp1f1(a + 1, b + 1, z0)
                       / mp_hyp1f1(a, b, z0))
@@ -294,6 +294,43 @@ def test_full_mode_value_independent_of_batch():
     bh = BlackHoleParams(mass=0.05, omega=1.0)
     vals = integrate_full_mode(bh, 2, [50.0, 120.0, 300.0])
     assert integrate_full_mode(bh, 2, 300.0) == vals[-1]
+
+
+# integrate_full_mode's own bits (real and imaginary part as float.hex) at
+# r_start, inside the matching radius and past it (omega r = 23.97 for the
+# real lambda of ell = 2, M omega = 0.05; 17.53 for the complex lambda of
+# ell = 0, M omega = 0.3), and full_mode_phase_error's, on numpy's AVX-512
+# and AVX2 loops alike
+FULL_MODE_BITS = {
+    (0.05, 2): ([
+        (1.0, "-0x1.650c3c7fb6e1bp-2", "0x1.08683ca073714p-5"),
+        (5.0, "-0x1.57a418e98a408p+1", "0x1.fcf5386f8e987p-3"),
+        (23.0, "-0x1.39323d6762ef8p+2", "0x1.cfddf011a1beep-2"),
+        (25.0, "0x1.6f93932334f78p+0", "-0x1.10343c35332e0p-3"),
+        (100.0, "-0x1.101b969955ba2p-2", "0x1.93030843c1500p-6"),
+        (1000.0, "0x1.3aa2778522691p+2", "-0x1.d1ff4f3313b12p-2"),
+    ], "0x1.3bf15e19e791ap-7"),
+    (0.3, 0): ([
+        (6.0, "0x1.d67dc95575228p-1", "0x1.0734d5178e6afp-2"),
+        (10.0, "-0x1.9be667b742217p-2", "-0x1.ccdb7ece51721p-4"),
+        (17.0, "0x1.157a37c1a2f2ep-1", "0x1.367529d23266ap-3"),
+        (18.0, "0x1.e6785b21a38a5p-1", "0x1.102536e78aee0p-2"),
+        (60.0, "0x1.7b87b0a968a1cp-2", "0x1.a8a3d7aeb9ce8p-4"),
+        (600.0, "0x1.eaab93866bbfcp-1", "0x1.127eb93cac560p-2"),
+    ], "0x1.65521aff92be9p-4"),
+}
+
+
+def test_full_mode_bits_pinned_scalar_and_array():
+    for (mass, ell), (rows, phase) in FULL_MODE_BITS.items():
+        bh = BlackHoleParams(mass=mass, omega=1.0)
+        r = np.array([row[0] for row in rows])
+        batch = integrate_full_mode(bh, ell, r)
+        for (ri, re, im), got in zip(rows, batch):
+            one = integrate_full_mode(bh, ell, ri)
+            assert (one.real.hex(), one.imag.hex()) == (
+                got.real.hex(), got.imag.hex()) == (re, im), (mass, ri)
+        assert full_mode_phase_error(bh, ell).hex() == phase, mass
 
 
 def test_full_mode_massless_is_coulomb_wave():

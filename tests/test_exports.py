@@ -9,7 +9,7 @@ import re
 import numpy as np
 
 import coulscat
-from coulscat import exact, multipole, specfun
+from coulscat import classical, exact, multipole, specfun
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # where an export's caller may live: the package itself, the README's tour
@@ -75,10 +75,12 @@ def test_full_mode_entry_points_take_physical_inputs_only():
 
 def test_kernel_keeps_no_cross_call_cache():
     # a constant of (a, b) lives on the caller's own object (specfun._Kummer
-    # on ScatteringParams), never in a memo keyed by values: 200 hyp1f1 and
-    # psi_exact calls of distinct (a, b) and gamma grow no module-level
-    # dict, list or set, and no function or method is functools-cached
-    modules = (specfun, exact, multipole)
+    # on ScatteringParams, or one a full-mode call), never in a memo keyed
+    # by values: 200 hyp1f1 and psi_exact calls of distinct (a, b) and
+    # gamma, and 20 full-mode calls of distinct (M, omega), grow no
+    # module-level dict, list or set, and no function or method is
+    # functools-cached
+    modules = (specfun, exact, multipole, classical)
 
     def sizes():
         return {(m.__name__, name): len(v) for m in modules
@@ -92,6 +94,10 @@ def test_kernel_keeps_no_cross_call_cache():
         specfun.hyp1f1(a, rng.uniform(0.5, 4.0), [5j, 40j, 200j])
         coulscat.psi_exact(coulscat.ScatteringParams(gamma),
                            coulscat.FieldPoint(rng.uniform(1.0, 500.0), 1.0))
+    for mass, omega in rng.uniform(0.02, 0.5, (20, 2)):
+        bh = coulscat.BlackHoleParams(mass, omega)
+        coulscat.integrate_full_mode(bh, 1, 20.0 * mass * np.array([1.0, 1e4]))
+        coulscat.full_mode_phase_error(bh, 1)
     assert sizes() == before
     found = [(m.__name__, name) for m in modules
              for name, v in vars(m).items()

@@ -4,8 +4,6 @@ gamma = 0 Coulomb wave. Reference values frozen from a 40-digit mpmath
 evaluation; live oracles (mpmath, scipy.special) cover the sweeps.
 """
 
-import functools
-
 import numpy as np
 import pytest
 from mpmath import mp
@@ -22,8 +20,15 @@ from coulscat.multipole import (
 mp.dps = 40
 
 # hyp1f1's two branches, each on hyp1f1's own argument handling
-series_branch = functools.partial(specfun._entry, specfun._continuation)
-asymptotic_branch = functools.partial(specfun._entry, specfun._asymptotic)
+
+
+def series_branch(a, b, z):
+    return specfun._Kummer(a, b)(z, specfun._continuation)
+
+
+def asymptotic_branch(a, b, z):
+    return specfun._Kummer(a, b)(z, specfun._asymptotic)
+
 
 # frozen 40-digit brute-force series values
 HYP1F1_TABLE = {
@@ -241,8 +246,8 @@ def test_hyp1f1_series_nonconvergence_error(monkeypatch):
     with pytest.raises(RuntimeError, match="SERIES_MAX_TERMS = 20"):
         series_branch(-1j, 1.0, 25j)
     with pytest.raises(RuntimeError, match="SERIES_MAX_TERMS = 20"):
-        specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j, 0.5 + 0.08j,
-                           30.0, [2.0, 30.0])
+        specfun.kummer_ivp(specfun._Kummer(3 + 0.1j, 6.0), 2.0, 0.3 - 1.2j,
+                           0.5 + 0.08j, 30.0, [2.0, 30.0])
 
 
 def test_anchor_chain_past_its_budget_raises():
@@ -253,12 +258,14 @@ def test_anchor_chain_past_its_budget_raises():
                        r"to reach \|z\| = 1e\+08"):
         specfun.hyp1f1(1e4, 1.0, 1e8j)
     with pytest.raises(RuntimeError, match="MAX_ANCHORS"):
-        specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j, 0.5 + 0.08j,
-                           1e8, [2.0])
-    # past |a| ~ 1e154 the switch radius is inf, not a numpy overflow
-    # warning: the chain's own RuntimeError, from its budget or its terms
+        specfun.kummer_ivp(specfun._Kummer(3 + 0.1j, 6.0), 2.0, 0.3 - 1.2j,
+                           0.5 + 0.08j, 1e8, [2.0])
+    # past |a| = A_MAX = 2^500 (where |a|^2 nears float64's largest number)
+    # a lies outside hyp1f1's domain: a ValueError naming a, not a numpy
+    # overflow warning or the chain's RuntimeError
     for a, z in ((1e308, 1e308j), (1e200, 5j)):
-        with pytest.raises(RuntimeError, match="Kummer-ODE continuation"):
+        with pytest.raises(ValueError, match=r"parameter a must have "
+                           r"\|a\| <= 3.27339e\+150, got a = "):
             specfun.hyp1f1(a, 1.0, z)
 
 
@@ -271,7 +278,7 @@ def test_kummer_argument_errors():
             specfun.hyp1f1(0.5, b, 100j)
     for r in ([1.5], [2.0, 30.5], [2.0, np.nan]):
         with pytest.raises(ValueError, match=r"\[r0, r_end\]"):
-            specfun.kummer_ivp(3 + 0.1j, 6.0, 2.0, 0.3 - 1.2j,
+            specfun.kummer_ivp(specfun._Kummer(3 + 0.1j, 6.0), 2.0, 0.3 - 1.2j,
                                0.5 + 0.08j, 30.0, r)
 
 
@@ -365,17 +372,18 @@ def test_hyp1f1_asymptotic_batch_independent():
         batch = asymptotic_branch(ai, bi, z_all)
         one_pair = asymptotic_branch(ai, bi, np.array([zi, 2 * zi, zi]))
         assert batch[i] == alone == one_pair[0] == one_pair[2], ASYM_CASES[i]
-        a, b = np.array([ai]), np.array([bi])
-        pair = specfun._kummer_pair(a, b, z_all, deriv=True)
-        single = specfun._kummer_pair(a, b, np.array([zi]), deriv=True)
+        k = specfun._Kummer(ai, bi)
+        pair = specfun._kummer_pair(k, z_all, deriv=True)
+        single = specfun._kummer_pair(k, np.array([zi]), deriv=True)
         for got, ref in zip((x for y in pair for x in y),
                             (x for y in single for x in y)):
             assert got[i] == ref[0], ASYM_CASES[i]
 
 
-def _kummer_pair_two_calls(a, b, z, deriv=False, ratios=None):
+def _kummer_pair_two_calls(k, z, deriv=False):
     # the pair with each inverse-power series summed in its own call (and
-    # its constants formed afresh, whatever ratios a caller holds)
+    # its constants formed afresh, whatever ratios k holds)
+    a, b = k.ab
     s1, k1 = specfun._inv_power_series(
         specfun._ratios(b - a, 1.0 - a, z.ndim), z, True)
     s2, k2 = specfun._inv_power_series(
@@ -388,29 +396,27 @@ def _kummer_pair_two_calls(a, b, z, deriv=False, ratios=None):
 
 def test_kummer_pair_sums_both_series_in_one_block(monkeypatch):
     # S1 and S2 are the two rows of one _inv_power_series block, each with
-    # the bits of its own call: psi-ray (a, b) of either sign of gamma as
-    # scalars and as arrays, inside the switch radius (where kummer_ivp's
-    # callers match) and past it (hyp1f1's branch), one point and a batch
+    # the bits of its own call: psi-ray (a, b) of either sign of gamma,
+    # inside the switch radius (where kummer_ivp's callers match) and past
+    # it (hyp1f1's branch), one point and a batch
     rng = np.random.default_rng(53)
     calls = []
     inner = specfun._inv_power_series
     monkeypatch.setattr(specfun, "_inv_power_series",
                         lambda *args: calls.append(args) or inner(*args))
     for g in (0.7, -0.7, 4.0, -4.0):
-        a, b = -1j * g, 1.0
-        radius = specfun.series_radius(a)
+        k = specfun._Kummer(-1j * g, 1.0)
         for n in (1, 300):
-            for z in (1j * rng.uniform(0.5, 1.0, n) * radius,
-                      1j * rng.uniform(1.0, 20.0, n) * radius):
-                for ab in ((a, b), (np.full(n, a), np.full(n, b + 0j))):
-                    del calls[:]
-                    got = specfun._kummer_pair(*ab, z, deriv=True)
-                    assert len(calls) == 1
-                    ref = _kummer_pair_two_calls(*ab, z, deriv=True)
-                    for x, y in zip((v for f in got for v in f),
-                                    (v for f in ref for v in f)):
-                        assert np.array_equal(x.view(np.int64),
-                                              y.view(np.int64)), (g, n)
+            for z in (1j * rng.uniform(0.5, 1.0, n) * k.radius,
+                      1j * rng.uniform(1.0, 20.0, n) * k.radius):
+                del calls[:]
+                got = specfun._kummer_pair(k, z, deriv=True)
+                assert len(calls) == 1
+                ref = _kummer_pair_two_calls(k, z, deriv=True)
+                for x, y in zip((v for f in got for v in f),
+                                (v for f in ref for v in f)):
+                    assert np.array_equal(x.view(np.int64),
+                                          y.view(np.int64)), (g, n)
     # psi past the switch radius across a slice boundary: the bits of the
     # two-call pair in every slice
     monkeypatch.undo()
@@ -433,7 +439,8 @@ def test_hyp1f1_scalar_bits_match_mixed_batch():
     a = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
     b = rng.uniform(0.5, 8.0, n) + 1j * rng.uniform(-2, 2, n)
     z = 1j * rng.uniform(0.2, 130.0, n)
-    far = np.abs(z) > specfun.series_radius(a)
+    far = np.abs(z) > [specfun._Kummer(ai, bi).radius
+                       for ai, bi in zip(a, b)]
     assert far.sum() >= 10 and (~far).sum() >= 10
     for ai, bi, zi in zip(a, b, z):
         got = specfun.hyp1f1(ai, bi, np.array([zi, 0.5 * zi]))[0]
@@ -543,7 +550,7 @@ def test_hyp1f1_array_branch_partition():
     # one call mixing series points and asymptotic points must agree with
     # the scalar path element by element
     for a, z in ((-0.4j, np.array([5j, 80j])), (-1j, np.array([150j, 12j]))):
-        assert (np.abs(z) > specfun.series_radius(a)).sum() == 1
+        assert (np.abs(z) > specfun._Kummer(a, 1.0).radius).sum() == 1
         batch = specfun.hyp1f1(a, 1.0, z)
         for i in range(2):
             assert batch[i] == specfun.hyp1f1(a, 1.0, z[i])
@@ -632,7 +639,8 @@ def test_chain_start_bits_pinned_scalar_and_batch():
                     == (re, im)), zi
     a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
     r = [2.0, specfun._anchor_radii(2.0, b, 30.0)[1]]
-    log_w, end = specfun.kummer_ivp(a, b, 2.0, m0, dm0, 30.0, r)
+    log_w, end = specfun.kummer_ivp(specfun._Kummer(a, b), 2.0, m0, dm0,
+                                    30.0, r)
     assert [_hex(v) for v in (*log_w, *end)] == KUMMER_IVP_BITS
 
 
@@ -642,7 +650,8 @@ def test_kummer_ivp_at_start_radius_is_initial_value():
     a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
     for r_end, r in ((30.0, [2.0]), (30.0, [2.0, 2.0, 7.5, 30.0]),
                      (2.0, [2.0, 2.0])):
-        log_w, _ = specfun.kummer_ivp(a, b, 2.0, m0, dm0, r_end, r)
+        log_w, _ = specfun.kummer_ivp(specfun._Kummer(a, b), 2.0, m0, dm0,
+                                      r_end, r)
         assert log_w[0] == np.log(m0)
 
 
