@@ -11,6 +11,7 @@ from mpmath import hyp1f1 as mp_hyp1f1
 from scipy.special import eval_legendre, loggamma as sc_loggamma, spherical_jn
 
 from coulscat import specfun
+from coulscat.exact import FieldPoint, ScatteringParams, psi_exact
 from coulscat.multipole import (
     _legendre_column,
     _legendre_rows,
@@ -562,6 +563,53 @@ def test_hyp1f1_psi_ray_frozen_mpmath():
         assert abs(got - ref) < 1e-12 * abs(ref), (g, x)
 
 
+# 50-digit mpmath psi(gamma, rho, theta) and l = 0 wave w_0(gamma, rho) at
+# strongly attractive gamma, where M(a, b, .) oscillates at
+# ~sqrt(|kappa| / r), kappa = b/2 - a; an anchor step spanning many periods
+# lost every digit (relative error 2e139 at gamma = -1e4)
+ATTRACTIVE_PSI = {
+    (-300, 2.0, 1.0): complex(-3.1402879487459465, -0.4766241901135101),
+    (-300, 10.0, 2.0): complex(0.2755766619337857, 1.5819615326946277),
+    (-300, 50.0, 0.7): complex(-0.6942694568598066, 1.0026536733888556),
+    (-300, 200.0, 2.5): complex(1.2879634742279993, -0.5798695331607563),
+    (-300, 600.0, 1.5): complex(1.0185976989408718, -0.8291172711572814),
+    (-1000, 2.0, 1.0): complex(-5.528506036661758, 5.793436402671852),
+    (-1000, 10.0, 2.0): complex(0.44684649101997764, 0.5740426174480106),
+    (-1000, 50.0, 0.7): complex(2.0324758500491185, 2.96219107395865),
+    (-1000, 200.0, 2.5): complex(0.5227272980194567, 0.12038634611474901),
+    (-1000, 600.0, 1.5): complex(0.12327191193071246, -1.6563274129346386),
+    (-3000, 2.0, 1.0): complex(-4.068508874925524, 7.967667827364573),
+    (-3000, 10.0, 2.0): complex(-5.1758611887020685, -1.525588061922613),
+    (-3000, 50.0, 0.7): complex(2.329886337930993, 1.5680014975226455),
+    (-3000, 200.0, 2.5): complex(-0.12917165913470455, 2.164641228522213),
+    (-3000, 600.0, 1.5): complex(0.5561686580257581, 0.3022142051220735),
+    (-10000, 2.0, 1.0): complex(-11.083852750756687, 2.981196151227472),
+    (-10000, 10.0, 2.0): complex(-1.7040263518066774, -3.1852322157310904),
+    (-10000, 50.0, 0.7): complex(-0.7522802376091483, -7.4814745314704165),
+    (-10000, 200.0, 2.5): complex(2.165585539777627, -1.9031253595480389),
+    (-10000, 600.0, 1.5): complex(-0.11887472656038423, -0.4615104913170546),
+}
+ATTRACTIVE_WAVE = {
+    (-300, 5.0): complex(-0.058319275104776795, 0.25360081960956915),
+    (-300, 50.0): complex(0.11753897550915313, -0.5111171301707212),
+    (-1000, 5.0): complex(0.15360568829067567, 0.15664294156762737),
+    (-1000, 50.0): complex(0.08323503469586847, 0.08488084537319716),
+    (-3000, 5.0): complex(-0.014630972494044586, -0.008152715370086536),
+    (-3000, 50.0): complex(-0.06163954872944697, -0.03434697840736908),
+    (-10000, 5.0): complex(0.006898457904698875, 0.02869812381098217),
+    (-10000, 50.0): complex(-0.04760257386347853, -0.19803042612248317),
+}
+
+
+def test_strongly_attractive_gamma_frozen_mpmath():
+    for (g, rho, theta), ref in ATTRACTIVE_PSI.items():
+        got = psi_exact(ScatteringParams(g), FieldPoint(rho, theta))
+        assert abs(got - ref) < 1e-10 * abs(ref), (g, rho, theta)
+    for (g, rho), ref in ATTRACTIVE_WAVE.items():
+        got = coulomb_wave_regular(0, g, rho)
+        assert abs(got - ref) < 1e-10 * abs(ref), (g, rho)
+
+
 def test_hyp1f1_series_batch_independent():
     # an element's value is bit-identical alone, in a batch of its (a, b)
     # with every case's z, and in a batch whose larger |z| lengthens its
@@ -583,7 +631,8 @@ def test_hyp1f1_series_at_anchor_radii(a, b):
     # anchor radii r_k and one ulp either side: r_k closes the step that
     # ends there (t = 1), the next float above opens the next (t ~ 0); r_0
     # ends the Maclaurin step from the origin
-    radii = specfun._anchor_radii(1.0 / max(1.0, abs(a / b)), b, 60.0)
+    radii = specfun._anchor_radii(specfun._Kummer(a, b),
+                                  1.0 / max(1.0, abs(a / b)), 60.0)
     picks = [radii[k] for k in (0, 1, 2, len(radii) // 2, len(radii) - 2)]
     r = np.array([np.nextafter(rk, to) for rk in picks
                   for to in (0.0, rk, np.inf)])
@@ -638,7 +687,7 @@ def test_chain_start_bits_pinned_scalar_and_batch():
             assert (_hex(specfun.hyp1f1(ai, bi, zi)) == _hex(got)
                     == (re, im)), zi
     a, b, m0, dm0 = 3 + 0.1j, 6.0, 0.3 - 1.2j, 0.5 + 0.08j
-    r = [2.0, specfun._anchor_radii(2.0, b, 30.0)[1]]
+    r = [2.0, specfun._anchor_radii(specfun._Kummer(a, b), 2.0, 30.0)[1]]
     log_w, end = specfun.kummer_ivp(specfun._Kummer(a, b), 2.0, m0, dm0,
                                     30.0, r)
     assert [_hex(v) for v in (*log_w, *end)] == KUMMER_IVP_BITS
