@@ -25,7 +25,8 @@ Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
   CONT_B_STEP r_k/|b| keeps the coefficient recurrence stable near the
   origin when |b| is large; M oscillates at ~sqrt(|kappa|/r) radians per
   unit r, and CONT_KAPPA_STEP bounds the radians a step spans (it binds
-  only past |kappa| = 20.25, as at attractive gamma past ~20).
+  only past |kappa| = 20.25: |gamma| past ~20 on psi's and the partial
+  waves' rays, where kappa = 1/2 + i gamma and i gamma).
 * An element z with r_k < |z| <= r_{k+1} (z = 0 opens the first step) is
   the Horner sum sum_n d_n t^n of that step's Taylor coefficients
   d_n = M^(n)(z_k) H^n / n!, H the step, at t = (z - z_k) / H; on the first
@@ -89,8 +90,8 @@ CONT_MAX_STEP = 2.0
 CONT_B_STEP = 16.0
 CONT_KAPPA_STEP = 4.5
 # Largest |a| and |b| in hyp1f1's domain. Up to A_MAX, |a|^2 and the
-# switch radius are finite (past it a chain's series raise at all but
-# |z| < ~1e-10, their terms ~|a|). Near the origin each anchor step grows r
+# switch radius are finite (past it a chain's series, with terms ~|a| |z|,
+# raise unless |z| < ~1/|a|). Near the origin each anchor step grows r
 # by 1 + CONT_B_STEP/|b|, so a chain grows like |b| (4,096 anchors per
 # e-fold of r at 2^16). The package's b: 1, 2, 2 ell + 2 and 2 lambda + 2.
 A_MAX = 2.0 ** 500
@@ -222,8 +223,7 @@ class _Kummer:
     def ratios(self):
         """_ratios of _kummer_pair's rows [b - a, a], [1 - a, a - b + 1]."""
         a, b = self.a, self.b
-        return _ratios(np.array([b - a, a]), np.array([1.0 - a, a - b + 1.0]),
-                       2)
+        return _ratios(np.array([b - a, a]), np.array([1 - a, a - b + 1]), 2)
 
     @functools.cached_property
     def far(self):
@@ -276,8 +276,8 @@ def _raise_unconverged(max_terms, z):
 
 def _anchor_radii(k, r0, r_max):
     """The anchor lattice of k = _Kummer(a, b): radii r_0 = r0,
-    r_{k+1} = r_k + min(r_k / 2, CONT_MAX_STEP, CONT_B_STEP * r_k / |b|,
-    CONT_KAPPA_STEP * sqrt(r_k / |kappa|)), kappa = b/2 - a, up to the first
+    r_{j+1} = r_j + min(r_j / 2, CONT_MAX_STEP, CONT_B_STEP * r_j / |b|,
+    CONT_KAPPA_STEP * sqrt(r_j / |kappa|)), kappa = b/2 - a, up to the first
     radius >= r_max (a RuntimeError past MAX_ANCHORS)."""
     a, b = k.ab
     radii = [r0]
