@@ -415,7 +415,7 @@ def test_coulomb_wave_array_ell_bits_match_scalar_calls():
     # each distinct ell is one 1F1 call; at rho = 600 (z = 1200 i) the
     # small ell take the asymptotic branch and the rest the series one
     ells = np.arange(41)
-    radius = np.array([specfun._Kummer(ell + 1.0 - 0.7j, 2.0 * ell + 2.0).radius
+    radius = np.array([specfun._Kummer(ell + 1.0 - 0.7j, 2.0 * ell + 2).radius
                        for ell in ells])
     assert (radius < 1200.0).any() and (radius > 1200.0).any()
     for rho in (5.0, 600.0):

@@ -20,9 +20,8 @@ from coulscat.multipole import (
 
 mp.dps = 40
 
+
 # hyp1f1's two branches, each on hyp1f1's own argument handling
-
-
 def series_branch(a, b, z):
     return specfun._Kummer(a, b)(z, specfun._continuation)
 
