@@ -91,6 +91,7 @@ def coulomb_wave_regular(ell, gamma, rho):
     exact._order("ell", ell, "[0, inf)")
     gamma = specfun._one("gamma",
                          exact._within("gamma", gamma, "(-inf, inf)"))
+    exact._within("gamma", gamma, exact._GAMMA_1F1)  # its 1F1's a
     rho_v = exact._within("rho", rho, "[0, inf)")
     const = (specfun.log_gamma_complex(ell + 1.0 + 1j * gamma)
              - specfun.log_gamma_complex(2.0 * ell + 2.0)

@@ -31,7 +31,8 @@ Numer. Algorithms 74 (2017), arXiv:1407.7786), all in float64:
   the Horner sum sum_n d_n t^n of that step's Taylor coefficients
   d_n = M^(n)(z_k) H^n / n!, H the step, at t = (z - z_k) / H; on the first
   step z_k = 0 and d_n are the Maclaurin terms. Its value depends on the
-  call's (a, b) and its own z only.
+  call's (a, b) and its own z only. Where one step holds every z (a scalar
+  call, most stencils), _ray_values broadcasts that step's row, ungathered.
 
 Against 40-digit mpmath this is within 2e-14 relative on the psi ray
 (a, b) = (-i gamma, 1), |gamma| <= 20, |z| <= 1000, and within 4e-12 for the
@@ -380,34 +381,40 @@ def _ray_values(a, b, radii, m, dm, r):
     radii[0] <= r <= radii[-1]: a point of step k,
     radii[k] < r <= radii[k+1], is the Horner sum of that step's
     coefficients, and r = radii[0] is step 0 at t = 0, its d_0 = m exactly.
-    Rows are kept only for the steps that hold a point, and each Horner step
-    gathers one coefficient column when there are several.
+    Where one step holds every point (a scalar call, most stencils), its
+    row, r_k and H broadcast against r, ungathered, and its exponent is a
+    Python int; otherwise rows are kept only for the steps that hold a
+    point, and each Horner step gathers one coefficient column.
 
     Returns the sums, their exponents e (w = 2^e sum) and the end data of
     _anchor_steps."""
     lattice = np.asarray(radii)
     slot = np.searchsorted(lattice[1:], r)  # each point's step
-    if slot.size == 1 or (slot == slot[:1]).all():  # one step holds all
-        used = slot[:1].copy()
-        slot[:] = 0
-    else:
+    many = slot.size > 1 and np.count_nonzero(slot != slot[0]) > 0
+    if many:
         used, slot = np.unique(slot, return_inverse=True)
-    rows, end = _anchor_steps(a, b, radii, m, dm, set(used.tolist()))
-    kept = [rows[k] for k in used]
-    table = np.zeros((max((len(row) for _, row in kept), default=1),
-                      used.size), dtype=np.complex128)
-    for s, (_, row) in enumerate(kept):
-        table[:len(row), s] = row
-    lo = lattice[used]
+        rows, end = _anchor_steps(a, b, radii, m, dm, set(used.tolist()))
+        kept = [rows[k] for k in used]
+        table = np.zeros((max((len(row) for _, row in kept), default=1),
+                          used.size), dtype=np.complex128)
+        for s, (_, row) in enumerate(kept):
+            table[:len(row), s] = row
+        lo, h = lattice[used][slot], (lattice[used + 1] - lattice[used])[slot]
+        e = np.array([e for e, _ in kept], dtype=np.int64)[slot]
+    else:  # no point (r empty) reads step 0's row
+        k = int(slot[0]) if slot.size else 0
+        rows, end = _anchor_steps(a, b, radii, m, dm, {k})
+        e, row = rows[k]
+        table, lo = np.array(row)[:, None], lattice[k:k + 1]
+        h = lattice[k + 1:k + 2] - lo
     # complex t = (i r - i r_k) / (i H): the real (r - r_k) / H rounds apart
-    t = (r * 1j - lo[slot] * 1j) / ((lattice[used + 1] - lo)[slot] * 1j)
-    # a lone step's coefficients broadcast, ungathered: a sum rounds alike
-    many = used.size > 1
-    w = table[-1][slot]
+    t = (r * 1j - lo * 1j) / (h * 1j)
+    # a lone step's coefficients broadcast: a product or sum rounds alike
+    w = table[-1][slot] if many else table[-1]
     for column in table[-2::-1]:
         # out of place: numpy rounds an in-place 1-element product otherwise
         w = w * t + (column[slot] if many else column)
-    return w, np.array([e for e, _ in kept], dtype=np.int64)[slot], end
+    return w, e, end
 
 
 def _continuation(k, z):
@@ -425,9 +432,10 @@ def _continuation(k, z):
     # + 0.0 turns -0.0 into +0.0: z = -0.0 i sums as z = 0 does
     r = z.imag + 0.0
     a, b = k.ab
-    radii = [0.0] + _anchor_radii(k, k.r_start, float(r.max()))
-    w, e, _ = _ray_values(a, b, radii, 1.0 + 0.0j, a / b, r)
-    if np.count_nonzero(e):
+    r_max = r.item() if r.size == 1 else float(r.max())
+    w, e, _ = _ray_values(a, b, [0.0] + _anchor_radii(k, k.r_start, r_max),
+                          1.0 + 0.0j, a / b, r)
+    if e if type(e) is int else np.count_nonzero(e):  # an int: one step
         # M's own scale: inf or 0 only where float64 cannot hold M
         with np.errstate(over="ignore", invalid="ignore"):
             w = w * np.exp2(e)
@@ -557,6 +565,8 @@ def hyp1f1(a, b, z):
 
 
 def _dispatch(k, z):
+    if z.size == 1:  # branch's float test, no masks
+        return k.branch(z.item().imag)(k, z)
     near = z.imag <= k.radius
     n = np.count_nonzero(near)  # a quarter of any()'s time on one z
     # the whole batch on one branch: no masked copies

@@ -44,7 +44,7 @@ from coulscat import (
     schrodinger_residual,
 )
 from coulscat.currents import CurrentVector, current_scan_grid
-from coulscat.specfun import hyp1f1
+from coulscat.specfun import A_MAX, hyp1f1
 
 P = ScatteringParams(gamma=0.7, k=1.3)
 BH = BlackHoleParams(mass=0.05, omega=1.0)
@@ -572,6 +572,29 @@ def test_large_gamma_raises_where_float64_loses_the_value():
     # true values below float64's range (5.5e-459 and 1.0e-433) are 0
     assert coulomb_wave_regular(150, 1.0, 0.1) == 0.0
     assert coulomb_wave_regular(500, 1.0, 50.0) == 0.0
+
+
+def test_gamma_past_the_kernel_bound_names_gamma():
+    # psi's and the partial waves' 1F1 a is -i gamma or ell + 1 - i gamma:
+    # past |gamma| = A_MAX = 2^500 psi_exact and coulomb_wave_regular raised
+    # the kernel's "hyp1f1 parameter a must have |a| <= ..."; they name gamma
+    # and its bound, and every gamma the kernel took passes the check (at
+    # gamma = +-A_MAX the chain then runs out of anchors, as it did)
+    bound = "gamma must lie in [-%r, %r], got gamma = " % (A_MAX, A_MAX)
+    for g in (1e200, -1e200, float(np.nextafter(A_MAX, np.inf))):
+        p = ScatteringParams(g)
+        for call in (lambda: psi_exact(p, FieldPoint(5.0, 1.0)),
+                     lambda: current_scan_grid(p, 5.0, 1.0),
+                     lambda: coulomb_wave_regular(0, g, 5.0)):
+            with pytest.raises(ValueError,
+                               match="^" + re.escape(bound + repr(g))):
+                call()
+    for g in (A_MAX, -A_MAX):
+        p = ScatteringParams(g)
+        assert (p._kummer.ab, p._kummer_next.ab) == ((-1j * g, 1.0),
+                                                      (1.0 - 1j * g, 2.0))
+        with pytest.raises(RuntimeError, match="MAX_ANCHORS"):
+            coulomb_wave_regular(0, g, 5.0)
 
 
 def test_large_gamma_grid_returns_no_inf_or_nan():

@@ -327,6 +327,30 @@ def test_scalar_psi_exact_checks_its_point_once(monkeypatch):
     assert calls["_rho_theta"] == []
 
 
+def test_one_point_raises_the_scale_error_of_its_batch():
+    # _check_scale tests one element as Python scalars before its array
+    # masks: a one-point call and a 2-point batch of that point raise one
+    # ArithmeticError text, for a value float64 loses at (230, 600, 2) and
+    # for an inf 1F1 factor from a stub kummer
+    def text(call):
+        with pytest.raises(ArithmeticError) as info:
+            call()
+        return str(info.value)
+
+    p = ScatteringParams(gamma=230.0)
+    one = text(lambda: psi_exact(p, FieldPoint(600.0, 2.0)))
+    assert one.startswith("float64 cannot form this value at gamma = 230.0:")
+    assert one == text(lambda: psi_exact_grid(p, [600.0, 600.0], [2.0, 2.0]))
+    p = ScatteringParams(gamma=0.7)
+
+    def inf(z):
+        return np.full(z.shape, complex(np.inf, 0.0))
+
+    one = text(lambda: exact._field(p, np.array([5.0]), np.array([1.0]), inf))
+    assert one == text(lambda: exact._field(p, np.array([5.0, 6.0]),
+                                            np.array([1.0, 1.0]), inf))
+
+
 def test_forward_plateau_off_axis():
     # near the axis (rho*s small) the modulus stays on the forward plateau
     # even far from the scatterer

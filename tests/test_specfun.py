@@ -703,6 +703,45 @@ def test_kummer_ivp_at_start_radius_is_initial_value():
         assert log_w[0] == np.log(m0)
 
 
+def test_one_step_points_keep_their_bits_alone_and_in_any_batch():
+    # points one anchor step holds: alone, as a one-step batch (its row
+    # broadcast, ungathered) and in a batch spanning several steps (its
+    # columns gathered) give the same bits; r on a lattice radius closes
+    # its step, and z = -0.0i sums as z = 0 on step 0
+    k = specfun._Kummer(-0.7j, 1.0)
+    radii = [0.0] + specfun._anchor_radii(k, k.r_start, 20.0)
+    for lo, hi in ((0.0, radii[1]), (radii[3], radii[4])):
+        z = 1j * np.array([np.nextafter(lo, np.inf), 0.5 * (lo + hi), hi])
+        if lo == 0.0:
+            z = np.concatenate([z, [0.0, complex(0.0, -0.0)]])
+        alone = [_hex(specfun.hyp1f1(-0.7j, 1.0, zi)) for zi in z]
+        for batch in (z, np.concatenate([z, [7j, 15j, 0.25j]])):
+            assert [_hex(v) for v in specfun.hyp1f1(-0.7j, 1.0, batch)[:z.size]
+                    ] == alone, (lo, batch)
+    k, m0, dm0 = specfun._Kummer(3 + 0.1j, 6.0), 0.3 - 1.2j, 0.5 + 0.08j
+    radii = specfun._anchor_radii(k, 2.0, 30.0)
+    r = [np.nextafter(radii[2], np.inf), 0.5 * (radii[2] + radii[3]), radii[3]]
+    alone = [specfun.kummer_ivp(k, 2.0, m0, dm0, 30.0, [ri]) for ri in r]
+    for batch in (r, r + [2.0, 25.0, 7.7]):
+        log_w, end = specfun.kummer_ivp(k, 2.0, m0, dm0, 30.0, batch)
+        assert [_hex(v) for v in log_w[:3]] == [_hex(a[0][0]) for a in alone]
+        assert all([_hex(v) for v in end] == [_hex(v) for v in a[1]]
+                   for a in alone)
+
+
+def test_point_at_the_switch_radius_takes_one_branch_alone_and_batched():
+    # |z| = k.radius exactly is the convergent branch's, |z| one ulp past it
+    # the large-|z| branch's, alone (branch's float test) and in a batch
+    # (_dispatch's mask)
+    k = specfun._Kummer(-0.7j, 1.0)
+    for r, body in ((k.radius, specfun._continuation),
+                    (np.nextafter(k.radius, np.inf), specfun._asymptotic)):
+        want = _hex(k(1j * r, body))
+        assert _hex(k(1j * r)) == want
+        assert _hex(k(np.array([1j * r, 5j, 60j]))[0]) == want
+        assert _hex(k(np.array([1j * r, 1j * r]))[1]) == want
+
+
 def test_legendre_p_values():
     assert _legendre_column(-0.73, 0)[0] == 1.0
     assert abs(_legendre_column(1.0, 2)[2] - 1.0) < 1e-14
